@@ -16,7 +16,6 @@ from .errors import (
     DiracsymError,
     FrameDegenerate,
     KernelViolation,
-    LeftChart,
     NotFutureDirected,
     NotOnCharacteristicSet,
     NotTimelike,
@@ -26,7 +25,6 @@ from .errors import (
     ZeroCovector,
 )
 from .geometry import (
-    FrameField,
     FrameSample,
     MetricField,
     PhasePoint,
@@ -55,7 +53,6 @@ from .clifford import (
     CertificateReport,
     CliffordModuleRep,
     SampleSpec,
-    SpinorVector,
     build_canonical_module,
     certify_axioms,
     clifford_mul,

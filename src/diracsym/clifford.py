@@ -21,17 +21,16 @@ from .errors import (
     UnsupportedDimension,
 )
 from .geometry import (
-    FrameField,
     MetricField,
     _frame_jet,
     _metric_jet,
     eval_metric,
+    orthonormal_frame,
     random_chart_point,
 )
 
 __all__ = [
     "CliffordModuleRep",
-    "SpinorVector",
     "SampleSpec",
     "AxiomResult",
     "CertificateReport",
@@ -73,17 +72,6 @@ def gamma_matrices(dim: int):
 
 
 @dataclass
-class SpinorVector:
-    """A spinor in the fixed trivialization, tagged with its base point."""
-
-    w: np.ndarray
-    base: object = None
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=complex)
-
-
-@dataclass
 class CliffordModuleRep:
     """A spin-k/2 Clifford module in one global trivialization.
 
@@ -95,10 +83,9 @@ class CliffordModuleRep:
     N: int
     gammas: list
     gram: np.ndarray
-    frame: FrameField
+    metric: MetricField
     q_power: int = 1
     q_eval: Optional[Callable] = None
-    spin_connection: Optional[Callable] = None
     eta: Optional[np.ndarray] = None
     name: str = "clifford_module"
     # upper-index gammas and their pair products, cached for the connection
@@ -147,10 +134,6 @@ class CliffordModuleRep:
             for k, T in tensors.items()}
 
     @property
-    def metric(self) -> MetricField:
-        return self.frame.metric
-
-    @property
     def dim(self) -> int:
         return len(self.gammas)
 
@@ -164,7 +147,7 @@ class CliffordModuleRep:
 
     def gamma_of(self, x, Z) -> np.ndarray:
         """Gamma(Z) for a coordinate vector Z at x."""
-        s = self.frame(x)
+        s = orthonormal_frame(self.metric, x)
         return self.gamma_of_frame(s.E_inv @ np.asarray(Z, dtype=float))
 
 
@@ -206,24 +189,17 @@ def build_canonical_module(m: MetricField,
     if dim4_only and m.dim != 4:
         raise UnsupportedDimension(f"dim {m.dim} rejected by dim4_only")
     gammas, eta, G = gamma_matrices(m.dim)
-    frame = FrameField(m)
     rep = CliffordModuleRep(
-        N=gammas[0].shape[0], gammas=gammas, gram=G, frame=frame,
+        N=gammas[0].shape[0], gammas=gammas, gram=G, metric=m,
         q_power=1, eta=eta, name=f"canonical_spin_half[{m.name}]",
     )
     rep.q_eval = lambda x, Nvec: rep.gamma_of(x, Nvec)
-    rep.spin_connection = lambda x, v: spin_connection_matrix(rep, x, v)
     return rep
 
 
 def clifford_mul(rep: CliffordModuleRep, x, Z, phi):
     """Gamma(Z) phi for a coordinate vector Z at x."""
-    w = phi.w if isinstance(phi, SpinorVector) else np.asarray(phi,
-                                                               dtype=complex)
-    out = rep.gamma_of(x, Z) @ w
-    if isinstance(phi, SpinorVector):
-        return SpinorVector(out, base=phi.base)
-    return out
+    return rep.gamma_of(x, Z) @ np.asarray(phi, dtype=complex)
 
 
 def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
@@ -233,7 +209,7 @@ def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
     nn = float(N @ g @ N)
     if nn >= 0.0:
         raise NotTimelike(f"g(N, N) = {nn} >= 0")
-    s = rep.frame(x)
+    s = orthonormal_frame(rep.metric, x)
     if (s.E_inv @ N)[0] <= 0.0:
         raise NotFutureDirected("N has non-positive frame time component")
     if rep.q_eval is None:

@@ -14,13 +14,9 @@ class DegenerateMetric(DiracsymError):
 
 
 class FrameDegenerate(DiracsymError):
-    """Gram-Schmidt pivot underflow, or the chart order does not give a
-    time-first orthonormal frame."""
-
-
-class LeftChart(DiracsymError):
-    """An integration left the chart domain.  Usually reported as a flag on
-    the partial trajectory rather than raised."""
+    """A pivot of the factorization g = R^T eta R (the squared diagonal of
+    R) underflows, or the chart order does not give a time-first
+    orthonormal frame."""
 
 
 class StepUnderflow(DiracsymError):

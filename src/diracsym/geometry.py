@@ -1,23 +1,26 @@
 """Lorentzian chart geometry at the coordinate level.
 
 Everything works on a single chart: a metric field is a callable returning
-the matrix ``g_ij(x)`` in signature (-, +, ..., +), together with a way to
-obtain its first derivatives (closed form, forward autodiff, or central
-differences).  On top of that sit Christoffel symbols, the scalar Hamiltonian
+the matrix ``g_ij(x)`` in signature (-, +, ..., +), and its first derivatives
+come from a supplied ``d_eval`` (closed form, or a complex step through the
+scalar factor for ``conformal_flat``) or else from central differences.  On
+top of that sit Christoffel symbols, the scalar Hamiltonian
 ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
-integration, and orthonormal frames built by Gram-Schmidt in chart order.
+integration, and orthonormal frames from the factorization ``g = R^T eta R``
+with ``R`` upper triangular, which is Gram-Schmidt in chart order.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import _ad
 from .errors import (
     ConfigError,
     DegenerateMetric,
@@ -33,7 +36,6 @@ __all__ = [
     "MetricField",
     "PhasePoint",
     "FrameSample",
-    "FrameField",
     "Trajectory",
     "minkowski",
     "minkowski_linear_chart",
@@ -57,6 +59,7 @@ __all__ = [
 
 _DET_TOL = 1e-14
 _PIVOT_TOL = 1e-12
+_NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +70,17 @@ _PIVOT_TOL = 1e-12
 class MetricField:
     """A chart-level Lorentzian metric.
 
-    ``eval`` maps a coordinate point to the matrix ``g_ij``.  Derivatives are
-    produced according to ``derivative_mode``:
+    ``eval`` maps a coordinate point to the matrix ``g_ij``.  Derivatives
+    follow one of two rules, picked by whether ``d_eval`` is given:
 
-    * ``"closed_form"``    -- ``d_eval(x)[k, i, j] = d_k g_ij`` supplied;
-    * ``"forward_autodiff"`` -- ``eval`` is called on dual numbers;
-    * ``"central_difference"`` -- symmetric differences with per-component
-      step ``fd_step * (1 + |x_k|)``.
+    * ``d_eval(x)[k, i, j] = d_k g_ij`` when supplied (the catalog supplies
+      closed forms, and a complex step for ``conformal_flat``);
+    * otherwise symmetric differences of ``eval`` with per-component step
+      ``fd_step * (1 + |x_k|)``.
     """
 
     dim: int
     eval: Callable
-    derivative_mode: str = "central_difference"
     d_eval: Optional[Callable] = None
     fd_step: float = 1e-5
     domain_guard: Callable = lambda x: True
@@ -90,11 +92,6 @@ class MetricField:
     def __post_init__(self):
         if self.dim < 2:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
-        modes = ("closed_form", "forward_autodiff", "central_difference")
-        if self.derivative_mode not in modes:
-            raise ConfigError(f"unknown derivative_mode {self.derivative_mode!r}")
-        if self.derivative_mode == "closed_form" and self.d_eval is None:
-            raise ConfigError("closed_form derivative_mode requires d_eval")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
 
@@ -122,16 +119,6 @@ class FrameSample:
 
     E: np.ndarray
     E_inv: np.ndarray
-
-
-class FrameField:
-    """Per-point orthonormal frame generator for a metric field."""
-
-    def __init__(self, metric: MetricField):
-        self.metric = metric
-
-    def __call__(self, x) -> FrameSample:
-        return orthonormal_frame(self.metric, x)
 
 
 @dataclass
@@ -170,14 +157,12 @@ def _metric_value(m: MetricField, x) -> np.ndarray:
 
 
 def _metric_jet(m: MetricField, x):
-    """(g, dg) with dg[k, i, j] = d_k g_ij, by the configured mode."""
+    """(g, dg) with dg[k, i, j] = d_k g_ij: ``d_eval`` when the metric
+    supplies one, central differences otherwise."""
     x = np.asarray(x, dtype=float)
     g = _metric_value(m, x)
-    if m.derivative_mode == "closed_form":
+    if m.d_eval is not None:
         dg = np.asarray(m.d_eval(x), dtype=float)
-    elif m.derivative_mode == "forward_autodiff":
-        gd = m.eval(_ad.seed_vector(x))
-        dg = _ad.gradient(gd, m.dim)
     else:
         d = m.dim
         dg = np.empty((d, d, d))
@@ -204,7 +189,7 @@ def eval_metric(m: MetricField, x):
 
 
 def metric_derivative(m: MetricField, x) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by the configured derivative mode."""
+    """dg[k, i, j] = d_k g_ij by the metric's derivative rule."""
     return _metric_jet(m, x)[1]
 
 
@@ -261,37 +246,6 @@ def hamiltonian_field(m: MetricField, p: PhasePoint):
 # orthonormal frames
 
 
-def _gram_schmidt(g):
-    """Time-first Gram-Schmidt of the coordinate basis against g.
-
-    Works on float matrices and on object matrices of dual numbers; the
-    recursion is plain arithmetic so derivatives flow through.
-    """
-    d = g.shape[0]
-    is_obj = getattr(g, "dtype", None) == object
-    dt = object if is_obj else float
-    frame = []
-    for a in range(d):
-        v = np.zeros(d, dtype=dt)
-        v[a] = 1.0
-        for b, (eb, sb) in enumerate(frame):
-            c = np.dot(np.dot(v, g), eb)
-            v = v - (sb * c) * eb
-        n = np.dot(np.dot(v, g), v)
-        pivot = abs(n)
-        if pivot < _PIVOT_TOL:
-            raise FrameDegenerate(f"Gram-Schmidt pivot {pivot} at column {a}")
-        nval = n.val if isinstance(n, _ad.Dual) else float(n)
-        want = -1.0 if a == 0 else 1.0
-        if math.copysign(1.0, nval) != want:
-            raise FrameDegenerate(
-                "chart order does not yield a time-first orthonormal frame")
-        e = v / np.sqrt(pivot)
-        frame.append((e, want))
-    E = np.stack([e for e, _ in frame], axis=-1)
-    return E
-
-
 @functools.lru_cache(maxsize=None)
 def _unit(d: int):
     """Identity and frame signs (-1, 1, ..., 1) in dimension d, read-only."""
@@ -309,7 +263,17 @@ def _frame_jet(m: MetricField, x):
 
 
 def _frame_jet_from(m: MetricField, g, dg):
-    """Frame jet from an already computed metric jet."""
+    """Frame jet from an already computed metric jet.
+
+    E = R^-1 for the factorization g = R^T eta R with R upper triangular and
+    a positive diagonal: r = sqrt(-g_00) and s = -g_0,1: / r in the first
+    row, and below them the transposed Cholesky factor of g[1:, 1:] + s s^T.
+    That is time-first Gram-Schmidt of the coordinate basis in chart order;
+    the squared diagonal of R holds its pivots.  Differentiating the
+    factorization, E^T dg_k E = X + X^T with X = eta dR_k E upper
+    triangular, so X is the strict upper triangle plus half the diagonal of
+    E^T dg_k E, and dE_k = -E dR_k E = -E eta X.
+    """
     d = m.dim
     if m.diagonal:
         eye, sig = _unit(d)
@@ -323,12 +287,26 @@ def _frame_jet_from(m: MetricField, g, dg):
         dpiv = sig * dg.diagonal(axis1=1, axis2=2)  # (k, a)
         dediag = -0.5 * piv ** -1.5 * dpiv
         return ediag * eye, dediag[:, :, None] * eye, eye / ediag
-    if not np.any(dg):
-        E = _gram_schmidt(g)
-        return E, np.zeros((d, d, d)), np.linalg.inv(E)
-    Eobj = _gram_schmidt(_ad.lift_matrix(g, dg))
-    E = _ad.value(Eobj)
-    return E, _ad.gradient(Eobj, d), np.linalg.inv(E)
+    eye, sig = _unit(d)
+    r2 = -g[0, 0]
+    if r2 <= 0.0:
+        raise FrameDegenerate(_NOT_TIME_FIRST)
+    r = math.sqrt(r2)
+    s = -g[0, 1:] / r
+    try:
+        S = np.linalg.cholesky(g[1:, 1:] + np.outer(s, s)).T
+    except np.linalg.LinAlgError:
+        raise FrameDegenerate(_NOT_TIME_FIRST) from None
+    low = min(r2, float(np.diagonal(S).min()) ** 2)
+    if not low >= _PIVOT_TOL:
+        raise FrameDegenerate(f"factor pivot underflow: {low}")
+    R = np.zeros((d, d))
+    R[0, 0] = r
+    R[0, 1:] = s
+    R[1:, 1:] = S
+    E = np.linalg.inv(R)
+    M = E.T @ dg @ E
+    return E, -(E * sig) @ (np.triu(M) - 0.5 * eye * M), R
 
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
@@ -594,10 +572,8 @@ def random_null_covector(m: MetricField, x, rng: np.random.Generator,
 
 
 def _diag_matrix(entries):
-    """Diagonal matrix of floats, or of dual numbers (object dtype)."""
+    """Diagonal float matrix."""
     a = np.array(entries)
-    if a.dtype == object:
-        return np.diag(a)
     d = len(a)
     out = np.zeros(d * d)
     out[::d + 1] = a
@@ -611,7 +587,6 @@ def minkowski(dim: int = 4) -> MetricField:
     return MetricField(
         dim=dim,
         eval=lambda x: eta.copy(),
-        derivative_mode="closed_form",
         d_eval=lambda x: zeros,
         name=f"minkowski{dim}",
         diagonal=True,
@@ -631,7 +606,6 @@ def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> Met
     return MetricField(
         dim=dim,
         eval=lambda x: gB.copy(),
-        derivative_mode="closed_form",
         d_eval=lambda x: zeros,
         name=name,
         diagonal=False,
@@ -674,7 +648,7 @@ def schwarzschild(mass: float = 1.0, horizon_margin: float = 1e-3,
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=ev, derivative_mode="closed_form", d_eval=dev,
+        dim=4, eval=ev, d_eval=dev,
         domain_guard=guard, guard_margin=margin,
         name=f"schwarzschild{mass:g}", diagonal=True, sample_box=box,
     )
@@ -723,7 +697,7 @@ def schwarzschild_isotropic(mass: float = 1.0,
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=ev, derivative_mode="closed_form", d_eval=dev,
+        dim=4, eval=ev, d_eval=dev,
         domain_guard=guard, name=f"schwarzschild_isotropic{mass:g}",
         diagonal=True, sample_box=box,
     )
@@ -732,46 +706,90 @@ def schwarzschild_isotropic(mass: float = 1.0,
 _EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh,
-    "tanh": np.tanh, "arctan": np.arctan, "abs": abs, "pi": math.pi,
+    "tanh": np.tanh, "arctan": np.arctan,
+    # |z| continued from the sign of the real part, so that a complex step
+    # through it differentiates |x| rather than the modulus
+    "abs": lambda z: np.where(np.real(z) < 0.0, -z, z),
 }
+_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+_EXPR_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_CS_STEP = 1e-30
 
 
-def conformal_flat(omega, dim: int = 4) -> MetricField:
-    """g = Omega(x)^2 * eta.  ``omega`` is a callable or an expression in
-    x0..x{dim-1} (aliases t, x, y, z when dim == 4)."""
-    if callable(omega):
-        om = omega
-        label = getattr(omega, "__name__", "callable")
-    else:
-        expr = str(omega)
-        code = compile(expr, "<conformal_factor>", "eval")
-        names = [f"x{i}" for i in range(dim)]
-        alias = ["t", "x", "y", "z"][:dim] if dim == 4 else []
+def _parse_expr(expr: str, names: dict):
+    """Compile an arithmetic expression into a function of a point ``pt``.
 
-        def om(pt):
-            ns = dict(_EXPR_FUNCS)
-            for i, nm in enumerate(names):
-                ns[nm] = pt[i]
-            for i, nm in enumerate(alias):
-                ns[nm] = pt[i]
-            return eval(code, {"__builtins__": {}}, ns)
+    Accepted: numeric constants (evaluated as float64, so ``9**9**9``
+    overflows instead of growing an integer), the coordinate ``names``
+    (bound to ``pt[names[id]]``), ``pi``, ``+ - * / **``, unary ``+ -``
+    and one-argument calls of ``_EXPR_FUNCS``.  Any other node raises
+    ConfigError, so an expression reaches nothing else in the interpreter.
+    """
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            c = np.float64(node.value)
+            return lambda pt: c
+        if isinstance(node, ast.Name) and node.id in names:
+            i = names[node.id]
+            return lambda pt: pt[i]
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return lambda pt: math.pi
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+            op = _EXPR_BINOPS[type(node.op)]
+            a, b = build(node.left), build(node.right)
+            return lambda pt: op(a(pt), b(pt))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
+            op, a = _EXPR_UNOPS[type(node.op)], build(node.operand)
+            return lambda pt: op(a(pt))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_FUNCS and len(node.args) == 1
+                and not node.keywords):
+            fn, a = _EXPR_FUNCS[node.func.id], build(node.args[0])
+            return lambda pt: fn(a(pt))
+        what = (f"name {node.id!r}" if isinstance(node, ast.Name)
+                else type(node).__name__)
+        raise ConfigError(f"conformal factor {expr!r}: {what} is not allowed")
 
-        label = expr
-    signs = [-1.0] + [1.0] * (dim - 1)
+    try:
+        return build(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError) as e:
+        raise ConfigError(f"conformal factor {expr!r} does not parse: {e}") \
+            from None
+
+
+def conformal_flat(omega: str, dim: int = 4) -> MetricField:
+    """g = Omega(x)^2 * eta for an expression ``omega`` in x0..x{dim-1}
+    (aliases t, x, y, z when dim == 4), restricted as ``_parse_expr`` says.
+
+    ``d_eval`` takes d_k Omega by a complex step, Im Omega(x + i h e_k) / h
+    with h = 1e-30, which has no subtractive cancellation.
+    """
+    expr = str(omega)
+    names = {f"x{i}": i for i in range(dim)}
+    if dim == 4:
+        names.update(t=0, x=1, y=2, z=3)
+    om = _parse_expr(expr, names)
+    eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    steps = 1j * _CS_STEP * np.eye(dim)
 
     def ev(x):
         w = om(x)
-        w2 = w * w
-        return _diag_matrix([s * w2 for s in signs])
+        return w * w * eta
+
+    def dev(x):
+        # row i of the stepped point is coordinate i in each of the dim
+        # step directions, so one evaluation gives every d_k Omega
+        dw = np.broadcast_to(np.imag(om(x[:, None] + steps)), (dim,))
+        return (2.0 * om(x) * dw / _CS_STEP)[:, None, None] * eta
 
     def guard(x):
-        w = om(x)
-        w = w.val if isinstance(w, _ad.Dual) else float(w)
-        return abs(w) > 1e-6
+        return abs(float(om(x))) > 1e-6
 
     return MetricField(
-        dim=dim, eval=ev, derivative_mode="forward_autodiff",
-        domain_guard=guard, name="conformal_flat{" + label + "}",
+        dim=dim, eval=ev, d_eval=dev,
+        domain_guard=guard, name="conformal_flat{" + expr + "}",
         diagonal=True, sample_box=np.array([[-2.0, 2.0]] * dim),
     )
 

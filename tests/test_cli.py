@@ -256,6 +256,15 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("metric", [
+    "conformal_flat{1+}", "conformal_flat{().__class__.__name__ and 1}"])
+def test_conformal_expression_errors_exit_2(tmp_path, capsys, metric):
+    path = write_cfg(tmp_path, "bad.json", {"metric": metric})
+    rc, _, err = run(capsys, ["compare", "--config", path])
+    assert rc == 2
+    assert "ConfigError" in err and "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc, _, err = run(capsys, ["trace", "--config",
                               str(tmp_path / "nope.json")])

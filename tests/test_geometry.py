@@ -163,11 +163,15 @@ def test_frame_generic_gram_schmidt_nondiagonal():
 
 
 def test_frame_degenerate_on_wrong_time_sign():
-    flipped = MetricField(
-        dim=4, eval=lambda x: np.diag([1.0, -1.0, 1.0, 1.0]),
-        derivative_mode="central_difference", name="flipped")
-    with pytest.raises(FrameDegenerate):
-        ds.orthonormal_frame(flipped, np.zeros(4))
+    # time sign, a spatial sign, and a pivot underflow, on the general
+    # (non-diagonal) path
+    for diag in ([1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                 [-1.0, 1.0, 1e-14, 1.0]):
+        g = np.diag(diag)
+        g[0, 3] = g[3, 0] = 1e-3
+        flipped = MetricField(dim=4, eval=lambda x: g, name="flipped")
+        with pytest.raises(FrameDegenerate):
+            ds.orthonormal_frame(flipped, np.zeros(4))
 
 
 def test_degenerate_metric_rejected():
@@ -191,7 +195,6 @@ def test_nonsymmetric_metric_rejected():
 
 def test_central_difference_matches_closed_form(schw):
     fd = MetricField(dim=4, eval=schw.eval,
-                     derivative_mode="central_difference",
                      domain_guard=schw.domain_guard, name="schw_fd")
     x = SCHW_X0
     assert np.max(np.abs(metric_derivative(fd, x)
@@ -199,12 +202,18 @@ def test_central_difference_matches_closed_form(schw):
 
 
 def test_autodiff_matches_central_difference():
-    m = ds.conformal_flat("exp(0.1*t) * (1 + 0.05*y)")
-    fd = MetricField(dim=4, eval=m.eval, derivative_mode="central_difference",
-                     domain_guard=m.domain_guard, name="conf_fd")
     x = np.array([0.4, -0.2, 0.9, 0.1])
-    assert np.max(np.abs(metric_derivative(m, x)
-                         - metric_derivative(fd, x))) < 1e-8
+    for expr in (
+            "exp(0.1*t) * (1 + 0.05*y)",
+            "1 + 0.1*abs(x - 0.5)",  # abs at a negative argument
+            "2 + sqrt(1 + t*t) * log(3 + z) + arctan(x*y)",
+            "1 + 0.05*sinh(y)*cosh(z) - 0.02*tanh(t)/(2 + cos(x))**2"
+            " + 0.01*tan(x0 - x3) - pi/100"):
+        m = ds.conformal_flat(expr)
+        fd = MetricField(dim=4, eval=m.eval,
+                         domain_guard=m.domain_guard, name="conf_fd")
+        assert np.max(np.abs(metric_derivative(m, x)
+                             - metric_derivative(fd, x))) < 1e-8, expr
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +345,17 @@ def test_catalog_ids():
     assert m.dim == 4
     with pytest.raises(ConfigError):
         ds.catalog_metric("kerr0.5")
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__name__ and 1", "__import__('os')", "t.real",
+    "x[0]", "(lambda: 1)()", "[t for t in (1,)]", "foo + 1", "1+", "sin",
+    "sin(t, x)", "sin(x=t)", "pi(1)", "1 if t else 2", "t < 1", "'1'",
+    "1j", "True", pytest.param("-" * 5000 + "1", id="deep"),
+])
+def test_conformal_expression_rejects_anything_but_arithmetic(expr):
+    with pytest.raises(ConfigError):
+        ds.conformal_flat(expr)
 
 
 def test_conformal_guard_rejects_vanishing_factor():

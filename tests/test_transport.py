@@ -93,6 +93,31 @@ def _linear_chart():
     return ds.minkowski_linear_chart(L)
 
 
+def _rotating_chart(omega=0.3):
+    """Flat space in coordinates rotating about z at rate omega: curved
+    and non-diagonal components, g_00 = -1 + omega^2 (X^2 + Y^2),
+    g_0X = -omega Y, g_0Y = omega X."""
+    def ev(x):
+        X, Y = x[1], x[2]
+        g = np.diag([-1.0 + omega**2 * (X * X + Y * Y), 1.0, 1.0, 1.0])
+        g[0, 1] = g[1, 0] = -omega * Y
+        g[0, 2] = g[2, 0] = omega * X
+        return g
+
+    def dev(x):
+        dg = np.zeros((4, 4, 4))
+        dg[1, 0, 0] = 2.0 * omega**2 * x[1]
+        dg[2, 0, 0] = 2.0 * omega**2 * x[2]
+        dg[1, 0, 2] = dg[1, 2, 0] = omega
+        dg[2, 0, 1] = dg[2, 1, 0] = -omega
+        return dg
+
+    return ds.MetricField(
+        dim=4, eval=ev, d_eval=dev, name="rotating_minkowski",
+        domain_guard=lambda x: omega**2 * (x[1]**2 + x[2]**2) < 0.9,
+        sample_box=np.array([[-1.0, 1.0]] * 4))
+
+
 STAGE_FIXTURES = {
     "schwarzschild1.0": lambda: ds.catalog_metric("schwarzschild1.0"),
     "schwarzschild_isotropic1.0":
@@ -100,6 +125,7 @@ STAGE_FIXTURES = {
     "conformal_flat": lambda: ds.catalog_metric(
         "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}"),
     "minkowski_linear_chart": _linear_chart,
+    "rotating_minkowski": _rotating_chart,
 }
 
 
@@ -140,6 +166,43 @@ def test_stage_engine_against_independent_code(fixture, flip):
         want = 0.5 * pkg.bracket + sign * sub
         got = st.generator(sign) + st.kappa * np.eye(4)
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_curved_nondiagonal_chart_frame_certificate_and_transport():
+    """The rotating chart has a non-diagonal metric with nonzero
+    derivatives: its frame jet against central differences, the module
+    certificate, and the transport claim with its flipped-sign control."""
+    from diracsym.geometry import _frame_jet
+
+    m = _rotating_chart()
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = ds.random_chart_point(m, rng)
+        E, dE, Einv = _frame_jet(m, x)
+        # upper triangular with a positive diagonal: chart-order
+        # Gram-Schmidt, the only such frame
+        assert np.array_equal(E, np.triu(E)) and np.all(np.diag(E) > 0)
+        assert np.max(np.abs(E.T @ m.eval(x) @ E - eta)) < 1e-12
+        assert np.max(np.abs(Einv @ E - np.eye(4))) < 1e-12
+        for k in range(4):
+            h = np.zeros(4)
+            h[k] = 1e-5
+            fd = (_frame_jet(m, x + h)[0] - _frame_jet(m, x - h)[0]) / 2e-5
+            assert np.max(np.abs(dE[k] - fd)) < 1e-7
+
+    rep = ds.build_canonical_module(m)
+    cert = ds.certify_axioms(rep, ds.SampleSpec(points=5, vectors=3, seed=0))
+    assert cert.passed, {k: a.max_residual for k, a in cert.axioms.items()}
+
+    sysd = dirac_system(rep, m)
+    state = null_state(m, rep, np.array([0.0, 0.4, -0.3, 0.2]), 3)
+    rpt = compare_transports(rep, sysd, state, 1.0, step=1e-3)
+    assert not rpt.left_chart
+    assert rpt.max_gap < 1e-6
+    flipped = compare_transports(rep, sysd, state, 1.0, step=1e-3,
+                                 flip_subprincipal=True)
+    assert flipped.max_gap > 1e-3
 
 
 # --------------------------------------------------------------------------
