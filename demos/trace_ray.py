@@ -9,7 +9,7 @@ import diracsym as ds
 from diracsym.clifford import build_canonical_module
 from diracsym.geometry import PhasePoint
 from diracsym.symbols import dirac_system, kernel_basis, principal_symbol
-from diracsym.transport import transport_denker
+from diracsym.transport import PolarizationState, transport_denker
 
 
 def main():
@@ -26,10 +26,11 @@ def main():
     print(f"       xi = {np.round(xi0, 6)}   q = "
           f"{ds.hamiltonian_q(schw, x0, xi0):.2e}")
 
-    traj = ds.integrate_bicharacteristic(schw, p0, 5.0, step=1e-3)
     basis, dim = kernel_basis(principal_symbol(sysd, p0))
     print(f"kernel dimension at start: {dim}")
-    orbit = transport_denker(sysd, traj, basis[0])
+    orbit = transport_denker(sysd, PolarizationState(p0, basis[0]), 5.0,
+                             step=1e-3)
+    traj = orbit.trajectory
 
     print(f"\n{'t':>6} {'r':>9} {'theta':>8} {'q drift':>9} "
           f"{'|w|':>7} {'kernel res':>10}")

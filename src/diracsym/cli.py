@@ -1,16 +1,16 @@
 """Scenario-driven command line: certify | trace | compare | symbols.
 
-Configuration is one JSON file (or a directory of them with --jobs); the
-schema is strict, unknown keys are configuration errors.  Exit codes:
+Configuration is one JSON file (or a directory of them, run in name order);
+the schema is strict, unknown keys are configuration errors.  Exit codes:
 0 all checks passed, 1 a certified property failed, 2 usage or config error.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,10 +23,9 @@ from .errors import DiracsymError, ConfigError, KernelViolation, \
     NotFutureDirected, NotOnCharacteristicSet, NotTimelike, ZeroCovector
 from .geometry import (
     PhasePoint,
+    _check_seed,
     catalog_metric,
     eval_metric,
-    hamiltonian_q,
-    integrate_bicharacteristic,
     orthonormal_frame,
     random_null_covector,
     null_project_covector,
@@ -53,6 +52,20 @@ _SAMPLE_KEYS = {"points", "vectors", "spinors", "seed"}
 _DEFAULT_TOLS = {"axioms": 1e-6, "max_gap": 1e-6, "q_drift": 1e-6,
                  "kernel": 1e-8, "factorization": 1e-10, "null": 1e-10,
                  "rank": 1e-8}
+
+
+def _number(value, name: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the key; an ``int`` key
+    takes only integral values, and no key takes a bool."""
+    try:
+        if isinstance(value, bool) or (kind is int and
+                                       float(value) != int(value)):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        kind_name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {kind_name}, got {value!r}") \
+            from None
 
 
 class _Scenario:
@@ -98,11 +111,12 @@ class _Scenario:
         self.integrator = str(integ.get("kind", "rk4_fixed"))
         if self.integrator not in ("rk4_fixed", "rk45_adaptive"):
             raise ConfigError(f"unknown integrator kind {self.integrator!r}")
-        self.step = float(integ.get("step", 1e-3))
-        self.tol = float(integ.get("tol", 1e-10))
-        self.t_end = float(cfg.get("t_end", 5.0))
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
+        self.step = _number(integ.get("step", 1e-3), "integrator.step")
+        self.tol = _number(integ.get("tol", 1e-10), "integrator.tol")
+        self.t_end = _number(cfg.get("t_end", 5.0), "t_end")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ConfigError(
+                f"t_end must be finite and positive, got {self.t_end}")
 
         out = dict(cfg.get("outputs", {}))
         self.out_format = str(out.get("format", "json"))
@@ -111,16 +125,15 @@ class _Scenario:
         self.out_path = out.get("path")
 
         self.tols = dict(_DEFAULT_TOLS)
-        self.tols.update(cfg.get("tolerances", {}))
+        self.tols.update({k: _number(v, f"tolerances.{k}")
+                          for k, v in cfg.get("tolerances", {}).items()})
 
-        samp = dict(cfg.get("sample", {}))
-        self.sample = SampleSpec(
-            points=int(samp.get("points", 20)),
-            vectors=int(samp.get("vectors", 10)),
-            spinors=int(samp.get("spinors", 10)),
-            seed=int(seed_override if seed_override is not None
-                     else samp.get("seed", 0)),
-        )
+        samp = {"points": 20, "vectors": 10, "spinors": 10, "seed": 0,
+                **cfg.get("sample", {})}
+        if seed_override is not None:
+            samp["seed"] = seed_override
+        self.sample = SampleSpec(**{k: _number(v, f"sample.{k}", int)
+                                    for k, v in samp.items()})
         self.seed = self.sample.seed
 
     # -- resolution helpers -------------------------------------------------
@@ -151,6 +164,13 @@ class _Scenario:
             raise ConfigError("initial_covector has the wrong dimension")
         if not np.any(xi):
             raise ZeroCovector("initial_covector is zero")
+        return xi
+
+    def null_covector(self) -> np.ndarray:
+        """The initial covector, which must be null at the seed point."""
+        xi = self.initial_covector()
+        _check_seed(self.metric, PhasePoint(self.x0, xi), self.t_end,
+                    self.tols["null"], require_null=True)
         return xi
 
     def initial_polarization(self, rep, sys, xi) -> np.ndarray:
@@ -277,7 +297,7 @@ def cmd_certify(sc: _Scenario, args) -> int:
     from .geometry import random_chart_point
 
     certs = []
-    for _ in range(max(1, sc.sample.points)):
+    for _ in range(sc.sample.points):
         x = random_chart_point(sc.metric, rng)
         xi = random_null_covector(sc.metric, x, rng)
         cert = certify_principal_type(
@@ -310,18 +330,14 @@ def cmd_certify(sc: _Scenario, args) -> int:
 def cmd_trace(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
     sys_ = dirac_system(rep)
-    xi = sc.initial_covector()
-    q0 = hamiltonian_q(sc.metric, sc.x0, xi)
-    if abs(q0) >= sc.tols["null"] * (1.0 + float(xi @ xi)):
-        raise NotOnCharacteristicSet(
-            f"initial covector is not null: q = {q0}")
-    p0 = PhasePoint(sc.x0, xi)
-    traj = integrate_bicharacteristic(
-        sc.metric, p0, sc.t_end, integrator=sc.integrator, step=sc.step,
-        tol=sc.tol, require_null=True, null_tol=sc.tols["null"])
+    xi = sc.null_covector()
     w0 = sc.initial_polarization(rep, sys_, xi)
-    orbit = transport_denker(sys_, traj, w0, kernel_tol=sc.tols["kernel"],
-                             flip_subprincipal=args.flip_subprincipal_sign)
+    orbit = transport_denker(
+        sys_, PolarizationState(PhasePoint(sc.x0, xi), w0), sc.t_end,
+        step=sc.step, integrator=sc.integrator, tol=sc.tol,
+        kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
+        flip_subprincipal=args.flip_subprincipal_sign)
+    traj = orbit.trajectory
     q_drift = float(np.max(np.abs(traj.qs - traj.qs[0])))
     ok = q_drift < sc.tols["q_drift"] and not traj.left_chart
     summary = {
@@ -341,7 +357,7 @@ def cmd_trace(sc: _Scenario, args) -> int:
 def cmd_compare(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
     sys_ = dirac_system(rep)
-    xi = sc.initial_covector()
+    xi = sc.null_covector()
     w0 = sc.initial_polarization(rep, sys_, xi)
     state = PolarizationState(PhasePoint(sc.x0, xi), w0)
     report = compare_transports(
@@ -436,8 +452,6 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None, help="output path (default "
                        "stdout, or <config>.out.* in directory mode)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scenarios in directory mode")
         p.add_argument("--no-meta", action="store_true",
                        help="omit timestamps for byte-stable output")
         p.add_argument("--flip-subprincipal-sign", action="store_true",
@@ -458,14 +472,7 @@ def main(argv=None) -> int:
         print("error: --out is incompatible with a config directory",
               file=sys.stderr)
         return 2
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        codes = [_run_one(args.command, f, args) for f in files]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            codes = list(ex.map(
-                lambda f: _run_one(args.command, f, args), files))
-    return max(codes)
+    return max(_run_one(args.command, f, args) for f in files)
 
 
 if __name__ == "__main__":

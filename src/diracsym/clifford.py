@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NotFutureDirected,
     NotTimelike,
     UnsupportedDimension,
@@ -298,7 +299,10 @@ def certify_axioms(rep: CliffordModuleRep, sample: SampleSpec,
                    tolerance: float = 1e-6) -> CertificateReport:
     """Per-axiom max residuals over a random sample of points, vectors,
     fields, and timelike directions.  Failures are report entries, never
-    exceptions."""
+    exceptions; a sample without points or vectors is a ConfigError."""
+    if sample.points < 1 or sample.vectors < 1:
+        raise ConfigError(f"certification needs at least one point and one "
+                          f"vector, got {sample.points} and {sample.vectors}")
     t0 = time.perf_counter()
     m = rep.metric
     d = rep.dim

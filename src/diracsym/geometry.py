@@ -138,13 +138,6 @@ class Trajectory:
     def n(self) -> int:
         return len(self.ts)
 
-    def phase(self, i: int) -> PhasePoint:
-        return PhasePoint(self.xs[i], self.xis[i])
-
-    @property
-    def samples(self):
-        return [(self.ts[i], self.phase(i)) for i in range(self.n)]
-
 
 # ---------------------------------------------------------------------------
 # metric evaluation
@@ -382,75 +375,11 @@ def _steps_for(t_end: float, step: float):
     return hs
 
 
-def _march(f, y, integrator: str, hs=None, t_end: float = 0.0,
-           tol: float = 1e-8):
-    """Integrate a tuple state whose first component is the phase point,
-    packed as the array (x, xi).
-
-    ``f(y)`` returns ``(dy, aux)``: the derivative tuple and whatever the
-    caller keeps at an accepted sample.  ``hs`` lists the steps to take
-    (the fixed RK4 grid, or a recorded grid to replay with either stepper);
-    ``hs=None`` lets Dormand-Prince error control pick the grid over
-    [0, t_end].  Grid choice reads only the phase component, so extra
-    components ride along without moving it, and the phase samples match
-    a phase-only run bit for bit.  A domain-guard violation (OutsideChart
-    from any stage) truncates the run.
-
-    Returns (ts, ys, ks, auxs, left_chart) over the accepted samples,
-    ks holding the derivative at each.
-    """
-    if integrator not in ("rk4_fixed", "rk45_adaptive"):
-        raise ConfigError(f"unknown integrator {integrator!r}")
-    k, aux = f(y)
-    t = 0.0
-    ts, ys, ks, auxs = [t], [y], [k], [aux]
-
-    if hs is not None:
-        for h in hs:
-            try:
-                if integrator == "rk4_fixed":
-                    y = _rk4_step(f, y, k, h)
-                    k, aux = f(y)
-                else:
-                    y, _, (k, aux) = _dopri_step(f, y, k, h)
-            except OutsideChart:
-                return ts, ys, ks, auxs, True
-            t += h
-            ts.append(t)
-            ys.append(y)
-            ks.append(k)
-            auxs.append(aux)
-        return ts, ys, ks, auxs, False
-
-    h = min(t_end, max(tol ** 0.2, 1e-6))
-    h_min = 1e-13 * max(1.0, t_end)
-    while t_end - t > h_min:
-        h_try = min(h, t_end - t)
-        if h_try < h_min:
-            raise StepUnderflow(f"step {h_try} below floor {h_min} at t={t}")
-        try:
-            ynew, err, (knew, auxnew) = _dopri_step(f, y, k, h_try)
-        except OutsideChart:
-            return ts, ys, ks, auxs, True
-        sc = tol + tol * np.maximum(np.abs(y[0]), np.abs(ynew[0]))
-        enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
-        if enorm <= 1.0:
-            t += h_try
-            y, k, aux = ynew, knew, auxnew
-            ts.append(t)
-            ys.append(y)
-            ks.append(k)
-            auxs.append(aux)
-        fac = 0.9 * (enorm ** -0.2 if enorm > 0.0 else 5.0)
-        h = h_try * min(5.0, max(0.2, fac))
-    return ts, ys, ks, auxs, False
-
-
 def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
                 null_tol: float, require_null: bool):
     """Reject a run before it starts: t_end, domain guard, null seed."""
-    if t_end <= 0.0:
-        raise ConfigError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ConfigError(f"t_end must be finite and positive, got {t_end}")
     if not m.domain_guard(p0.x):
         raise OutsideChart("initial point violates the domain guard")
     q0 = hamiltonian_q(m, p0.x, p0.xi)
@@ -460,11 +389,60 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
 
 def _flow(m: MetricField, y0, t_end: float, integrator: str, step: float,
           tol: float, f):
-    """March ``y0`` with ``f`` on the grid the integrator picks; returns the
-    Trajectory of its phase component and the per-sample states and aux."""
-    hs = _steps_for(t_end, step) if integrator == "rk4_fixed" else None
-    ts, ys, ks, auxs, left = _march(f, y0, integrator, hs=hs, t_end=t_end,
-                                    tol=tol)
+    """Integrate a tuple state ``y0`` over [0, t_end]; its first component
+    is the phase point packed as the array (x, xi).
+
+    ``f(y)`` returns ``(dy, aux)``: the derivative tuple and whatever the
+    caller keeps at an accepted sample.  RK4 takes the grid of ``step``;
+    Dormand-Prince error control at ``tol`` picks its grid from the phase
+    component only, so extra components ride along without moving it, and
+    the phase samples match a phase-only run bit for bit.  A domain-guard
+    violation (OutsideChart from any stage) truncates the run.
+
+    Returns the Trajectory of the phase component and the per-sample
+    states and aux.
+    """
+    if integrator == "rk4_fixed":
+        knob, value = "step", step
+    elif integrator == "rk45_adaptive":
+        knob, value = "tol", tol
+    else:
+        raise ConfigError(f"unknown integrator {integrator!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{integrator} {knob} must be finite and positive, "
+                          f"got {value}")
+    y, t = y0, 0.0
+    k, aux = f(y)
+    samples = [(t, y, k, aux)]
+    left = False
+    try:
+        if integrator == "rk4_fixed":
+            for h in _steps_for(t_end, step):
+                y = _rk4_step(f, y, k, h)
+                k, aux = f(y)
+                t += h
+                samples.append((t, y, k, aux))
+        else:
+            h = min(t_end, max(tol ** 0.2, 1e-6))
+            h_min = 1e-13 * max(1.0, t_end)
+            while t_end - t > h_min:
+                h_try = min(h, t_end - t)
+                if h_try < h_min:
+                    raise StepUnderflow(
+                        f"step {h_try} below floor {h_min} at t={t}")
+                ynew, err, (knew, auxnew) = _dopri_step(f, y, k, h_try)
+                sc = tol + tol * np.maximum(np.abs(y[0]), np.abs(ynew[0]))
+                enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
+                if enorm <= 1.0:
+                    t += h_try
+                    y, k = ynew, knew
+                    samples.append((t, y, k, auxnew))
+                fac = 0.9 * (enorm ** -0.2 if enorm > 0.0 else 5.0)
+                h = h_try * min(5.0, max(0.2, fac))
+    except OutsideChart:
+        left = True
+
+    ts, ys, ks, auxs = zip(*samples)
     d = m.dim
     phases = np.array([y[0] for y in ys])
     xs, xis = phases[:, :d], phases[:, d:]

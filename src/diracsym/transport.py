@@ -1,11 +1,12 @@
 """Polarization transport along null bicharacteristics.
 
-Two parallel-transport laws run over one trajectory: the symbol-level
-connection dw/dt = -(M(t) - kappa(t) Id) w with M = (1/2){sigma_tilde,
-sigma_1} + i sigma_tilde sigma^s, and the pulled-back spinor connection
-ds/dt = -omega(x; xdot) s.  ``compare_transports`` integrates both jointly
-over the identical grid and reports the gap; the central numerical claim of
-the package is that this gap is pure integrator error.
+Two parallel-transport laws carry a polarization along a null ray: the
+symbol-level connection dw/dt = -(M(t) - kappa(t) Id) w with M = (1/2)
+{sigma_tilde, sigma_1} + i sigma_tilde sigma^s, and the pulled-back spinor
+connection ds/dt = -omega(x; xdot) s.  ``transport_denker`` and
+``transport_spin`` each run one law, ``compare_transports`` runs both over
+the identical grid and reports the gap; the central numerical claim of the
+package is that this gap is pure integrator error.
 
 The scalar kappa = (1/2) Z^mu d_mu log|det g| is the rate of the metric
 half-density along the flow.  The subprincipal calculus behind the
@@ -15,8 +16,10 @@ trivialization therefore picks up exactly this gauge rate.  Dropping it
 leaves a step-independent gap |exp(int kappa dt) - 1| between the two
 transports (a pure scale factor on the polarization line).
 
-All runs share the trajectory integrator's stepping code, so the phase
-samples of a joint run coincide bit for bit with the trajectory's.
+Every transport is one joint integration of the ray and its
+polarizations, sharing the trajectory integrator's stepping code: its ray
+coincides bit for bit with ``integrate_bicharacteristic``'s, and a law's
+sections do not depend on whether the other law rides along.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .errors import (
     ChartMapDegenerate,
     ConfigError,
     KernelViolation,
-    OutsideChart,
 )
 from .geometry import (
     MetricField,
@@ -39,7 +41,6 @@ from .geometry import (
     Trajectory,
     _check_seed,
     _flow,
-    _march,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, dirac_system
 
@@ -149,29 +150,30 @@ def _transport_rhs(eng: _StageEngine, sign: float, denker: bool,
     return f
 
 
-def _transport_run(eng: _StageEngine, p0: PhasePoint, vs, sign: float,
-                   denker: bool, spin: bool, traj: Trajectory = None,
-                   **flow):
-    """Carry the polarizations ``vs`` along the q-flow from p0.
+def _transport_run(eng: _StageEngine, state: PolarizationState, sign: float,
+                   denker: bool, spin: bool, t_end: float, null_tol: float,
+                   kernel_tol: float = None, **flow):
+    """Carry ``state.w`` along the q-flow from the null seed ``state.phase``,
+    once per law (``denker`` first, then ``spin``), in one joint run that
+    also records the trajectory (``flow`` holds integrator, step, tol).
 
-    With ``traj`` the recorded grid is replayed with the trajectory's own
-    stepper; otherwise the joint run picks its grid and records the
-    trajectory itself (``flow`` holds t_end, integrator, step, tol).
-    Returns (trajectory, V, sections per polarization, relative kernel
-    residuals |sigma_1 v| / |v| of the first polarization, aux per
-    sample), with V[i, j] polarization j at sample i.
+    The symbol-level law needs ``state.w`` in the kernel of sigma_1 to
+    ``kernel_tol``.  Returns (trajectory, V, sections per law, relative
+    kernel residuals |sigma_1 v| / |v| of the first law, aux per sample),
+    with V[i, j] the polarization of law j at sample i.
     """
+    p0 = state.phase
+    _check_seed(eng.m, p0, t_end, null_tol, require_null=True)
+    w0 = state.w
+    if w0.shape != (eng.N,):
+        raise ConfigError(f"initial polarization has shape {w0.shape}, "
+                          f"expected ({eng.N},)")
+    if denker:
+        _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
     f = _transport_rhs(eng, sign, denker, spin)
     y0 = (np.concatenate((p0.x, p0.xi)),
-          np.array(vs, dtype=complex)[:, :, None])
-    if traj is None:
-        traj, ys, auxs = _flow(eng.m, y0, f=f, **flow)
-    else:
-        _, ys, _, auxs, left = _march(f, y0, traj.integrator,
-                                      hs=np.diff(traj.ts))
-        if left:
-            raise OutsideChart(
-                "replay left the chart of the recorded trajectory")
+          np.array([w0] * (denker + spin))[:, :, None])
+    traj, ys, auxs = _flow(eng.m, y0, t_end=t_end, f=f, **flow)
     V = np.array([y[1][:, :, 0] for y in ys])
     xis = np.array([y[0][eng.m.dim:] for y in ys])
     s1 = eng.sigma1(xis, np.array([a[0] for a in auxs]))
@@ -212,18 +214,18 @@ def _initial_kernel_check(sigma1, w0, kernel_tol):
             f"{kernel_tol} * {nw}")
 
 
-def transport_denker(sys: FirstOrderSystem, traj: Trajectory, w0,
-                     kernel_tol: float = 1e-8,
+def transport_denker(sys: FirstOrderSystem, state: PolarizationState,
+                     t_end: float, step: float = 1e-3,
+                     integrator: str = "rk4_fixed", tol: float = 1e-10,
+                     kernel_tol: float = 1e-8, null_tol: float = 1e-10,
                      flip_subprincipal: bool = False) -> HamiltonianOrbit:
-    """Integrate dw/dt = -(M(t) - kappa(t) Id) w over the trajectory's grid."""
+    """Integrate the null ray from ``state.phase`` and dw/dt = -(M(t) -
+    kappa(t) Id) w from ``state.w`` jointly; the orbit holds the ray."""
     _require_dirac_backed(sys)
-    eng = _StageEngine(sys.rep, sys.metric)
-    w0 = np.asarray(w0, dtype=complex)
-    p0 = traj.phase(0)
-    _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
     sign = -1.0 if flip_subprincipal else 1.0
-    _, _, (sections,), resid, auxs = _transport_run(
-        eng, p0, [w0], sign, True, False, traj=traj)
+    traj, _, (sections,), resid, auxs = _transport_run(
+        _StageEngine(sys.rep, sys.metric), state, sign, True, False, t_end,
+        null_tol, kernel_tol, integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="denker",
         kernel_residuals=resid,
@@ -231,12 +233,15 @@ def transport_denker(sys: FirstOrderSystem, traj: Trajectory, w0,
     )
 
 
-def transport_spin(rep: CliffordModuleRep, traj: Trajectory,
-                   s0) -> HamiltonianOrbit:
-    """Integrate ds/dt = -omega(x; xdot) s over the trajectory's grid."""
-    eng = _StageEngine(rep)
-    _, V, (sections,), resid, _ = _transport_run(
-        eng, traj.phase(0), [s0], 1.0, False, True, traj=traj)
+def transport_spin(rep: CliffordModuleRep, state: PolarizationState,
+                   t_end: float, step: float = 1e-3,
+                   integrator: str = "rk4_fixed",
+                   tol: float = 1e-10) -> HamiltonianOrbit:
+    """Integrate the null ray from ``state.phase`` and ds/dt = -omega(x;
+    xdot) s from ``state.w`` jointly; the orbit holds the ray."""
+    traj, V, (sections,), resid, _ = _transport_run(
+        _StageEngine(rep), state, 1.0, False, True, t_end, 1e-10,
+        integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="spin_pullback",
         kernel_residuals=resid,
@@ -264,18 +269,12 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     """
     _require_dirac_backed(sys)
     m = sys.metric
-    p0 = state.phase
-    _check_seed(m, p0, t_end, null_tol, require_null=True)
-    eng = _StageEngine(rep, m)
-    w0 = np.asarray(state.w, dtype=complex)
-    _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
-
     sign = -1.0 if flip_subprincipal else 1.0
     traj, V, (wd, ws), resid, auxs = _transport_run(
-        eng, p0, [w0, w0], sign, True, True, t_end=t_end,
-        integrator=integrator, step=step, tol=tol)
+        _StageEngine(rep, m), state, sign, True, True, t_end, null_tol,
+        kernel_tol, integrator=integrator, step=step, tol=tol)
     gaps = np.linalg.norm(V[:, 0] - V[:, 1], axis=1) / float(
-        np.linalg.norm(w0))
+        np.linalg.norm(state.w))
     integral = _generator_norm_integral(traj.ts, auxs)
 
     ratio = None

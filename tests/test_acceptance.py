@@ -202,20 +202,17 @@ def test_6_transport_agreement(rep_mink4, rep_schw, sys_mink4, sys_schw,
           f"{frpt.max_gap:.2e} > 1e-3, {dt:.1f}s < 30s")
 
 
-def test_7_kernel_preservation(rep_schw, sys_schw, sys_mink4, mink4, schw):
+def test_7_kernel_preservation(rep_schw, sys_schw, sys_mink4, schw):
     worst = 0.0
     for seed in (5, 6):
         state = null_state(schw, rep_schw, SCHW_X0, seed)
-        traj = ds.integrate_bicharacteristic(schw, state.phase, 5.0,
-                                             step=1e-3)
-        orbit = transport_denker(sys_schw, traj, state.w)
+        orbit = transport_denker(sys_schw, state, 5.0, step=1e-3)
         worst = max(worst, float(np.max(orbit.kernel_residuals)))
 
-    tm = ds.integrate_bicharacteristic(
-        mink4, PhasePoint(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0])),
-        5.0, step=1e-3)
-    om = transport_denker(sys_mink4, tm,
-                          np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
+    mstate = PolarizationState(
+        PhasePoint(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0])),
+        np.array([0, 1, 1, 0]) / np.sqrt(2))
+    om = transport_denker(sys_mink4, mstate, 5.0, step=1e-3)
     worst = max(worst, float(np.max(om.kernel_residuals)))
     assert worst < 1e-6
     print(f"ACCEPTANCE 7 PASS relative kernel residual {worst:.2e} < 1e-6 "

@@ -1,5 +1,9 @@
 """End-to-end command line checks, run in process through cli.main."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,16 @@ def test_certify_minkowski_clean(tmp_path, capsys):
     for name, ax in cert["axioms"].items():
         assert ax["max_residual"] < 1e-12, name
     assert payload["principal_type"]["ker_dims"] == [2]
+
+
+@pytest.mark.parametrize("sample", [{"points": 0}, {"points": -3},
+                                    {"vectors": 0}])
+def test_certify_empty_sample_is_config_error(tmp_path, capsys, sample):
+    cfg = write_cfg(tmp_path, "c.json", {"metric": "minkowski4",
+                                         "sample": sample})
+    rc, out, err = run(capsys, ["certify", "--config", cfg, "--no-meta"])
+    assert rc == 2 and out == ""
+    assert "ConfigError" in err and "Traceback" not in err
 
 
 def test_certify_spacelike_reference_is_config_error(tmp_path, capsys):
@@ -285,9 +299,50 @@ def test_off_cone_covector_rejected(tmp_path, capsys):
         "initial_covector": [1.0, 0.5, 0.0, 0.0],
         "t_end": 1.0,
     })
-    rc, _, err = run(capsys, ["trace", "--config", cfg])
-    assert rc == 2
-    assert "NotOnCharacteristicSet" in err
+    for cmd in ("trace", "compare"):
+        rc, _, err = run(capsys, [cmd, "--config", cfg])
+        assert rc == 2, cmd
+        assert "NotOnCharacteristicSet" in err, cmd
+
+
+@pytest.mark.parametrize("cmd", ["trace", "compare"])
+@pytest.mark.parametrize("over,needle", [
+    ({"integrator": {"step": 0}}, "step"),
+    ({"integrator": {"step": -0.1}}, "step"),
+    ({"integrator": {"step": float("inf")}}, "step"),
+    ({"integrator": {"step": "abc"}}, "integrator.step"),
+    ({"t_end": float("nan")}, "t_end"),
+    ({"t_end": "long"}, "t_end"),
+    ({"tolerances": {"max_gap": "tight"}}, "tolerances.max_gap"),
+    ({"sample": {"seed": [1]}}, "sample.seed"),
+    ({"sample": {"seed": 1.7}}, "sample.seed"),
+    ({"sample": {"points": 2.9}}, "sample.points"),
+    ({"sample": {"seed": True}}, "sample.seed"),
+    ({"t_end": True}, "t_end"),
+    ({"initial_polarization": [1, 0]}, "initial polarization"),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, cmd, over, needle):
+    path = write_cfg(tmp_path, "bad.json", mink_cmp_cfg(**over))
+    rc, out, err = run(capsys, [cmd, "--config", path])
+    assert rc == 2 and out == ""
+    assert "ConfigError" in err and needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["trace", "compare"])
+@pytest.mark.parametrize("tol", [0, float("nan"), float("inf")])
+def test_bad_adaptive_tolerance_exits_2(tmp_path, cmd, tol):
+    # unchecked, each of these made the step controller loop forever, so
+    # the run is a subprocess with a timeout
+    path = write_cfg(tmp_path, "bad.json", mink_cmp_cfg(
+        integrator={"kind": "rk45_adaptive", "tol": tol}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsym.cli", cmd, "--config", path],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "ConfigError" in proc.stderr and "tol" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_off_kernel_polarization_rejected(tmp_path, capsys):
@@ -349,16 +404,6 @@ def test_batch_directory_exit_is_worst_case(tmp_path, capsys):
     b = json.loads((tmp_path / "b_fail.out.json").read_text())
     assert a["pass"] is True
     assert b["pass"] is False
-
-
-def test_batch_parallel_jobs(tmp_path, capsys):
-    for i in range(3):
-        write_cfg(tmp_path, f"s{i}.json", mink_cmp_cfg())
-    rc, _, _ = run(capsys, ["compare", "--config", str(tmp_path),
-                            "--no-meta", "--jobs", "3"])
-    assert rc == 0
-    for i in range(3):
-        assert (tmp_path / f"s{i}.out.json").exists()
 
 
 def test_batch_rejects_out_flag(tmp_path, capsys):

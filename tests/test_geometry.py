@@ -275,6 +275,22 @@ def test_adaptive_step_underflow():
                                       tol=1e-12)
 
 
+def test_integrator_inputs_must_be_finite_and_positive(mink4):
+    # a zero, negative or non-finite step or t_end used to divide by zero,
+    # pass with one sample or raise ValueError; a zero or non-finite
+    # tolerance used to hang, so tests/test_cli.py runs those in a
+    # subprocess
+    p = PhasePoint(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]))
+    bad = [dict(step=v) for v in (0.0, -0.1, np.inf, np.nan)]
+    bad.append(dict(integrator="rk45_adaptive", tol=-1e-8))
+    for kw in bad:
+        with pytest.raises(ConfigError):
+            ds.integrate_bicharacteristic(mink4, p, 1.0, **kw)
+    for t_end in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            ds.integrate_bicharacteristic(mink4, p, t_end)
+
+
 def test_left_chart_truncation(schw):
     # aim straight at the horizon; run must stop at the guard, flagged
     xi = ds.null_project_covector(schw, SCHW_X0,

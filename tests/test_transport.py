@@ -7,7 +7,7 @@ import pytest
 
 import diracsym as ds
 from diracsym.errors import ConfigError, KernelViolation
-from diracsym.geometry import PhasePoint, Trajectory
+from diracsym.geometry import PhasePoint
 from diracsym.symbols import (
     FirstOrderSystem,
     dirac_system,
@@ -36,12 +36,12 @@ G0 = np.block([[I2, Z2], [Z2, -I2]]).astype(complex)
 G1 = np.block([[Z2, SX], [-SX, Z2]]).astype(complex)
 
 
-def mink_ray(mink4, t_end=5.0, step=1e-3):
-    p = PhasePoint(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]))
-    return ds.integrate_bicharacteristic(mink4, p, t_end, step=step)
-
-
 W0 = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+
+
+def mink_state(w=W0):
+    return PolarizationState(
+        PhasePoint(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0])), w)
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +209,9 @@ def test_curved_nondiagonal_chart_frame_certificate_and_transport():
 # symbol-level transport
 
 
-def test_denker_flat_sections_constant(sys_mink4, mink4):
-    traj = mink_ray(mink4)
-    orbit = transport_denker(sys_mink4, traj, W0)
+def test_denker_flat_sections_constant(sys_mink4):
+    orbit = transport_denker(sys_mink4, mink_state(), 5.0, step=1e-3)
+    traj = orbit.trajectory
     assert orbit.method == "denker"
     assert len(orbit.sections) == traj.n
     for w in orbit.sections[:: traj.n // 7]:
@@ -219,30 +219,28 @@ def test_denker_flat_sections_constant(sys_mink4, mink4):
     assert np.max(orbit.kernel_residuals) < 1e-13
 
 
-def test_denker_rejects_off_kernel_start(sys_mink4, mink4):
-    traj = mink_ray(mink4, t_end=0.5)
+def test_denker_rejects_off_kernel_start(sys_mink4):
     with pytest.raises(KernelViolation):
-        transport_denker(sys_mink4, traj, np.array([1.0, 0, 0, 0]))
+        transport_denker(sys_mink4, mink_state(np.array([1.0, 0, 0, 0])), 0.5)
     with pytest.raises(KernelViolation):
-        transport_denker(sys_mink4, traj, np.zeros(4))
+        transport_denker(sys_mink4, mink_state(np.zeros(4)), 0.5)
 
 
-def test_denker_requires_dirac_backing(mink4, sys_mink4):
-    traj = mink_ray(mink4, t_end=0.5)
+def test_denker_requires_dirac_backing(sys_mink4):
     bare = FirstOrderSystem(N=4, coeff_A=sys_mink4.coeff_A,
                             coeff_B=sys_mink4.coeff_B, name="bare")
     with pytest.raises(ConfigError):
-        transport_denker(bare, traj, W0)
+        transport_denker(bare, mink_state(), 0.5)
 
 
 def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, 1.25, 0.0, 0.0]))
-    traj = ds.integrate_bicharacteristic(schw, PhasePoint(SCHW_X0, xi), 5.0,
-                                         step=1e-3)
     from diracsym.symbols import _StageEngine
     vecs, _ = kernel_basis(_StageEngine(rep_schw, schw)(SCHW_X0, xi).sigma1)
-    orbit = transport_denker(sys_schw, traj, vecs[0])
+    orbit = transport_denker(
+        sys_schw, PolarizationState(PhasePoint(SCHW_X0, xi), vecs[0]), 5.0,
+        step=1e-3)
     assert np.max(orbit.kernel_residuals) < 1e-6  # measured ~1e-15
     # norm envelope: |w| within exp(int |M|) of |w0|, logged not asserted
     C = np.exp(orbit.generator_norm_integral) * (1 + 1e-6)
@@ -254,12 +252,11 @@ def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):
 # spinor transport
 
 
-def test_spin_flat_sections_constant(rep_mink4, mink4):
-    traj = mink_ray(mink4)
+def test_spin_flat_sections_constant(rep_mink4):
     s0 = np.array([0.3, 1.0 - 0.5j, 0.0, 2.0], dtype=complex)
-    orbit = transport_spin(rep_mink4, traj, s0)
+    orbit = transport_spin(rep_mink4, mink_state(s0), 5.0, step=1e-3)
     assert orbit.method == "spin_pullback"
-    for s in orbit.sections[:: traj.n // 7]:
+    for s in orbit.sections[:: orbit.trajectory.n // 7]:
         assert np.array_equal(s, s0)
     assert orbit.product_drift == 0.0
 
@@ -267,22 +264,22 @@ def test_spin_flat_sections_constant(rep_mink4, mink4):
 def test_spin_preserves_indefinite_product(rep_schw, schw):
     rng = np.random.default_rng(23)
     xi = ds.random_null_covector(schw, SCHW_X0, rng)
-    traj = ds.integrate_bicharacteristic(schw, PhasePoint(SCHW_X0, xi), 5.0,
-                                         step=1e-3)
     s0 = np.array([1.0, 0.2j, -0.4, 0.9 + 0.1j], dtype=complex)
-    orbit = transport_spin(rep_schw, traj, s0)
+    orbit = transport_spin(
+        rep_schw, PolarizationState(PhasePoint(SCHW_X0, xi), s0), 5.0,
+        step=1e-3)
     assert orbit.product_drift <= 1e-8 * float(np.linalg.norm(s0)) ** 2
 
 
 def test_spin_null_spinor_stays_null(rep_schw, schw):
     rng = np.random.default_rng(24)
     xi = ds.random_null_covector(schw, SCHW_X0, rng)
-    traj = ds.integrate_bicharacteristic(schw, PhasePoint(SCHW_X0, xi), 5.0,
-                                         step=1e-3)
     s0 = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)  # <s,s> = 0
     G = rep_schw.gram
     assert abs(s0.conj() @ G @ s0) == 0.0
-    orbit = transport_spin(rep_schw, traj, s0)
+    orbit = transport_spin(
+        rep_schw, PolarizationState(PhasePoint(SCHW_X0, xi), s0), 5.0,
+        step=1e-3)
     vals = [abs(s.conj() @ G @ s) for s in orbit.sections]
     assert max(vals) < 1e-8
 
@@ -290,12 +287,11 @@ def test_spin_null_spinor_stays_null(rep_schw, schw):
 def test_spin_endpoint_richardson_ratio(rep_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, 0.9, 0.02, 0.01]))
-    p = PhasePoint(SCHW_X0, xi)
-    s0 = np.array([1.0, 0.5, -0.25j, 0.1], dtype=complex)
+    state = PolarizationState(PhasePoint(SCHW_X0, xi),
+                              np.array([1.0, 0.5, -0.25j, 0.1]))
     ends = {}
     for h in (0.2, 0.1, 0.05):
-        traj = ds.integrate_bicharacteristic(schw, p, 5.0, step=h)
-        ends[h] = transport_spin(rep_schw, traj, s0).sections[-1]
+        ends[h] = transport_spin(rep_schw, state, 5.0, step=h).sections[-1]
     e1 = np.linalg.norm(ends[0.2] - ends[0.1])
     e2 = np.linalg.norm(ends[0.1] - ends[0.05])
     assert e1 > 1e-12
@@ -372,24 +368,29 @@ def test_compare_left_chart_flagged(rep_schw, sys_schw, schw):
 
 
 def test_joint_phase_samples_match_solo_trajectory(rep_schw, sys_schw, schw):
-    # the replay contract: joint integration reproduces the trajectory's
-    # phase samples bit for bit
+    # one integration per ray: every transport reproduces the solo
+    # trajectory bit for bit, and a law's sections do not depend on
+    # whether the other law rides along
     state = null_state(schw, rep_schw, SCHW_X0, 4)
-    rpt = compare_transports(rep_schw, sys_schw, state, 1.0, step=1e-2)
-    traj = rpt.trajectory
-    solo = ds.integrate_bicharacteristic(schw, state.phase, 1.0, step=1e-2)
-    assert np.array_equal(traj.xs, solo.xs)
-    assert np.array_equal(traj.xis, solo.xis)
+    for integ in ({"integrator": "rk4_fixed", "step": 1e-2},
+                  {"integrator": "rk45_adaptive", "tol": 1e-10}):
+        rpt = compare_transports(rep_schw, sys_schw, state, 1.0, **integ)
+        denker = transport_denker(sys_schw, state, 1.0, **integ)
+        spin = transport_spin(rep_schw, state, 1.0, **integ)
+        solo = ds.integrate_bicharacteristic(schw, state.phase, 1.0, **integ)
+        assert solo.n > 5, integ
+        for traj in (rpt.trajectory, denker.trajectory, spin.trajectory):
+            for key in ("ts", "xs", "xis", "qs"):
+                assert np.array_equal(getattr(traj, key),
+                                      getattr(solo, key)), (integ, key)
+            assert traj.left_chart == solo.left_chart
+        assert np.array_equal(denker.sections, rpt.orbit_denker.sections)
+        assert np.array_equal(spin.sections, rpt.orbit_spin.sections)
 
 
 def test_replay_rejects_unknown_integrator(sys_mink4):
-    ts = np.linspace(0.0, 1.0, 11)
-    xs = np.zeros((11, 4))
-    xs[:, 1] = ts
-    traj = Trajectory(ts=ts, xs=xs, xis=np.tile([1.0, 1, 0, 0], (11, 1)),
-                      qs=np.zeros(11), integrator="leapfrog", step=0.1)
     with pytest.raises(ConfigError):
-        transport_denker(sys_mink4, traj, W0)
+        transport_denker(sys_mink4, mink_state(), 1.0, integrator="leapfrog")
 
 
 def test_adaptive_grid_replay(rep_schw, sys_schw, schw):
