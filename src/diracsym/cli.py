@@ -68,6 +68,33 @@ def _number(value, name: str, kind=float):
             from None
 
 
+def _index(value, name: str) -> int:
+    """A non-negative integer (a seed or a basis index), or a ConfigError
+    naming the key."""
+    k = _number(value, name, int)
+    if k < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value!r}")
+    return k
+
+
+def _vector(value, name: str, length=None) -> np.ndarray:
+    """A list of numbers (of ``length`` entries, when given) as a float
+    array, or a ConfigError naming the key."""
+    if not isinstance(value, (list, tuple)) or (
+            length is not None and len(value) != length):
+        size = "" if length is None else f"{length} "
+        raise ConfigError(f"{name} must be a list of {size}numbers, "
+                          f"got {value!r}")
+    return np.array([_number(v, f"{name}[{i}]") for i, v in enumerate(value)])
+
+
+def _call_arg(spec: str, func: str):
+    """The argument text of ``func(...)``, or None for another spec."""
+    if spec.startswith(func + "(") and spec.endswith(")"):
+        return spec[len(func) + 1:-1]
+    return None
+
+
 class _Scenario:
     """Validated configuration, resolved lazily into live objects."""
 
@@ -95,14 +122,16 @@ class _Scenario:
         box = self.metric.sample_box
         default_x = 0.5 * (box[:, 0] + box[:, 1]) if box is not None \
             else np.zeros(self.metric.dim)
-        self.x0 = np.asarray(cfg.get("chart_seed_point", default_x),
-                             dtype=float)
-        if self.x0.shape != (self.metric.dim,):
-            raise ConfigError("chart_seed_point has the wrong dimension")
+        dim = self.metric.dim
+        self.x0 = _vector(cfg["chart_seed_point"], "chart_seed_point", dim) \
+            if "chart_seed_point" in cfg else default_x
         if not self.metric.domain_guard(self.x0):
             raise ConfigError("chart_seed_point violates the domain guard")
 
         self.timelike_spec = cfg.get("timelike_field", "normalized_dt")
+        if self.timelike_spec != "normalized_dt":
+            self.timelike_spec = _vector(self.timelike_spec,
+                                         "timelike_field", dim)
         self.covector_spec = cfg.get("initial_covector", "random_null(0)")
         self.polarization_spec = cfg.get("initial_polarization",
                                          "kernel_basis(0)")
@@ -134,6 +163,7 @@ class _Scenario:
             samp["seed"] = seed_override
         self.sample = SampleSpec(**{k: _number(v, f"sample.{k}", int)
                                     for k, v in samp.items()})
+        _index(self.sample.seed, "sample.seed")
         self.seed = self.sample.seed
 
     # -- resolution helpers -------------------------------------------------
@@ -154,14 +184,13 @@ class _Scenario:
     def initial_covector(self) -> np.ndarray:
         spec = self.covector_spec
         if isinstance(spec, str):
-            if spec.startswith("random_null(") and spec.endswith(")"):
-                seed = int(spec[len("random_null("):-1])
-                rng = np.random.default_rng(seed + self.seed)
-                return random_null_covector(self.metric, self.x0, rng)
-            raise ConfigError(f"bad initial_covector spec {spec!r}")
-        xi = np.asarray(spec, dtype=float)
-        if xi.shape != (self.metric.dim,):
-            raise ConfigError("initial_covector has the wrong dimension")
+            arg = _call_arg(spec, "random_null")
+            if arg is None:
+                raise ConfigError(f"bad initial_covector spec {spec!r}")
+            seed = _index(arg, "initial_covector random_null seed")
+            rng = np.random.default_rng(seed + self.seed)
+            return random_null_covector(self.metric, self.x0, rng)
+        xi = _vector(spec, "initial_covector", self.metric.dim)
         if not np.any(xi):
             raise ZeroCovector("initial_covector is zero")
         return xi
@@ -175,20 +204,25 @@ class _Scenario:
 
     def initial_polarization(self, rep, sys, xi) -> np.ndarray:
         spec = self.polarization_spec
+        name = "initial_polarization"
         if isinstance(spec, str):
-            if spec.startswith("kernel_basis(") and spec.endswith(")"):
-                k = int(spec[len("kernel_basis("):-1])
-                s1 = principal_symbol(sys, PhasePoint(self.x0, xi))
-                basis, dim = kernel_basis(s1, self.tols["rank"])
-                if k >= dim:
-                    raise ConfigError(
-                        f"kernel_basis({k}) out of range, kernel dim {dim}")
-                return basis[k]
-            raise ConfigError(f"bad initial_polarization spec {spec!r}")
-        arr = np.asarray(spec, dtype=float)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            return arr[:, 0] + 1j * arr[:, 1]
-        return np.asarray(spec, dtype=complex)
+            arg = _call_arg(spec, "kernel_basis")
+            if arg is None:
+                raise ConfigError(f"bad {name} spec {spec!r}")
+            k = _index(arg, f"{name} kernel_basis index")
+            s1 = principal_symbol(sys, PhasePoint(self.x0, xi))
+            basis, dim = kernel_basis(s1, self.tols["rank"])
+            if k >= dim:
+                raise ConfigError(
+                    f"kernel_basis({k}) out of range, kernel dim {dim}")
+            return basis[k]
+        # entries are numbers, or [re, im] pairs
+        if isinstance(spec, list) and spec and all(
+                isinstance(v, list) for v in spec):
+            re, im = np.array([_vector(v, f"{name}[{i}]", 2)
+                               for i, v in enumerate(spec)]).T
+            return re + 1j * im
+        return _vector(spec, name).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,30 @@ def _frame_jet(m: MetricField, x):
     return _frame_jet_from(m, g, dg)
 
 
+def _require(ok, low, message: str):
+    """Raise FrameDegenerate unless ``ok`` holds everywhere.  ``message``
+    is formatted with the failing pivot ``low``; a stacked call also names
+    its first offending point."""
+    if np.all(ok):
+        return
+    if np.ndim(ok) == 0:
+        raise FrameDegenerate(message.format(low))
+    i = int(np.flatnonzero(~ok)[0])
+    raise FrameDegenerate(f"{message.format(low.flat[i])} at stacked point {i}")
+
+
+def _posdef(a) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _frame_jet_from(m: MetricField, g, dg):
-    """Frame jet from an already computed metric jet.
+    """Frame jet from an already computed metric jet, at one point or at a
+    stack of points along leading axes of ``g`` (..., d, d) and ``dg``
+    (..., d, d, d).
 
     E = R^-1 for the factorization g = R^T eta R with R upper triangular and
     a positive diagonal: r = sqrt(-g_00) and s = -g_0,1: / r in the first
@@ -268,38 +290,40 @@ def _frame_jet_from(m: MetricField, g, dg):
     E^T dg_k E, and dE_k = -E dR_k E = -E eta X.
     """
     d = m.dim
-    if m.diagonal:
-        eye, sig = _unit(d)
-        piv = sig * g.diagonal()  # |g_aa| when the signs are time-first
-        low = piv.min()
-        if low <= 0.0:
-            raise FrameDegenerate("diagonal metric is not time-first Lorentzian")
-        if low < _PIVOT_TOL:
-            raise FrameDegenerate(f"diagonal pivot underflow: {low}")
-        ediag = piv ** -0.5
-        dpiv = sig * dg.diagonal(axis1=1, axis2=2)  # (k, a)
-        dediag = -0.5 * piv ** -1.5 * dpiv
-        return ediag * eye, dediag[:, :, None] * eye, eye / ediag
     eye, sig = _unit(d)
-    r2 = -g[0, 0]
-    if r2 <= 0.0:
-        raise FrameDegenerate(_NOT_TIME_FIRST)
-    r = math.sqrt(r2)
-    s = -g[0, 1:] / r
+    if m.diagonal:
+        piv = sig * g.diagonal(axis1=-2, axis2=-1)  # |g_aa| if time-first
+        low = piv.min(axis=-1)
+        _require(~(low <= 0.0), low,
+                 "diagonal metric is not time-first Lorentzian")
+        _require(~(low < _PIVOT_TOL), low, "diagonal pivot underflow: {}")
+        ediag = piv ** -0.5
+        dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
+        dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
+        return (ediag[..., None, :] * eye, dediag[..., None] * eye,
+                eye / ediag[..., None, :])
+    r2 = -g[..., 0, 0]
+    _require(~(r2 <= 0.0), r2, _NOT_TIME_FIRST)
+    r = np.sqrt(r2)
+    s = -g[..., 0, 1:] / r[..., None]
+    A = g[..., 1:, 1:] + s[..., :, None] * s[..., None, :]
     try:
-        S = np.linalg.cholesky(g[1:, 1:] + np.outer(s, s)).T
+        S = np.linalg.cholesky(A).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
-        raise FrameDegenerate(_NOT_TIME_FIRST) from None
-    low = min(r2, float(np.diagonal(S).min()) ** 2)
-    if not low >= _PIVOT_TOL:
-        raise FrameDegenerate(f"factor pivot underflow: {low}")
-    R = np.zeros((d, d))
-    R[0, 0] = r
-    R[0, 1:] = s
-    R[1:, 1:] = S
+        # find the point whose spatial block is not positive definite
+        ok = np.array([_posdef(a) for a in A.reshape(-1, d - 1, d - 1)])
+        _require(ok.reshape(A.shape[:-2]), r2, _NOT_TIME_FIRST)
+        raise  # not reached: the stacked factorization failed somewhere
+    low = np.minimum(r2, np.diagonal(S, axis1=-2, axis2=-1).min(axis=-1) ** 2)
+    _require(low >= _PIVOT_TOL, low, "factor pivot underflow: {}")
+    R = np.zeros(g.shape)
+    R[..., 0, 0] = r
+    R[..., 0, 1:] = s
+    R[..., 1:, 1:] = S
     E = np.linalg.inv(R)
-    M = E.T @ dg @ E
-    return E, -(E * sig) @ (np.triu(M) - 0.5 * eye * M), R
+    M = E.swapaxes(-1, -2)[..., None, :, :] @ dg @ E[..., None, :, :]
+    dE = -(E * sig)[..., None, :, :] @ (np.triu(M) - 0.5 * eye * M)
+    return E, dE, R
 
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
@@ -309,10 +333,11 @@ def orthonormal_frame(m: MetricField, x) -> FrameSample:
 
 
 # ---------------------------------------------------------------------------
-# steppers on tuple states
+# steppers; a state is one array, a right-hand side f maps it to its rate
 
-# Dormand-Prince 5(4) pairs, classic coefficients.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+# Dormand-Prince 5(4) pairs, classic coefficients.  The last row of _DP_A
+# holds the fifth-order weights, so the seventh stage sits at the new
+# solution (first same as last).
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -323,47 +348,45 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_DP_B5 = _DP_A[-1] + (0.0,)
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
 
 def _combine(y, h, terms):
-    """y + sum((h * c) * k) componentwise over tuple states, fixed op
-    order; zero coefficients are skipped."""
+    """y + sum((h * c) * k) in a fixed op order; zero coefficients are
+    skipped."""
     scaled = [(h * c, k) for c, k in terms if c != 0.0]
-    out = []
-    for i, yi in enumerate(y):
-        acc = scaled[0][0] * scaled[0][1][i]
-        for hc, k in scaled[1:]:
-            acc = acc + hc * k[i]
-        out.append(yi + acc)
-    return tuple(out)
+    acc = scaled[0][0] * scaled[0][1]
+    for hc, k in scaled[1:]:
+        acc = acc + hc * k
+    return y + acc
 
 
 def _rk4_step(f, y, k1, h):
-    """One classic RK4 step from y, whose derivative k1 = f(y)[0] is given."""
-    k2 = f(_combine(y, h, [(0.5, k1)]))[0]
-    k3 = f(_combine(y, h, [(0.5, k2)]))[0]
-    k4 = f(_combine(y, h, [(1.0, k3)]))[0]
-    return _combine(y, h, [(1.0 / 6.0, k1), (1.0 / 3.0, k2),
-                           (1.0 / 3.0, k3), (1.0 / 6.0, k4)])
+    """One classic RK4 step from y, whose rate k1 = f(y) is given.
+
+    Returns (y_new, ks): the stage rates, ending with f(y_new), which is
+    the next step's k1.
+    """
+    k2 = f(_combine(y, h, [(0.5, k1)]))
+    k3 = f(_combine(y, h, [(0.5, k2)]))
+    k4 = f(_combine(y, h, [(1.0, k3)]))
+    y = _combine(y, h, [(1.0 / 6.0, k1), (1.0 / 3.0, k2),
+                        (1.0 / 3.0, k3), (1.0 / 6.0, k4)])
+    return y, [k1, k2, k3, k4, f(y)]
 
 
 def _dopri_step(f, y, k1, h):
-    """One Dormand-Prince step from y with k1 = f(y)[0] given.
+    """One Dormand-Prince step from y with k1 = f(y) given.
 
-    Returns (y5, err, f(y5)).  The last stage is evaluated at y5 itself
-    (first same as last), so its output serves the next step.  The error
-    estimate err covers the phase component y[0] only.
+    Returns (y5, ks): the fifth-order solution and the seven stage rates;
+    the last is f(y5) (first same as last), the next step's k1.
     """
     ks = [k1]
     for row in _DP_A:
-        out = f(_combine(y, h, list(zip(row, ks))))
-        ks.append(out[0])
-    y5 = _combine(y, h, list(zip(_DP_B5, ks)))
-    y4 = _combine(y[:1], h, list(zip(_DP_B4, ks)))
-    return y5, y5[0] - y4[0], out
+        y5 = _combine(y, h, list(zip(row, ks)))
+        ks.append(f(y5))
+    return y5, ks
 
 
 def _steps_for(t_end: float, step: float):
@@ -387,20 +410,27 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
         raise NotOnCharacteristicSet(f"|q(p0)| = {abs(q0)}")
 
 
-def _flow(m: MetricField, y0, t_end: float, integrator: str, step: float,
-          tol: float, f):
-    """Integrate a tuple state ``y0`` over [0, t_end]; its first component
-    is the phase point packed as the array (x, xi).
+# Accepted steps per block of stage records handed on by ``_flow``; bounds
+# the records held at once, whatever the length of the run.
+_BLOCK_STEPS = 16
 
-    ``f(y)`` returns ``(dy, aux)``: the derivative tuple and whatever the
-    caller keeps at an accepted sample.  RK4 takes the grid of ``step``;
-    Dormand-Prince error control at ``tol`` picks its grid from the phase
-    component only, so extra components ride along without moving it, and
-    the phase samples match a phase-only run bit for bit.  A domain-guard
-    violation (OutsideChart from any stage) truncates the run.
 
-    Returns the Trajectory of the phase component and the per-sample
-    states and aux.
+def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
+          step: float, tol: float, on_block: Optional[Callable] = None):
+    """Integrate the q-flow from p0 over [0, t_end] on the phase point
+    packed as the array (x, xi).
+
+    RK4 takes the grid of ``step``; Dormand-Prince picks its grid by error
+    control at ``tol``.  A domain-guard violation (OutsideChart from any
+    stage) truncates the run.
+
+    Each rate evaluation leaves a record ``(xi, g, dg, Z, dx)`` of what
+    ``_phase_core`` computed there.  The records of accepted steps go, in
+    evaluation order, to ``on_block(hs, records)`` once per
+    ``_BLOCK_STEPS`` steps and at the end: the first block opens with the
+    seed's record, and a step of size hs[i] adds its stages after the
+    first, the last of them at the step's new sample.  Records of rejected
+    steps and of a step cut off by the guard are dropped.
     """
     if integrator == "rk4_fixed":
         knob, value = "step", step
@@ -411,17 +441,41 @@ def _flow(m: MetricField, y0, t_end: float, integrator: str, step: float,
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{integrator} {knob} must be finite and positive, "
                           f"got {value}")
-    y, t = y0, 0.0
-    k, aux = f(y)
-    samples = [(t, y, k, aux)]
+    d = m.dim
+    stage, block, hs = [], [], []
+
+    def f(y):
+        g, dg, Z, dx, dxi = _phase_core(m, y[:d], y[d:])
+        stage.append((y[d:], g, dg, Z, dx))
+        return np.concatenate((dx, dxi))
+
+    def flush():
+        if on_block is not None:
+            on_block(hs, block)
+        hs.clear()
+        block.clear()
+
+    def accept(h):
+        hs.append(h)
+        block.extend(stage)
+        stage.clear()
+        if len(hs) == _BLOCK_STEPS:
+            flush()
+
+    y, t = np.concatenate((p0.x, p0.xi)), 0.0
+    k = f(y)
+    block.extend(stage)
+    stage.clear()
+    samples = [(t, y, k)]
     left = False
     try:
         if integrator == "rk4_fixed":
             for h in _steps_for(t_end, step):
-                y = _rk4_step(f, y, k, h)
-                k, aux = f(y)
+                y, ks = _rk4_step(f, y, k, h)
+                k = ks[-1]
                 t += h
-                samples.append((t, y, k, aux))
+                samples.append((t, y, k))
+                accept(h)
         else:
             h = min(t_end, max(tol ** 0.2, 1e-6))
             h_min = 1e-13 * max(1.0, t_end)
@@ -430,30 +484,35 @@ def _flow(m: MetricField, y0, t_end: float, integrator: str, step: float,
                 if h_try < h_min:
                     raise StepUnderflow(
                         f"step {h_try} below floor {h_min} at t={t}")
-                ynew, err, (knew, auxnew) = _dopri_step(f, y, k, h_try)
-                sc = tol + tol * np.maximum(np.abs(y[0]), np.abs(ynew[0]))
+                ynew, ks = _dopri_step(f, y, k, h_try)
+                err = ynew - _combine(y, h_try, list(zip(_DP_B4, ks)))
+                sc = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
                 enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
                 if enorm <= 1.0:
                     t += h_try
-                    y, k = ynew, knew
-                    samples.append((t, y, k, auxnew))
-                fac = 0.9 * (enorm ** -0.2 if enorm > 0.0 else 5.0)
+                    y, k = ynew, ks[-1]
+                    samples.append((t, y, k))
+                    accept(h_try)
+                else:
+                    stage.clear()
+                # a NaN norm is rejected above and shrinks the step here
+                fac = 0.9 * (enorm ** -0.2 if enorm > 0.0
+                             else 5.0 if enorm == 0.0 else 0.0)
                 h = h_try * min(5.0, max(0.2, fac))
     except OutsideChart:
         left = True
+    if block:
+        flush()
 
-    ts, ys, ks, auxs = zip(*samples)
-    d = m.dim
-    phases = np.array([y[0] for y in ys])
+    ts, phases, ks = zip(*samples)
+    phases, dxs = np.array(phases), np.array(ks)[:, :d]
     xs, xis = phases[:, :d], phases[:, d:]
     # q = xi . g^-1 xi = xi . dx / 2 from the flow's own derivative
-    dxs = np.array([k[0][:d] for k in ks])
     qs = 0.5 * np.einsum("ij,ij->i", xis, dxs)
-    traj = Trajectory(ts=np.asarray(ts), xs=xs, xis=xis, qs=qs,
+    return Trajectory(ts=np.asarray(ts), xs=xs, xis=xis, qs=qs,
                       integrator=integrator,
                       step=step if integrator == "rk4_fixed" else None,
                       left_chart=left)
-    return traj, ys, auxs
 
 
 def integrate_bicharacteristic(
@@ -478,14 +537,7 @@ def integrate_bicharacteristic(
     ``left_chart`` instead of raising.
     """
     _check_seed(m, p0, t_end, null_tol, require_null)
-
-    d = m.dim
-
-    def rhs(y):
-        return (np.concatenate(_phase_rhs(m, y[0][:d], y[0][d:])),), None
-
-    return _flow(m, (np.concatenate((p0.x, p0.xi)),), t_end, integrator,
-                 step, tol, rhs)[0]
+    return _flow(m, p0, t_end, integrator, step, tol)
 
 
 # ---------------------------------------------------------------------------

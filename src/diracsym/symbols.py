@@ -64,21 +64,31 @@ class FirstOrderSystem:
 
 
 class StageData:
-    """The transports' data at one phase point (x, xi).
+    """The transports' data at one phase point (x, xi), or at a stack of
+    points along leading axes of every field.
 
-    Holds the phase rates and small real coefficient arrays read off the
-    metric and frame jets: the frame E, its partials dE, E^-1 dE, and the
-    lowered connection coefficients Wl[m, a, b] = omega_m^{ab} in the
-    frame.  Every matrix is one contraction of coefficients against the
-    module's Clifford tensors and is formed only when read, so a transport
-    stage pays for the generator and the contracted connection alone.
+    Holds the flow vectors Z = g^-1 xi and dx = 2 Z and small real
+    coefficient arrays read off the metric and frame jets: the frame E, its
+    partials dE, E^-1 dE, and the lowered connection coefficients
+    Wl[m, a, b] = omega_m^{ab} in the frame.  Every matrix is one
+    contraction of coefficients against the module's Clifford tensors and
+    is formed only when read, so a transport stage pays for the generator
+    and the contracted connection alone.
     """
 
-    __slots__ = ("eng", "xi", "Z", "dx", "dxi", "E", "dE", "EdE", "Wl")
+    __slots__ = ("eng", "xi", "Z", "dx", "E", "dE", "EdE", "Wl")
 
-    def __init__(self, eng, xi, Z, dx, dxi, E, dE, EdE, Wl):
-        self.eng, self.xi, self.Z, self.dx, self.dxi = eng, xi, Z, dx, dxi
+    def __init__(self, eng, xi, Z, dx, E, dE, EdE, Wl):
+        self.eng, self.xi, self.Z, self.dx = eng, xi, Z, dx
         self.E, self.dE, self.EdE, self.Wl = E, dE, EdE, Wl
+
+    def _rows(self, a) -> np.ndarray:
+        """a[..., m, i, j] with (i, j) flattened: one row per m."""
+        return a.reshape(a.shape[:-2] + (-1,))
+
+    def _xi_dE(self) -> np.ndarray:
+        """(xi . d_k E)_b, indexed [..., k, b]."""
+        return (self.xi[..., None, None, :] @ self.dE)[..., 0, :]
 
     @property
     def sigma1(self) -> np.ndarray:
@@ -93,20 +103,21 @@ class StageData:
     @property
     def ds1x(self) -> np.ndarray:
         """d sigma_1 / d x^k."""
-        return 1j * self.eng.contract(self.xi @ self.dE, "gamma")
+        return 1j * self.eng.contract(self._xi_dE(), "gamma")
 
     def _bracket_coeffs(self) -> np.ndarray:
         # P[a, b] = E^k_a (xi . d_k E)_b, so sum_k A^k d_k sigma_1 is
         # -P_ab gamma^a gamma^b
-        return (self.E.T @ (self.xi @ self.dE)).ravel()
+        P = self.E.swapaxes(-1, -2) @ self._xi_dE()
+        return P.reshape(P.shape[:-2] + (-1,))
 
     def _psub_coeffs(self) -> np.ndarray:
         # B = -i A^m omega_m = K_cab gamma^c (-1/4 gamma^a gamma^b) with
         # K = E^T Wl; the divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
-        d = len(self.xi)
-        K = self.E.T @ self.Wl.reshape(d, d * d)
-        dv = self.eng.trace @ self.dE.reshape(d * d, d)
-        return np.concatenate((K.ravel(), dv))
+        d = self.xi.shape[-1]
+        K = self.E.swapaxes(-1, -2) @ self._rows(self.Wl)
+        dv = self.eng.trace @ self.dE.reshape(self.dE.shape[:-3] + (d * d, d))
+        return np.concatenate((K.reshape(K.shape[:-2] + (-1,)), dv), axis=-1)
 
     @property
     def bracket(self) -> np.ndarray:
@@ -118,20 +129,20 @@ class StageData:
         """Zeroth-order coefficient -i A^m omega_m of the Dirac system:
         p_sub without its divergence term."""
         u = self._psub_coeffs()
-        u[-len(self.xi):] = 0.0
+        u[..., -self.xi.shape[-1]:] = 0.0
         return self.eng.contract(u, "psub")
 
     @property
-    def kappa(self) -> float:
+    def kappa(self) -> np.ndarray:
         """(1/2) Z^k d_k log|det g|, i.e. -Z^k tr(E^-1 d_k E)."""
-        d = len(self.xi)
-        return float(-self.Z @ (self.EdE.reshape(d, d * d) @ self.eng.trace))
+        rates = self._rows(self.EdE) @ self.eng.trace
+        return -(self.Z[..., None, :] @ rates[..., :, None])[..., 0, 0]
 
     @property
     def omega_dot(self) -> np.ndarray:
         """omega(x; xdot) = xdot^m omega_m."""
-        d = len(self.xi)
-        return self.eng.contract(self.dx @ self.Wl.reshape(d, d * d), "spin")
+        w = (self.dx[..., None, :] @ self._rows(self.Wl))[..., 0, :]
+        return self.eng.contract(w, "spin")
 
     def generator(self, sign: float = 1.0) -> np.ndarray:
         """(1/2) bracket + sign * i sigma_tilde p_sub - kappa Id.
@@ -140,24 +151,25 @@ class StageData:
         canonical modules, so the subprincipal term is bilinear in c and
         the p_sub coefficients; one contraction forms the whole matrix.
         """
-        c = sign * (self.xi @ self.E)
+        c = sign * (self.xi[..., None, :] @ self.E)
+        sub = c.swapaxes(-1, -2) * self._psub_coeffs()[..., None, :]
         coeffs = np.concatenate((
-            self._bracket_coeffs(),
-            (c[:, None] * self._psub_coeffs()).ravel(),
-            (self.kappa,)))
+            self._bracket_coeffs(), sub.reshape(sub.shape[:-2] + (-1,)),
+            np.asarray(self.kappa)[..., None]), axis=-1)
         return self.eng.contract(coeffs, "generator")
 
 
 class _StageEngine:
-    """Closed-form per-point evaluation of everything the transports need.
+    """Closed-form evaluation of everything the transports need, at one
+    phase point or at a stack of them.
 
-    One call evaluates the phase flow, the frame jet and the frame
-    connection coefficients once; ``StageData`` contracts them into the
-    principal symbol, the generator of the symbol-level transport, the
-    contracted spin connection, and the symbol-package matrices, against
-    Clifford tensors the module computes once.  The phase derivatives come
-    from the identical code path as trajectory integration, so joint
-    integrations reproduce trajectory samples bit for bit.
+    One evaluation takes the phase flow's values at its points, and forms
+    the frame jet and the frame connection coefficients once; ``StageData``
+    contracts them into the principal symbol, the generator of the
+    symbol-level transport, the contracted spin connection, and the
+    symbol-package matrices, against Clifford tensors the module computes
+    once.  A transport hands it the records of a block of accepted stages
+    at once (``at``); a point call evaluates the flow first.
     """
 
     def __init__(self, rep: CliffordModuleRep, m: Optional[MetricField] = None):
@@ -179,16 +191,21 @@ class _StageEngine:
         return 1j * self.contract(c, "gamma")
 
     def __call__(self, x, xi) -> StageData:
-        m = self.m
-        g, dg, Z, dx, dxi = _phase_core(m, x, xi)
-        E, dE, Einv = _frame_jet_from(m, g, dg)
-        EdE = Einv @ dE
+        g, dg, Z, dx, _ = _phase_core(self.m, x, xi)
+        return self.at(xi, g, dg, Z, dx)
+
+    def at(self, xi, g, dg, Z, dx) -> StageData:
+        """StageData from the flow's values (xi, g, dg, Z, dx), which may
+        carry leading stack axes."""
+        E, dE, Einv = _frame_jet_from(self.m, g, dg)
+        EdE = Einv[..., None, :, :] @ dE
         # omega_m^{ab} = eta E^-1 d_m E + E^T Gamma_m E lowered; with
         # g^-1 = E eta E^T the Christoffel part is (1/2) E^T T_m E where
         # T_m[l, k] = d_m g_lk + d_k g_lm - d_l g_mk
-        T = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
-        Wl = self.eps * EdE + 0.5 * (E.T @ T @ E)
-        return StageData(self, xi, Z, dx, dxi, E, dE, EdE, Wl)
+        T = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
+        ET = E.swapaxes(-1, -2)[..., None, :, :]
+        Wl = self.eps * EdE + 0.5 * (ET @ T @ E[..., None, :, :])
+        return StageData(self, xi, Z, dx, E, dE, EdE, Wl)
 
 
 def dirac_system(rep: CliffordModuleRep,
@@ -316,7 +333,7 @@ def matrix_poisson_bracket(a_eval, b_eval, p: PhasePoint,
 def resolve_timelike_field(m: MetricField, spec=None):
     """Timelike reference field N(x): default the normalized time axis of
     the frame; or constant coordinate components; or any callable."""
-    if spec is None or spec == "normalized_dt":
+    if spec is None or (isinstance(spec, str) and spec == "normalized_dt"):
         return lambda x: orthonormal_frame(m, x).E[:, 0]
     if callable(spec):
         return spec

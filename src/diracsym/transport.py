@@ -16,10 +16,15 @@ trivialization therefore picks up exactly this gauge rate.  Dropping it
 leaves a step-independent gap |exp(int kappa dt) - 1| between the two
 transports (a pure scale factor on the polarization line).
 
-Every transport is one joint integration of the ray and its
-polarizations, sharing the trajectory integrator's stepping code: its ray
-coincides bit for bit with ``integrate_bicharacteristic``'s, and a law's
-sections do not depend on whether the other law rides along.
+The Hamiltonian flow of q does not depend on the polarization, and both
+laws are linear in it along that flow.  So a transport runs the phase flow
+first, with the trajectory integrator's own code and grid; its ray is
+``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
+computed at the stages of its accepted steps, block by block; one stacked
+engine call per block turns them into each law's matrix L at every stage,
+and the polarizations follow the linear recursion k = -(L @ w) through the
+same step function.  A law's sections do not depend on whether the other
+law rides along.
 """
 from __future__ import annotations
 
@@ -40,7 +45,9 @@ from .geometry import (
     PhasePoint,
     Trajectory,
     _check_seed,
+    _dopri_step,
     _flow,
+    _rk4_step,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, dirac_system
 
@@ -124,42 +131,68 @@ def denker_generator(pkg: SymbolPackage) -> np.ndarray:
     return 0.5 * pkg.bracket + 1j * (pkg.sigma_tilde @ pkg.p_sub)
 
 
-def _transport_rhs(eng: _StageEngine, sign: float, denker: bool,
-                   spin: bool):
-    """Right-hand side of the phase flow plus the polarizations it carries.
+class _Recursion:
+    """Polarizations along a phase flow, one block of its accepted steps
+    at a time (``_flow``'s ``on_block``).
 
-    State (phase, V): phase is (x, xi) packed, V stacks the polarizations
-    as (k, N, 1).  Row 0 follows dw/dt = -(M - kappa Id) w when
-    ``denker``; the last row follows ds/dt = -omega(x; xdot) s when
-    ``spin``.  Each stage evaluates the generator once; the frame and the
-    generator are kept for the samples.  The negative-control sign flips
-    only the subprincipal term: the kernel-restricted theorem predicts a
-    scale defect exp(2 int kappa) for the wrong sign, while the gauge
-    scalar is part of the trivialization, not of the operator data.
+    One stacked engine call evaluates the block's stage records, giving
+    each law's matrix L at every stage: the generator M - kappa Id of the
+    symbol-level law when ``sign`` is set, then omega(x; xdot) of the
+    spinor law when ``spin``.  The stacked polarizations V (law, N, 1)
+    follow the linear recursion k = -(L_stage @ V) through ``stepper``,
+    the flow's own step function, so stage j of the recursion reads record
+    j.  The negative-control sign flips only the subprincipal term: the
+    kernel-restricted theorem predicts a scale defect exp(2 int kappa) for
+    the wrong sign, while the gauge scalar is part of the trivialization,
+    not of the operator data.  Keeps V, xi, E and the first law's L at
+    every sample.
     """
-    d = eng.m.dim
 
-    def f(y):
-        p, V = y
-        st = eng(p[:d], p[d:])
-        M = st.generator(sign) if denker else None
-        laws = ([M] if denker else []) + ([st.omega_dot] if spin else [])
-        rates = -(np.array(laws) @ V)
-        return (np.concatenate((st.dx, st.dxi)), rates), (st.E, M)
+    def __init__(self, eng: _StageEngine, V0, sign: Optional[float],
+                 spin: bool, stepper):
+        self.eng, self.sign, self.spin, self.stepper = eng, sign, spin, stepper
+        self.V, self.k = V0, None
+        self.Vs, self.xis, self.Es, self.L0s = [], [], [], []
 
-    return f
+    def __call__(self, hs, records):
+        st = self.eng.at(*map(np.array, zip(*records)))
+        laws = ([st.generator(self.sign)] if self.sign is not None else []) \
+            + ([st.omega_dot] if self.spin else [])
+        L = np.stack(laws, axis=1)
+        j = -1
+
+        def f(V):
+            nonlocal j
+            j += 1
+            return -(L[j] @ V)
+
+        kept = []
+        if self.k is None:  # the first block opens with the seed
+            self.k = f(self.V)
+            kept.append(j)
+            self.Vs.append(self.V)
+        for h in hs:
+            self.V, ks = self.stepper(f, self.V, self.k, h)
+            self.k = ks[-1]
+            kept.append(j)
+            self.Vs.append(self.V)
+        self.xis.append(st.xi[kept])
+        self.Es.append(st.E[kept])
+        self.L0s.append(L[kept, 0])
 
 
-def _transport_run(eng: _StageEngine, state: PolarizationState, sign: float,
-                   denker: bool, spin: bool, t_end: float, null_tol: float,
-                   kernel_tol: float = None, **flow):
-    """Carry ``state.w`` along the q-flow from the null seed ``state.phase``,
-    once per law (``denker`` first, then ``spin``), in one joint run that
-    also records the trajectory (``flow`` holds integrator, step, tol).
+def _transport_run(eng: _StageEngine, state: PolarizationState,
+                   sign: Optional[float], spin: bool, t_end: float,
+                   null_tol: float, kernel_tol: float = None, **flow):
+    """Carry ``state.w`` along the q-flow from the null seed ``state.phase``
+    by each law (the symbol-level one with subprincipal ``sign`` unless it
+    is None, then the spinor one if ``spin``): the phase flow first, whose
+    stage records feed ``_Recursion`` block by block (``flow`` holds
+    integrator, step, tol).
 
     The symbol-level law needs ``state.w`` in the kernel of sigma_1 to
     ``kernel_tol``.  Returns (trajectory, V, sections per law, relative
-    kernel residuals |sigma_1 v| / |v| of the first law, aux per sample),
+    kernel residuals |sigma_1 v| / |v| and matrices L of the first law),
     with V[i, j] the polarization of law j at sample i.
     """
     p0 = state.phase
@@ -168,25 +201,25 @@ def _transport_run(eng: _StageEngine, state: PolarizationState, sign: float,
     if w0.shape != (eng.N,):
         raise ConfigError(f"initial polarization has shape {w0.shape}, "
                           f"expected ({eng.N},)")
-    if denker:
+    if sign is not None:
         _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
-    f = _transport_rhs(eng, sign, denker, spin)
-    y0 = (np.concatenate((p0.x, p0.xi)),
-          np.array([w0] * (denker + spin))[:, :, None])
-    traj, ys, auxs = _flow(eng.m, y0, t_end=t_end, f=f, **flow)
-    V = np.array([y[1][:, :, 0] for y in ys])
-    xis = np.array([y[0][eng.m.dim:] for y in ys])
-    s1 = eng.sigma1(xis, np.array([a[0] for a in auxs]))
+    n_laws = (sign is not None) + spin
+    stepper = _rk4_step if flow["integrator"] == "rk4_fixed" else _dopri_step
+    rec = _Recursion(eng, np.array([w0] * n_laws)[:, :, None], sign, spin,
+                     stepper)
+    traj = _flow(eng.m, p0, t_end, on_block=rec, **flow)
+    V = np.array(rec.Vs)[..., 0]
+    s1 = eng.sigma1(np.concatenate(rec.xis), np.concatenate(rec.Es))
     r = np.linalg.norm(s1 @ V[:, 0, :, None], axis=(1, 2))
     nv = np.linalg.norm(V[:, 0], axis=1)
     resid = np.divide(r, nv, out=np.full_like(r, np.inf), where=nv > 0.0)
-    sections = [list(V[:, j]) for j in range(V.shape[1])]
-    return traj, V, sections, resid, auxs
+    sections = [list(V[:, j]) for j in range(n_laws)]
+    return traj, V, sections, resid, np.concatenate(rec.L0s)
 
 
-def _generator_norm_integral(ts, auxs) -> float:
+def _generator_norm_integral(ts, M) -> float:
     """Trapezoid integral of |M - kappa Id| over the samples."""
-    norms = np.linalg.norm(np.array([a[1] for a in auxs]), axis=(1, 2))
+    norms = np.linalg.norm(M, axis=(1, 2))
     hs = np.diff(ts)
     return float(np.sum(0.5 * hs * (norms[:-1] + norms[1:])))
 
@@ -223,13 +256,13 @@ def transport_denker(sys: FirstOrderSystem, state: PolarizationState,
     kappa(t) Id) w from ``state.w`` jointly; the orbit holds the ray."""
     _require_dirac_backed(sys)
     sign = -1.0 if flip_subprincipal else 1.0
-    traj, _, (sections,), resid, auxs = _transport_run(
-        _StageEngine(sys.rep, sys.metric), state, sign, True, False, t_end,
+    traj, _, (sections,), resid, L = _transport_run(
+        _StageEngine(sys.rep, sys.metric), state, sign, False, t_end,
         null_tol, kernel_tol, integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="denker",
         kernel_residuals=resid,
-        generator_norm_integral=_generator_norm_integral(traj.ts, auxs),
+        generator_norm_integral=_generator_norm_integral(traj.ts, L),
     )
 
 
@@ -240,7 +273,7 @@ def transport_spin(rep: CliffordModuleRep, state: PolarizationState,
     """Integrate the null ray from ``state.phase`` and ds/dt = -omega(x;
     xdot) s from ``state.w`` jointly; the orbit holds the ray."""
     traj, V, (sections,), resid, _ = _transport_run(
-        _StageEngine(rep), state, 1.0, False, True, t_end, 1e-10,
+        _StageEngine(rep), state, None, True, t_end, 1e-10,
         integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="spin_pullback",
@@ -270,12 +303,12 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     _require_dirac_backed(sys)
     m = sys.metric
     sign = -1.0 if flip_subprincipal else 1.0
-    traj, V, (wd, ws), resid, auxs = _transport_run(
-        _StageEngine(rep, m), state, sign, True, True, t_end, null_tol,
+    traj, V, (wd, ws), resid, L = _transport_run(
+        _StageEngine(rep, m), state, sign, True, t_end, null_tol,
         kernel_tol, integrator=integrator, step=step, tol=tol)
     gaps = np.linalg.norm(V[:, 0] - V[:, 1], axis=1) / float(
         np.linalg.norm(state.w))
-    integral = _generator_norm_integral(traj.ts, auxs)
+    integral = _generator_norm_integral(traj.ts, L)
 
     ratio = None
     if convergence and integrator == "rk4_fixed" and not traj.left_chart:

@@ -320,6 +320,20 @@ def test_off_cone_covector_rejected(tmp_path, capsys):
     ({"sample": {"seed": True}}, "sample.seed"),
     ({"t_end": True}, "t_end"),
     ({"initial_polarization": [1, 0]}, "initial polarization"),
+    ({"initial_covector": ["a", 1, 0, 0]}, "initial_covector[0]"),
+    ({"initial_covector": [1.0, 1.0, 0.0]}, "initial_covector"),
+    ({"chart_seed_point": [0, "ten", 1.2, 0.4]}, "chart_seed_point[1]"),
+    ({"initial_polarization": [0, "one", 1, 0]}, "initial_polarization[1]"),
+    ({"initial_polarization": [[0, 0], [1, "i"], [1, 0], [0, 0]]},
+     "initial_polarization[1][1]"),
+    ({"timelike_field": [1.0, 0.0]}, "timelike_field"),
+    ({"timelike_field": "up"}, "timelike_field"),
+    ({"initial_covector": "random_null(abc)"}, "random_null seed"),
+    ({"initial_covector": "random_null(-1)"}, "random_null seed"),
+    ({"initial_polarization": "kernel_basis(x)"}, "kernel_basis index"),
+    ({"initial_polarization": "kernel_basis(-1)"}, "kernel_basis index"),
+    ({"initial_polarization": "kernel_basis(0.5)"}, "kernel_basis index"),
+    ({"sample": {"seed": -1}}, "sample.seed"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, cmd, over, needle):
     path = write_cfg(tmp_path, "bad.json", mink_cmp_cfg(**over))

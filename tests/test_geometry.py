@@ -4,6 +4,12 @@ The independent oracle for curved-metric derivatives is sympy: the
 Schwarzschild and conformally flat line elements are re-derived symbolically
 here and compared against the library's closed-form and autodiff jets.
 """
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -165,13 +171,30 @@ def test_frame_generic_gram_schmidt_nondiagonal():
 def test_frame_degenerate_on_wrong_time_sign():
     # time sign, a spatial sign, and a pivot underflow, on the general
     # (non-diagonal) path
-    for diag in ([1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
-                 [-1.0, 1.0, 1e-14, 1.0]):
+    from diracsym.geometry import _frame_jet_from
+
+    bad = ([1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+           [-1.0, 1.0, 1e-14, 1.0])
+    for diag in bad:
         g = np.diag(diag)
         g[0, 3] = g[3, 0] = 1e-3
         flipped = MetricField(dim=4, eval=lambda x: g, name="flipped")
         with pytest.raises(FrameDegenerate):
             ds.orthonormal_frame(flipped, np.zeros(4))
+    # a stack with one bad point, on the diagonal and the general branch:
+    # the error names that point
+    for diagonal in (True, False):
+        m = MetricField(dim=4, eval=None, name="stack", diagonal=diagonal)
+        for diag in bad:
+            g = np.array([np.diag([-1.0, 1.0, 1.0, 1.0])] * 5)
+            g[3] = np.diag(diag)
+            if not diagonal:
+                g[:, 0, 3] = g[:, 3, 0] = 1e-3
+            with pytest.raises(FrameDegenerate, match="at stacked point 3"):
+                _frame_jet_from(m, g, np.zeros((5, 4, 4, 4)))
+        g = np.array([np.diag([-1.0, 1.0, 1.0, 1.0])] * 5)
+        assert _frame_jet_from(m, g, np.zeros((5, 4, 4, 4)))[0].shape == \
+            (5, 4, 4)
 
 
 def test_degenerate_metric_rejected():
@@ -273,6 +296,32 @@ def test_adaptive_step_underflow():
     with pytest.raises(StepUnderflow):
         ds.integrate_bicharacteristic(m, p, 2.0, integrator="rk45_adaptive",
                                       tol=1e-12)
+
+
+def test_adaptive_nan_error_norm_underflows():
+    # the metric turns NaN at x0 = 0.1, t = 0.05 on this ray, and its guard
+    # stays true; a NaN error norm used to grow the step back and loop
+    # forever, so the run is a subprocess with a timeout
+    code = textwrap.dedent("""
+        import numpy as np
+        import diracsym as ds
+
+        def ev(x):
+            return np.diag([-1.0 if x[0] < 0.1 else np.nan, 1.0, 1.0, 1.0])
+
+        m = ds.MetricField(dim=4, eval=ev, name="nan_past", diagonal=True)
+        p = ds.PhasePoint(np.zeros(4), np.array([-1.0, 1.0, 0.0, 0.0]))
+        try:
+            ds.integrate_bicharacteristic(m, p, 1.0,
+                                          integrator="rk45_adaptive", tol=1e-8)
+        except ds.StepUnderflow as e:
+            print("StepUnderflow:", e)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(ds.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("StepUnderflow:"), proc.stdout
 
 
 def test_integrator_inputs_must_be_finite_and_positive(mink4):

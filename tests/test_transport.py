@@ -139,6 +139,7 @@ def test_stage_engine_against_independent_code(fixture, flip):
     independent connection."""
     from diracsym.clifford import (spin_connection_coefficients,
                                    spin_connection_matrix)
+    from diracsym.geometry import _phase_core
     from diracsym.symbols import _StageEngine
 
     m = STAGE_FIXTURES[fixture]()
@@ -154,9 +155,11 @@ def test_stage_engine_against_independent_code(fixture, flip):
     eng = _StageEngine(rep, m)
     sign = -1.0 if flip else 1.0
     rng = np.random.default_rng(41)
+    points = []
     for _ in range(3):
         x = ds.random_chart_point(m, rng)
         xi = ds.random_null_covector(m, x, rng)
+        points.append((x, xi))
         st = eng(x, xi)
         assert np.max(np.abs(st.omega_dot
                              - spin_connection_matrix(rep, x, st.dx))) < 1e-12
@@ -166,6 +169,20 @@ def test_stage_engine_against_independent_code(fixture, flip):
         want = 0.5 * pkg.bracket + sign * sub
         got = st.generator(sign) + st.kappa * np.eye(4)
         assert np.max(np.abs(got - want)) < 1e-6
+
+    # one stacked call over the flow's values at all points equals the
+    # point calls
+    stacked = eng.at(*map(np.array, zip(*(
+        (xi, *_phase_core(m, x, xi)[:4]) for x, xi in points))))
+    for i, (x, xi) in enumerate(points):
+        st = eng(x, xi)
+        for name in ("sigma1", "A", "ds1x", "bracket", "B", "kappa",
+                     "omega_dot"):
+            a, b = getattr(stacked, name)[i], getattr(st, name)
+            assert np.max(np.abs(a - b)) <= 1e-14 * (1 + np.max(np.abs(b))), \
+                name
+        a, b = stacked.generator(sign)[i], st.generator(sign)
+        assert np.max(np.abs(a - b)) <= 1e-14 * (1 + np.max(np.abs(b)))
 
 
 def test_curved_nondiagonal_chart_frame_certificate_and_transport():
@@ -386,6 +403,114 @@ def test_joint_phase_samples_match_solo_trajectory(rep_schw, sys_schw, schw):
             assert traj.left_chart == solo.left_chart
         assert np.array_equal(denker.sections, rpt.orbit_denker.sections)
         assert np.array_equal(spin.sections, rpt.orbit_spin.sections)
+
+
+def _joint_reference(rep, m, state, t_end, sign, **flow):
+    """The design before the split, kept as a reference: the phase point
+    and both polarizations stepped as one state, with a per-point engine
+    call at every stage, on the accepted steps of the flow."""
+    from diracsym.geometry import _dopri_step, _flow, _phase_rhs, _rk4_step
+    from diracsym.symbols import _StageEngine
+
+    hs = []
+    _flow(m, state.phase, t_end, on_block=lambda h, _: hs.extend(h), **flow)
+    eng = _StageEngine(rep, m)
+    d, N = m.dim, rep.N
+
+    def f(y):
+        x, xi = y[:d].real, y[d:2 * d].real
+        st = eng(x, xi)
+        L = np.array([st.generator(sign), st.omega_dot])
+        rates = -(L @ y[2 * d:].reshape(2, N, 1))
+        return np.concatenate((*_phase_rhs(m, x, xi), rates.ravel()))
+
+    stepper = _rk4_step if flow["integrator"] == "rk4_fixed" else _dopri_step
+    y = np.concatenate((state.phase.x, state.phase.xi, state.w, state.w))
+    k = f(y)
+    ys = [y]
+    for h in hs:
+        y, ks = stepper(f, y, k, h)
+        k = ks[-1]
+        ys.append(y)
+    return np.array(ys)[:, 2 * d:].reshape(-1, 2, N)
+
+
+def _reference_cases():
+    schw = ds.catalog_metric("schwarzschild1.0")
+    conf = STAGE_FIXTURES["conformal_flat"]()
+    rot = _rotating_chart()
+    inward = ds.null_project_covector(schw, SCHW_X0,
+                                      np.array([1.0, -1.25, 0.0, 0.0]))
+    return {
+        "schwarzschild_rk4": (schw, SCHW_X0, 2, 1.0,
+                              {"integrator": "rk4_fixed", "step": 1e-2, "tol": 1e-10}),
+        "conformal_dopri": (conf, np.array([0.1, -0.3, 0.5, 0.2]), 2, 0.5,
+                            {"integrator": "rk45_adaptive", "step": 1e-3,
+                             "tol": 1e-12}),
+        "rotating_rk4": (rot, np.array([0.0, 0.4, -0.3, 0.2]), 3, 1.0,
+                         {"integrator": "rk4_fixed", "step": 1e-2, "tol": 1e-10}),
+        "left_chart": (schw, inward, None, 50.0,
+                       {"integrator": "rk4_fixed", "step": 1e-2, "tol": 1e-10}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_split_transport_matches_joint_reference(case, monkeypatch):
+    """Phase flow first, stacked stage coefficients and the linear
+    recursion give the sections of the joint integration to 1e-12
+    relative, sample by sample, for both laws and both signs; the stacked
+    engine calls see exactly the stages of accepted steps."""
+    import dataclasses
+
+    from diracsym.geometry import _BLOCK_STEPS, _flow
+    from diracsym.symbols import _StageEngine
+
+    m, x0, seed, t_end, flow = _reference_cases()[case]
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep, m)
+    if seed is None:  # x0 holds the covector of the left-chart ray at SCHW_X0
+        xi = x0
+        x0 = SCHW_X0
+        vecs, _ = kernel_basis(principal_symbol(sysd, PhasePoint(x0, xi)))
+        state = PolarizationState(PhasePoint(x0, xi), vecs[0])
+    else:
+        state = null_state(m, rep, x0, seed)
+    stages = 4 if flow["integrator"] == "rk4_fixed" else 6
+    if stages == 6:
+        # the ray has rejected steps: more metric evaluations than the
+        # seed plus six per accepted step
+        calls = []
+        counted = dataclasses.replace(
+            m, eval=lambda x: calls.append(1) or m.eval(x))
+        hs = []
+        _flow(counted, state.phase, t_end,
+              on_block=lambda h, _: hs.extend(h), **flow)
+        assert len(calls) > 1 + stages * len(hs)
+
+    stacked = []  # points per stacked engine call
+    at = _StageEngine.at
+
+    def counting_at(self, xi, *rest):
+        if np.ndim(xi) == 2:
+            stacked.append(len(xi))
+        return at(self, xi, *rest)
+
+    monkeypatch.setattr(_StageEngine, "at", counting_at)
+    for flip in (False, True):
+        stacked.clear()
+        rpt = compare_transports(rep, sysd, state, t_end,
+                                 flip_subprincipal=flip, **flow)
+        assert rpt.left_chart == (case == "left_chart")
+        assert sum(stacked) == 1 + stages * (rpt.trajectory.n - 1)
+        assert max(stacked) <= 1 + stages * _BLOCK_STEPS
+        ref = _joint_reference(rep, m, state, t_end, -1.0 if flip else 1.0,
+                               **flow)
+        assert ref.shape[0] == rpt.trajectory.n > 10
+        for j, orbit in enumerate((rpt.orbit_denker, rpt.orbit_spin)):
+            got = np.array(orbit.sections)
+            err = np.linalg.norm(got - ref[:, j], axis=1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref[:, j], axis=1)), \
+                (case, flip, j, float(np.max(err)))
 
 
 def test_replay_rejects_unknown_integrator(sys_mink4):
