@@ -63,6 +63,11 @@ class FirstOrderSystem:
     name: str = "first_order_system"
 
 
+def _rows(a) -> np.ndarray:
+    """``a`` with its last two axes flattened into one."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
 class StageData:
     """The transports' data at one phase point (x, xi), or at a stack of
     points along leading axes of every field.
@@ -81,10 +86,6 @@ class StageData:
     def __init__(self, eng, xi, Z, dx, E, dE, EdE, Wl):
         self.eng, self.xi, self.Z, self.dx = eng, xi, Z, dx
         self.E, self.dE, self.EdE, self.Wl = E, dE, EdE, Wl
-
-    def _rows(self, a) -> np.ndarray:
-        """a[..., m, i, j] with (i, j) flattened: one row per m."""
-        return a.reshape(a.shape[:-2] + (-1,))
 
     def _xi_dE(self) -> np.ndarray:
         """(xi . d_k E)_b, indexed [..., k, b]."""
@@ -108,16 +109,15 @@ class StageData:
     def _bracket_coeffs(self) -> np.ndarray:
         # P[a, b] = E^k_a (xi . d_k E)_b, so sum_k A^k d_k sigma_1 is
         # -P_ab gamma^a gamma^b
-        P = self.E.swapaxes(-1, -2) @ self._xi_dE()
-        return P.reshape(P.shape[:-2] + (-1,))
+        return _rows(self.E.swapaxes(-1, -2) @ self._xi_dE())
 
     def _psub_coeffs(self) -> np.ndarray:
         # B = -i A^m omega_m = K_cab gamma^c (-1/4 gamma^a gamma^b) with
         # K = E^T Wl; the divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
         d = self.xi.shape[-1]
-        K = self.E.swapaxes(-1, -2) @ self._rows(self.Wl)
+        K = self.E.swapaxes(-1, -2) @ _rows(self.Wl)
         dv = self.eng.trace @ self.dE.reshape(self.dE.shape[:-3] + (d * d, d))
-        return np.concatenate((K.reshape(K.shape[:-2] + (-1,)), dv), axis=-1)
+        return np.concatenate((_rows(K), dv), axis=-1)
 
     @property
     def bracket(self) -> np.ndarray:
@@ -135,13 +135,13 @@ class StageData:
     @property
     def kappa(self) -> np.ndarray:
         """(1/2) Z^k d_k log|det g|, i.e. -Z^k tr(E^-1 d_k E)."""
-        rates = self._rows(self.EdE) @ self.eng.trace
+        rates = _rows(self.EdE) @ self.eng.trace
         return -(self.Z[..., None, :] @ rates[..., :, None])[..., 0, 0]
 
     @property
     def omega_dot(self) -> np.ndarray:
         """omega(x; xdot) = xdot^m omega_m."""
-        w = (self.dx[..., None, :] @ self._rows(self.Wl))[..., 0, :]
+        w = (self.dx[..., None, :] @ _rows(self.Wl))[..., 0, :]
         return self.eng.contract(w, "spin")
 
     def generator(self, sign: float = 1.0) -> np.ndarray:
@@ -154,7 +154,7 @@ class StageData:
         c = sign * (self.xi[..., None, :] @ self.E)
         sub = c.swapaxes(-1, -2) * self._psub_coeffs()[..., None, :]
         coeffs = np.concatenate((
-            self._bracket_coeffs(), sub.reshape(sub.shape[:-2] + (-1,)),
+            self._bracket_coeffs(), _rows(sub),
             np.asarray(self.kappa)[..., None]), axis=-1)
         return self.eng.contract(coeffs, "generator")
 
