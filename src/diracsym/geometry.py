@@ -429,8 +429,9 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     evaluation order, to ``on_block(hs, records)`` once per
     ``_BLOCK_STEPS`` steps and at the end: the first block opens with the
     seed's record, and a step of size hs[i] adds its stages after the
-    first, the last of them at the step's new sample.  Records of rejected
-    steps and of a step cut off by the guard are dropped.
+    first, the last of them at the step's new sample; both lists are
+    cleared after the call.  Records of rejected steps and of a step cut
+    off by the guard are dropped.
     """
     if integrator == "rk4_fixed":
         knob, value = "step", step
