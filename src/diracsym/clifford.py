@@ -184,11 +184,8 @@ def spin_connection_matrix(rep: CliffordModuleRep, x, v) -> np.ndarray:
     return np.einsum("m,mij->ij", v, om)
 
 
-def build_canonical_module(m: MetricField,
-                           dim4_only: bool = False) -> CliffordModuleRep:
+def build_canonical_module(m: MetricField) -> CliffordModuleRep:
     """The shipped spin-1/2 module: fixed gammas, G = gamma_0, Q = Gamma."""
-    if dim4_only and m.dim != 4:
-        raise UnsupportedDimension(f"dim {m.dim} rejected by dim4_only")
     gammas, eta, G = gamma_matrices(m.dim)
     rep = CliffordModuleRep(
         N=gammas[0].shape[0], gammas=gammas, gram=G, metric=m,

@@ -428,29 +428,26 @@ def kernel_basis(matrix, rank_tol: float = 1e-8):
 
     Returns (list of vectors, dim).  Singular values below
     rank_tol * sigma_max count as zero; the zero matrix yields the full
-    identity basis.
+    identity basis.  The basis depends on the kernel alone: Gram-Schmidt
+    over the kernel projector's columns in order keeps each remainder of
+    norm above 1/(2 sqrt n), which always leaves ``dim`` vectors.
     """
     A = np.asarray(matrix, dtype=complex)
     n = A.shape[1]
-    U, s, Vh = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return [np.eye(n, dtype=complex)[:, k] for k in range(n)], n
-    mask = s < rank_tol * smax
-    V = Vh.conj().T
-    vecs = [V[:, k] for k in range(n) if k >= len(s) or mask[k]]
-    return vecs, len(vecs)
-
-
-def _cokernel_basis(matrix, rank_tol: float = 1e-8):
-    A = np.asarray(matrix, dtype=complex)
-    U, s, _ = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        n = A.shape[0]
-        return [np.eye(n, dtype=complex)[:, k] for k in range(n)]
-    mask = s < rank_tol * smax
-    return [U[:, k] for k in range(len(s)) if mask[k]]
+    _, s, Vh = np.linalg.svd(A)
+    null = np.ones(n, dtype=bool)
+    null[:len(s)] = s < rank_tol * s[0] if len(s) and s[0] > 0.0 else True
+    V = Vh[null].conj().T
+    K = []
+    for col in (V @ V.conj().T).T:
+        if len(K) == V.shape[1]:
+            break
+        for u in K:
+            col = col - np.vdot(u, col) * u
+        norm = np.vdot(col, col).real ** 0.5
+        if norm > 0.5 / np.sqrt(n):
+            K.append(col / norm)
+    return K, len(K)
 
 
 @dataclass
@@ -516,7 +513,7 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     xi_sq = float(p.xi @ p.xi)
     on_char = abs(q) < null_tol * (1.0 + xi_sq)
     s1 = principal_symbol(sys, p)
-    _, ker_dim = kernel_basis(s1, rank_tol)
+    K, ker_dim = kernel_basis(s1, rank_tol)
 
     if mode == "factorization":
         pkg = symbol_package(rep, p, sys=sys)
@@ -563,8 +560,7 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
         nbh.append(kd)
     ker_const = all(kd == ker_dim for kd in nbh)
 
-    K, _ = kernel_basis(s1, rank_tol)
-    C = _cokernel_basis(s1, rank_tol)
+    C, _ = kernel_basis(s1.conj().T, rank_tol)
     cond = np.inf
     if K and len(C) == len(K) and dq_nonzero:
         pkg = symbol_package(rep, p, sys=sys)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import CliffordModuleRep, build_canonical_module
 from .errors import (
@@ -47,6 +46,8 @@ from .geometry import (
     _check_seed,
     _dopri_step,
     _flow,
+    _frame_jet_from,
+    _metric_jet,
     _rk4_step,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, dirac_system
@@ -348,9 +349,10 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
 class ChartMap:
     """Explicit diffeomorphism between two charts of one geometry.
 
-    ``forward`` maps chart-A points to chart-B points, ``jacobian`` returns
-    dy/dx there; covectors transfer by the inverse transpose, spinors by the
-    frame-change conjugation (supplied or derived from both frames).
+    ``forward`` maps chart-A points to chart-B points and ``jacobian``
+    returns dy/dx there, both at points along leading axes ``(..., d)``;
+    covectors transfer by the inverse transpose, spinors by the conjugation
+    that the induced frame change defines.
     """
 
     name: str
@@ -358,46 +360,71 @@ class ChartMap:
     metric_b: MetricField
     forward: Callable
     jacobian: Callable
-    spinor_transfer: Optional[Callable] = None
 
 
-def _frame_change(cm: ChartMap, rep_a: CliffordModuleRep,
-                  rep_b: CliffordModuleRep, x):
-    from .geometry import orthonormal_frame
+def _push_forward(cm: ChartMap, rep: CliffordModuleRep, xs, xis, ws):
+    """Chart-A points, covectors and polarizations, stacked along the first
+    axis, mapped to chart B: points by the map, covectors by the inverse
+    transpose of its jacobian J, polarizations by the spinor of the frame
+    change L = E_B^-1 J E_A.  J must be regular and L Lorentz."""
+    def frames(m, pts):
+        g, dg = map(np.array, zip(*[_metric_jet(m, p) for p in pts]))
+        return _frame_jet_from(m, g, dg)
 
-    J = np.asarray(cm.jacobian(x), dtype=float)
-    if abs(np.linalg.det(J)) < 1e-12:
-        raise ChartMapDegenerate(f"jacobian of {cm.name} singular at {x}")
-    y = np.asarray(cm.forward(x), dtype=float)
-    EA = orthonormal_frame(cm.metric_a, x).E
-    sB = orthonormal_frame(cm.metric_b, y)
-    L = sB.E_inv @ J @ EA
-    eta = rep_a.eta
-    if np.max(np.abs(L.T @ eta @ L - eta)) > 1e-8:
+    J = np.asarray(cm.jacobian(xs), dtype=float)
+    bad = np.abs(np.linalg.det(J)) < 1e-12
+    if np.any(bad):
         raise ChartMapDegenerate(
-            f"induced frame change of {cm.name} is not a Lorentz matrix")
-    return L
+            f"jacobian of {cm.name} singular at {xs[bad][0]}")
+    y = np.asarray(cm.forward(xs), dtype=float)
+    L = frames(cm.metric_b, y)[2] @ J @ frames(cm.metric_a, xs)[0]
+    eta = rep.eta
+    bad = np.max(np.abs(L.swapaxes(1, 2) @ eta @ L - eta), axis=(1, 2)) > 1e-8
+    if np.any(bad):
+        raise ChartMapDegenerate(f"induced frame change of {cm.name} is not "
+                                 f"a Lorentz matrix at {xs[bad][0]}")
+    xib = np.linalg.solve(J.swapaxes(1, 2), xis[..., None])[..., 0]
+    return y, xib, (_spinor_rep_of(L, rep) @ ws[..., None])[..., 0]
 
 
 def _spinor_rep_of(L, rep: CliffordModuleRep) -> np.ndarray:
-    """Spinor representative T of a proper orthochronous Lorentz matrix L:
-    T Gamma(v) T^-1 = Gamma(L v) for frame vectors v."""
-    if np.max(np.abs(L - np.eye(L.shape[0]))) < 1e-12:
-        return np.eye(rep.N, dtype=complex)
-    lam = scipy.linalg.logm(L)
-    if np.max(np.abs(lam.imag)) > 1e-10:
+    """Spinor representatives T of proper orthochronous Lorentz matrices L
+    along leading axes: T Gamma(v) T^-1 = Gamma(L v) for frame vectors v.
+
+    T spans the null space of T -> T gamma_b - (sum_a L^a_b gamma_a) T,
+    one-dimensional as the module is irreducible (Schur's lemma).  Scaled
+    to det T = 1 it is fixed up to an N-th root of unity, and the root with
+    the largest Re tr T gives exp(-S/4) for the principal generator S of L.
+    """
+    L = np.asarray(L, dtype=float)
+    if np.any(np.linalg.det(L) <= 0.0) or np.any(L[..., 0, 0] <= 0.0):
         raise ChartMapDegenerate("frame change outside the identity component")
-    lam_low = rep.eta @ lam.real
-    S = np.einsum("ab,abij->ij", lam_low, rep._pair_products)
-    return scipy.linalg.expm(-0.25 * S)
+    if L.ndim == 3 and len(L) > 256:  # A below takes 16 kB per matrix
+        return np.concatenate([_spinor_rep_of(L[i:i + 256], rep)
+                               for i in range(0, len(L), 256)])
+    stack, d, N = L.shape[:-2], L.shape[-1], rep.N
+    g, eye = np.stack(rep.gammas), np.eye(N)
+    M = np.einsum("...ab,aij->...bij", L, g)
+    # row (b, i, j), column (k, l): the coefficient of T_kl in entry (i, j)
+    # of T gamma_b - M_b T
+    A = (np.einsum("ik,blj->bijkl", eye, g)
+         - np.einsum("...bik,jl->...bijkl", M, eye))
+    Vh = np.linalg.svd(A.reshape(stack + (-1, N * N)), full_matrices=False)[2]
+    T = Vh[..., -1, :].conj().reshape(stack + (N, N))
+    c = np.exp(2j * np.pi / N * np.arange(N)) / (
+        np.linalg.det(T)[..., None] ** (1.0 / N))
+    k = np.argmax((c * np.trace(T, axis1=-2, axis2=-1)[..., None]).real, -1)
+    T = T * np.take_along_axis(c, k[..., None], -1)[..., None]
+    near = np.max(np.abs(L - np.eye(d)), axis=(-2, -1)) < 1e-12
+    return np.where(near[..., None, None], eye, T)
 
 
 def identity_map(m: MetricField) -> ChartMap:
-    d = m.dim
+    eye = np.eye(m.dim)
     return ChartMap(
         name="identity", metric_a=m, metric_b=m,
-        forward=lambda x: np.asarray(x, dtype=float).copy(),
-        jacobian=lambda x: np.eye(d),
+        forward=lambda x: np.array(x, dtype=float),
+        jacobian=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + eye.shape),
     )
 
 
@@ -414,8 +441,8 @@ def minkowski_boost_map(v: float, axis: int = 1) -> ChartMap:
     return ChartMap(
         name=f"boost(v={v},axis={axis})",
         metric_a=minkowski(4), metric_b=minkowski(4),
-        forward=lambda x: L @ np.asarray(x, dtype=float),
-        jacobian=lambda x: L.copy(),
+        forward=lambda x: np.asarray(x, dtype=float) @ L.T,
+        jacobian=lambda x: np.broadcast_to(L, np.shape(x)[:-1] + L.shape),
     )
 
 
@@ -426,15 +453,16 @@ def schwarzschild_isotropic_map(mass: float = 1.0) -> ChartMap:
     M = float(mass)
 
     def forward(x):
-        x = np.asarray(x, dtype=float)
-        r = x[1]
-        rho = 0.5 * ((r - M) + np.sqrt(r * (r - 2.0 * M)))
-        return np.array([x[0], rho, x[2], x[3]])
+        y = np.array(x, dtype=float)
+        r = y[..., 1]
+        y[..., 1] = 0.5 * ((r - M) + np.sqrt(r * (r - 2.0 * M)))
+        return y
 
     def jacobian(x):
-        r = float(x[1])
-        drho = 0.5 * (1.0 + (r - M) / np.sqrt(r * (r - 2.0 * M)))
-        return np.diag([1.0, drho, 1.0, 1.0])
+        r = np.asarray(x, dtype=float)[..., 1]
+        J = np.eye(4) * np.ones(r.shape + (1, 1))
+        J[..., 1, 1] = 0.5 * (1.0 + (r - M) / np.sqrt(r * (r - 2.0 * M)))
+        return J
 
     return ChartMap(
         name=f"schwarzschild_areal_to_isotropic(M={mass:g})",
@@ -448,51 +476,30 @@ def covariance_check(cm: ChartMap, state_a: PolarizationState, t_end: float,
                      kernel_tol: float = 1e-8) -> dict:
     """Run the same physical ray in both charts and compare.
 
-    Chart-B samples are pulled back to chart A: points by the inverse map
-    comparison (we map A forward), covectors by the transpose-inverse
-    jacobian, polarization vectors by the induced spinor conjugation.
-    Reports normalized sup discrepancies over the common grid.
+    The chart-A samples of the ray go to chart B in one ``_push_forward``
+    call; reports normalized sup discrepancies against the chart-B run
+    over the common grid.
     """
     rep_a = build_canonical_module(cm.metric_a)
     rep_b = build_canonical_module(cm.metric_b)
-    sys_a = dirac_system(rep_a)
-    sys_b = dirac_system(rep_b)
 
-    if cm.spinor_transfer is not None:
-        transfer = cm.spinor_transfer
-    else:
-        def transfer(x):
-            return _spinor_rep_of(_frame_change(cm, rep_a, rep_b, x), rep_a)
+    y0, xi0, w0 = _push_forward(cm, rep_a, state_a.phase.x[None],
+                                state_a.phase.xi[None], state_a.w[None])
+    state_b = PolarizationState(PhasePoint(y0[0], xi0[0]), w0[0])
 
-    x0 = state_a.phase.x
-    J0 = np.asarray(cm.jacobian(x0), dtype=float)
-    x0b = np.asarray(cm.forward(x0), dtype=float)
-    xi0b = np.linalg.solve(J0.T, state_a.phase.xi)
-    w0b = transfer(x0) @ state_a.w
-    state_b = PolarizationState(PhasePoint(x0b, xi0b), w0b)
-
-    rep_report_a = compare_transports(rep_a, sys_a, state_a, t_end, step=step,
-                                      kernel_tol=kernel_tol)
-    rep_report_b = compare_transports(rep_b, sys_b, state_b, t_end, step=step,
-                                      kernel_tol=kernel_tol)
-    ta, tb = rep_report_a.trajectory, rep_report_b.trajectory
+    report_a = compare_transports(rep_a, dirac_system(rep_a), state_a, t_end,
+                                  step=step, kernel_tol=kernel_tol)
+    report_b = compare_transports(rep_b, dirac_system(rep_b), state_b, t_end,
+                                  step=step, kernel_tol=kernel_tol)
+    ta, tb = report_a.trajectory, report_b.trajectory
     n = min(ta.n, tb.n)
-    wa = rep_report_a.orbit_denker.sections
-    wb = rep_report_b.orbit_denker.sections
-    w0n = float(np.linalg.norm(state_a.w))
-
-    dx = dxi = dw = 0.0
-    for i in range(n):
-        xa, xia = ta.xs[i], ta.xis[i]
-        xb_pred = np.asarray(cm.forward(xa), dtype=float)
-        Ji = np.asarray(cm.jacobian(xa), dtype=float)
-        xib_pred = np.linalg.solve(Ji.T, xia)
-        wb_pred = transfer(xa) @ wa[i]
-        dx = max(dx, float(np.max(np.abs(tb.xs[i] - xb_pred))
-                           / (1.0 + np.max(np.abs(xb_pred)))))
-        dxi = max(dxi, float(np.max(np.abs(tb.xis[i] - xib_pred))
-                             / np.linalg.norm(xib_pred)))
-        dw = max(dw, float(np.linalg.norm(wb[i] - wb_pred)) / w0n)
+    y, xi, w = _push_forward(cm, rep_a, ta.xs[:n], ta.xis[:n],
+                             np.array(report_a.orbit_denker.sections[:n]))
+    wb = np.array(report_b.orbit_denker.sections[:n])
+    dx = np.max(np.abs(tb.xs[:n] - y), axis=1) / (
+        1.0 + np.max(np.abs(y), axis=1))
+    dxi = np.max(np.abs(tb.xis[:n] - xi), axis=1) / np.linalg.norm(xi, axis=1)
+    dw = np.linalg.norm(wb - w, axis=1) / float(np.linalg.norm(state_a.w))
 
     return {
         "chart_map": cm.name,
@@ -501,10 +508,10 @@ def covariance_check(cm: ChartMap, state_a: PolarizationState, t_end: float,
         "t_end": t_end,
         "step": step,
         "samples_compared": int(n),
-        "max_x_discrepancy": dx,
-        "max_xi_discrepancy": dxi,
-        "max_w_discrepancy": dw,
-        "max_gap_a": rep_report_a.max_gap,
-        "max_gap_b": rep_report_b.max_gap,
+        "max_x_discrepancy": float(np.max(dx)),
+        "max_xi_discrepancy": float(np.max(dxi)),
+        "max_w_discrepancy": float(np.max(dw)),
+        "max_gap_a": report_a.max_gap,
+        "max_gap_b": report_b.max_gap,
         "left_chart": bool(ta.left_chart or tb.left_chart),
     }

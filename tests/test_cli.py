@@ -359,6 +359,18 @@ def test_bad_adaptive_tolerance_exits_2(tmp_path, cmd, tol):
     assert "Traceback" not in proc.stderr
 
 
+def test_import_needs_no_scipy():
+    """The package depends on numpy alone; a fresh interpreter that imports
+    the CLI must not have loaded scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import sys, diracsym.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_off_kernel_polarization_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "t.json", {
         "metric": "minkowski4",

@@ -204,6 +204,23 @@ def test_kernel_basis_zero_matrix():
     assert np.allclose(np.column_stack(vecs), np.eye(4))
 
 
+def test_kernel_basis_depends_on_the_kernel_only(sys_schw, schw):
+    """Q A has the kernel of A for unitary Q but rotates the SVD's vectors
+    inside it; the returned basis must not move."""
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        xi = ds.random_null_covector(schw, SCHW_X0, rng)
+        A = principal_symbol(sys_schw, PhasePoint(SCHW_X0, xi))
+        ref, dim = kernel_basis(A)
+        assert dim == 2
+        for _ in range(4):
+            Z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            Q = np.linalg.qr(Z)[0]
+            vecs, _ = kernel_basis(Q @ A)
+            assert np.max(np.abs(np.column_stack(vecs)
+                                 - np.column_stack(ref))) < 1e-12
+
+
 # --------------------------------------------------------------------------
 # brackets and subprincipal
 

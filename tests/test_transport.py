@@ -558,3 +558,126 @@ def test_covariance_schwarzschild_radial_reparametrization(rep_schw, schw):
     assert out["max_w_discrepancy"] < 1e-6
     assert out["max_x_discrepancy"] < 1e-6
     assert out["max_xi_discrepancy"] < 1e-6
+
+
+def _rotating_map(omega=0.3):
+    """Inertial Minkowski chart (t, x, y, z) to the (t, X, Y, z) of
+    ``_rotating_chart(omega)``: X = x cos wt + y sin wt, Y = -x sin wt +
+    y cos wt."""
+    def forward(x):
+        x = np.asarray(x, dtype=float)
+        c, s = np.cos(omega * x[..., 0]), np.sin(omega * x[..., 0])
+        y = x.copy()
+        y[..., 1] = c * x[..., 1] + s * x[..., 2]
+        y[..., 2] = -s * x[..., 1] + c * x[..., 2]
+        return y
+
+    def jacobian(x):
+        y = forward(x)
+        c, s = np.cos(omega * y[..., 0]), np.sin(omega * y[..., 0])
+        J = np.zeros(y.shape + (4,))
+        J[..., 0, 0] = J[..., 3, 3] = 1.0
+        J[..., 1, :3] = np.stack([omega * y[..., 2], c, s], axis=-1)
+        J[..., 2, :3] = np.stack([-omega * y[..., 1], -s, c], axis=-1)
+        return J
+
+    return ds.ChartMap(name=f"rotating(omega={omega})",
+                       metric_a=ds.minkowski(4),
+                       metric_b=_rotating_chart(omega),
+                       forward=forward, jacobian=jacobian)
+
+
+def test_covariance_rotating_chart_and_frozen_transfer_control(
+        rep_mink4, mink4, monkeypatch):
+    """Along a ray the rotating chart's frame turns against the inertial
+    one, so the spinor transfer changes from sample to sample: the check
+    passes with the true transfer and fails when the transfer is frozen at
+    the seed point, which only a comparison at every sample can see."""
+    import diracsym.transport as tr
+    from diracsym.symbols import _StageEngine
+
+    x0 = np.array([0.0, 0.5, 0.0, 0.0])
+    xi = ds.null_project_covector(mink4, x0, np.array([1.0, 0.6, 0.8, 0.0]))
+    vecs, _ = kernel_basis(_StageEngine(rep_mink4, mink4)(x0, xi).sigma1)
+    state = PolarizationState(PhasePoint(x0, xi), vecs[0])
+    cm = _rotating_map(0.3)
+    out = covariance_check(cm, state, 1.0, step=1e-3)
+    assert out["samples_compared"] == 1001 and not out["left_chart"]
+    for key in ("max_x_discrepancy", "max_xi_discrepancy",
+                "max_w_discrepancy"):
+        assert out[key] < 1e-10, key
+
+    exact = tr._spinor_rep_of
+
+    def frozen(L, rep):
+        T = exact(L, rep)
+        return np.broadcast_to(T[:1], T.shape)
+
+    monkeypatch.setattr(tr, "_spinor_rep_of", frozen)
+    out = covariance_check(cm, state, 1.0, step=1e-3)
+    assert out["max_w_discrepancy"] > 1e-3
+
+
+@pytest.mark.parametrize("signs", [(1, -1, 1, 1), (-1, 1, 1, 1),
+                                   (-1, -1, -1, -1)],
+                         ids=["parity", "time_reversal", "total_inversion"])
+def test_covariance_rejects_improper_frame_change(rep_mink4, mink4, signs):
+    P = np.diag(np.array(signs, dtype=float))
+    cm = ds.ChartMap(name="reflection", metric_a=mink4, metric_b=mink4,
+                     forward=lambda x: np.asarray(x, dtype=float) @ P,
+                     jacobian=lambda x: np.broadcast_to(
+                         P, np.shape(x)[:-1] + P.shape))
+    with pytest.raises(ds.ChartMapDegenerate):
+        covariance_check(cm, mink_state(), 1.0, step=1e-2)
+
+
+def _boost(d, k, phi):
+    L = np.eye(d)
+    L[0, 0] = L[k, k] = np.cosh(phi)
+    L[0, k] = L[k, 0] = np.sinh(phi)
+    return L
+
+
+def test_spinor_rep_closed_forms():
+    """T = exp of half the generator: cosh(phi/2) + sinh(phi/2) g^0 g^k for
+    a boost of rapidity phi along k, cos(th/2) + sin(th/2) g^1 g^2 for a
+    rotation by th about z, in the 4-d and the 2-d module."""
+    from diracsym.transport import _spinor_rep_of
+
+    for d in (4, 2):
+        rep = ds.build_canonical_module(ds.minkowski(d))
+        g = rep.gammas_up
+        for k in range(1, d):
+            for phi in (0.7, -1.9):
+                T = np.cosh(phi / 2) * np.eye(rep.N) \
+                    + np.sinh(phi / 2) * g[0] @ g[k]
+                err = np.max(np.abs(_spinor_rep_of(_boost(d, k, phi), rep)
+                                    - T))
+                assert err < 1e-14, (d, k, phi, err)
+    rep = ds.build_canonical_module(ds.minkowski(4))
+    g = rep.gammas_up
+    for th in (1.1, -2.5):
+        L = np.eye(4)
+        L[1, 1] = L[2, 2] = np.cos(th)
+        L[1, 2], L[2, 1] = -np.sin(th), np.sin(th)
+        T = np.cos(th / 2) * np.eye(4) + np.sin(th / 2) * g[1] @ g[2]
+        assert np.max(np.abs(_spinor_rep_of(L, rep) - T)) < 1e-14, th
+
+
+def test_spinor_rep_stack_matches_points():
+    """A stacked call returns each point's own T, the identity included,
+    also when it is split into blocks."""
+    from diracsym.transport import _spinor_rep_of
+
+    rep = ds.build_canonical_module(ds.minkowski(4))
+    rot = np.eye(4)
+    rot[1:3, 1:3] = [[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]
+    Ls = np.stack([_boost(4, 1, 0.3), rot @ _boost(4, 3, -1.2), np.eye(4),
+                   _boost(4, 2, 0.8) @ rot])
+    points = [_spinor_rep_of(L, rep) for L in Ls]
+    assert np.array_equal(points[2], np.eye(4))
+    for n in (4, 301):  # 301 runs in blocks
+        T = _spinor_rep_of(np.concatenate([Ls] * 76)[:n], rep)
+        assert T.shape == (n, 4, 4)
+        for i, t in enumerate(T):
+            assert np.max(np.abs(points[i % 4] - t)) < 1e-14
