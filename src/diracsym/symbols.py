@@ -373,6 +373,31 @@ class SymbolPackage:
         }
 
 
+def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
+                p: PhasePoint, fd_step: float = 1e-6):
+    """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j, and the
+    engine's StageData there.
+
+    The module's own Dirac system gets closed forms from one engine call;
+    a foreign system gets central differences of its principal symbol in x
+    and its coefficients A^j, with None for the StageData.
+    """
+    if sys.rep is rep and sys.d_coeff_A is not None:
+        sd = _StageEngine(rep, rep.metric)(p.x, p.xi)
+        return sd.ds1x, sd.A, sd
+    d = len(p.x)
+    dsdx = np.empty((d, sys.N, sys.N), dtype=complex)
+    for j in range(d):
+        h = fd_step * (1.0 + abs(p.x[j]))
+        xp, xm = p.x.copy(), p.x.copy()
+        xp[j] += h
+        xm[j] -= h
+        dsdx[j] = (principal_symbol(sys, PhasePoint(xp, p.xi))
+                   - principal_symbol(sys, PhasePoint(xm, p.xi))) / (2 * h)
+    dsdxi = np.array([np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)])
+    return dsdx, dsdxi, None
+
+
 def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
                    sys: Optional[FirstOrderSystem] = None,
                    N=None, fd_step: float = 1e-6) -> SymbolPackage:
@@ -389,12 +414,9 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     st = sigma_tilde(rep, m, p, Nfield(p.x))
     q = hamiltonian_q(m, p.x, p.xi)
     psub = subprincipal_symbol(sys, p, fd_step=fd_step)
-    dirac_backed = sys.rep is rep and sys.d_coeff_A is not None
-    if dirac_backed:
-        sd = _StageEngine(rep, m)(p.x, p.xi)
+    dsdx, dsdxi, sd = _symbol_jet(rep, sys, p, fd_step)
+    if sd is not None:
         bracket = sd.bracket
-        dsdx = sd.ds1x
-        dsdxi = sd.A
     else:
         def s1_eval(x, xi):
             return principal_symbol(sys, PhasePoint(x, xi))
@@ -403,17 +425,6 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
             return sigma_tilde(rep, m, PhasePoint(x, xi), Nfield(x))
 
         bracket = matrix_poisson_bracket(st_eval, s1_eval, p, fd_step=fd_step)
-        d = m.dim
-        A0 = sys.coeff_A(p.x)
-        dsdx = np.empty((d, sys.N, sys.N), dtype=complex)
-        dsdxi = np.empty((d, sys.N, sys.N), dtype=complex)
-        for j in range(d):
-            h = fd_step * (1.0 + abs(p.x[j]))
-            xp, xm = p.x.copy(), p.x.copy()
-            xp[j] += h
-            xm[j] -= h
-            dsdx[j] = (s1_eval(xp, p.xi) - s1_eval(xm, p.xi)) / (2 * h)
-            dsdxi[j] = np.asarray(A0[j], dtype=complex)
     Id = np.eye(sys.N)
     resid = float(np.linalg.norm(st @ s1 - q * Id))
     return SymbolPackage(
@@ -421,6 +432,13 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
         d_sigma_m={"dx": dsdx, "dxi": dsdxi},
         factorization_residual=resid,
     )
+
+
+def _rank(s, rank_tol: float):
+    """Numerical rank from singular values ``s`` sorted along the last
+    axis, largest first: the count at or above rank_tol * s_max (0 for a
+    zero matrix)."""
+    return np.sum((s >= rank_tol * s[..., :1]) & (s > 0.0), axis=-1)
 
 
 def kernel_basis(matrix, rank_tol: float = 1e-8):
@@ -435,9 +453,7 @@ def kernel_basis(matrix, rank_tol: float = 1e-8):
     A = np.asarray(matrix, dtype=complex)
     n = A.shape[1]
     _, s, Vh = np.linalg.svd(A)
-    null = np.ones(n, dtype=bool)
-    null[:len(s)] = s < rank_tol * s[0] if len(s) and s[0] > 0.0 else True
-    V = Vh[null].conj().T
+    V = Vh[_rank(s, rank_tol):].conj().T
     K = []
     for col in (V @ V.conj().T).T:
         if len(K) == V.shape[1]:
@@ -505,6 +521,12 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     point on the set and checks dq != 0, non-radial Hamiltonian direction,
     locally constant kernel dimension, and that the conormal derivative of
     the symbol maps kernel isomorphically onto cokernel.
+
+    The neighbourhood dimensions come from one stacked SVD of the system's
+    symbols at 8 nearby null points, by ``kernel_basis``'s rank rule.
+    ``nonradial`` cannot fail for the metric Hamiltonian: the x-part of H_q
+    is 2 g^-1 xi, nonzero whenever xi is, while the radial field has none,
+    so the two are never parallel.  It is reported for the record.
     """
     m = rep.metric
     if sys is None:
@@ -538,8 +560,9 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     sv = np.linalg.svd(np.stack([hq, radial]), compute_uv=False)
     nonradial = sv[1] > 1e-8 * sv[0]
 
+    # kernel dimensions of the system's own symbol at 8 nearby null points
     rng = np.random.default_rng(seed)
-    nbh = []
+    syms = []
     scale_x = 1e-3 * (1.0 + np.abs(p.x))
     scale_xi = 1e-3 * float(np.linalg.norm(p.xi))
     for _ in range(8):
@@ -555,19 +578,17 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
             xi2 = null_project_covector(m, x2, xi2)
         except NotOnCharacteristicSet:
             continue
-        s1n = principal_symbol(sys, PhasePoint(x2, xi2))
-        _, kd = kernel_basis(s1n, rank_tol)
-        nbh.append(kd)
+        syms.append(principal_symbol(sys, PhasePoint(x2, xi2)))
+    sv = np.linalg.svd(np.reshape(syms, (-1, sys.N, sys.N)), compute_uv=False)
+    nbh = (sys.N - _rank(sv, rank_tol)).tolist()
     ker_const = all(kd == ker_dim for kd in nbh)
 
     C, _ = kernel_basis(s1.conj().T, rank_tol)
     cond = np.inf
     if K and len(C) == len(K) and dq_nonzero:
-        pkg = symbol_package(rep, p, sys=sys)
+        dsdx, dsdxi, _ = _symbol_jet(rep, sys, p)
         rho = np.concatenate([dqdx, dqdxi]) / grad_norm
-        dsig = sum(rho[j] * pkg.d_sigma_m["dx"][j] for j in range(m.dim))
-        dsig = dsig + sum(rho[m.dim + j] * pkg.d_sigma_m["dxi"][j]
-                          for j in range(m.dim))
+        dsig = np.tensordot(rho, np.concatenate((dsdx, dsdxi)), axes=1)
         Kmat = np.stack(K, axis=1)
         Cmat = np.stack(C, axis=1)
         T = Cmat.conj().T @ dsig @ Kmat

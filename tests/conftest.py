@@ -49,6 +49,31 @@ def sys_schw(rep_schw, schw):
 SCHW_X0 = np.array([0.0, 10.0, 1.2, 0.3])
 
 
+def rotating_chart(omega=0.3):
+    """Flat space in coordinates rotating about z at rate omega: curved
+    and non-diagonal components, g_00 = -1 + omega^2 (X^2 + Y^2),
+    g_0X = -omega Y, g_0Y = omega X."""
+    def ev(x):
+        X, Y = x[1], x[2]
+        g = np.diag([-1.0 + omega**2 * (X * X + Y * Y), 1.0, 1.0, 1.0])
+        g[0, 1] = g[1, 0] = -omega * Y
+        g[0, 2] = g[2, 0] = omega * X
+        return g
+
+    def dev(x):
+        dg = np.zeros((4, 4, 4))
+        dg[1, 0, 0] = 2.0 * omega**2 * x[1]
+        dg[2, 0, 0] = 2.0 * omega**2 * x[2]
+        dg[1, 0, 2] = dg[1, 2, 0] = omega
+        dg[2, 0, 1] = dg[2, 1, 0] = -omega
+        return dg
+
+    return ds.MetricField(
+        dim=4, eval=ev, d_eval=dev, name="rotating_minkowski",
+        domain_guard=lambda x: omega**2 * (x[1]**2 + x[2]**2) < 0.9,
+        sample_box=np.array([[-1.0, 1.0]] * 4))
+
+
 def null_state(m, rep, x, seed):
     """Random future null covector at x plus the first kernel vector."""
     rng = np.random.default_rng(seed)

@@ -14,11 +14,13 @@ from diracsym.clifford import (
     clifford_mul,
     gamma_matrices,
     q_operator,
+    spin_connection_coefficients,
     spin_connection_matrix,
 )
 from diracsym.errors import NotFutureDirected, NotTimelike, UnsupportedDimension
+from diracsym.geometry import _frame_jet, _metric_jet
 
-from conftest import SCHW_X0
+from conftest import SCHW_X0, rotating_chart
 
 AXIOM_KEYS = ["C1", "C2", "C3", "C4", "C5", "C6", "C7.1", "C7.2", "C7p", "C8"]
 
@@ -201,3 +203,149 @@ def test_build_canonical_module_wiring(rep_schw, schw):
     N = fr.E[:, 0]
     assert np.allclose(rep_schw.q_eval(SCHW_X0, N),
                        rep_schw.gamma_of(SCHW_X0, N), atol=0)
+
+
+def test_c8_fails_for_an_indefinite_gram_pairing(mink4):
+    """G Q(e_0) = diag(1, 1, 1, -1) for G = gamma_0 diag(1, 1, 1, -1): C8
+    must read the smallest eigenvalue.  (G = -gamma_0 would not tell the
+    smallest from the largest: all four eigenvalues are -1.)"""
+    rep = ds.build_canonical_module(mink4)
+    rep.gram = rep.gammas[0] @ np.diag([1.0, 1.0, 1.0, -1.0])
+    c8 = certify_axioms(rep, SampleSpec(points=5, seed=0)).axioms["C8"]
+    assert not c8.passed
+    assert c8.extra["min_eigenvalue"] == pytest.approx(-1.0, abs=1e-12)
+    assert c8.max_residual == pytest.approx(1.0, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the stacked certifier against a point-by-point reference
+
+
+def _reference_certify_axioms(rep, sample):
+    """The per-point, per-vector loop ``certify_axioms`` used to run: the
+    same draws in the same order, one residual matrix at a time.  Returns
+    every axiom's max residual and C8's smallest eigenvalue."""
+    def maxabs(A):
+        return float(np.max(np.abs(A)))
+
+    m, d, G = rep.metric, rep.dim, rep.gram
+    rng = np.random.default_rng(sample.seed)
+    Id = np.eye(rep.N, dtype=complex)
+    r = dict.fromkeys(("C2", "C3", "C4", "C6", "C7.1", "C7.2", "C7p"), 0.0)
+    r["C1"] = max(maxabs(a @ b + b @ a + 2.0 * rep.eta[i, j] * Id)
+                  for i, a in enumerate(rep.gammas)
+                  for j, b in enumerate(rep.gammas))
+    c8_min = np.inf
+
+    def Q(x, V):
+        return rep.q_eval(x, *([V] * rep.q_power))
+
+    for _ in range(sample.points):
+        x = ds.random_chart_point(m, rng)
+        g, ginv = ds.eval_metric(m, x)
+        E, dE, Einv = _frame_jet(m, x)
+        dEinv = -(Einv @ dE @ Einv)
+        dg = _metric_jet(m, x)[1]
+        T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+        Gam = 0.5 * np.einsum("il,ljk->ijk", ginv, T)
+        om = spin_connection_coefficients(m, rep._pair_products, rep.eta, x)
+
+        def gamma_vec(V):
+            return rep.gamma_of_frame(Einv @ V)
+
+        for mu in range(d):
+            r["C2"] = max(r["C2"], maxabs(G @ om[mu] + om[mu].conj().T @ G))
+        for _ in range(sample.vectors):
+            Z = rng.uniform(-1.0, 1.0, size=d)
+            Y = rng.uniform(-1.0, 1.0, size=d)
+            GZ, GY = gamma_vec(Z), gamma_vec(Y)
+            r["C1"] = max(r["C1"], maxabs(GZ @ GY + GY @ GZ
+                                          + 2.0 * float(Z @ g @ Y) * Id))
+            r["C4"] = max(r["C4"], maxabs(G @ GZ - GZ.conj().T @ G))
+            Y0 = rng.uniform(-1.0, 1.0, size=d)
+            A = rng.uniform(-1.0, 1.0, size=(d, d))
+            GY0 = gamma_vec(Y0)
+            for mu in range(d):
+                dgam = rep.gamma_of_frame(dEinv[mu] @ Y0 + Einv @ A[:, mu])
+                nab = A[:, mu] + Gam[:, mu, :] @ Y0
+                res = dgam + om[mu] @ GY0 - GY0 @ om[mu] - gamma_vec(nab)
+                r["C3"] = max(r["C3"], maxabs(res))
+            u = rng.uniform(-1.0, 1.0, size=d - 1)
+            nrm = np.linalg.norm(u)
+            if nrm > 0.85:
+                u *= 0.85 / nrm
+            Nv = E @ np.concatenate(([1.0], u))
+            Nv = Nv / np.sqrt(-float(Nv @ g @ Nv))
+            QN = Q(x, Nv)
+            r["C6"] = max(r["C6"], maxabs(G @ QN - QN.conj().T @ G))
+            W = rng.uniform(-1.0, 1.0, size=d)
+            Zp = W - (float(W @ g @ Nv) / float(Nv @ g @ Nv)) * Nv
+            GZp, GN = gamma_vec(Zp), gamma_vec(Nv)
+            r["C7.1"] = max(r["C7.1"], maxabs(QN @ GZp + GZp @ QN))
+            r["C7.2"] = max(r["C7.2"], maxabs(QN @ GN - GN @ QN))
+            for _ in range(8):
+                Yv = rng.uniform(-1.0, 1.0, size=d)
+                yy = float(Yv @ g @ Yv)
+                if abs(yy) >= 0.1:
+                    break
+            else:
+                continue
+            W2 = rng.uniform(-1.0, 1.0, size=d)
+            GZo = gamma_vec(W2 - (float(W2 @ g @ Yv) / yy) * Yv)
+            QY = Q(x, Yv)
+            r["C7p"] = max(r["C7p"], maxabs(QY @ GZo + GZo @ QY))
+        H = G @ Q(x, E[:, 0])
+        H = 0.5 * (H + H.conj().T)
+        c8_min = min(c8_min, float(np.min(np.linalg.eigvalsh(H))))
+    r["C5"] = r["C3"]
+    return r, c8_min
+
+
+def _miswired_schwarzschild_module():
+    """The Schwarzschild module with its connection scaled by 1.01 and
+    Q(N) = Gamma(N) + 0.01 g(N, N) Id: C3, C7.1, C7' and C8 move off
+    roundoff by amounts that vary from point to point."""
+    m = ds.schwarzschild(1.0)
+    rep = ds.build_canonical_module(m)
+    rep._pair_products = 1.01 * rep._pair_products
+
+    def q_eval(x, N):
+        g = ds.eval_metric(m, x)[0]
+        nn = np.asarray(np.einsum("...i,ij,...j->...", N, g, N))
+        return rep.gamma_of(x, N) + 0.01 * nn[..., None, None] * np.eye(4)
+
+    rep.q_eval = q_eval
+    return rep
+
+
+_CONFORMAL = "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}"
+EQUIVALENCE_MODULES = {
+    "minkowski4": lambda: ds.build_canonical_module(ds.minkowski(4)),
+    "schwarzschild1.0": lambda: ds.build_canonical_module(
+        ds.catalog_metric("schwarzschild1.0")),
+    "schwarzschild_isotropic1.0": lambda: ds.build_canonical_module(
+        ds.catalog_metric("schwarzschild_isotropic1.0")),
+    "conformal_flat": lambda: ds.build_canonical_module(
+        ds.catalog_metric(_CONFORMAL)),
+    "minkowski2": lambda: ds.build_canonical_module(ds.minkowski(2)),
+    "rotating_minkowski": lambda: ds.build_canonical_module(rotating_chart()),
+    "miswired_schwarzschild": _miswired_schwarzschild_module,
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_MODULES))
+def test_stacked_certificate_matches_point_loop(fixture, seed):
+    """Same draws, same residuals: every axiom within 1e-13 of the loop,
+    C8's smallest eigenvalue too, on the certify fixtures, dim 2, a curved
+    non-diagonal chart and a module that fails several axioms."""
+    rep = EQUIVALENCE_MODULES[fixture]()
+    sample = SampleSpec(points=4, vectors=10, seed=seed)
+    got = certify_axioms(rep, sample).axioms
+    want, c8_min = _reference_certify_axioms(rep, sample)
+    for key in AXIOM_KEYS[:-1]:
+        assert abs(got[key].max_residual - want[key]) <= 1e-13, key
+    assert abs(got["C8"].extra["min_eigenvalue"] - c8_min) <= 1e-13
+    if fixture == "miswired_schwarzschild":
+        for key in ("C3", "C7.1", "C7p"):
+            assert want[key] > 1e-4, key

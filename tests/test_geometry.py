@@ -324,6 +324,38 @@ def test_adaptive_nan_error_norm_underflows():
     assert proc.stdout.startswith("StepUnderflow:"), proc.stdout
 
 
+def test_adaptive_attempt_cap_stops_a_run_that_cannot_finish():
+    # a wrong embedded weight leaves an error estimate of order h * 1e-3
+    # that never shrinks like h^5, so the controller holds the step near
+    # 1e-7, far above the floor, and t = 1 would take some 10^7 steps;
+    # the attempt cap ends the run instead (subprocess with a timeout)
+    code = textwrap.dedent("""
+        import time
+        import numpy as np
+        import diracsym as ds
+        from diracsym import geometry
+
+        geometry._DP_B4 = (5179.0 / 57000.0,) + geometry._DP_B4[1:]
+        p = ds.PhasePoint(np.zeros(4), np.array([-1.0, 1.0, 0.0, 0.0]))
+        t0 = time.perf_counter()
+        try:
+            ds.integrate_bicharacteristic(ds.minkowski(4), p, 1.0,
+                                          integrator="rk45_adaptive",
+                                          tol=1e-10)
+        except ds.StepUnderflow as e:
+            print(f"StepUnderflow after {time.perf_counter() - t0:.1f} s:", e)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(ds.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("StepUnderflow"), proc.stdout
+    from diracsym.geometry import _MAX_ATTEMPTS
+    assert f"{_MAX_ATTEMPTS} step attempts" in proc.stdout
+    assert "accepted" in proc.stdout and "rejected" in proc.stdout
+    assert "t=" in proc.stdout and "h=" in proc.stdout
+
+
 def test_integrator_inputs_must_be_finite_and_positive(mink4):
     # a zero, negative or non-finite step or t_end used to divide by zero,
     # pass with one sample or raise ValueError; a zero or non-finite

@@ -22,7 +22,7 @@ from diracsym.symbols import (
     symbol_package,
 )
 
-from conftest import SCHW_X0
+from conftest import SCHW_X0, rotating_chart
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -333,3 +333,120 @@ def test_certify_intrinsic_schwarzschild(rep_schw, schw):
         assert cert.passed
         assert cert.ker_dim == 2
         assert cert.ker_coker_condition_number < 1e3
+
+
+def _shifted_dirac(sysd, a):
+    """A foreign system on the Dirac symbol: A^j(x) plus (x^1 - a) delta_j0
+    Id, so sigma_1 gains (x^1 - a) xi_0 Id.  On the plane x^1 = a it is
+    the Dirac symbol; off it, the kernel of a null symbol closes."""
+    def coeff_A(x):
+        A = list(sysd.coeff_A(x))
+        A[0] = A[0] + (x[1] - a) * np.eye(sysd.N)
+        return A
+
+    return FirstOrderSystem(N=sysd.N, coeff_A=coeff_A, coeff_B=sysd.coeff_B,
+                            metric=sysd.metric, name=f"shifted_dirac[{a}]")
+
+
+def test_certify_intrinsic_kernel_jump_fails_ker_const(rep_mink4, sys_mink4):
+    """At x^1 = a the shifted system's kernel is 2-dimensional, at most
+    neighbours it is 0: the certificate must fail through ker_const alone,
+    which also shows the neighbourhood reads the given system's symbol."""
+    p = PhasePoint(np.array([0.0, 0.3, 0.0, 0.0]),
+                   np.array([1.0, 1.0, 0.0, 0.0]))
+    cert = certify_principal_type(rep_mink4, p, sys=_shifted_dirac(
+        sys_mink4, 0.3))
+    assert not cert.passed
+    assert cert.ker_dim == 2
+    assert cert.neighborhood_ker_dims == [0, 2, 0, 0, 0, 2, 0, 0]
+    assert cert.dq_nonzero and cert.nonradial
+    assert cert.ker_coker_condition_number == pytest.approx(1.0, abs=1e-9)
+    ok = certify_principal_type(rep_mink4, p, sys=sys_mink4)
+    assert ok.passed
+    assert ok.neighborhood_ker_dims == [2] * 8
+
+
+def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
+    """The neighbourhood and conormal parts of the point-by-point
+    certifier: one ``kernel_basis`` per neighbour and the conormal
+    derivative read off a full ``symbol_package``."""
+    m = rep.metric
+    rng = np.random.default_rng(seed)
+    nbh = []
+    scale_x = 1e-3 * (1.0 + np.abs(p.x))
+    scale_xi = 1e-3 * float(np.linalg.norm(p.xi))
+    for _ in range(8):
+        for _ in range(16):
+            x2 = p.x + scale_x * rng.uniform(-1.0, 1.0, size=m.dim)
+            if m.domain_guard(x2):
+                break
+        else:
+            x2 = p.x.copy()
+        xi2 = p.xi.copy()
+        xi2[1:] += scale_xi * rng.uniform(-1.0, 1.0, size=m.dim - 1)
+        try:
+            xi2 = ds.null_project_covector(m, x2, xi2)
+        except NotOnCharacteristicSet:
+            continue
+        nbh.append(kernel_basis(principal_symbol(sys, PhasePoint(x2, xi2)),
+                                rank_tol)[1])
+    s1 = principal_symbol(sys, p)
+    K, _ = kernel_basis(s1, rank_tol)
+    C, _ = kernel_basis(s1.conj().T, rank_tol)
+    g, dg = ds.eval_metric(m, p.x)[0], ds.metric_derivative(m, p.x)
+    Z = np.linalg.solve(g, p.xi)
+    rho = np.concatenate([-np.einsum("kab,a,b->k", dg, Z, Z), 2.0 * Z])
+    rho /= np.linalg.norm(rho)
+    pkg = symbol_package(rep, p, sys=sys)
+    dsig = sum(rho[j] * pkg.d_sigma_m["dx"][j] for j in range(m.dim))
+    dsig = dsig + sum(rho[m.dim + j] * pkg.d_sigma_m["dxi"][j]
+                      for j in range(m.dim))
+    s = np.linalg.svd(np.stack(C, axis=1).conj().T @ dsig
+                      @ np.stack(K, axis=1), compute_uv=False)
+    return nbh, float(s[0] / s[-1])
+
+
+_CONFORMAL = "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}"
+PRINCIPAL_TYPE_METRICS = {
+    "minkowski4": lambda: ds.minkowski(4),
+    "schwarzschild1.0": lambda: ds.catalog_metric("schwarzschild1.0"),
+    "schwarzschild_isotropic1.0":
+        lambda: ds.catalog_metric("schwarzschild_isotropic1.0"),
+    "conformal_flat": lambda: ds.catalog_metric(_CONFORMAL),
+    "minkowski2": lambda: ds.minkowski(2),
+    "rotating_minkowski": rotating_chart,
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("fixture", sorted(PRINCIPAL_TYPE_METRICS))
+def test_stacked_neighbourhood_matches_point_loop(fixture, seed):
+    """One stacked SVD gives the kernel dimensions ``kernel_basis`` gives
+    neighbour by neighbour, and the engine's conormal derivative the
+    condition number of the symbol package's, within 1e-12 relative."""
+    m = PRINCIPAL_TYPE_METRICS[fixture]()
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = ds.random_chart_point(m, rng)
+        p = PhasePoint(x, ds.random_null_covector(m, x, rng))
+        cert = certify_principal_type(rep, p, sys=sysd, seed=seed)
+        nbh, cond = _reference_principal_type(rep, p, sysd, seed=seed)
+        assert cert.neighborhood_ker_dims == nbh
+        assert cert.ker_coker_condition_number == pytest.approx(cond,
+                                                                rel=1e-12)
+
+
+def test_stacked_neighbourhood_matches_point_loop_on_a_foreign_system(
+        rep_mink4, sys_mink4):
+    p = PhasePoint(np.array([0.0, 0.3, 0.0, 0.0]),
+                   np.array([1.0, 1.0, 0.0, 0.0]))
+    shifted = _shifted_dirac(sys_mink4, 0.3)
+    for seed in (0, 5):
+        cert = certify_principal_type(rep_mink4, p, sys=shifted, seed=seed)
+        nbh, cond = _reference_principal_type(rep_mink4, p, shifted,
+                                              seed=seed)
+        assert cert.neighborhood_ker_dims == nbh
+        assert cert.ker_coker_condition_number == pytest.approx(cond,
+                                                                rel=1e-12)

@@ -27,7 +27,7 @@ from diracsym.transport import (
     transport_spin,
 )
 
-from conftest import SCHW_X0, null_state
+from conftest import SCHW_X0, null_state, rotating_chart
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,31 +93,6 @@ def _linear_chart():
     return ds.minkowski_linear_chart(L)
 
 
-def _rotating_chart(omega=0.3):
-    """Flat space in coordinates rotating about z at rate omega: curved
-    and non-diagonal components, g_00 = -1 + omega^2 (X^2 + Y^2),
-    g_0X = -omega Y, g_0Y = omega X."""
-    def ev(x):
-        X, Y = x[1], x[2]
-        g = np.diag([-1.0 + omega**2 * (X * X + Y * Y), 1.0, 1.0, 1.0])
-        g[0, 1] = g[1, 0] = -omega * Y
-        g[0, 2] = g[2, 0] = omega * X
-        return g
-
-    def dev(x):
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = 2.0 * omega**2 * x[1]
-        dg[2, 0, 0] = 2.0 * omega**2 * x[2]
-        dg[1, 0, 2] = dg[1, 2, 0] = omega
-        dg[2, 0, 1] = dg[2, 1, 0] = -omega
-        return dg
-
-    return ds.MetricField(
-        dim=4, eval=ev, d_eval=dev, name="rotating_minkowski",
-        domain_guard=lambda x: omega**2 * (x[1]**2 + x[2]**2) < 0.9,
-        sample_box=np.array([[-1.0, 1.0]] * 4))
-
-
 STAGE_FIXTURES = {
     "schwarzschild1.0": lambda: ds.catalog_metric("schwarzschild1.0"),
     "schwarzschild_isotropic1.0":
@@ -125,7 +100,7 @@ STAGE_FIXTURES = {
     "conformal_flat": lambda: ds.catalog_metric(
         "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}"),
     "minkowski_linear_chart": _linear_chart,
-    "rotating_minkowski": _rotating_chart,
+    "rotating_minkowski": rotating_chart,
 }
 
 
@@ -191,7 +166,7 @@ def test_curved_nondiagonal_chart_frame_certificate_and_transport():
     certificate, and the transport claim with its flipped-sign control."""
     from diracsym.geometry import _frame_jet
 
-    m = _rotating_chart()
+    m = rotating_chart()
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -438,7 +413,7 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
 def _reference_cases():
     schw = ds.catalog_metric("schwarzschild1.0")
     conf = STAGE_FIXTURES["conformal_flat"]()
-    rot = _rotating_chart()
+    rot = rotating_chart()
     inward = ds.null_project_covector(schw, SCHW_X0,
                                       np.array([1.0, -1.25, 0.0, 0.0]))
     return {
@@ -562,7 +537,7 @@ def test_covariance_schwarzschild_radial_reparametrization(rep_schw, schw):
 
 def _rotating_map(omega=0.3):
     """Inertial Minkowski chart (t, x, y, z) to the (t, X, Y, z) of
-    ``_rotating_chart(omega)``: X = x cos wt + y sin wt, Y = -x sin wt +
+    ``rotating_chart(omega)``: X = x cos wt + y sin wt, Y = -x sin wt +
     y cos wt."""
     def forward(x):
         x = np.asarray(x, dtype=float)
@@ -583,7 +558,7 @@ def _rotating_map(omega=0.3):
 
     return ds.ChartMap(name=f"rotating(omega={omega})",
                        metric_a=ds.minkowski(4),
-                       metric_b=_rotating_chart(omega),
+                       metric_b=rotating_chart(omega),
                        forward=forward, jacobian=jacobian)
 
 
