@@ -413,10 +413,11 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
 # Accepted steps per block of stage records handed on by ``_flow``; bounds
 # the records held at once, whatever the length of the run.
 _BLOCK_STEPS = 16
-# Dormand-Prince attempts (accepted plus rejected steps) allowed in one run.
-# The step floor alone does not bound a run: an error estimate that never
-# shrinks like h^5 holds the step far above the floor for ever.
-_MAX_ATTEMPTS = 50_000
+# Dormand-Prince attempts (accepted plus rejected steps) allowed per unit of
+# t, and for at least one unit, in one run.  The step floor alone does not
+# bound a run: an error estimate that never shrinks like h^5 holds the step
+# far above the floor for ever.
+_ATTEMPTS_PER_T = 50_000
 
 
 def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
@@ -484,13 +485,14 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
         else:
             h = min(t_end, max(tol ** 0.2, 1e-6))
             h_min = 1e-13 * max(1.0, t_end)
+            max_attempts = int(_ATTEMPTS_PER_T * max(1.0, t_end))
             attempts = 0
             while t_end - t > h_min:
                 h_try = min(h, t_end - t)
                 if h_try < h_min:
                     raise StepUnderflow(
                         f"step {h_try} below floor {h_min} at t={t}")
-                if attempts == _MAX_ATTEMPTS:
+                if attempts == max_attempts:
                     accepted = len(samples) - 1
                     raise StepUnderflow(
                         f"{attempts} step attempts ({accepted} accepted, "

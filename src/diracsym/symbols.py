@@ -373,18 +373,22 @@ class SymbolPackage:
         }
 
 
+def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
+    """Whether sys is rep's own Dirac system, with closed-form jets."""
+    return sys.rep is rep and sys.d_coeff_A is not None
+
+
 def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
                 p: PhasePoint, fd_step: float = 1e-6):
-    """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j, and the
-    engine's StageData there.
+    """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j.
 
     The module's own Dirac system gets closed forms from one engine call;
     a foreign system gets central differences of its principal symbol in x
-    and its coefficients A^j, with None for the StageData.
+    and its coefficients A^j.
     """
-    if sys.rep is rep and sys.d_coeff_A is not None:
+    if _dirac_backed(rep, sys):
         sd = _StageEngine(rep, rep.metric)(p.x, p.xi)
-        return sd.ds1x, sd.A, sd
+        return sd.ds1x, sd.A
     d = len(p.x)
     dsdx = np.empty((d, sys.N, sys.N), dtype=complex)
     for j in range(d):
@@ -395,7 +399,7 @@ def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
         dsdx[j] = (principal_symbol(sys, PhasePoint(xp, p.xi))
                    - principal_symbol(sys, PhasePoint(xm, p.xi))) / (2 * h)
     dsdxi = np.array([np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)])
-    return dsdx, dsdxi, None
+    return dsdx, dsdxi
 
 
 def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
@@ -414,10 +418,12 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     st = sigma_tilde(rep, m, p, Nfield(p.x))
     q = hamiltonian_q(m, p.x, p.xi)
     psub = subprincipal_symbol(sys, p, fd_step=fd_step)
-    dsdx, dsdxi, sd = _symbol_jet(rep, sys, p, fd_step)
-    if sd is not None:
-        bracket = sd.bracket
+    if _dirac_backed(rep, sys):
+        sd = _StageEngine(rep, m)(p.x, p.xi)
+        dsdx, dsdxi, bracket = sd.ds1x, sd.A, sd.bracket
     else:
+        dsdx, dsdxi = _symbol_jet(rep, sys, p, fd_step)
+
         def s1_eval(x, xi):
             return principal_symbol(sys, PhasePoint(x, xi))
 
@@ -586,7 +592,7 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     C, _ = kernel_basis(s1.conj().T, rank_tol)
     cond = np.inf
     if K and len(C) == len(K) and dq_nonzero:
-        dsdx, dsdxi, _ = _symbol_jet(rep, sys, p)
+        dsdx, dsdxi = _symbol_jet(rep, sys, p)
         rho = np.concatenate([dqdx, dqdxi]) / grad_norm
         dsig = np.tensordot(rho, np.concatenate((dsdx, dsdxi)), axes=1)
         Kmat = np.stack(K, axis=1)

@@ -350,10 +350,28 @@ def test_adaptive_attempt_cap_stops_a_run_that_cannot_finish():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("StepUnderflow"), proc.stdout
-    from diracsym.geometry import _MAX_ATTEMPTS
-    assert f"{_MAX_ATTEMPTS} step attempts" in proc.stdout
+    from diracsym.geometry import _ATTEMPTS_PER_T
+    assert f"{_ATTEMPTS_PER_T} step attempts" in proc.stdout
     assert "accepted" in proc.stdout and "rejected" in proc.stdout
     assert "t=" in proc.stdout and "h=" in proc.stdout
+
+
+def test_adaptive_attempt_cap_grows_with_t_end(monkeypatch):
+    # the cap is a budget per unit of t: a long ray that needs more
+    # attempts than one unit's budget still finishes (about 40 attempts per
+    # unit of t here, so t = 20 takes some 800 against a budget of 4,000)
+    from diracsym import geometry
+    monkeypatch.setattr(geometry, "_ATTEMPTS_PER_T", 200)
+    m = ds.catalog_metric(
+        "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}")
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 1.0, size=4)
+    p = ds.PhasePoint(x, ds.random_null_covector(m, x, rng))
+    tr = ds.integrate_bicharacteristic(m, p, 20.0,
+                                       integrator="rk45_adaptive", tol=1e-12)
+    assert len(tr.ts) - 1 > 200
+    assert tr.ts[-1] == pytest.approx(20.0, abs=1e-12)
+    assert not tr.left_chart
 
 
 def test_integrator_inputs_must_be_finite_and_positive(mink4):

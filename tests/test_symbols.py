@@ -12,6 +12,7 @@ from diracsym.errors import NotOnCharacteristicSet, NotTimelike
 from diracsym.geometry import PhasePoint
 from diracsym.symbols import (
     FirstOrderSystem,
+    _StageEngine,
     certify_principal_type,
     dirac_system,
     kernel_basis,
@@ -369,7 +370,9 @@ def test_certify_intrinsic_kernel_jump_fails_ker_const(rep_mink4, sys_mink4):
 def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     """The neighbourhood and conormal parts of the point-by-point
     certifier: one ``kernel_basis`` per neighbour and the conormal
-    derivative read off a full ``symbol_package``."""
+    derivative assembled as the symbol package used to assemble it, from
+    the engine's jets for the module's own system and from central
+    differences for a foreign one."""
     m = rep.metric
     rng = np.random.default_rng(seed)
     nbh = []
@@ -397,10 +400,22 @@ def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     Z = np.linalg.solve(g, p.xi)
     rho = np.concatenate([-np.einsum("kab,a,b->k", dg, Z, Z), 2.0 * Z])
     rho /= np.linalg.norm(rho)
-    pkg = symbol_package(rep, p, sys=sys)
-    dsig = sum(rho[j] * pkg.d_sigma_m["dx"][j] for j in range(m.dim))
-    dsig = dsig + sum(rho[m.dim + j] * pkg.d_sigma_m["dxi"][j]
-                      for j in range(m.dim))
+    if sys.rep is rep and sys.d_coeff_A is not None:
+        sd = _StageEngine(rep, m)(p.x, p.xi)
+        dsdx, dsdxi = sd.ds1x, sd.A
+    else:
+        dsdx = []
+        for j in range(m.dim):
+            h = 1e-6 * (1.0 + abs(p.x[j]))
+            xp, xm = p.x.copy(), p.x.copy()
+            xp[j] += h
+            xm[j] -= h
+            dsdx.append((principal_symbol(sys, PhasePoint(xp, p.xi))
+                         - principal_symbol(sys, PhasePoint(xm, p.xi)))
+                        / (2 * h))
+        dsdxi = [np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)]
+    dsig = sum(rho[j] * dsdx[j] for j in range(m.dim))
+    dsig = dsig + sum(rho[m.dim + j] * dsdxi[j] for j in range(m.dim))
     s = np.linalg.svd(np.stack(C, axis=1).conj().T @ dsig
                       @ np.stack(K, axis=1), compute_uv=False)
     return nbh, float(s[0] / s[-1])

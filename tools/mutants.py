@@ -7,17 +7,15 @@ failure) with a per-mutant timeout.  A failing suite kills the mutant; a
 passing one lets it survive; a run cut off by the timeout is reported on
 its own line.  The working tree is never touched.
 
-    python tools/mutants.py                  # every mutant
-    python tools/mutants.py c8_largest_eigenvalue --timeout 300
-    python tools/mutants.py --list
+    python tools/mutants.py
 
-Not part of Tier-1: a full sweep runs the suite once per mutant, a few
-minutes in all.  Exit code 0 when no mutant survives, 1 otherwise, 2 when
-a mutant's text no longer matches its file exactly once.
+Not part of Tier-1: a sweep runs the suite once per mutant, a few minutes
+in all, each cut off after ``TIMEOUT`` seconds.  Exit code 0 when no
+mutant survives, 1 otherwise, 2 when a mutant's text no longer matches its
+file exactly once.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -30,6 +28,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+TIMEOUT = 600   # seconds per mutant
 
 # (name, file, old text, new text); the old text must occur exactly once
 MUTANTS = [
@@ -72,7 +71,7 @@ def _check(mutant) -> str:
     return "" if n == 1 else f"{name}: old text found {n} times in {rel}"
 
 
-def run(mutant, timeout: float):
+def run(mutant):
     """('killed' | 'survived' | 'timed out', seconds, last output line)."""
     name, rel, old, new = mutant
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -88,7 +87,7 @@ def run(mutant, timeout: float):
                                 stderr=subprocess.STDOUT,
                                 start_new_session=True)
         try:
-            out, _ = proc.communicate(timeout=timeout)
+            out, _ = proc.communicate(timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -98,29 +97,14 @@ def run(mutant, timeout: float):
         return verdict, time.perf_counter() - t0, lines[-1] if lines else ""
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default all)")
-    ap.add_argument("--timeout", type=float, default=600.0,
-                    help="seconds per mutant (default 600)")
-    ap.add_argument("--list", action="store_true", help="list the mutants")
-    args = ap.parse_args(argv)
-    known = {m[0]: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or MUTANTS
-    if args.list:
-        for name, rel, _, _ in chosen:
-            print(f"{name}  {rel}")
-        return 0
-    stale = [msg for msg in map(_check, chosen) if msg]
+def main() -> int:
+    stale = [msg for msg in map(_check, MUTANTS) if msg]
     if stale:
         print("\n".join(stale), file=sys.stderr)
         return 2
     results = {"killed": [], "survived": [], "timed out": []}
-    for m in chosen:
-        verdict, secs, last = run(m, args.timeout)
+    for m in MUTANTS:
+        verdict, secs, last = run(m)
         results[verdict].append(m[0])
         print(f"{m[0]}: {verdict} in {secs:.0f} s  {last}", flush=True)
     for verdict, names in results.items():
