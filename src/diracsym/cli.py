@@ -47,7 +47,7 @@ _INTEGRATOR_KEYS = {"kind", "step", "tol"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOL_KEYS = {"axioms", "max_gap", "q_drift", "kernel", "factorization",
              "null", "rank"}
-_SAMPLE_KEYS = {"points", "vectors", "spinors", "seed"}
+_SAMPLE_KEYS = {"points", "vectors", "seed"}
 
 _DEFAULT_TOLS = {"axioms": 1e-6, "max_gap": 1e-6, "q_drift": 1e-6,
                  "kernel": 1e-8, "factorization": 1e-10, "null": 1e-10,
@@ -157,7 +157,7 @@ class _Scenario:
         self.tols.update({k: _number(v, f"tolerances.{k}")
                           for k, v in cfg.get("tolerances", {}).items()})
 
-        samp = {"points": 20, "vectors": 10, "spinors": 10, "seed": 0,
+        samp = {"points": 20, "vectors": 10, "seed": 0,
                 **cfg.get("sample", {})}
         if seed_override is not None:
             samp["seed"] = seed_override

@@ -91,8 +91,8 @@ class CliffordModuleRep:
     eta: Optional[np.ndarray] = None
     name: str = "clifford_module"
     # upper-index gammas and their pair products, cached for the connection
-    gammas_up: list = field(default=None, repr=False)
-    _pair_products: np.ndarray = field(default=None, repr=False)
+    gammas_up: list = field(default=None, repr=False, init=False)
+    _pair_products: np.ndarray = field(default=None, repr=False, init=False)
     # the Clifford tensors the stage engine contracts real coefficient
     # arrays against: rows of N*N complex entries stored as interleaved
     # (re, im) floats, so a contraction is one real matmul whose result
@@ -106,16 +106,10 @@ class CliffordModuleRep:
         if self.eta is None:
             self.eta = np.diag([-1.0] + [1.0] * (d - 1))
         eps = np.diagonal(self.eta)
-        if self.gammas_up is None:
-            self.gammas_up = [eps[a] * self.gammas[a] for a in range(d)]
-        if self._pair_products is None:
-            P = np.empty((d, d, self.N, self.N), dtype=complex)
-            for a in range(d):
-                for b in range(d):
-                    P[a, b] = self.gammas_up[a] @ self.gammas_up[b]
-            self._pair_products = P
-        N, P = self.N, self._pair_products
+        self.gammas_up = [eps[a] * self.gammas[a] for a in range(d)]
+        N = self.N
         up = np.stack(self.gammas_up)                     # gamma^a
+        P = self._pair_products = up[:, None] @ up        # gamma^a gamma^b
         spin = -0.25 * P                                  # -1/4 gamma^a gamma^b
         commutator = P - P.transpose(1, 0, 2, 3)          # [gamma^a, gamma^b]
         # p_sub rows: gamma^c (-1/4 gamma^a gamma^b), then -1/2 gamma^b
@@ -231,7 +225,6 @@ def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
 class SampleSpec:
     points: int = 20
     vectors: int = 10
-    spinors: int = 10
     seed: int = 0
 
 
@@ -269,7 +262,6 @@ class CertificateReport:
             "fixture": self.fixture,
             "sample": {"points": self.sample.points,
                        "vectors": self.sample.vectors,
-                       "spinors": self.sample.spinors,
                        "seed": self.sample.seed},
             "tolerance": self.tolerance,
             "axioms": {k: v.to_dict() for k, v in self.axioms.items()},

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-14
+_FD_STEP = 1e-5   # relative central-difference step of a metric without d_eval
 _PIVOT_TOL = 1e-12
 _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 
@@ -75,14 +76,12 @@ class MetricField:
 
     * ``d_eval(x)[k, i, j] = d_k g_ij`` when supplied (the catalog supplies
       closed forms, and a complex step for ``conformal_flat``);
-    * otherwise symmetric differences of ``eval`` with per-component step
-      ``fd_step * (1 + |x_k|)``.
+    * otherwise central differences of ``eval`` (``_partials``).
     """
 
     dim: int
     eval: Callable
     d_eval: Optional[Callable] = None
-    fd_step: float = 1e-5
     domain_guard: Callable = lambda x: True
     guard_margin: Optional[Callable] = None
     name: str = "custom"
@@ -149,6 +148,19 @@ def _metric_value(m: MetricField, x) -> np.ndarray:
     return np.asarray(m.eval(x), dtype=float)
 
 
+def _partials(f, x, step: float) -> np.ndarray:
+    """Central differences (f(x + h e_k) - f(x - h e_k)) / 2h with
+    h = step * (1 + |x_k|), stacked over k."""
+    out = []
+    for k in range(len(x)):
+        h = step * (1.0 + abs(x[k]))
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        out.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.array(out)
+
+
 def _metric_jet(m: MetricField, x):
     """(g, dg) with dg[k, i, j] = d_k g_ij: ``d_eval`` when the metric
     supplies one, central differences otherwise."""
@@ -157,16 +169,7 @@ def _metric_jet(m: MetricField, x):
     if m.d_eval is not None:
         dg = np.asarray(m.d_eval(x), dtype=float)
     else:
-        d = m.dim
-        dg = np.empty((d, d, d))
-        for k in range(d):
-            h = m.fd_step * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            dg[k] = (np.asarray(m.eval(xp), float)
-                     - np.asarray(m.eval(xm), float)) / (2.0 * h)
+        dg = _partials(lambda z: np.asarray(m.eval(z), float), x, _FD_STEP)
     return g, dg
 
 
@@ -335,9 +338,13 @@ def orthonormal_frame(m: MetricField, x) -> FrameSample:
 # ---------------------------------------------------------------------------
 # steppers; a state is one array, a right-hand side f maps it to its rate
 
-# Dormand-Prince 5(4) pairs, classic coefficients.  The last row of _DP_A
-# holds the fifth-order weights, so the seventh stage sits at the new
-# solution (first same as last).
+# Explicit Runge-Kutta tableaus: row i holds the coefficients of stage
+# i + 2 on the rates before it, the last row the solution weights; the rate
+# at the new solution ends the step's stages and opens the next step (first
+# same as last).  Classic RK4, and Dormand-Prince 5(4) with its fifth-order
+# weights, whose embedded fourth-order weights _DP_B4 span all 7 stages.
+_RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0),
+          (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -352,41 +359,28 @@ _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
 
-def _combine(y, h, terms):
-    """y + sum((h * c) * k) in a fixed op order; zero coefficients are
-    skipped."""
-    scaled = [(h * c, k) for c, k in terms if c != 0.0]
-    acc = scaled[0][0] * scaled[0][1]
-    for hc, k in scaled[1:]:
-        acc = acc + hc * k
+def _combine(y, h, row, ks):
+    """y + sum((h * c) * k) over the pairs (c, k) of ``row`` and ``ks`` in
+    order; zero coefficients are skipped."""
+    acc = None
+    for c, k in zip(row, ks):
+        if c != 0.0:
+            acc = (h * c) * k if acc is None else acc + (h * c) * k
     return y + acc
 
 
-def _rk4_step(f, y, k1, h):
-    """One classic RK4 step from y, whose rate k1 = f(y) is given.
+def _rk_step(f, y, k1, h, rows):
+    """One step of the tableau ``rows`` from y, whose rate k1 = f(y) is
+    given.
 
     Returns (y_new, ks): the stage rates, ending with f(y_new), which is
     the next step's k1.
     """
-    k2 = f(_combine(y, h, [(0.5, k1)]))
-    k3 = f(_combine(y, h, [(0.5, k2)]))
-    k4 = f(_combine(y, h, [(1.0, k3)]))
-    y = _combine(y, h, [(1.0 / 6.0, k1), (1.0 / 3.0, k2),
-                        (1.0 / 3.0, k3), (1.0 / 6.0, k4)])
-    return y, [k1, k2, k3, k4, f(y)]
-
-
-def _dopri_step(f, y, k1, h):
-    """One Dormand-Prince step from y with k1 = f(y) given.
-
-    Returns (y5, ks): the fifth-order solution and the seven stage rates;
-    the last is f(y5) (first same as last), the next step's k1.
-    """
     ks = [k1]
-    for row in _DP_A:
-        y5 = _combine(y, h, list(zip(row, ks)))
-        ks.append(f(y5))
-    return y5, ks
+    for row in rows:
+        y_new = _combine(y, h, row, ks)
+        ks.append(f(y_new))
+    return y_new, ks
 
 
 def _steps_for(t_end: float, step: float):
@@ -477,7 +471,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     try:
         if integrator == "rk4_fixed":
             for h in _steps_for(t_end, step):
-                y, ks = _rk4_step(f, y, k, h)
+                y, ks = _rk_step(f, y, k, h, _RK4_A)
                 k = ks[-1]
                 t += h
                 samples.append((t, y, k))
@@ -499,8 +493,8 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
                         f"{attempts - accepted} rejected) reach only t={t} "
                         f"of {t_end}, h={h_try}")
                 attempts += 1
-                ynew, ks = _dopri_step(f, y, k, h_try)
-                err = ynew - _combine(y, h_try, list(zip(_DP_B4, ks)))
+                ynew, ks = _rk_step(f, y, k, h_try, _DP_A)
+                err = ynew - _combine(y, h_try, _DP_B4, ks)
                 sc = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
                 enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
                 if enorm <= 1.0:
@@ -588,8 +582,8 @@ def null_project_covector(m: MetricField, x, xi) -> np.ndarray:
     return out
 
 
-def random_null_covector(m: MetricField, x, rng: np.random.Generator,
-                         future: bool = True) -> np.ndarray:
+def random_null_covector(m: MetricField, x,
+                         rng: np.random.Generator) -> np.ndarray:
     """Uniform-sphere spatial part; xi_0 from the null quadratic, picking the
     root whose raised vector is future-directed (positive 0th component)."""
     _, ginv = eval_metric(m, x)
@@ -604,12 +598,11 @@ def random_null_covector(m: MetricField, x, rng: np.random.Generator,
         raise NotOnCharacteristicSet("chart has no null covector over this "
                                      "spatial direction")
     r = math.sqrt(disc)
-    want = 1.0 if future else -1.0
     for root in ((-b + r) / (2.0 * a), (-b - r) / (2.0 * a)):
         xi = np.concatenate(([root], s))
-        if want * (ginv @ xi)[0] > 0.0:
+        if (ginv @ xi)[0] > 0.0:
             return xi
-    raise NotOnCharacteristicSet("no root with the requested orientation")
+    raise NotOnCharacteristicSet("no future-directed null root")
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +619,9 @@ def _diag_matrix(entries):
 
 
 def minkowski(dim: int = 4) -> MetricField:
+    if dim not in (2, 4):
+        raise UnsupportedDimension(
+            f"minkowski has dimensions 2 and 4, not {dim}")
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
     zeros = np.zeros((dim, dim, dim))
     box = np.array([[-5.0, 5.0]] * dim)
@@ -658,12 +654,20 @@ def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> Met
     )
 
 
-def schwarzschild(mass: float = 1.0, horizon_margin: float = 1e-3,
-                  theta_margin: float = 1e-6) -> MetricField:
+def _mass(mass) -> float:
     M = float(mass)
-    if M <= 0.0:
-        raise ConfigError("mass must be positive")
-    r_min = 2.0 * M * (1.0 + horizon_margin)
+    if not (math.isfinite(M) and M > 0.0):
+        raise ConfigError(f"mass must be finite and positive, got {mass}")
+    return M
+
+
+# the Schwarzschild charts end 0.1% outside the horizon and at sin(theta) 1e-6
+_HORIZON_MARGIN, _THETA_MARGIN = 1e-3, 1e-6
+
+
+def schwarzschild(mass: float = 1.0) -> MetricField:
+    M = _mass(mass)
+    r_min = 2.0 * M * (1.0 + _HORIZON_MARGIN)
 
     def ev(x):
         r, th = x[1], x[2]
@@ -685,10 +689,10 @@ def schwarzschild(mass: float = 1.0, horizon_margin: float = 1e-3,
         return dg
 
     def guard(x):
-        return (x[1] >= r_min) and (np.sin(x[2]) >= theta_margin)
+        return (x[1] >= r_min) and (np.sin(x[2]) >= _THETA_MARGIN)
 
     def margin(x):
-        return min(float(x[1]) - r_min, math.sin(float(x[2])) - theta_margin)
+        return min(float(x[1]) - r_min, math.sin(float(x[2])) - _THETA_MARGIN)
 
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
@@ -703,12 +707,11 @@ def _iso_radius(r: float, M: float) -> float:
     return 0.5 * ((r - M) + math.sqrt(r * (r - 2.0 * M)))
 
 
-def schwarzschild_isotropic(mass: float = 1.0,
-                            horizon_margin: float = 1e-3) -> MetricField:
+def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     """Same exterior geometry as ``schwarzschild`` with the radial coordinate
     replaced by its isotropic counterpart."""
-    M = float(mass)
-    rho_min = 0.5 * M * (1.0 + horizon_margin)
+    M = _mass(mass)
+    rho_min = 0.5 * M * (1.0 + _HORIZON_MARGIN)
 
     def ev(x):
         rho, th = x[1], x[2]
@@ -736,7 +739,7 @@ def schwarzschild_isotropic(mass: float = 1.0,
         return dg
 
     def guard(x):
-        return (x[1] >= rho_min) and (np.sin(x[2]) >= 1e-6)
+        return (x[1] >= rho_min) and (np.sin(x[2]) >= _THETA_MARGIN)
 
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],

@@ -27,6 +27,7 @@ from .geometry import (
     PhasePoint,
     _frame_jet_from,
     _metric_jet,
+    _partials,
     _phase_core,
     eval_metric,
     hamiltonian_q,
@@ -49,6 +50,8 @@ __all__ = [
     "resolve_timelike_field",
 ]
 
+_FD_STEP = 1e-6   # relative central-difference step of the symbol calculus
+
 
 @dataclass
 class FirstOrderSystem:
@@ -59,7 +62,6 @@ class FirstOrderSystem:
     coeff_B: Callable
     d_coeff_A: Optional[Callable] = None  # x -> dA[k, m] = d_k A^m
     rep: Optional[CliffordModuleRep] = None
-    metric: Optional[MetricField] = None
     name: str = "first_order_system"
 
 
@@ -172,8 +174,8 @@ class _StageEngine:
     at once (``at``); a point call evaluates the flow first.
     """
 
-    def __init__(self, rep: CliffordModuleRep, m: Optional[MetricField] = None):
-        self.m = m if m is not None else rep.metric
+    def __init__(self, rep: CliffordModuleRep):
+        self.m = rep.metric
         self.N = rep.N
         self.eps = np.diagonal(rep.eta)[:, None].copy()
         self.trace = np.eye(rep.dim).ravel()  # v @ trace = sum_k v[k, k]
@@ -208,12 +210,11 @@ class _StageEngine:
         return StageData(self, xi, Z, dx, E, dE, EdE, Wl)
 
 
-def dirac_system(rep: CliffordModuleRep,
-                 m: Optional[MetricField] = None) -> FirstOrderSystem:
-    """First-order system of the Dirac operator of the module, arranged so
-    sigma_1(x, xi) = i Gamma(xi^sharp) exactly."""
-    m = m if m is not None else rep.metric
-    eng = _StageEngine(rep, m)
+def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
+    """First-order system of the Dirac operator of the module on its
+    metric, arranged so sigma_1(x, xi) = i Gamma(xi^sharp) exactly."""
+    m = rep.metric
+    eng = _StageEngine(rep)
 
     def coeff_A(x):
         E, _, _ = _frame_jet_from(m, *_metric_jet(m, x))
@@ -228,7 +229,7 @@ def dirac_system(rep: CliffordModuleRep,
 
     return FirstOrderSystem(
         N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B, d_coeff_A=d_coeff_A,
-        rep=rep, metric=m, name=f"dirac[{m.name}]",
+        rep=rep, name=f"dirac[{m.name}]",
     )
 
 
@@ -247,8 +248,7 @@ def principal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
     return out
 
 
-def sigma_tilde(rep: CliffordModuleRep, m: MetricField, p: PhasePoint,
-                N) -> np.ndarray:
+def sigma_tilde(rep: CliffordModuleRep, p: PhasePoint, N) -> np.ndarray:
     """Auxiliary symbol -i Q_N^{-1} Gamma(aY - bN) Q_N for timelike future N.
 
     Z = xi^sharp splits as Z = aY + bN with g(Y, N) = 0; only the products
@@ -258,7 +258,7 @@ def sigma_tilde(rep: CliffordModuleRep, m: MetricField, p: PhasePoint,
         raise ZeroCovector("sigma_tilde needs a nonzero covector")
     N = np.asarray(N, dtype=float)
     Q = q_operator(rep, p.x, N)
-    g, _ = eval_metric(m, p.x)
+    g, _ = eval_metric(rep.metric, p.x)
     Z = np.linalg.solve(g, p.xi)
     b = float(Z @ g @ N) / float(N @ g @ N)
     V = Z - 2.0 * b * N
@@ -266,33 +266,23 @@ def sigma_tilde(rep: CliffordModuleRep, m: MetricField, p: PhasePoint,
     return -1j * (np.linalg.inv(Q) @ GV @ Q)
 
 
-def subprincipal_symbol(sys: FirstOrderSystem, p: PhasePoint,
-                        fd_step: float = 1e-6) -> np.ndarray:
+def subprincipal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
     """sigma^s = B(x) - (1/2i) sum_j d_j A^j(x).
 
     Uses the system's closed-form coefficient derivatives when present,
-    otherwise central differences with per-component relative steps.
+    otherwise central differences of its coefficients.
     """
     x = p.x
     B = np.asarray(sys.coeff_B(x), dtype=complex)
     if sys.d_coeff_A is not None:
         dA = np.asarray(sys.d_coeff_A(x))
-        div = np.einsum("kkij->ij", dA)
     else:
-        d = len(x)
-        div = np.zeros((sys.N, sys.N), dtype=complex)
-        for k in range(d):
-            h = fd_step * (1.0 + abs(x[k]))
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            div += (np.asarray(sys.coeff_A(xp)[k], dtype=complex)
-                    - np.asarray(sys.coeff_A(xm)[k], dtype=complex)) / (2 * h)
-    return B + 0.5j * div
+        dA = _partials(lambda z: np.asarray(sys.coeff_A(z), dtype=complex),
+                       x, _FD_STEP)
+    return B + 0.5j * np.einsum("kkij->ij", dA)
 
 
-def matrix_poisson_bracket(a_eval, b_eval, p: PhasePoint,
-                           fd_step: float = 1e-6) -> np.ndarray:
+def matrix_poisson_bracket(a_eval, b_eval, p: PhasePoint) -> np.ndarray:
     """sum_j (da/dxi_j)(db/dx^j) - (da/dx^j)(db/dxi_j), central differences.
 
     Matrix-valued and deliberately NOT antisymmetrized; the bracket of a
@@ -300,34 +290,18 @@ def matrix_poisson_bracket(a_eval, b_eval, p: PhasePoint,
     evaluators too.
     """
     x, xi = p.x, p.xi
-    d = len(x)
 
     def pair(f):
-        dfx, dfxi = [], []
-        for j in range(d):
-            hx = fd_step * (1.0 + abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += hx
-            xm[j] -= hx
-            dfx.append((np.asarray(f(xp, xi), dtype=complex)
-                        - np.asarray(f(xm, xi), dtype=complex)) / (2 * hx))
-            hxi = fd_step * (1.0 + abs(xi[j]))
-            xip, xim = xi.copy(), xi.copy()
-            xip[j] += hxi
-            xim[j] -= hxi
-            dfxi.append((np.asarray(f(x, xip), dtype=complex)
-                         - np.asarray(f(x, xim), dtype=complex)) / (2 * hxi))
-        return dfx, dfxi
+        return (_partials(lambda z: np.asarray(f(z, xi), dtype=complex),
+                          x, _FD_STEP),
+                _partials(lambda z: np.asarray(f(x, z), dtype=complex),
+                          xi, _FD_STEP))
 
     dax, daxi = pair(a_eval)
     dbx, dbxi = pair(b_eval)
-    terms = []
-    for j in range(d):
-        if daxi[j].ndim == 2:
-            terms.append(daxi[j] @ dbx[j] - dax[j] @ dbxi[j])
-        else:
-            terms.append(daxi[j] * dbx[j] - dax[j] * dbxi[j])
-    return sum(terms)
+    if dax.ndim == 1:
+        return daxi @ dbx - dax @ dbxi
+    return np.sum(daxi @ dbx - dax @ dbxi, axis=0)
 
 
 def resolve_timelike_field(m: MetricField, spec=None):
@@ -379,7 +353,7 @@ def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
 
 
 def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
-                p: PhasePoint, fd_step: float = 1e-6):
+                p: PhasePoint):
     """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j.
 
     The module's own Dirac system gets closed forms from one engine call;
@@ -387,24 +361,17 @@ def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
     and its coefficients A^j.
     """
     if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep, rep.metric)(p.x, p.xi)
+        sd = _StageEngine(rep)(p.x, p.xi)
         return sd.ds1x, sd.A
-    d = len(p.x)
-    dsdx = np.empty((d, sys.N, sys.N), dtype=complex)
-    for j in range(d):
-        h = fd_step * (1.0 + abs(p.x[j]))
-        xp, xm = p.x.copy(), p.x.copy()
-        xp[j] += h
-        xm[j] -= h
-        dsdx[j] = (principal_symbol(sys, PhasePoint(xp, p.xi))
-                   - principal_symbol(sys, PhasePoint(xm, p.xi))) / (2 * h)
+    dsdx = _partials(lambda z: principal_symbol(sys, PhasePoint(z, p.xi)),
+                     p.x, _FD_STEP)
     dsdxi = np.array([np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)])
     return dsdx, dsdxi
 
 
 def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
                    sys: Optional[FirstOrderSystem] = None,
-                   N=None, fd_step: float = 1e-6) -> SymbolPackage:
+                   N=None) -> SymbolPackage:
     """Assemble the full symbol data at one phase point.
 
     Dirac-backed systems get closed-form derivatives and bracket; foreign
@@ -412,25 +379,25 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     from the two symbol evaluators)."""
     m = rep.metric
     if sys is None:
-        sys = dirac_system(rep, m)
+        sys = dirac_system(rep)
     Nfield = resolve_timelike_field(m, N)
     s1 = principal_symbol(sys, p)
-    st = sigma_tilde(rep, m, p, Nfield(p.x))
+    st = sigma_tilde(rep, p, Nfield(p.x))
     q = hamiltonian_q(m, p.x, p.xi)
-    psub = subprincipal_symbol(sys, p, fd_step=fd_step)
+    psub = subprincipal_symbol(sys, p)
     if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep, m)(p.x, p.xi)
+        sd = _StageEngine(rep)(p.x, p.xi)
         dsdx, dsdxi, bracket = sd.ds1x, sd.A, sd.bracket
     else:
-        dsdx, dsdxi = _symbol_jet(rep, sys, p, fd_step)
+        dsdx, dsdxi = _symbol_jet(rep, sys, p)
 
         def s1_eval(x, xi):
             return principal_symbol(sys, PhasePoint(x, xi))
 
         def st_eval(x, xi):
-            return sigma_tilde(rep, m, PhasePoint(x, xi), Nfield(x))
+            return sigma_tilde(rep, PhasePoint(x, xi), Nfield(x))
 
-        bracket = matrix_poisson_bracket(st_eval, s1_eval, p, fd_step=fd_step)
+        bracket = matrix_poisson_bracket(st_eval, s1_eval, p)
     Id = np.eye(sys.N)
     resid = float(np.linalg.norm(st @ s1 - q * Id))
     return SymbolPackage(
@@ -503,30 +470,21 @@ class PrincipalTypeCertificate:
         }
 
 
-def _phase_gradient_q(m: MetricField, x, xi):
-    """(dq/dx, dq/dxi) of q = g^{ij} xi_i xi_j."""
-    g, dg = _metric_jet(m, x)
-    Z = np.linalg.solve(g, xi)
-    dqdx = -np.einsum("kab,a,b->k", dg, Z, Z)
-    return dqdx, 2.0 * Z
-
-
 def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
                            mode: str = "intrinsic",
                            sys: Optional[FirstOrderSystem] = None,
                            null_tol: float = 1e-10,
                            rank_tol: float = 1e-8,
                            factor_tol: float = 1e-10,
-                           cond_bound: float = 1e8,
-                           grad_tol: float = 1e-8,
                            seed: int = 0) -> PrincipalTypeCertificate:
     """Certify real principal type at one phase point.
 
     factorization mode: checks the residual of the factorization identity
     (valid on and off the characteristic set).  intrinsic mode: requires the
-    point on the set and checks dq != 0, non-radial Hamiltonian direction,
-    locally constant kernel dimension, and that the conormal derivative of
-    the symbol maps kernel isomorphically onto cokernel.
+    point on the set and checks dq != 0 (|dq| > 1e-8 (1 + |xi|^2)),
+    non-radial Hamiltonian direction, locally constant kernel dimension,
+    and that the conormal derivative of the symbol maps kernel onto
+    cokernel with condition number below 1e8.
 
     The neighbourhood dimensions come from one stacked SVD of the system's
     symbols at 8 nearby null points, by ``kernel_basis``'s rank rule.
@@ -536,7 +494,7 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     """
     m = rep.metric
     if sys is None:
-        sys = dirac_system(rep, m)
+        sys = dirac_system(rep)
     q = hamiltonian_q(m, p.x, p.xi)
     xi_sq = float(p.xi @ p.xi)
     on_char = abs(q) < null_tol * (1.0 + xi_sq)
@@ -557,11 +515,13 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
         raise NotOnCharacteristicSet(
             f"|q| = {abs(q)} >= {null_tol} * (1 + |xi|^2)")
 
-    dqdx, dqdxi = _phase_gradient_q(m, p.x, p.xi)
+    # the q-flow is H_q = (dq/dxi, -dq/dx)
+    _, _, _, dqdxi, dxi = _phase_core(m, p.x, p.xi)
+    dqdx = -dxi
     grad_norm = float(np.sqrt(dqdx @ dqdx + dqdxi @ dqdxi))
-    dq_nonzero = grad_norm > grad_tol * (1.0 + xi_sq)
+    dq_nonzero = grad_norm > 1e-8 * (1.0 + xi_sq)
 
-    hq = np.concatenate([dqdxi, -dqdx])
+    hq = np.concatenate([dqdxi, dxi])
     radial = np.concatenate([np.zeros_like(p.x), p.xi])
     sv = np.linalg.svd(np.stack([hq, radial]), compute_uv=False)
     nonradial = sv[1] > 1e-8 * sv[0]
@@ -602,7 +562,7 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
         cond = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf
 
     passed = bool(dq_nonzero and nonradial and ker_const
-                  and np.isfinite(cond) and cond < cond_bound)
+                  and np.isfinite(cond) and cond < 1e8)
     return PrincipalTypeCertificate(
         at=p, on_char_set=True, dq_nonzero=bool(dq_nonzero),
         nonradial=bool(nonradial), ker_dim=ker_dim,

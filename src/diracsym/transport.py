@@ -43,12 +43,13 @@ from .geometry import (
     MetricField,
     PhasePoint,
     Trajectory,
+    _DP_A,
+    _RK4_A,
     _check_seed,
-    _dopri_step,
     _flow,
     _frame_jet_from,
     _metric_jet,
-    _rk4_step,
+    _rk_step,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, dirac_system
 
@@ -140,9 +141,9 @@ class _Recursion:
     each law's matrix L at every stage: the generator M - kappa Id of the
     symbol-level law when ``sign`` is set, then omega(x; xdot) of the
     spinor law when ``spin``.  The stacked polarizations V (law, N, 1)
-    follow the linear recursion k = -(L_stage @ V) through ``stepper``,
-    the flow's own step function, so stage j of the recursion reads record
-    j.  The negative-control sign flips only the subprincipal term: the
+    follow the linear recursion k = -(L_stage @ V) through the flow's own
+    tableau ``rows``, so stage j of the recursion reads record j.  The
+    negative-control sign flips only the subprincipal term: the
     kernel-restricted theorem predicts a scale defect exp(2 int kappa) for
     the wrong sign, while the gauge scalar is part of the trivialization,
     not of the operator data.  Keeps V, xi, E and the first law's L at
@@ -150,8 +151,8 @@ class _Recursion:
     """
 
     def __init__(self, eng: _StageEngine, V0, sign: Optional[float],
-                 spin: bool, stepper):
-        self.eng, self.sign, self.spin, self.stepper = eng, sign, spin, stepper
+                 spin: bool, rows):
+        self.eng, self.sign, self.spin, self.rows = eng, sign, spin, rows
         self.V, self.k = V0, None
         self.Vs, self.xis, self.Es, self.L0s = [], [], [], []
 
@@ -173,7 +174,7 @@ class _Recursion:
             kept.append(j)
             self.Vs.append(self.V)
         for h in hs:
-            self.V, ks = self.stepper(f, self.V, self.k, h)
+            self.V, ks = _rk_step(f, self.V, self.k, h, self.rows)
             self.k = ks[-1]
             kept.append(j)
             self.Vs.append(self.V)
@@ -205,9 +206,9 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
     if sign is not None:
         _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
     n_laws = (sign is not None) + spin
-    stepper = _rk4_step if flow["integrator"] == "rk4_fixed" else _dopri_step
+    rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     rec = _Recursion(eng, np.array([w0] * n_laws)[:, :, None], sign, spin,
-                     stepper)
+                     rows)
     traj = _flow(eng.m, p0, t_end, on_block=rec, **flow)
     V = np.array(rec.Vs)[..., 0]
     s1 = eng.sigma1(np.concatenate(rec.xis), np.concatenate(rec.Es))
@@ -232,7 +233,7 @@ def _product_drift(G, S) -> float:
 
 
 def _require_dirac_backed(sys: FirstOrderSystem):
-    if sys.rep is None or sys.metric is None:
+    if sys.rep is None:
         raise ConfigError(
             "transport needs a Dirac-backed system (built by dirac_system)")
 
@@ -258,7 +259,7 @@ def transport_denker(sys: FirstOrderSystem, state: PolarizationState,
     _require_dirac_backed(sys)
     sign = -1.0 if flip_subprincipal else 1.0
     traj, _, (sections,), resid, L = _transport_run(
-        _StageEngine(sys.rep, sys.metric), state, sign, False, t_end,
+        _StageEngine(sys.rep), state, sign, False, t_end,
         null_tol, kernel_tol, integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="denker",
@@ -302,10 +303,9 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     and reports the max_gap shrink factor.
     """
     _require_dirac_backed(sys)
-    m = sys.metric
     sign = -1.0 if flip_subprincipal else 1.0
     traj, V, (wd, ws), resid, L = _transport_run(
-        _StageEngine(rep, m), state, sign, True, t_end, null_tol,
+        _StageEngine(rep), state, sign, True, t_end, null_tol,
         kernel_tol, integrator=integrator, step=step, tol=tol)
     gaps = np.linalg.norm(V[:, 0] - V[:, 1], axis=1) / float(
         np.linalg.norm(state.w))
@@ -326,7 +326,7 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
         q_drift=float(np.max(np.abs(traj.qs - traj.qs[0]))),
         convergence_ratio=ratio,
         t_end=t_end, step=step if integrator == "rk4_fixed" else None,
-        fixture=m.name, left_chart=traj.left_chart,
+        fixture=rep.metric.name, left_chart=traj.left_chart,
         product_drift=_product_drift(rep.gram, V[:, 1]),
         generator_norm_integral=integral,
         flip_subprincipal=flip_subprincipal,
@@ -351,8 +351,8 @@ class ChartMap:
 
     ``forward`` maps chart-A points to chart-B points and ``jacobian``
     returns dy/dx there, both at points along leading axes ``(..., d)``;
-    covectors transfer by the inverse transpose, spinors by the conjugation
-    that the induced frame change defines.
+    covectors transfer by the inverse transpose, spinor components by the
+    conjugation that the induced frame change defines.
     """
 
     name: str

@@ -37,13 +37,13 @@ def rep_schw(schw):
 
 
 @pytest.fixture(scope="session")
-def sys_mink4(rep_mink4, mink4):
-    return dirac_system(rep_mink4, mink4)
+def sys_mink4(rep_mink4):
+    return dirac_system(rep_mink4)
 
 
 @pytest.fixture(scope="session")
-def sys_schw(rep_schw, schw):
-    return dirac_system(rep_schw, schw)
+def sys_schw(rep_schw):
+    return dirac_system(rep_schw)
 
 
 SCHW_X0 = np.array([0.0, 10.0, 1.2, 0.3])
@@ -78,7 +78,7 @@ def null_state(m, rep, x, seed):
     """Random future null covector at x plus the first kernel vector."""
     rng = np.random.default_rng(seed)
     xi = ds.random_null_covector(m, x, rng)
-    eng = _StageEngine(rep, m)
+    eng = _StageEngine(rep)
     vecs, dim = kernel_basis(eng(x, xi).sigma1)
     assert dim >= 1
     return PolarizationState(ds.PhasePoint(np.asarray(x, float), xi), vecs[0])

@@ -52,11 +52,10 @@ def _generic_points(m, n, seed):
 def test_1_axiom_certification(rep_mink4, rep_schw):
     t0 = time.perf_counter()
     rm = certify_axioms(rep_mink4,
-                        SampleSpec(points=20, vectors=10, spinors=10, seed=0),
+                        SampleSpec(points=20, vectors=10, seed=0),
                         tolerance=1e-12)
     rs = certify_axioms(rep_schw,
-                        SampleSpec(points=100, vectors=10, spinors=10,
-                                   seed=2),
+                        SampleSpec(points=100, vectors=10, seed=2),
                         tolerance=1e-6)
     dt = time.perf_counter() - t0
     worst_m = max(a.max_residual for a in rm.axioms.values())
@@ -91,7 +90,7 @@ def test_2_symbol_factorization(rep_mink4, rep_schw, sys_mink4, sys_schw,
 
 
 def test_3_gram_index(rep_mink4, rep_schw, mink2):
-    small = SampleSpec(points=2, vectors=2, spinors=2, seed=0)
+    small = SampleSpec(points=2, vectors=2, seed=0)
     i4m = certify_axioms(rep_mink4, small).gram_index
     i4s = certify_axioms(rep_schw, small).gram_index
     i2 = certify_axioms(build_canonical_module(mink2), small).gram_index
@@ -223,7 +222,7 @@ def test_8_chart_covariance(rep_mink4, rep_schw, mink4, schw):
     xi = ds.null_project_covector(mink4, np.zeros(4),
                                   np.array([1.0, 0.6, 0.8, 0.0]))
     from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4, mink4)(np.zeros(4),
+    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(np.zeros(4),
                                                           xi).sigma1)
     bstate = PolarizationState(PhasePoint(np.zeros(4), xi), vecs[0])
     boost = covariance_check(minkowski_boost_map(0.5), bstate, 2.0,

@@ -262,6 +262,14 @@ def test_symbols_seed_override_changes_covector(tmp_path, capsys):
       "chart_seed_point": [0.0, 1.5, 1.2, 0.3]}, "domain guard"),
     ({"metric": "minkowski4", "initial_covector": [0.0, 0.0, 0.0, 0.0]},
      "ZeroCovector"),
+    # catalog ids outside the catalog: mass not finite and positive, or a
+    # Minkowski dimension without a gamma set
+    ({"metric": "schwarzschild_isotropic0"}, "mass"),
+    ({"metric": "schwarzschild_isotropic-1"}, "mass"),
+    ({"metric": "schwarzschild1e400"}, "mass"),
+    ({"metric": "minkowski3"}, "dimensions 2 and 4"),
+    ({"metric": "minkowski4", "sample": {"spinors": 10}},
+     "unknown keys under 'sample'"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -251,6 +251,18 @@ def test_minkowski_ray_endpoint_exact(mink4):
     assert np.max(np.abs(traj.qs)) < 1e-14
 
 
+def test_trajectory_q_is_hamiltonian_off_cone(schw):
+    # a timelike ray has q near -1.44, so each sample's q is checked itself
+    # rather than its drift qs - qs[0], which a zeroed qs would also pass
+    p = PhasePoint(np.array([0.0, 6.0, 1.2, 0.3]),
+                   np.array([-1.0, 0.3, 0.0, 0.0]))
+    traj = ds.integrate_bicharacteristic(schw, p, 1.0, step=1e-2)
+    want = np.array([ds.hamiltonian_q(schw, x, xi)
+                     for x, xi in zip(traj.xs, traj.xis)])
+    assert traj.n == 101 and np.all(want < -1.0)
+    assert np.max(np.abs(traj.qs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_schwarzschild_null_conservation(schw):
     rng = np.random.default_rng(2)
     xi = ds.random_null_covector(schw, SCHW_X0, rng)

@@ -81,13 +81,13 @@ def test_principal_symbol_matches_clifford_action(sys_schw, schw, rep_schw):
 
 def test_sigma_tilde_worked_examples(rep_mink4, mink4):
     N = np.array([1.0, 0.0, 0.0, 0.0])
-    st = sigma_tilde(rep_mink4, mink4, mink_phase([1, 1, 0, 0]), N)
+    st = sigma_tilde(rep_mink4, mink_phase([1, 1, 0, 0]), N)
     assert np.allclose(st, -1j * (G0 - G1), atol=1e-13)
 
-    st = sigma_tilde(rep_mink4, mink4, mink_phase([1, 0, 0, 0]), N)
+    st = sigma_tilde(rep_mink4, mink_phase([1, 0, 0, 0]), N)
     assert np.allclose(st, -1j * G0, atol=1e-13)
 
-    st = sigma_tilde(rep_mink4, mink4, mink_phase([0, 1, 0, 0]), N)
+    st = sigma_tilde(rep_mink4, mink_phase([0, 1, 0, 0]), N)
     assert np.allclose(st, 1j * G1, atol=1e-13)
 
 
@@ -101,8 +101,8 @@ def test_sigma_tilde_gauge_independence(rep_schw, schw):
         p = PhasePoint(SCHW_X0, xi)
         u = rng.uniform(-0.6, 0.6, size=3)
         N = fr.E @ np.concatenate(([1.0], u))
-        a = sigma_tilde(rep_schw, schw, p, fr.E[:, 0])
-        b = sigma_tilde(rep_schw, schw, p, N)
+        a = sigma_tilde(rep_schw, p, fr.E[:, 0])
+        b = sigma_tilde(rep_schw, p, N)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -112,13 +112,13 @@ def test_sigma_tilde_equals_principal_symbol(rep_schw, schw, sys_schw):
     for _ in range(10):
         xi = ds.random_null_covector(schw, SCHW_X0, rng)
         p = PhasePoint(SCHW_X0, xi)
-        st = sigma_tilde(rep_schw, schw, p, fr.E[:, 0])
+        st = sigma_tilde(rep_schw, p, fr.E[:, 0])
         assert np.max(np.abs(st - principal_symbol(sys_schw, p))) < 1e-12
 
 
 def test_sigma_tilde_rejects_spacelike_N(rep_mink4, mink4):
     with pytest.raises(NotTimelike):
-        sigma_tilde(rep_mink4, mink4, mink_phase([1, 1, 0, 0]),
+        sigma_tilde(rep_mink4, mink_phase([1, 1, 0, 0]),
                     np.array([0.0, 1.0, 0.0, 0.0]))
 
 
@@ -285,7 +285,7 @@ def test_symbol_package_closed_vs_fd_paths(rep_schw, schw, sys_schw):
 
     generic = FirstOrderSystem(N=4, coeff_A=sys_schw.coeff_A,
                                coeff_B=sys_schw.coeff_B, rep=rep_schw,
-                               metric=schw, name="schw_generic")
+                               name="schw_generic")
     fd = symbol_package(rep_schw, p, sys=generic)
     assert np.max(np.abs(closed.bracket - fd.bracket)) < 1e-6
     assert np.max(np.abs(closed.p_sub - fd.p_sub)) < 1e-8
@@ -346,7 +346,7 @@ def _shifted_dirac(sysd, a):
         return A
 
     return FirstOrderSystem(N=sysd.N, coeff_A=coeff_A, coeff_B=sysd.coeff_B,
-                            metric=sysd.metric, name=f"shifted_dirac[{a}]")
+                            name=f"shifted_dirac[{a}]")
 
 
 def test_certify_intrinsic_kernel_jump_fails_ker_const(rep_mink4, sys_mink4):
@@ -401,7 +401,7 @@ def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     rho = np.concatenate([-np.einsum("kab,a,b->k", dg, Z, Z), 2.0 * Z])
     rho /= np.linalg.norm(rho)
     if sys.rep is rep and sys.d_coeff_A is not None:
-        sd = _StageEngine(rep, m)(p.x, p.xi)
+        sd = _StageEngine(rep)(p.x, p.xi)
         dsdx, dsdxi = sd.ds1x, sd.A
     else:
         dsdx = []

@@ -61,8 +61,7 @@ def test_generator_constant_coefficient_system(rep_mink4, sys_mink4):
     A = sys_mink4.coeff_A(np.zeros(4))
     sysc = FirstOrderSystem(N=4, coeff_A=lambda x: A,
                             coeff_B=lambda x: 1j * C,
-                            rep=rep_mink4, metric=rep_mink4.metric,
-                            name="const_b")
+                            rep=rep_mink4, name="const_b")
     outs = []
     for x in (np.zeros(4), np.array([0.3, -1.0, 2.0, 0.7])):
         p = PhasePoint(x, np.array([1.0, 1.0, 0.0, 0.0]))
@@ -81,7 +80,7 @@ def test_generator_closed_vs_fd_schwarzschild(rep_schw, schw, sys_schw):
     closed = denker_generator(symbol_package(rep_schw, p, sys=sys_schw))
     generic = FirstOrderSystem(N=4, coeff_A=sys_schw.coeff_A,
                                coeff_B=sys_schw.coeff_B, rep=rep_schw,
-                               metric=schw, name="schw_fd")
+                               name="schw_fd")
     fd = denker_generator(symbol_package(rep_schw, p, sys=generic))
     assert np.max(np.abs(closed - fd)) < 1e-6
 
@@ -126,8 +125,8 @@ def test_stage_engine_against_independent_code(fixture, flip):
         return -1j * sum(a @ o for a, o in zip(sysd.coeff_A(x), om))
 
     generic = FirstOrderSystem(N=4, coeff_A=sysd.coeff_A, coeff_B=coeff_B,
-                               rep=rep, metric=m, name="generic_fd")
-    eng = _StageEngine(rep, m)
+                               rep=rep, name="generic_fd")
+    eng = _StageEngine(rep)
     sign = -1.0 if flip else 1.0
     rng = np.random.default_rng(41)
     points = []
@@ -187,7 +186,7 @@ def test_curved_nondiagonal_chart_frame_certificate_and_transport():
     cert = ds.certify_axioms(rep, ds.SampleSpec(points=5, vectors=3, seed=0))
     assert cert.passed, {k: a.max_residual for k, a in cert.axioms.items()}
 
-    sysd = dirac_system(rep, m)
+    sysd = dirac_system(rep)
     state = null_state(m, rep, np.array([0.0, 0.4, -0.3, 0.2]), 3)
     rpt = compare_transports(rep, sysd, state, 1.0, step=1e-3)
     assert not rpt.left_chart
@@ -229,7 +228,7 @@ def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, 1.25, 0.0, 0.0]))
     from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_schw, schw)(SCHW_X0, xi).sigma1)
+    vecs, _ = kernel_basis(_StageEngine(rep_schw)(SCHW_X0, xi).sigma1)
     orbit = transport_denker(
         sys_schw, PolarizationState(PhasePoint(SCHW_X0, xi), vecs[0]), 5.0,
         step=1e-3)
@@ -251,6 +250,20 @@ def test_spin_flat_sections_constant(rep_mink4):
     for s in orbit.sections[:: orbit.trajectory.n // 7]:
         assert np.array_equal(s, s0)
     assert orbit.product_drift == 0.0
+
+
+def test_product_drift_of_constructed_sections(rep_schw):
+    # sections whose products differ: <2s, 2s> - <s, s> = 3 <s, s>
+    from diracsym.transport import _product_drift
+
+    G = rep_schw.gram
+    s = np.array([1.0, 0.2j, -0.4, 0.5 + 0.1j], dtype=complex)
+    ss = float(np.real(s.conj() @ G @ s))
+    assert abs(ss) > 0.1
+    assert _product_drift(G, np.array([s, 2.0 * s])) == pytest.approx(
+        3.0 * abs(ss), rel=1e-15)
+    assert _product_drift(G, np.array([s, s, 0.5 * s])) == pytest.approx(
+        0.75 * abs(ss), rel=1e-15)
 
 
 def test_spin_preserves_indefinite_product(rep_schw, schw):
@@ -353,7 +366,7 @@ def test_compare_left_chart_flagged(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, -1.25, 0.0, 0.0]))
     from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_schw, schw)(SCHW_X0, xi).sigma1)
+    vecs, _ = kernel_basis(_StageEngine(rep_schw)(SCHW_X0, xi).sigma1)
     state = PolarizationState(PhasePoint(SCHW_X0, xi), vecs[0])
     rpt = compare_transports(rep_schw, sys_schw, state, 50.0, step=1e-2)
     assert rpt.left_chart
@@ -384,12 +397,12 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
     """The design before the split, kept as a reference: the phase point
     and both polarizations stepped as one state, with a per-point engine
     call at every stage, on the accepted steps of the flow."""
-    from diracsym.geometry import _dopri_step, _flow, _phase_rhs, _rk4_step
+    from diracsym.geometry import _DP_A, _RK4_A, _flow, _phase_rhs, _rk_step
     from diracsym.symbols import _StageEngine
 
     hs = []
     _flow(m, state.phase, t_end, on_block=lambda h, _: hs.extend(h), **flow)
-    eng = _StageEngine(rep, m)
+    eng = _StageEngine(rep)
     d, N = m.dim, rep.N
 
     def f(y):
@@ -399,12 +412,12 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
         rates = -(L @ y[2 * d:].reshape(2, N, 1))
         return np.concatenate((*_phase_rhs(m, x, xi), rates.ravel()))
 
-    stepper = _rk4_step if flow["integrator"] == "rk4_fixed" else _dopri_step
+    rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     y = np.concatenate((state.phase.x, state.phase.xi, state.w, state.w))
     k = f(y)
     ys = [y]
     for h in hs:
-        y, ks = stepper(f, y, k, h)
+        y, ks = _rk_step(f, y, k, h, rows)
         k = ks[-1]
         ys.append(y)
     return np.array(ys)[:, 2 * d:].reshape(-1, 2, N)
@@ -442,7 +455,7 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
 
     m, x0, seed, t_end, flow = _reference_cases()[case]
     rep = ds.build_canonical_module(m)
-    sysd = dirac_system(rep, m)
+    sysd = dirac_system(rep)
     if seed is None:  # x0 holds the covector of the left-chart ray at SCHW_X0
         xi = x0
         x0 = SCHW_X0
@@ -517,7 +530,7 @@ def test_covariance_minkowski_boost(rep_mink4, mink4):
     xi = ds.null_project_covector(mink4, np.zeros(4),
                                   np.array([1.0, 0.6, 0.8, 0.0]))
     from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4, mink4)(np.zeros(4),
+    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(np.zeros(4),
                                                           xi).sigma1)
     state = PolarizationState(PhasePoint(np.zeros(4), xi), vecs[0])
     out = covariance_check(minkowski_boost_map(0.5), state, 2.0, step=1e-3)
@@ -573,7 +586,7 @@ def test_covariance_rotating_chart_and_frozen_transfer_control(
 
     x0 = np.array([0.0, 0.5, 0.0, 0.0])
     xi = ds.null_project_covector(mink4, x0, np.array([1.0, 0.6, 0.8, 0.0]))
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4, mink4)(x0, xi).sigma1)
+    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(x0, xi).sigma1)
     state = PolarizationState(PhasePoint(x0, xi), vecs[0])
     cm = _rotating_map(0.3)
     out = covariance_check(cm, state, 1.0, step=1e-3)

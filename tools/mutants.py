@@ -58,6 +58,12 @@ MUTANTS = [
     ("generator_norm_integral_truncated", "src/diracsym/transport.py",
      "np.sum(0.5 * hs * (norms[:-1] + norms[1:]))",
      "np.sum(0.5 * hs[:10] * (norms[:10] + norms[1:11]))"),
+    ("qs_zero", "src/diracsym/geometry.py",
+     'qs = 0.5 * np.einsum("ij,ij->i", xis, dxs)',
+     'qs = 0.0 * np.einsum("ij,ij->i", xis, dxs)'),
+    ("product_drift_self", "src/diracsym/transport.py",
+     "np.max(np.abs(prods - prods[0]))",
+     "np.max(np.abs(prods - prods))"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
