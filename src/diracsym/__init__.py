@@ -65,6 +65,7 @@ from .symbols import (
     PrincipalTypeCertificate,
     SymbolPackage,
     certify_principal_type,
+    certify_principal_types,
     dirac_system,
     kernel_basis,
     matrix_poisson_bracket,

@@ -16,7 +16,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,15 +173,25 @@ def _metric_jet(m: MetricField, x):
     return g, dg
 
 
+def _checked_inverse(g, x):
+    """g^-1 for the metric values g at x, one point or a stack of them
+    along leading axes, once g is symmetric and |det g| >= _DET_TOL; a
+    stacked call names its first degenerate point."""
+    scale = 1.0 + np.max(np.abs(g), axis=(-2, -1))
+    asym = np.max(np.abs(g - g.swapaxes(-1, -2)), axis=(-2, -1))
+    if np.any(asym > 1e-12 * scale):
+        raise ValueError("metric evaluator returned a non-symmetric matrix")
+    low = np.abs(np.linalg.det(g)) < _DET_TOL
+    if np.any(low):
+        at = x if low.ndim == 0 else x[np.flatnonzero(low)[0]]
+        raise DegenerateMetric(f"|det g| < {_DET_TOL} at {at}")
+    return np.linalg.inv(g)
+
+
 def eval_metric(m: MetricField, x):
     """Return (g, g_inverse) at x, with degeneracy checks."""
     g = _metric_value(m, x)
-    scale = 1.0 + np.max(np.abs(g))
-    if np.max(np.abs(g - g.T)) > 1e-12 * scale:
-        raise ValueError("metric evaluator returned a non-symmetric matrix")
-    if abs(np.linalg.det(g)) < _DET_TOL:
-        raise DegenerateMetric(f"|det g| < {_DET_TOL} at {x}")
-    return g, np.linalg.inv(g)
+    return g, _checked_inverse(g, x)
 
 
 def metric_derivative(m: MetricField, x) -> np.ndarray:
@@ -278,19 +288,15 @@ def _posdef(a) -> bool:
     return True
 
 
-def _frame_jet_from(m: MetricField, g, dg):
-    """Frame jet from an already computed metric jet, at one point or at a
-    stack of points along leading axes of ``g`` (..., d, d) and ``dg``
-    (..., d, d, d).
+def _frame_from(m: MetricField, g):
+    """(E, E_inv) from metric values, at one point or at a stack of points
+    along leading axes of ``g`` (..., d, d).
 
     E = R^-1 for the factorization g = R^T eta R with R upper triangular and
     a positive diagonal: r = sqrt(-g_00) and s = -g_0,1: / r in the first
     row, and below them the transposed Cholesky factor of g[1:, 1:] + s s^T.
     That is time-first Gram-Schmidt of the coordinate basis in chart order;
-    the squared diagonal of R holds its pivots.  Differentiating the
-    factorization, E^T dg_k E = X + X^T with X = eta dR_k E upper
-    triangular, so X is the strict upper triangle plus half the diagonal of
-    E^T dg_k E, and dE_k = -E dR_k E = -E eta X.
+    the squared diagonal of R holds its pivots.
     """
     d = m.dim
     eye, sig = _unit(d)
@@ -301,10 +307,7 @@ def _frame_jet_from(m: MetricField, g, dg):
                  "diagonal metric is not time-first Lorentzian")
         _require(~(low < _PIVOT_TOL), low, "diagonal pivot underflow: {}")
         ediag = piv ** -0.5
-        dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
-        dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
-        return (ediag[..., None, :] * eye, dediag[..., None] * eye,
-                eye / ediag[..., None, :])
+        return ediag[..., None, :] * eye, eye / ediag[..., None, :]
     r2 = -g[..., 0, 0]
     _require(~(r2 <= 0.0), r2, _NOT_TIME_FIRST)
     r = np.sqrt(r2)
@@ -323,10 +326,29 @@ def _frame_jet_from(m: MetricField, g, dg):
     R[..., 0, 0] = r
     R[..., 0, 1:] = s
     R[..., 1:, 1:] = S
-    E = np.linalg.inv(R)
+    return np.linalg.inv(R), R
+
+
+def _frame_jet_from(m: MetricField, g, dg):
+    """(E, dE, E_inv) from an already computed metric jet, at one point or
+    at a stack of points along leading axes of ``g`` (..., d, d) and ``dg``
+    (..., d, d, d); the frame is ``_frame_from``'s.
+
+    Differentiating g = R^T eta R, E^T dg_k E = X + X^T with X = eta dR_k E
+    upper triangular, so X is the strict upper triangle plus half the
+    diagonal of E^T dg_k E, and dE_k = -E dR_k E = -E eta X.  A diagonal
+    metric has E = diag(|g_aa|^-1/2), whose partials are read off directly.
+    """
+    eye, sig = _unit(m.dim)
+    E, Einv = _frame_from(m, g)
+    if m.diagonal:
+        piv = sig * g.diagonal(axis1=-2, axis2=-1)
+        dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
+        dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
+        return E, dediag[..., None] * eye, Einv
     M = E.swapaxes(-1, -2)[..., None, :, :] @ dg @ E[..., None, :, :]
     dE = -(E * sig)[..., None, :, :] @ (np.triu(M) - 0.5 * eye * M)
-    return E, dE, R
+    return E, dE, Einv
 
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
@@ -561,24 +583,34 @@ def random_chart_point(m: MetricField, rng: np.random.Generator) -> np.ndarray:
     return lo + (hi - lo) * rng.random(m.dim)
 
 
-def null_project_covector(m: MetricField, x, xi) -> np.ndarray:
-    """Adjust xi_0 so q(x, xi) = 0, keeping the spatial part.
+def _null_projection(ginv, xi):
+    """(xi with xi_0 moved to a root of q = 0, whether that root is real)
+    for the inverse metric ginv, at one point or a stack of them.
 
-    q is exactly quadratic in xi_0, so the 1-d root solve is the quadratic
-    formula; the root nearer the input xi_0 is kept.
+    q is exactly quadratic in xi_0, so the root is the quadratic formula's;
+    of the two, the one nearer the input xi_0 is kept (the first on a tie).
     """
-    xi = np.asarray(xi, dtype=float)
-    _, ginv = eval_metric(m, x)
-    a = ginv[0, 0]
-    b = 2.0 * ginv[0, 1:] @ xi[1:]
-    c = xi[1:] @ ginv[1:, 1:] @ xi[1:]
+    s = xi[..., 1:]
+    a = ginv[..., 0, 0]
+    b = 2.0 * (ginv[..., :1, 1:] @ s[..., :, None])[..., 0, 0]
+    c = (s[..., None, :] @ ginv[..., 1:, 1:] @ s[..., :, None])[..., 0, 0]
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+    real = ~(disc < 0.0)
+    r = np.sqrt(np.where(real, disc, 0.0))
+    hi, lo = (-b + r) / (2.0 * a), (-b - r) / (2.0 * a)
+    out = np.array(xi, dtype=float)
+    out[..., 0] = np.where(np.abs(hi - xi[..., 0]) <= np.abs(lo - xi[..., 0]),
+                           hi, lo)
+    return out, real
+
+
+def null_project_covector(m: MetricField, x, xi) -> np.ndarray:
+    """Adjust xi_0 so q(x, xi) = 0, keeping the spatial part; the root
+    nearer the input xi_0 is kept (``_null_projection``)."""
+    _, ginv = eval_metric(m, x)
+    out, real = _null_projection(ginv, np.asarray(xi, dtype=float))
+    if not real:
         raise NotOnCharacteristicSet("no real null root for this spatial part")
-    r = math.sqrt(disc)
-    roots = ((-b + r) / (2.0 * a), (-b - r) / (2.0 * a))
-    out = xi.copy()
-    out[0] = min(roots, key=lambda z: abs(z - xi[0]))
     return out
 
 
@@ -654,10 +686,20 @@ def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> Met
     )
 
 
+# Masses the Schwarzschild charts accept.  Their sample boxes span radii
+# from 3 M to 50 M, and the charts square radii (the angular components,
+# their derivatives); within this range every such square is a normal
+# double (9e-300 to 2.5e303), outside it one over- or underflows.
+_MASS_RANGE = (1e-150, 1e150)
+
+
 def _mass(mass) -> float:
     M = float(mass)
-    if not (math.isfinite(M) and M > 0.0):
-        raise ConfigError(f"mass must be finite and positive, got {mass}")
+    lo, hi = _MASS_RANGE
+    if not lo <= M <= hi:
+        raise ConfigError(f"mass must lie in [{lo:g}, {hi:g}], where the "
+                          f"chart's squared radii neither over- nor "
+                          f"underflow; got {mass}")
     return M
 
 
@@ -833,7 +875,9 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
         return (2.0 * om(x) * dw / _CS_STEP)[:, None, None] * eta
 
     def guard(x):
-        return abs(float(om(x))) > 1e-6
+        # the metric Omega^2 eta must be finite; NaN fails both tests
+        w = abs(float(om(x)))
+        return w > 1e-6 and w * w < math.inf
 
     return MetricField(
         dim=dim, eval=ev, d_eval=dev,

@@ -16,7 +16,7 @@ two are compared in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,13 +25,15 @@ from .errors import NotOnCharacteristicSet, ZeroCovector
 from .geometry import (
     MetricField,
     PhasePoint,
+    _checked_inverse,
+    _frame_from,
     _frame_jet_from,
     _metric_jet,
+    _null_projection,
     _partials,
     _phase_core,
     eval_metric,
     hamiltonian_q,
-    null_project_covector,
     orthonormal_frame,
 )
 
@@ -47,6 +49,7 @@ __all__ = [
     "symbol_package",
     "kernel_basis",
     "certify_principal_type",
+    "certify_principal_types",
     "resolve_timelike_field",
 ]
 
@@ -352,17 +355,11 @@ def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
     return sys.rep is rep and sys.d_coeff_A is not None
 
 
-def _symbol_jet(rep: CliffordModuleRep, sys: FirstOrderSystem,
-                p: PhasePoint):
-    """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j.
-
-    The module's own Dirac system gets closed forms from one engine call;
-    a foreign system gets central differences of its principal symbol in x
-    and its coefficients A^j.
-    """
-    if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep)(p.x, p.xi)
-        return sd.ds1x, sd.A
+def _symbol_jet(sys: FirstOrderSystem, p: PhasePoint):
+    """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j, for a
+    foreign system: central differences of its principal symbol in x and
+    its coefficients A^j.  The module's own Dirac system reads both from
+    the engine instead."""
     dsdx = _partials(lambda z: principal_symbol(sys, PhasePoint(z, p.xi)),
                      p.x, _FD_STEP)
     dsdxi = np.array([np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)])
@@ -389,7 +386,7 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
         sd = _StageEngine(rep)(p.x, p.xi)
         dsdx, dsdxi, bracket = sd.ds1x, sd.A, sd.bracket
     else:
-        dsdx, dsdxi = _symbol_jet(rep, sys, p)
+        dsdx, dsdxi = _symbol_jet(sys, p)
 
         def s1_eval(x, xi):
             return principal_symbol(sys, PhasePoint(x, xi))
@@ -480,92 +477,219 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
     """Certify real principal type at one phase point.
 
     factorization mode: checks the residual of the factorization identity
-    (valid on and off the characteristic set).  intrinsic mode: requires the
-    point on the set and checks dq != 0 (|dq| > 1e-8 (1 + |xi|^2)),
-    non-radial Hamiltonian direction, locally constant kernel dimension,
-    and that the conormal derivative of the symbol maps kernel onto
-    cokernel with condition number below 1e8.
-
-    The neighbourhood dimensions come from one stacked SVD of the system's
-    symbols at 8 nearby null points, by ``kernel_basis``'s rank rule.
-    ``nonradial`` cannot fail for the metric Hamiltonian: the x-part of H_q
-    is 2 g^-1 xi, nonzero whenever xi is, while the radial field has none,
-    so the two are never parallel.  It is reported for the record.
+    (valid on and off the characteristic set).  intrinsic mode is the
+    one-point call of ``certify_principal_types``, which says what it
+    checks.
     """
-    m = rep.metric
+    if mode == "intrinsic":
+        return next(certify_principal_types(rep, [p], sys=sys,
+                                            null_tol=null_tol,
+                                            rank_tol=rank_tol, seed=seed))
+    if mode != "factorization":
+        raise ValueError(f"unknown certification mode {mode!r}")
     if sys is None:
         sys = dirac_system(rep)
-    q = hamiltonian_q(m, p.x, p.xi)
-    xi_sq = float(p.xi @ p.xi)
-    on_char = abs(q) < null_tol * (1.0 + xi_sq)
-    s1 = principal_symbol(sys, p)
-    K, ker_dim = kernel_basis(s1, rank_tol)
+    q = hamiltonian_q(rep.metric, p.x, p.xi)
+    _, ker_dim = kernel_basis(principal_symbol(sys, p), rank_tol)
+    pkg = symbol_package(rep, p, sys=sys)
+    return PrincipalTypeCertificate(
+        at=p, on_char_set=abs(q) < null_tol * (1.0 + float(p.xi @ p.xi)),
+        dq_nonzero=None, nonradial=None, ker_dim=ker_dim,
+        ker_coker_condition_number=None,
+        passed=pkg.factorization_residual < factor_tol, mode=mode, q=q,
+        factorization_residual=pkg.factorization_residual,
+    )
 
-    if mode == "factorization":
-        pkg = symbol_package(rep, p, sys=sys)
-        passed = pkg.factorization_residual < factor_tol
-        return PrincipalTypeCertificate(
-            at=p, on_char_set=on_char, dq_nonzero=None, nonradial=None,
-            ker_dim=ker_dim, ker_coker_condition_number=None, passed=passed,
-            mode=mode, q=q, factorization_residual=pkg.factorization_residual,
-        )
-    if mode != "intrinsic":
-        raise ValueError(f"unknown certification mode {mode!r}")
-    if not on_char:
-        raise NotOnCharacteristicSet(
-            f"|q| = {abs(q)} >= {null_tol} * (1 + |xi|^2)")
 
-    # the q-flow is H_q = (dq/dxi, -dq/dx)
-    _, _, _, dqdxi, dxi = _phase_core(m, p.x, p.xi)
-    dqdx = -dxi
-    grad_norm = float(np.sqrt(dqdx @ dqdx + dqdxi @ dqdxi))
-    dq_nonzero = grad_norm > 1e-8 * (1.0 + xi_sq)
+# Points per block of the stacked principal-type certifier.  A block holds
+# the metric jets, frames and symbols of its points and of their 8
+# neighbours each, about 11 kB per point for d = 4, whatever the number of
+# points certified.
+_BLOCK_POINTS = 64
+_NEIGHBOURS = 8
+_GUARD_TRIES = 16   # draws of a neighbour's position inside the chart
 
-    hq = np.concatenate([dqdxi, dxi])
-    radial = np.concatenate([np.zeros_like(p.x), p.xi])
-    sv = np.linalg.svd(np.stack([hq, radial]), compute_uv=False)
-    nonradial = sv[1] > 1e-8 * sv[0]
 
-    # kernel dimensions of the system's own symbol at 8 nearby null points
-    rng = np.random.default_rng(seed)
-    syms = []
-    scale_x = 1e-3 * (1.0 + np.abs(p.x))
-    scale_xi = 1e-3 * float(np.linalg.norm(p.xi))
-    for _ in range(8):
-        for _ in range(16):
-            x2 = p.x + scale_x * rng.uniform(-1.0, 1.0, size=m.dim)
+def certify_principal_types(rep: CliffordModuleRep, points,
+                            sys: Optional[FirstOrderSystem] = None,
+                            null_tol: float = 1e-10,
+                            rank_tol: float = 1e-8,
+                            seed: int = 0
+                            ) -> Iterator[PrincipalTypeCertificate]:
+    """Certify real principal type at each of a sequence of phase points,
+    yielding one certificate per point in order.
+
+    Each point must lie on the characteristic set, |q| < null_tol
+    (1 + |xi|^2), or NotOnCharacteristicSet is raised.  A certificate
+    checks dq != 0 (|dq| > 1e-8 (1 + |xi|^2)), a non-radial Hamiltonian
+    direction, a kernel dimension (``kernel_basis``'s rank rule) constant
+    over 8 nearby null points, and that the conormal derivative of the
+    symbol maps kernel onto cokernel with condition number below 1e8.
+    ``nonradial`` cannot fail for the metric Hamiltonian: the x-part of
+    H_q is 2 g^-1 xi, nonzero whenever xi is, while the radial field has
+    none.  It is reported for the record.
+
+    Every point draws its neighbours from a fresh default_rng(seed): per
+    neighbour up to 16 positions within 1e-3 (1 + |x|) until the domain
+    guard holds (else the point's own), then a spatial covector within
+    1e-3 |xi|, whose xi_0 is moved onto the null cone; a neighbour without
+    a real null root is skipped.
+
+    Points go through in blocks of ``_BLOCK_POINTS``, each yielded before
+    the next is formed, with one metric jet per point and one metric value
+    per neighbour.  The Dirac system's symbols come from frames, its
+    conormal derivative from one engine call, a foreign system's from
+    ``principal_symbol`` and central differences.  One stacked SVD gives
+    the neighbourhood ranks, one full stacked SVD each point's kernel and
+    cokernel; any orthonormal bases of them give the same condition
+    number.
+    """
+    if sys is None:
+        sys = dirac_system(rep)
+    points = list(points)
+    unit = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=_NEIGHBOURS * (_GUARD_TRIES + 1) * rep.metric.dim)
+    for start in range(0, len(points), _BLOCK_POINTS):
+        yield from _certify_block(rep, sys,
+                                  points[start:start + _BLOCK_POINTS], unit,
+                                  null_tol, rank_tol)
+
+
+def _neighbours(m: MetricField, x, xi, unit):
+    """The 8 neighbours of (x, xi) before null projection, as (positions,
+    covectors), read off ``unit`` in draw order."""
+    d = m.dim
+    scale_x = 1e-3 * (1.0 + np.abs(x))
+    scale_xi = 1e-3 * float(np.linalg.norm(xi))
+    xs = np.empty((_NEIGHBOURS, d))
+    xis = np.tile(xi, (_NEIGHBOURS, 1))
+    pos = 0
+    for k in range(_NEIGHBOURS):
+        for _ in range(_GUARD_TRIES):
+            x2 = x + scale_x * unit[pos:pos + d]
+            pos += d
             if m.domain_guard(x2):
                 break
         else:
-            x2 = p.x.copy()
-        xi2 = p.xi.copy()
-        xi2[1:] += scale_xi * rng.uniform(-1.0, 1.0, size=m.dim - 1)
-        try:
-            xi2 = null_project_covector(m, x2, xi2)
-        except NotOnCharacteristicSet:
-            continue
-        syms.append(principal_symbol(sys, PhasePoint(x2, xi2)))
-    sv = np.linalg.svd(np.reshape(syms, (-1, sys.N, sys.N)), compute_uv=False)
-    nbh = (sys.N - _rank(sv, rank_tol)).tolist()
-    ker_const = all(kd == ker_dim for kd in nbh)
+            x2 = x
+        xs[k] = x2
+        xis[k, 1:] += scale_xi * unit[pos:pos + d - 1]
+        pos += d - 1
+    return xs, xis
 
-    C, _ = kernel_basis(s1.conj().T, rank_tol)
-    cond = np.inf
-    if K and len(C) == len(K) and dq_nonzero:
-        dsdx, dsdxi = _symbol_jet(rep, sys, p)
-        rho = np.concatenate([dqdx, dqdxi]) / grad_norm
-        dsig = np.tensordot(rho, np.concatenate((dsdx, dsdxi)), axes=1)
-        Kmat = np.stack(K, axis=1)
-        Cmat = np.stack(C, axis=1)
-        T = Cmat.conj().T @ dsig @ Kmat
-        s = np.linalg.svd(T, compute_uv=False)
-        cond = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf
 
-    passed = bool(dq_nonzero and nonradial and ker_const
-                  and np.isfinite(cond) and cond < 1e8)
-    return PrincipalTypeCertificate(
-        at=p, on_char_set=True, dq_nonzero=bool(dq_nonzero),
-        nonradial=bool(nonradial), ker_dim=ker_dim,
-        ker_coker_condition_number=cond, passed=passed, mode=mode, q=q,
-        neighborhood_ker_dims=nbh,
-    )
+def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
+    """sigma_1 at a stack of phase points whose metric values are g: from
+    their frames for the module's own Dirac system, by
+    ``principal_symbol`` point by point for a foreign one."""
+    if _dirac_backed(rep, sys):
+        return _StageEngine(rep).sigma1(xis, _frame_from(rep.metric, g)[0])
+    return np.array([principal_symbol(sys, PhasePoint(x, xi))
+                     for x, xi in zip(xs, xis)]).reshape(-1, sys.N, sys.N)
+
+
+def _conormal_jets(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis,
+                   g, dg, Z, dx):
+    """(d sigma_1/dx^j, d sigma_1/dxi_j), stacked over j into one axis of
+    2 d, at a stack of phase points: from one engine call on the flow's
+    values for the module's own Dirac system, by ``_symbol_jet`` point by
+    point for a foreign one."""
+    if _dirac_backed(rep, sys):
+        sd = _StageEngine(rep).at(xis, g, dg, Z, dx)
+        return np.concatenate((sd.ds1x, sd.A), axis=-3)
+    return np.array([np.concatenate(_symbol_jet(sys, PhasePoint(x, xi)))
+                     for x, xi in zip(xs, xis)]).reshape(
+                         -1, 2 * xs.shape[-1], sys.N, sys.N)
+
+
+def _neighbourhood_dims(rep: CliffordModuleRep, sys: FirstOrderSystem, xs,
+                        xis, unit, rank_tol: float) -> list:
+    """Kernel dimensions of sys's symbol at each point's neighbours that
+    have a real null root, one array per point."""
+    m = rep.metric
+    near = [_neighbours(m, x, xi, unit) for x, xi in zip(xs, xis)]
+    nx = np.concatenate([a for a, _ in near])
+    # each position passed the domain guard or is its point's own
+    g2 = np.array([m.eval(x) for x in nx], dtype=float)
+    nxi, real = _null_projection(_checked_inverse(g2, nx),
+                                 np.concatenate([b for _, b in near]))
+    owner = np.repeat(np.arange(len(xs)), _NEIGHBOURS)[real]
+    s2 = _symbols(rep, sys, nx[real], nxi[real], g2[real])
+    ranks = _rank(np.linalg.svd(s2, compute_uv=False), rank_tol)
+    return np.split(sys.N - ranks,
+                    np.cumsum(np.bincount(owner, minlength=len(xs)))[:-1])
+
+
+def _condition_numbers(U, Vh, ker_dim, dsig) -> np.ndarray:
+    """Condition number of C^H dsig K per stacked symbol with SVD factors
+    U, Vh and kernel dimension ker_dim > 0, where K and C are the last
+    ker_dim right and left singular vectors: orthonormal bases of kernel
+    and cokernel.  inf where the map is singular."""
+    N = U.shape[-1]
+    cond = np.empty(len(ker_dim))
+    for k in set(ker_dim.tolist()):
+        sel = ker_dim == k
+        K = Vh[sel, N - k:].conj().swapaxes(-1, -2)
+        C = U[sel, :, N - k:]
+        t = np.linalg.svd(C.conj().swapaxes(-1, -2) @ dsig[sel] @ K,
+                          compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond[sel] = np.where(t[:, -1] > 0.0, t[:, 0] / t[:, -1], np.inf)
+    return cond
+
+
+def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
+                   unit, null_tol: float, rank_tol: float) -> list:
+    m = rep.metric
+    xs = np.array([p.x for p in points])
+    xis = np.array([p.xi for p in points])
+    # raises OutsideChart at a point past the domain guard
+    g, dg = (np.array(a) for a in zip(*(_metric_jet(m, x) for x in xs)))
+    s1 = _symbols(rep, sys, xs, xis, g)
+    if m.diagonal:
+        Z = xis / g.diagonal(axis1=-2, axis2=-1)
+    else:
+        Z = np.linalg.solve(g, xis[..., None])[..., 0]
+    q = np.einsum("pi,pi->p", xis, Z)
+    xi_sq = np.einsum("pi,pi->p", xis, xis)
+    off = ~(np.abs(q) < null_tol * (1.0 + xi_sq))
+    if np.any(off):
+        i = int(np.flatnonzero(off)[0])
+        raise NotOnCharacteristicSet(
+            f"|q| = {abs(q[i])} >= {null_tol} * (1 + |xi|^2)")
+
+    # the q-flow is H_q = (dq/dxi, -dq/dx) = (dx, dxi)
+    dx = 2.0 * Z
+    dxi = np.einsum("pkab,pa,pb->pk", dg, Z, Z)
+    rho = np.concatenate((-dxi, dx), axis=-1)      # (dq/dx, dq/dxi)
+    grad_norm = np.linalg.norm(rho, axis=-1)
+    dq_nonzero = grad_norm > 1e-8 * (1.0 + xi_sq)
+    hq = np.stack((np.concatenate((dx, dxi), axis=-1),
+                   np.concatenate((np.zeros_like(xs), xis), axis=-1)), axis=-2)
+    sv = np.linalg.svd(hq, compute_uv=False)     # H_q against the radial field
+    nonradial = sv[:, 1] > 1e-8 * sv[:, 0]
+
+    nbh = _neighbourhood_dims(rep, sys, xs, xis, unit, rank_tol)
+    # the conormal derivative rho . (d sigma/dx, d sigma/dxi) / |rho| must
+    # map the kernel onto the cokernel
+    U, s, Vh = np.linalg.svd(s1)
+    ker_dim = sys.N - _rank(s, rank_tol)
+    need = (ker_dim > 0) & dq_nonzero
+    jet = _conormal_jets(rep, sys, xs[need], xis[need], g[need], dg[need],
+                         Z[need], dx[need])
+    dsig = np.einsum("pj,pjab->pab", rho[need] / grad_norm[need, None], jet)
+    cond = np.full(len(points), np.inf)
+    cond[need] = _condition_numbers(U[need], Vh[need], ker_dim[need], dsig)
+
+    ker_const = [bool(np.all(n == k)) for n, k in zip(nbh, ker_dim)]
+    certs = []
+    for i, p in enumerate(points):
+        passed = bool(dq_nonzero[i] and nonradial[i] and ker_const[i]
+                      and np.isfinite(cond[i]) and cond[i] < 1e8)
+        certs.append(PrincipalTypeCertificate(
+            at=p, on_char_set=True, dq_nonzero=bool(dq_nonzero[i]),
+            nonradial=bool(nonradial[i]), ker_dim=int(ker_dim[i]),
+            ker_coker_condition_number=float(cond[i]), passed=passed,
+            mode="intrinsic", q=float(q[i]),
+            neighborhood_ker_dims=nbh[i].tolist()))
+    return certs

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diracsym as ds
 from diracsym import cli
 
 SCHW_X0 = [0.0, 10.0, 1.2, 0.3]
@@ -54,6 +55,44 @@ def test_certify_empty_sample_is_config_error(tmp_path, capsys, sample):
     rc, out, err = run(capsys, ["certify", "--config", cfg, "--no-meta"])
     assert rc == 2 and out == ""
     assert "ConfigError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("metric", [
+    "schwarzschild1e300", "schwarzschild1e-300",
+    "schwarzschild_isotropic1e300", "schwarzschild_isotropic1e-300"])
+def test_certify_extreme_mass_is_config_error(tmp_path, capsys, metric):
+    cfg = write_cfg(tmp_path, "c.json", {"metric": metric,
+                                         "sample": {"points": 2}})
+    rc, out, err = run(capsys, ["certify", "--config", cfg, "--no-meta"])
+    assert rc == 2 and out == ""
+    assert "ConfigError" in err and "mass" in err
+
+
+def test_certify_summary_matches_one_point_calls(tmp_path, capsys,
+                                                 monkeypatch):
+    """certify draws its points in the same order as before and certifies
+    them in one stacked call, here in blocks of 3; its summary equals that
+    of one-point certificates on the same draws."""
+    monkeypatch.setattr(ds.symbols, "_BLOCK_POINTS", 3)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "metric": "schwarzschild1.0",
+        "sample": {"points": 7, "vectors": 2, "seed": 3}})
+    rc, out, _ = run(capsys, ["certify", "--config", cfg, "--no-meta"])
+    summary = json.loads(out)["principal_type"]
+    m = ds.catalog_metric("schwarzschild1.0")
+    rep = ds.build_canonical_module(m)
+    sysd = ds.dirac_system(rep)
+    rng = np.random.default_rng(3)
+    certs = []
+    for _ in range(7):
+        x = ds.random_chart_point(m, rng)
+        p = ds.PhasePoint(x, ds.random_null_covector(m, x, rng))
+        certs.append(ds.certify_principal_type(rep, p, sys=sysd, seed=3))
+    assert rc == 0 and summary["points"] == 7
+    assert summary["all_pass"] is all(c.passed for c in certs) is True
+    assert summary["ker_dims"] == sorted({c.ker_dim for c in certs})
+    assert summary["max_condition_number"] == pytest.approx(
+        max(c.ker_coker_condition_number for c in certs), rel=1e-12)
 
 
 def test_certify_spacelike_reference_is_config_error(tmp_path, capsys):
@@ -270,6 +309,11 @@ def test_symbols_seed_override_changes_covector(tmp_path, capsys):
     ({"metric": "minkowski3"}, "dimensions 2 and 4"),
     ({"metric": "minkowski4", "sample": {"spinors": 10}},
      "unknown keys under 'sample'"),
+    # masses whose squared chart radii over- or underflow
+    ({"metric": "schwarzschild1e300"}, "mass"),
+    ({"metric": "schwarzschild1e-300"}, "mass"),
+    ({"metric": "schwarzschild_isotropic1e300"}, "mass"),
+    ({"metric": "schwarzschild_isotropic1e-300"}, "mass"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -342,6 +386,11 @@ def test_off_cone_covector_rejected(tmp_path, capsys):
     ({"initial_polarization": "kernel_basis(-1)"}, "kernel_basis index"),
     ({"initial_polarization": "kernel_basis(0.5)"}, "kernel_basis index"),
     ({"sample": {"seed": -1}}, "sample.seed"),
+    ({"tolerances": {"max_gap": float("nan")}}, "tolerances.max_gap"),
+    ({"tolerances": {"axioms": float("inf")}}, "tolerances.axioms"),
+    ({"tolerances": {"null": -1e-10}}, "tolerances.null"),
+    ({"tolerances": {"kernel": 0}}, "tolerances.kernel"),
+    ({"tolerances": {"rank": 1.0}}, "tolerances.rank"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, cmd, over, needle):
     path = write_cfg(tmp_path, "bad.json", mink_cmp_cfg(**over))

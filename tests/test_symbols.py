@@ -14,6 +14,7 @@ from diracsym.symbols import (
     FirstOrderSystem,
     _StageEngine,
     certify_principal_type,
+    certify_principal_types,
     dirac_system,
     kernel_basis,
     matrix_poisson_bracket,
@@ -465,3 +466,80 @@ def test_stacked_neighbourhood_matches_point_loop_on_a_foreign_system(
         assert cert.neighborhood_ker_dims == nbh
         assert cert.ker_coker_condition_number == pytest.approx(cond,
                                                                 rel=1e-12)
+
+
+def _null_points(m, seed, n):
+    """n phase points drawn as ``certify`` draws them: a chart point, then
+    a future null covector there."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        x = ds.random_chart_point(m, rng)
+        points.append(PhasePoint(x, ds.random_null_covector(m, x, rng)))
+    return points
+
+
+def _assert_same_certificates(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.at is b.at
+        for key in ("on_char_set", "dq_nonzero", "nonradial", "ker_dim",
+                    "neighborhood_ker_dims", "passed", "mode"):
+            assert getattr(a, key) == getattr(b, key), key
+        assert a.ker_coker_condition_number == pytest.approx(
+            b.ker_coker_condition_number, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+@pytest.mark.parametrize("fixture", ["schwarzschild1.0", "conformal_flat",
+                                     "rotating_minkowski", "minkowski2"])
+def test_stacked_certificates_match_one_point_calls(monkeypatch, fixture,
+                                                    block):
+    """A stacked call over 5 points, in blocks of one, of two with a
+    remainder, and in one block, equals 5 one-point calls."""
+    m = PRINCIPAL_TYPE_METRICS[fixture]()
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep)
+    points = _null_points(m, 4, 5)
+    want = [certify_principal_type(rep, p, sys=sysd, seed=4) for p in points]
+    monkeypatch.setattr(ds.symbols, "_BLOCK_POINTS", block)
+    got = list(certify_principal_types(rep, points, sys=sysd, seed=4))
+    _assert_same_certificates(got, want)
+    assert all(c.passed for c in got)
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_stacked_certificates_of_a_foreign_system(monkeypatch, rep_mink4,
+                                                  sys_mink4, block):
+    """The shifted system in one stack: kernel dimension 2 on the plane
+    x^1 = 0.3 and 0 off it, so one block holds points with and without a
+    conormal derivative to check; each matches its one-point call and the
+    point-by-point reference."""
+    shifted = _shifted_dirac(sys_mink4, 0.3)
+    xi = np.array([1.0, 1.0, 0.0, 0.0])
+    points = [PhasePoint(np.array([0.0, x1, 0.0, 0.0]), xi)
+              for x1 in (0.3, 0.5, 0.3, -0.2, 0.3)]
+    want = [certify_principal_type(rep_mink4, p, sys=shifted, seed=2)
+            for p in points]
+    monkeypatch.setattr(ds.symbols, "_BLOCK_POINTS", block)
+    got = list(certify_principal_types(rep_mink4, points, sys=shifted,
+                                       seed=2))
+    _assert_same_certificates(got, want)
+    assert [c.ker_dim for c in got] == [2, 0, 2, 0, 2]
+    assert not any(c.passed for c in got)
+    for c in got[::2]:
+        nbh, cond = _reference_principal_type(rep_mink4, c.at, shifted,
+                                              seed=2)
+        assert c.neighborhood_ker_dims == nbh
+        assert c.ker_coker_condition_number == pytest.approx(cond, rel=1e-12)
+    assert [c.ker_coker_condition_number for c in got[1::2]] == [np.inf] * 2
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_stacked_certification_rejects_an_off_cone_point(monkeypatch,
+                                                         rep_mink4, block):
+    monkeypatch.setattr(ds.symbols, "_BLOCK_POINTS", block)
+    points = [mink_phase([1, 1, 0, 0]), mink_phase([1, 0, 0, 0]),
+              mink_phase([1, 0, 1, 0])]
+    with pytest.raises(NotOnCharacteristicSet):
+        list(certify_principal_types(rep_mink4, points))

@@ -36,8 +36,14 @@ MUTANTS = [
      "c8_min = float(np.min(np.linalg.eigvalsh(",
      "c8_min = float(np.max(np.linalg.eigvalsh("),
     ("ker_const_always_true", "src/diracsym/symbols.py",
-     "ker_const = all(kd == ker_dim for kd in nbh)",
-     "ker_const = True"),
+     "ker_const = [bool(np.all(n == k)) for n, k in zip(nbh, ker_dim)]",
+     "ker_const = [True] * len(points)"),
+    ("neighbour_symbols_at_centre", "src/diracsym/symbols.py",
+     "s2 = _symbols(rep, sys, nx[real], nxi[real], g2[real])",
+     "s2 = _symbols(rep, sys, xs[owner], xis[owner], g2[real])"),
+    ("last_block_dropped", "src/diracsym/symbols.py",
+     "for start in range(0, len(points), _BLOCK_POINTS):",
+     "for start in range(0, len(points) - _BLOCK_POINTS, _BLOCK_POINTS):"),
     ("c3_point_zero_only", "src/diracsym/clifford.py",
      'r["C3"] = _maxabs(dgam + om_v @ GY0[:, :, None]\n'
      "                      - GY0[:, :, None] @ om_v - Gnab)",
@@ -47,8 +53,8 @@ MUTANTS = [
      'r["C7p"] = _maxabs(QY @ GZo + GZo @ QY)',
      'r["C7p"] = 0.0'),
     ("neighbourhood_first_only", "src/diracsym/symbols.py",
-     "nbh = (sys.N - _rank(sv, rank_tol)).tolist()",
-     "nbh = (sys.N - _rank(sv[:1], rank_tol)).tolist()"),
+     "ranks = _rank(np.linalg.svd(s2, compute_uv=False), rank_tol)",
+     "ranks = _rank(np.linalg.svd(s2[:1], compute_uv=False), rank_tol)"),
     ("kernel_residual_start_symbol", "src/diracsym/transport.py",
      "r = np.linalg.norm(s1 @ V[:, 0, :, None], axis=(1, 2))",
      "r = np.linalg.norm(s1[:1] @ V[:, 0, :, None], axis=(1, 2))"),
