@@ -37,11 +37,9 @@ def main():
     sysd = dirac_system(rep)
     x = np.array([0.0, 10.0, 1.2, 0.3])
     xi = ds.random_null_covector(schw, x, np.random.default_rng(1))
-    cert = certify_principal_type(rep, PhasePoint(x, xi), mode="intrinsic",
-                                  sys=sysd)
+    cert = certify_principal_type(rep, PhasePoint(x, xi), sys=sysd)
     print(f"\nprincipal type at r = {x[1]}:")
-    print(f"  on characteristic set: {cert.on_char_set}  (q = {cert.q:.2e})")
-    print(f"  dq nonzero: {cert.dq_nonzero}, nonradial: {cert.nonradial}")
+    print(f"  q = {cert.q:.2e}, dq nonzero: {cert.dq_nonzero}")
     print(f"  kernel dimension {cert.ker_dim}, condition "
           f"{cert.ker_coker_condition_number:.2f}")
     print(f"  neighborhood kernel dims {cert.neighborhood_ker_dims}")

@@ -49,6 +49,11 @@ _TOL_KEYS = {"axioms", "max_gap", "q_drift", "kernel", "factorization",
              "null", "rank"}
 _SAMPLE_KEYS = {"points", "vectors", "seed"}
 
+# Sample bounds: an axiom block holds all vectors of a point at once, and
+# certification time grows with points x vectors.
+_MAX_VECTORS = 10_000
+_MAX_SAMPLE = 10 ** 6
+
 _DEFAULT_TOLS = {"axioms": 1e-6, "max_gap": 1e-6, "q_drift": 1e-6,
                  "kernel": 1e-8, "factorization": 1e-10, "null": 1e-10,
                  "rank": 1e-8}
@@ -175,6 +180,11 @@ class _Scenario:
         self.sample = SampleSpec(**{k: _number(v, f"sample.{k}", int)
                                     for k, v in samp.items()})
         _index(self.sample.seed, "sample.seed")
+        if self.sample.vectors > _MAX_VECTORS:
+            raise ConfigError(f"sample.vectors must be at most {_MAX_VECTORS}")
+        if self.sample.points * self.sample.vectors > _MAX_SAMPLE:
+            raise ConfigError(f"sample.points x sample.vectors must be at "
+                              f"most {_MAX_SAMPLE}")
         self.seed = self.sample.seed
 
     # -- resolution helpers -------------------------------------------------
@@ -280,6 +290,14 @@ def _emit_kv_csv(obj, path):
     _write_text(buf.getvalue(), path)
 
 
+def _emit(payload, sc, no_meta):
+    """A report in the scenario's output format, at its output path."""
+    if sc.out_format == "json":
+        _emit_json(payload, sc.out_path, no_meta)
+    else:
+        _emit_kv_csv(payload, sc.out_path)
+
+
 def _trace_records(traj, orbit):
     recs = []
     for i in range(traj.n):
@@ -364,10 +382,7 @@ def cmd_certify(sc: _Scenario, args) -> int:
         },
         "pass": bool(report.passed and pt_pass),
     }
-    if sc.out_format == "json":
-        _emit_json(payload, sc.out_path, args.no_meta)
-    else:
-        _emit_kv_csv(payload, sc.out_path)
+    _emit(payload, sc, args.no_meta)
     return 0 if payload["pass"] else 1
 
 
@@ -412,10 +427,7 @@ def cmd_compare(sc: _Scenario, args) -> int:
     payload = dict(report.to_dict())
     payload["command"] = "compare"
     payload["pass"] = ok
-    if sc.out_format == "json":
-        _emit_json(payload, sc.out_path, args.no_meta)
-    else:
-        _emit_kv_csv(payload, sc.out_path)
+    _emit(payload, sc, args.no_meta)
     return 0 if ok else 1
 
 
@@ -431,10 +443,7 @@ def cmd_symbols(sc: _Scenario, args) -> int:
     payload["fixture"] = sc.metric.name
     payload["pass"] = bool(
         pkg.factorization_residual < sc.tols["factorization"])
-    if sc.out_format == "json":
-        _emit_json(payload, sc.out_path, args.no_meta)
-    else:
-        _emit_kv_csv(payload, sc.out_path)
+    _emit(payload, sc, args.no_meta)
     return 0 if payload["pass"] else 1
 
 
@@ -507,7 +516,9 @@ def main(argv=None) -> int:
     if not args.batch_dir:
         return _run_one(args.command, cfg_path, args)
 
-    files = sorted(cfg_path.glob("*.json"))
+    # skip the <name>.out.json reports that an earlier run left there
+    files = sorted(f for f in cfg_path.glob("*.json")
+                   if not f.stem.endswith(".out"))
     if not files:
         print(f"error: no *.json scenarios under {cfg_path}",
               file=sys.stderr)

@@ -237,15 +237,10 @@ def _phase_core(m: MetricField, x, xi):
     return g, dg, Z, dx, dxi
 
 
-def _phase_rhs(m: MetricField, x, xi):
-    """Hamiltonian field of q: dx = 2 g^{-1} xi, dxi_i = (d_i g_ab) Z^a Z^b."""
-    _, _, _, dx, dxi = _phase_core(m, x, xi)
-    return dx, dxi
-
-
 def hamiltonian_field(m: MetricField, p: PhasePoint):
-    """(dx/dt, dxi/dt) of the q-flow at a phase point."""
-    return _phase_rhs(m, p.x, p.xi)
+    """(dx/dt, dxi/dt) of the q-flow at a phase point: dx = 2 g^{-1} xi,
+    dxi_i = (d_i g_ab) Z^a Z^b."""
+    return _phase_core(m, p.x, p.xi)[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +255,6 @@ def _unit(d: int):
     sig[0] = -1.0
     eye.flags.writeable = sig.flags.writeable = False
     return eye, sig
-
-
-def _frame_jet(m: MetricField, x):
-    """(E, dE, E_inv) at x.  dE[k] is the k-th coordinate partial."""
-    g, dg = _metric_jet(m, x)
-    return _frame_jet_from(m, g, dg)
 
 
 def _require(ok, low, message: str):
@@ -353,7 +342,7 @@ def _frame_jet_from(m: MetricField, g, dg):
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
     """Orthonormal frame at x; deterministic, e_0 future-directed."""
-    E, _, Einv = _frame_jet(m, x)
+    E, Einv = _frame_from(m, _metric_value(m, np.asarray(x, dtype=float)))
     return FrameSample(E=E, E_inv=Einv)
 
 

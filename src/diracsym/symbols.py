@@ -224,7 +224,8 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
         return list(1j * eng.contract(E, "gamma"))
 
     def coeff_B(x):
-        return eng(np.asarray(x, float), _probe_covector(m)).B
+        # B does not depend on the covector; any nonzero one serves
+        return eng(np.asarray(x, float), np.eye(m.dim)[0]).B
 
     def d_coeff_A(x):
         _, dE, _ = _frame_jet_from(m, *_metric_jet(m, x))
@@ -234,12 +235,6 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
         N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B, d_coeff_A=d_coeff_A,
         rep=rep, name=f"dirac[{m.name}]",
     )
-
-
-def _probe_covector(m: MetricField) -> np.ndarray:
-    v = np.zeros(m.dim)
-    v[0] = 1.0
-    return v
 
 
 def principal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
@@ -352,7 +347,7 @@ class SymbolPackage:
 
 def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
     """Whether sys is rep's own Dirac system, with closed-form jets."""
-    return sys.rep is rep and sys.d_coeff_A is not None
+    return rep is not None and sys.rep is rep and sys.d_coeff_A is not None
 
 
 def _symbol_jet(sys: FirstOrderSystem, p: PhasePoint):
@@ -438,67 +433,26 @@ def kernel_basis(matrix, rank_tol: float = 1e-8):
 
 @dataclass
 class PrincipalTypeCertificate:
-    at: PhasePoint
-    on_char_set: bool
-    dq_nonzero: Optional[bool]
-    nonradial: Optional[bool]
-    ker_dim: int
-    ker_coker_condition_number: Optional[float]
-    passed: bool
-    mode: str = "intrinsic"
-    q: float = 0.0
-    factorization_residual: Optional[float] = None
-    neighborhood_ker_dims: Optional[list] = None
+    """What ``certify_principal_types`` decides at one null phase point."""
 
-    def to_dict(self):
-        return {
-            "x": self.at.x.tolist(),
-            "xi": self.at.xi.tolist(),
-            "mode": self.mode,
-            "q": self.q,
-            "on_char_set": self.on_char_set,
-            "dq_nonzero": self.dq_nonzero,
-            "nonradial": self.nonradial,
-            "ker_dim": self.ker_dim,
-            "ker_coker_condition_number": self.ker_coker_condition_number,
-            "factorization_residual": self.factorization_residual,
-            "neighborhood_ker_dims": self.neighborhood_ker_dims,
-            "pass": self.passed,
-        }
+    at: PhasePoint
+    q: float
+    dq_nonzero: bool
+    ker_dim: int
+    ker_coker_condition_number: float
+    neighborhood_ker_dims: list
+    passed: bool
 
 
 def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
-                           mode: str = "intrinsic",
                            sys: Optional[FirstOrderSystem] = None,
                            null_tol: float = 1e-10,
                            rank_tol: float = 1e-8,
-                           factor_tol: float = 1e-10,
                            seed: int = 0) -> PrincipalTypeCertificate:
-    """Certify real principal type at one phase point.
-
-    factorization mode: checks the residual of the factorization identity
-    (valid on and off the characteristic set).  intrinsic mode is the
-    one-point call of ``certify_principal_types``, which says what it
-    checks.
-    """
-    if mode == "intrinsic":
-        return next(certify_principal_types(rep, [p], sys=sys,
-                                            null_tol=null_tol,
-                                            rank_tol=rank_tol, seed=seed))
-    if mode != "factorization":
-        raise ValueError(f"unknown certification mode {mode!r}")
-    if sys is None:
-        sys = dirac_system(rep)
-    q = hamiltonian_q(rep.metric, p.x, p.xi)
-    _, ker_dim = kernel_basis(principal_symbol(sys, p), rank_tol)
-    pkg = symbol_package(rep, p, sys=sys)
-    return PrincipalTypeCertificate(
-        at=p, on_char_set=abs(q) < null_tol * (1.0 + float(p.xi @ p.xi)),
-        dq_nonzero=None, nonradial=None, ker_dim=ker_dim,
-        ker_coker_condition_number=None,
-        passed=pkg.factorization_residual < factor_tol, mode=mode, q=q,
-        factorization_residual=pkg.factorization_residual,
-    )
+    """Certify real principal type at one phase point: the one-point call
+    of ``certify_principal_types``, which says what it checks."""
+    return next(certify_principal_types(rep, [p], sys=sys, null_tol=null_tol,
+                                        rank_tol=rank_tol, seed=seed))
 
 
 # Points per block of the stacked principal-type certifier.  A block holds
@@ -521,13 +475,12 @@ def certify_principal_types(rep: CliffordModuleRep, points,
 
     Each point must lie on the characteristic set, |q| < null_tol
     (1 + |xi|^2), or NotOnCharacteristicSet is raised.  A certificate
-    checks dq != 0 (|dq| > 1e-8 (1 + |xi|^2)), a non-radial Hamiltonian
-    direction, a kernel dimension (``kernel_basis``'s rank rule) constant
-    over 8 nearby null points, and that the conormal derivative of the
-    symbol maps kernel onto cokernel with condition number below 1e8.
-    ``nonradial`` cannot fail for the metric Hamiltonian: the x-part of
-    H_q is 2 g^-1 xi, nonzero whenever xi is, while the radial field has
-    none.  It is reported for the record.
+    checks dq != 0 (|dq| > 1e-8 (1 + |xi|^2)), a kernel dimension
+    (``kernel_basis``'s rank rule) constant over 8 nearby null points, and
+    that the conormal derivative of the symbol maps kernel onto cokernel
+    with condition number below 1e8.  H_q is never radial, so that is not
+    checked: its x-part 2 g^-1 xi is nonzero whenever xi is, while the
+    radial field has none.
 
     Every point draws its neighbours from a fresh default_rng(seed): per
     neighbour up to 16 positions within 1e-3 (1 + |x|) until the domain
@@ -664,10 +617,6 @@ def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
     rho = np.concatenate((-dxi, dx), axis=-1)      # (dq/dx, dq/dxi)
     grad_norm = np.linalg.norm(rho, axis=-1)
     dq_nonzero = grad_norm > 1e-8 * (1.0 + xi_sq)
-    hq = np.stack((np.concatenate((dx, dxi), axis=-1),
-                   np.concatenate((np.zeros_like(xs), xis), axis=-1)), axis=-2)
-    sv = np.linalg.svd(hq, compute_uv=False)     # H_q against the radial field
-    nonradial = sv[:, 1] > 1e-8 * sv[:, 0]
 
     nbh = _neighbourhood_dims(rep, sys, xs, xis, unit, rank_tol)
     # the conormal derivative rho . (d sigma/dx, d sigma/dxi) / |rho| must
@@ -684,12 +633,11 @@ def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
     ker_const = [bool(np.all(n == k)) for n, k in zip(nbh, ker_dim)]
     certs = []
     for i, p in enumerate(points):
-        passed = bool(dq_nonzero[i] and nonradial[i] and ker_const[i]
+        passed = bool(dq_nonzero[i] and ker_const[i]
                       and np.isfinite(cond[i]) and cond[i] < 1e8)
         certs.append(PrincipalTypeCertificate(
-            at=p, on_char_set=True, dq_nonzero=bool(dq_nonzero[i]),
-            nonradial=bool(nonradial[i]), ker_dim=int(ker_dim[i]),
-            ker_coker_condition_number=float(cond[i]), passed=passed,
-            mode="intrinsic", q=float(q[i]),
-            neighborhood_ker_dims=nbh[i].tolist()))
+            at=p, q=float(q[i]), dq_nonzero=bool(dq_nonzero[i]),
+            ker_dim=int(ker_dim[i]),
+            ker_coker_condition_number=float(cond[i]),
+            neighborhood_ker_dims=nbh[i].tolist(), passed=passed))
     return certs

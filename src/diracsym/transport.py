@@ -51,7 +51,8 @@ from .geometry import (
     _metric_jet,
     _rk_step,
 )
-from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, dirac_system
+from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
+    _dirac_backed, dirac_system
 
 __all__ = [
     "PolarizationState",
@@ -80,14 +81,15 @@ class PolarizationState:
 
 @dataclass
 class HamiltonianOrbit:
-    """A spanning section w(t_i) of the polarization line along an orbit."""
+    """A spanning section w(t_i) of the polarization line along an orbit.
+    A summary the law does not compute is None."""
 
     trajectory: Trajectory
     sections: list
     method: str
-    kernel_residuals: np.ndarray = None
-    product_drift: float = 0.0
-    generator_norm_integral: float = 0.0
+    kernel_residuals: Optional[np.ndarray] = None
+    product_drift: Optional[float] = None
+    generator_norm_integral: Optional[float] = None
 
 
 @dataclass
@@ -232,12 +234,6 @@ def _product_drift(G, S) -> float:
     return float(np.max(np.abs(prods - prods[0])))
 
 
-def _require_dirac_backed(sys: FirstOrderSystem):
-    if sys.rep is None:
-        raise ConfigError(
-            "transport needs a Dirac-backed system (built by dirac_system)")
-
-
 def _initial_kernel_check(sigma1, w0, kernel_tol):
     nw = float(np.linalg.norm(w0))
     if nw == 0.0:
@@ -255,8 +251,11 @@ def transport_denker(sys: FirstOrderSystem, state: PolarizationState,
                      kernel_tol: float = 1e-8, null_tol: float = 1e-10,
                      flip_subprincipal: bool = False) -> HamiltonianOrbit:
     """Integrate the null ray from ``state.phase`` and dw/dt = -(M(t) -
-    kappa(t) Id) w from ``state.w`` jointly; the orbit holds the ray."""
-    _require_dirac_backed(sys)
+    kappa(t) Id) w from ``state.w`` jointly; the orbit holds the ray.
+    ``sys`` must be its module's own Dirac system: the engine reads ``rep``."""
+    if not _dirac_backed(sys.rep, sys):
+        raise ConfigError("transport_denker needs a system built by "
+                          "dirac_system")
     sign = -1.0 if flip_subprincipal else 1.0
     traj, _, (sections,), resid, L = _transport_run(
         _StageEngine(sys.rep), state, sign, False, t_end,
@@ -300,9 +299,11 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     trajectory: its grid, chart truncation and phase samples are those of
     ``integrate_bicharacteristic`` bit for bit, and the comparison carries
     no discretization asymmetry.  ``convergence=True`` reruns at half step
-    and reports the max_gap shrink factor.
+    and reports the max_gap shrink factor.  The engine reads every matrix
+    off ``rep``, so ``sys`` must be ``rep``'s own Dirac system.
     """
-    _require_dirac_backed(sys)
+    if not _dirac_backed(rep, sys):
+        raise ConfigError("compare_transports needs sys = dirac_system(rep)")
     sign = -1.0 if flip_subprincipal else 1.0
     traj, V, (wd, ws), resid, L = _transport_run(
         _StageEngine(rep), state, sign, True, t_end, null_tol,

@@ -108,8 +108,7 @@ def test_4_kernel_rank_and_conditioning(rep_mink4, rep_schw, sys_mink4,
             p = PhasePoint(x, xi)
             _, dim = kernel_basis(principal_symbol(sysd, p))
             assert dim == 2, (m.name, x, xi)
-            cert = certify_principal_type(rep, p, mode="intrinsic", sys=sysd,
-                                          seed=seed)
+            cert = certify_principal_type(rep, p, sys=sysd, seed=seed)
             assert cert.passed and cert.ker_dim == 2
             worst_cond = max(worst_cond, cert.ker_coker_condition_number)
         for x, xi in _generic_points(m, 100, seed + 20):

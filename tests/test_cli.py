@@ -314,6 +314,10 @@ def test_symbols_seed_override_changes_covector(tmp_path, capsys):
     ({"metric": "schwarzschild1e-300"}, "mass"),
     ({"metric": "schwarzschild_isotropic1e300"}, "mass"),
     ({"metric": "schwarzschild_isotropic1e-300"}, "mass"),
+    # samples too large to certify in bounded time and memory
+    ({"metric": "minkowski4", "sample": {"points": 1e300}}, "sample.points"),
+    ({"metric": "minkowski4", "sample": {"points": 2, "vectors": 1e300}},
+     "sample.vectors"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -487,6 +491,19 @@ def test_batch_directory_exit_is_worst_case(tmp_path, capsys):
     b = json.loads((tmp_path / "b_fail.out.json").read_text())
     assert a["pass"] is True
     assert b["pass"] is False
+
+
+def test_batch_directory_skips_its_own_outputs(tmp_path, capsys):
+    """A second run over the same directory does not read back the
+    a.out.json that the first one wrote as a scenario."""
+    write_cfg(tmp_path, "a.json", mink_cmp_cfg())
+    argv = ["compare", "--config", str(tmp_path), "--no-meta"]
+    assert run(capsys, argv)[0] == 0
+    first = (tmp_path / "a.out.json").read_text()
+    assert run(capsys, argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json",
+                                                          "a.out.json"]
+    assert (tmp_path / "a.out.json").read_text() == first
 
 
 def test_batch_rejects_out_flag(tmp_path, capsys):

@@ -4,8 +4,9 @@ Catalog ids (extreme and malformed masses, bad dimensions, hostile
 conformal factors), ``sample`` values and tolerances are drawn from small
 hostile sets.  Whatever the config, the command must exit 0, 1 or 2 with at
 most a one-line message, never raise, and never report a pass without
-principal-type points.  Sample sizes stay at a few points and vectors, so
-no example allocates much or runs long; the examples are derandomized, so
+principal-type points.  Sample sizes are a few points and vectors, or far
+past the CLI's sample bounds, which reject them before any work; so no
+example allocates much or runs long.  The examples are derandomized, so
 every run of the suite checks the same configs.
 """
 import json
@@ -33,8 +34,9 @@ METRIC_IDS = [
     "conformal_flat{__import__('os')}", "conformal_flat{}", "kerr0.5", "",
 ]
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1.0]
-# no value here asks for more than 3 points or vectors
-SIZES = st.one_of(st.integers(-2, 3), st.sampled_from([1.0, 2.5, -0.5]),
+# a sample that passes the bounds has at most 3 points and 3 vectors
+SIZES = st.one_of(st.integers(-2, 3),
+                  st.sampled_from([1.0, 2.5, -0.5, 10**7, 1e300]),
                   st.sampled_from(SPECIAL), st.booleans(), st.none(),
                   st.sampled_from(["", "2", "x", "1e9", [1], {}]))
 SEEDS = st.one_of(st.integers(-3, 2**70), st.sampled_from(SPECIAL + [1e300]),

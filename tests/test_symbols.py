@@ -300,29 +300,17 @@ def test_symbol_package_closed_vs_fd_paths(rep_schw, schw, sys_schw):
 
 
 def test_certify_intrinsic_minkowski_example(rep_mink4, mink4):
-    cert = certify_principal_type(rep_mink4, mink_phase([1, 1, 0, 0]),
-                                  mode="intrinsic")
+    cert = certify_principal_type(rep_mink4, mink_phase([1, 1, 0, 0]))
     assert cert.passed
     assert cert.ker_dim == 2
     assert cert.dq_nonzero
-    assert cert.nonradial
     assert cert.ker_coker_condition_number < 10.0
     assert all(d == 2 for d in cert.neighborhood_ker_dims)
 
 
 def test_certify_intrinsic_off_cone_rejected(rep_mink4):
     with pytest.raises(NotOnCharacteristicSet):
-        certify_principal_type(rep_mink4, mink_phase([1, 0, 0, 0]),
-                               mode="intrinsic")
-
-
-def test_certify_factorization_mode(rep_schw, schw):
-    rng = np.random.default_rng(31)
-    xi = rng.normal(size=4)
-    cert = certify_principal_type(rep_schw, PhasePoint(SCHW_X0, xi),
-                                  mode="factorization")
-    assert cert.passed
-    assert cert.factorization_residual < 1e-10
+        certify_principal_type(rep_mink4, mink_phase([1, 0, 0, 0]))
 
 
 def test_certify_intrinsic_schwarzschild(rep_schw, schw):
@@ -330,8 +318,7 @@ def test_certify_intrinsic_schwarzschild(rep_schw, schw):
     for _ in range(5):
         x = ds.random_chart_point(schw, rng)
         xi = ds.random_null_covector(schw, x, rng)
-        cert = certify_principal_type(rep_schw, PhasePoint(x, xi),
-                                      mode="intrinsic")
+        cert = certify_principal_type(rep_schw, PhasePoint(x, xi))
         assert cert.passed
         assert cert.ker_dim == 2
         assert cert.ker_coker_condition_number < 1e3
@@ -361,7 +348,7 @@ def test_certify_intrinsic_kernel_jump_fails_ker_const(rep_mink4, sys_mink4):
     assert not cert.passed
     assert cert.ker_dim == 2
     assert cert.neighborhood_ker_dims == [0, 2, 0, 0, 0, 2, 0, 0]
-    assert cert.dq_nonzero and cert.nonradial
+    assert cert.dq_nonzero
     assert cert.ker_coker_condition_number == pytest.approx(1.0, abs=1e-9)
     ok = certify_principal_type(rep_mink4, p, sys=sys_mink4)
     assert ok.passed
@@ -483,8 +470,8 @@ def _assert_same_certificates(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.at is b.at
-        for key in ("on_char_set", "dq_nonzero", "nonradial", "ker_dim",
-                    "neighborhood_ker_dims", "passed", "mode"):
+        for key in ("q", "dq_nonzero", "ker_dim", "neighborhood_ker_dims",
+                    "passed"):
             assert getattr(a, key) == getattr(b, key), key
         assert a.ker_coker_condition_number == pytest.approx(
             b.ker_coker_condition_number, rel=1e-12)

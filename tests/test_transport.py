@@ -163,14 +163,18 @@ def test_curved_nondiagonal_chart_frame_certificate_and_transport():
     """The rotating chart has a non-diagonal metric with nonzero
     derivatives: its frame jet against central differences, the module
     certificate, and the transport claim with its flipped-sign control."""
-    from diracsym.geometry import _frame_jet
+    from diracsym.geometry import _frame_jet_from, _metric_jet
 
     m = rotating_chart()
+
+    def frame_jet(x):
+        return _frame_jet_from(m, *_metric_jet(m, x))
+
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = ds.random_chart_point(m, rng)
-        E, dE, Einv = _frame_jet(m, x)
+        E, dE, Einv = frame_jet(x)
         # upper triangular with a positive diagonal: chart-order
         # Gram-Schmidt, the only such frame
         assert np.array_equal(E, np.triu(E)) and np.all(np.diag(E) > 0)
@@ -179,7 +183,7 @@ def test_curved_nondiagonal_chart_frame_certificate_and_transport():
         for k in range(4):
             h = np.zeros(4)
             h[k] = 1e-5
-            fd = (_frame_jet(m, x + h)[0] - _frame_jet(m, x - h)[0]) / 2e-5
+            fd = (frame_jet(x + h)[0] - frame_jet(x - h)[0]) / 2e-5
             assert np.max(np.abs(dE[k] - fd)) < 1e-7
 
     rep = ds.build_canonical_module(m)
@@ -397,7 +401,7 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
     """The design before the split, kept as a reference: the phase point
     and both polarizations stepped as one state, with a per-point engine
     call at every stage, on the accepted steps of the flow."""
-    from diracsym.geometry import _DP_A, _RK4_A, _flow, _phase_rhs, _rk_step
+    from diracsym.geometry import _DP_A, _RK4_A, _flow, _phase_core, _rk_step
     from diracsym.symbols import _StageEngine
 
     hs = []
@@ -410,7 +414,7 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
         st = eng(x, xi)
         L = np.array([st.generator(sign), st.omega_dot])
         rates = -(L @ y[2 * d:].reshape(2, N, 1))
-        return np.concatenate((*_phase_rhs(m, x, xi), rates.ravel()))
+        return np.concatenate((*_phase_core(m, x, xi)[3:], rates.ravel()))
 
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     y = np.concatenate((state.phase.x, state.phase.xi, state.w, state.w))
@@ -669,3 +673,35 @@ def test_spinor_rep_stack_matches_points():
         assert T.shape == (n, 4, 4)
         for i, t in enumerate(T):
             assert np.max(np.abs(points[i % 4] - t)) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# what the transports accept, and what their orbits leave uncomputed
+
+
+def test_denker_rejects_foreign_system_with_rep(rep_schw, sys_schw):
+    """A system that carries the module but not its Dirac coefficients
+    would otherwise be transported as the Dirac system."""
+    doubled = FirstOrderSystem(
+        N=4, coeff_A=lambda x: [2.0 * a for a in sys_schw.coeff_A(x)],
+        coeff_B=lambda x: 5.0 * np.eye(4), rep=rep_schw, name="doubled")
+    state = null_state(rep_schw.metric, rep_schw, SCHW_X0, 3)
+    with pytest.raises(ConfigError):
+        transport_denker(doubled, state, 0.1)
+
+
+def test_compare_rejects_system_of_another_module(rep_schw, sys_mink4):
+    state = null_state(rep_schw.metric, rep_schw, SCHW_X0, 3)
+    with pytest.raises(ConfigError):
+        compare_transports(rep_schw, sys_mink4, state, 0.1)
+
+
+def test_orbit_summaries_not_computed_are_none(rep_schw, sys_schw):
+    state = null_state(rep_schw.metric, rep_schw, SCHW_X0, 3)
+    assert transport_denker(sys_schw, state, 0.1).product_drift is None
+    assert transport_spin(rep_schw, state, 0.1).generator_norm_integral \
+        is None
+    report = compare_transports(rep_schw, sys_schw, state, 0.1)
+    assert report.orbit_denker.product_drift is None
+    assert report.orbit_spin.generator_norm_integral is None
+    assert report.product_drift == report.orbit_spin.product_drift

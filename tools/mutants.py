@@ -70,6 +70,9 @@ MUTANTS = [
     ("product_drift_self", "src/diracsym/transport.py",
      "np.max(np.abs(prods - prods[0]))",
      "np.max(np.abs(prods - prods))"),
+    ("compare_accepts_any_module", "src/diracsym/transport.py",
+     "if not _dirac_backed(rep, sys):",
+     "if sys.rep is None:"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
