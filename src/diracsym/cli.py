@@ -386,6 +386,25 @@ def cmd_certify(sc: _Scenario, args) -> int:
     return 0 if payload["pass"] else 1
 
 
+# the report entry that each tolerance key of a ray gates
+_GATED = {"max_gap": "max_gap", "q_drift": "q_drift",
+          "kernel": "max_kernel_residual"}
+
+
+def _verdict(report: dict, sc: _Scenario, keys) -> int:
+    """Exit code of a ray report, which passes when each entry gated by a
+    tolerance key in ``keys`` lies below that tolerance and the run stayed
+    in the chart.  Sets ``report["pass"]``; a failing report also lists
+    its failed gates under ``"failed"``, in the order of ``keys`` and then
+    ``left_chart``."""
+    failed = [k for k in keys if not report[_GATED[k]] < sc.tols[k]]
+    failed += ["left_chart"] if report["left_chart"] else []
+    report["pass"] = not failed
+    if failed:
+        report["failed"] = failed
+    return 1 if failed else 0
+
+
 def cmd_trace(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
     sys_ = dirac_system(rep)
@@ -397,20 +416,18 @@ def cmd_trace(sc: _Scenario, args) -> int:
         kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
         flip_subprincipal=args.flip_subprincipal_sign)
     traj = orbit.trajectory
-    q_drift = float(np.max(np.abs(traj.qs - traj.qs[0])))
-    ok = q_drift < sc.tols["q_drift"] and not traj.left_chart
     summary = {
         "command": "trace",
         "fixture": sc.metric.name,
         "samples": traj.n,
-        "q_drift": q_drift,
+        "q_drift": float(np.max(np.abs(traj.qs - traj.qs[0]))),
         "left_chart": traj.left_chart,
         "max_kernel_residual": float(np.max(orbit.kernel_residuals)),
-        "pass": ok,
     }
+    rc = _verdict(summary, sc, ("q_drift", "kernel"))
     _emit_trace(traj, orbit, summary, sc.out_path, sc.out_format,
                 args.no_meta)
-    return 0 if ok else 1
+    return rc
 
 
 def cmd_compare(sc: _Scenario, args) -> int:
@@ -423,12 +440,11 @@ def cmd_compare(sc: _Scenario, args) -> int:
         rep, sys_, state, sc.t_end, step=sc.step, integrator=sc.integrator,
         tol=sc.tol, kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
         flip_subprincipal=args.flip_subprincipal_sign)
-    ok = report.max_gap < sc.tols["max_gap"] and not report.left_chart
     payload = dict(report.to_dict())
     payload["command"] = "compare"
-    payload["pass"] = ok
+    rc = _verdict(payload, sc, ("max_gap", "q_drift", "kernel"))
     _emit(payload, sc, args.no_meta)
-    return 0 if ok else 1
+    return rc
 
 
 def cmd_symbols(sc: _Scenario, args) -> int:

@@ -1,9 +1,9 @@
 """Lorentzian chart geometry at the coordinate level.
 
 Everything works on a single chart: a metric field is a callable returning
-the matrix ``g_ij(x)`` in signature (-, +, ..., +), and its first derivatives
-come from a supplied ``d_eval`` (closed form, or a complex step through the
-scalar factor for ``conformal_flat``) or else from central differences.  On
+the matrix ``g_ij(x)`` in signature (-, +, ..., +), and its jet (g, dg) comes
+from a supplied ``jet`` (closed form, or a complex step through the scalar
+factor for ``conformal_flat``) or else from central differences.  On
 top of that sit Christoffel symbols, the scalar Hamiltonian
 ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
 integration, and orthonormal frames from the factorization ``g = R^T eta R``
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-14
-_FD_STEP = 1e-5   # relative central-difference step of a metric without d_eval
+_FD_STEP = 1e-5   # relative central-difference step of a metric without jet
 _PIVOT_TOL = 1e-12
 _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 
@@ -71,17 +71,19 @@ _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 class MetricField:
     """A chart-level Lorentzian metric.
 
-    ``eval`` maps a coordinate point to the matrix ``g_ij``.  Derivatives
-    follow one of two rules, picked by whether ``d_eval`` is given:
+    ``eval`` maps a coordinate point to the matrix ``g_ij``.  The jet
+    (g, dg) with dg[k, i, j] = d_k g_ij follows one of two rules, picked by
+    whether ``jet`` is given:
 
-    * ``d_eval(x)[k, i, j] = d_k g_ij`` when supplied (the catalog supplies
-      closed forms, and a complex step for ``conformal_flat``);
-    * otherwise central differences of ``eval`` (``_partials``).
+    * ``jet(x) -> (g, dg)`` when supplied, with the g of ``eval`` (the
+      catalog supplies closed forms, and a complex step for
+      ``conformal_flat``);
+    * otherwise ``eval`` and central differences of it (``_partials``).
     """
 
     dim: int
     eval: Callable
-    d_eval: Optional[Callable] = None
+    jet: Optional[Callable] = None
     domain_guard: Callable = lambda x: True
     guard_margin: Optional[Callable] = None
     name: str = "custom"
@@ -142,9 +144,13 @@ class Trajectory:
 # metric evaluation
 
 
-def _metric_value(m: MetricField, x) -> np.ndarray:
+def _guard(m: MetricField, x):
     if not m.domain_guard(x):
         raise OutsideChart(f"point {np.asarray(x)} outside chart of {m.name}")
+
+
+def _metric_value(m: MetricField, x) -> np.ndarray:
+    _guard(m, x)
     return np.asarray(m.eval(x), dtype=float)
 
 
@@ -162,15 +168,16 @@ def _partials(f, x, step: float) -> np.ndarray:
 
 
 def _metric_jet(m: MetricField, x):
-    """(g, dg) with dg[k, i, j] = d_k g_ij: ``d_eval`` when the metric
-    supplies one, central differences otherwise."""
+    """(g, dg) with dg[k, i, j] = d_k g_ij once x passes the domain guard:
+    the metric's ``jet`` when it has one, ``eval`` and central differences
+    otherwise."""
     x = np.asarray(x, dtype=float)
-    g = _metric_value(m, x)
-    if m.d_eval is not None:
-        dg = np.asarray(m.d_eval(x), dtype=float)
-    else:
-        dg = _partials(lambda z: np.asarray(m.eval(z), float), x, _FD_STEP)
-    return g, dg
+    _guard(m, x)
+    if m.jet is not None:
+        g, dg = m.jet(x)
+        return np.asarray(g, dtype=float), np.asarray(dg, dtype=float)
+    return (np.asarray(m.eval(x), dtype=float),
+            _partials(lambda z: np.asarray(m.eval(z), float), x, _FD_STEP))
 
 
 def _checked_inverse(g, x):
@@ -630,30 +637,25 @@ def random_null_covector(m: MetricField, x,
 # metric catalog
 
 
-def _diag_matrix(entries):
-    """Diagonal float matrix."""
-    a = np.array(entries)
-    d = len(a)
-    out = np.zeros(d * d)
-    out[::d + 1] = a
-    return out.reshape(d, d)
+def _constant_metric(g: np.ndarray, name: str, diagonal: bool) -> MetricField:
+    """The constant metric g, sampled from the box [-5, 5]^d; jet (g, 0)."""
+    d = len(g)
+    zeros = np.zeros((d, d, d))
+
+    def jet(x):
+        return g.copy(), zeros
+
+    return MetricField(
+        dim=d, eval=lambda x: g.copy(), jet=jet, name=name,
+        diagonal=diagonal, sample_box=np.array([[-5.0, 5.0]] * d))
 
 
 def minkowski(dim: int = 4) -> MetricField:
     if dim not in (2, 4):
         raise UnsupportedDimension(
             f"minkowski has dimensions 2 and 4, not {dim}")
-    eta = np.diag([-1.0] + [1.0] * (dim - 1))
-    zeros = np.zeros((dim, dim, dim))
-    box = np.array([[-5.0, 5.0]] * dim)
-    return MetricField(
-        dim=dim,
-        eval=lambda x: eta.copy(),
-        d_eval=lambda x: zeros,
-        name=f"minkowski{dim}",
-        diagonal=True,
-        sample_box=box,
-    )
+    return _constant_metric(np.diag([-1.0] + [1.0] * (dim - 1)),
+                            f"minkowski{dim}", diagonal=True)
 
 
 def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> MetricField:
@@ -663,16 +665,7 @@ def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> Met
     dim = L.shape[0]
     Linv = np.linalg.inv(L)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
-    gB = Linv.T @ eta @ Linv
-    zeros = np.zeros((dim, dim, dim))
-    return MetricField(
-        dim=dim,
-        eval=lambda x: gB.copy(),
-        d_eval=lambda x: zeros,
-        name=name,
-        diagonal=False,
-        sample_box=np.array([[-5.0, 5.0]] * dim),
-    )
+    return _constant_metric(Linv.T @ eta @ Linv, name, diagonal=False)
 
 
 # Masses the Schwarzschild charts accept.  Their sample boxes span radii
@@ -696,31 +689,37 @@ def _mass(mass) -> float:
 _HORIZON_MARGIN, _THETA_MARGIN = 1e-3, 1e-6
 
 
+def _radial_jet(g_diag, dr_diag, dth_33):
+    """(g, dg) of a diagonal metric on a (t, r, theta, phi) chart that
+    depends on r, and on theta through g_33 only: the diagonals of g and
+    d_r g, and d_theta g_33."""
+    g = np.zeros((4, 4))
+    g[0, 0], g[1, 1], g[2, 2], g[3, 3] = g_diag
+    dg = np.zeros((4, 4, 4))
+    dg[1, 0, 0], dg[1, 1, 1], dg[1, 2, 2], dg[1, 3, 3] = dr_diag
+    dg[2, 3, 3] = dth_33
+    return g, dg
+
+
+def _radial_guard(r_min: float):
+    """Domain guard of a Schwarzschild chart: r >= r_min, sin(theta) off 0."""
+    def guard(x):
+        return (x[1] >= r_min) and (np.sin(x[2]) >= _THETA_MARGIN)
+    return guard
+
+
 def schwarzschild(mass: float = 1.0) -> MetricField:
     M = _mass(mass)
     r_min = 2.0 * M * (1.0 + _HORIZON_MARGIN)
 
-    def ev(x):
-        r, th = x[1], x[2]
-        f = 1.0 - 2.0 * M / r
-        s = np.sin(th)
-        return _diag_matrix([-f, 1.0 / f, r * r, r * r * s * s])
-
-    def dev(x):
+    def jet(x):
         r, th = float(x[1]), float(x[2])
         f = 1.0 - 2.0 * M / r
         fp = 2.0 * M / (r * r)
         s, c = math.sin(th), math.cos(th)
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = -fp
-        dg[1, 1, 1] = -fp / (f * f)
-        dg[1, 2, 2] = 2.0 * r
-        dg[1, 3, 3] = 2.0 * r * s * s
-        dg[2, 3, 3] = 2.0 * r * r * s * c
-        return dg
-
-    def guard(x):
-        return (x[1] >= r_min) and (np.sin(x[2]) >= _THETA_MARGIN)
+        return _radial_jet((-f, 1.0 / f, r * r, r * r * s * s),
+                           (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
+                           2.0 * r * r * s * c)
 
     def margin(x):
         return min(float(x[1]) - r_min, math.sin(float(x[2])) - _THETA_MARGIN)
@@ -728,8 +727,8 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=ev, d_eval=dev,
-        domain_guard=guard, guard_margin=margin,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet,
+        domain_guard=_radial_guard(r_min), guard_margin=margin,
         name=f"schwarzschild{mass:g}", diagonal=True, sample_box=box,
     )
 
@@ -744,41 +743,29 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     M = _mass(mass)
     rho_min = 0.5 * M * (1.0 + _HORIZON_MARGIN)
 
-    def ev(x):
-        rho, th = x[1], x[2]
-        u = 1.0 + M / (2.0 * rho)
-        A = (1.0 - M / (2.0 * rho)) / u
-        s = np.sin(th)
-        u4 = u * u * u * u
-        return _diag_matrix([-A * A, u4, u4 * rho * rho,
-                             u4 * rho * rho * s * s])
-
-    def dev(x):
+    def jet(x):
         rho, th = float(x[1]), float(x[2])
         u = 1.0 + M / (2.0 * rho)
         du = -M / (2.0 * rho * rho)
         A = (1.0 - M / (2.0 * rho)) / u
         dA = (M / (rho * rho)) / (u * u)
         s, c = math.sin(th), math.cos(th)
-        u3, u4 = u**3, u**4
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = -2.0 * A * dA
-        dg[1, 1, 1] = 4.0 * u3 * du
-        dg[1, 2, 2] = 4.0 * u3 * du * rho * rho + 2.0 * u4 * rho
-        dg[1, 3, 3] = dg[1, 2, 2] * s * s
-        dg[2, 3, 3] = 2.0 * u4 * rho * rho * s * c
-        return dg
-
-    def guard(x):
-        return (x[1] >= rho_min) and (np.sin(x[2]) >= _THETA_MARGIN)
+        u4 = u * u * u * u
+        du4 = 4.0 * u ** 3 * du                      # d_rho u^4
+        dr = du4 * rho * rho + 2.0 * u ** 4 * rho    # d_rho (u^4 rho^2)
+        return _radial_jet(
+            (-A * A, u4, u4 * rho * rho, u4 * rho * rho * s * s),
+            (-2.0 * A * dA, du4, dr, dr * s * s),
+            2.0 * u ** 4 * rho * rho * s * c)
 
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=ev, d_eval=dev,
-        domain_guard=guard, name=f"schwarzschild_isotropic{mass:g}",
-        diagonal=True, sample_box=box,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet,
+        domain_guard=_radial_guard(rho_min),
+        name=f"schwarzschild_isotropic{mass:g}", diagonal=True,
+        sample_box=box,
     )
 
 
@@ -842,7 +829,7 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
     """g = Omega(x)^2 * eta for an expression ``omega`` in x0..x{dim-1}
     (aliases t, x, y, z when dim == 4), restricted as ``_parse_expr`` says.
 
-    ``d_eval`` takes d_k Omega by a complex step, Im Omega(x + i h e_k) / h
+    ``jet`` takes d_k Omega by a complex step, Im Omega(x + i h e_k) / h
     with h = 1e-30, which has no subtractive cancellation.
     """
     expr = str(omega)
@@ -852,16 +839,18 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
     om = _parse_expr(expr, names)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
     steps = 1j * _CS_STEP * np.eye(dim)
+    two = np.full(dim, 2.0)  # carries the step axis when Omega is constant
 
-    def ev(x):
+    def value(x):
         w = om(x)
-        return w * w * eta
+        return w, w * w * eta
 
-    def dev(x):
+    def jet(x):
+        w, g = value(x)
         # row i of the stepped point is coordinate i in each of the dim
         # step directions, so one evaluation gives every d_k Omega
-        dw = np.broadcast_to(np.imag(om(x[:, None] + steps)), (dim,))
-        return (2.0 * om(x) * dw / _CS_STEP)[:, None, None] * eta
+        dw = np.imag(om(x[:, None] + steps))
+        return g, (two * w * dw / _CS_STEP)[:, None, None] * eta
 
     def guard(x):
         # the metric Omega^2 eta must be finite; NaN fails both tests
@@ -869,7 +858,7 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
         return w > 1e-6 and w * w < math.inf
 
     return MetricField(
-        dim=dim, eval=ev, d_eval=dev,
+        dim=dim, eval=lambda x: value(x)[1], jet=jet,
         domain_guard=guard, name="conformal_flat{" + expr + "}",
         diagonal=True, sample_box=np.array([[-2.0, 2.0]] * dim),
     )

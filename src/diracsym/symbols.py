@@ -231,10 +231,12 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
         _, dE, _ = _frame_jet_from(m, *_metric_jet(m, x))
         return 1j * eng.contract(dE, "gamma")
 
-    return FirstOrderSystem(
+    sysd = FirstOrderSystem(
         N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B, d_coeff_A=d_coeff_A,
         rep=rep, name=f"dirac[{m.name}]",
     )
+    sysd._dirac_of = rep  # the marker _dirac_backed reads
+    return sysd
 
 
 def principal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
@@ -346,8 +348,10 @@ class SymbolPackage:
 
 
 def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
-    """Whether sys is rep's own Dirac system, with closed-form jets."""
-    return rep is not None and sys.rep is rep and sys.d_coeff_A is not None
+    """Whether sys is the system that dirac_system(rep) returned, whose
+    jets the engine reads off rep in closed form; a system that only
+    carries rep and look-alike coefficients is foreign."""
+    return rep is not None and getattr(sys, "_dirac_of", None) is rep
 
 
 def _symbol_jet(sys: FirstOrderSystem, p: PhasePoint):

@@ -163,12 +163,13 @@ class _Recursion:
         laws = ([st.generator(self.sign)] if self.sign is not None else []) \
             + ([st.omega_dot] if self.spin else [])
         L = np.stack(laws, axis=1)
+        negL = -L
         j = -1
 
         def f(V):
             nonlocal j
             j += 1
-            return -(L[j] @ V)
+            return negL[j] @ V
 
         kept = []
         if self.k is None:  # the first block opens with the seed

@@ -69,9 +69,19 @@ def rotating_chart(omega=0.3):
         return dg
 
     return ds.MetricField(
-        dim=4, eval=ev, d_eval=dev, name="rotating_minkowski",
+        dim=4, eval=ev, jet=lambda x: (ev(x), dev(x)),
+        name="rotating_minkowski",
         domain_guard=lambda x: omega**2 * (x[1]**2 + x[2]**2) < 0.9,
         sample_box=np.array([[-1.0, 1.0]] * 4))
+
+
+def look_alike_dirac(sysd):
+    """Not the Dirac system, though it carries the module and the Dirac
+    system's own d_coeff_A: A doubled and B = 5 Id."""
+    return ds.FirstOrderSystem(
+        N=sysd.N, coeff_A=lambda x: [2.0 * a for a in sysd.coeff_A(x)],
+        coeff_B=lambda x: 5.0 * np.eye(sysd.N), d_coeff_A=sysd.d_coeff_A,
+        rep=sysd.rep, name="look_alike")
 
 
 def null_state(m, rep, x, seed):

@@ -153,6 +153,7 @@ def test_trace_infalling_ray_leaves_chart(tmp_path, capsys):
     assert rc == 1
     summary = json.loads(out.strip().split("\n")[-1])["summary"]
     assert summary["left_chart"] is True
+    assert summary["failed"][-1] == "left_chart"
 
 
 def test_trace_csv_table(tmp_path, capsys):
@@ -199,6 +200,7 @@ def test_compare_schwarzschild_passes(tmp_path, capsys):
     assert payload["q_drift"] < 1e-6
     assert payload["flip_subprincipal"] is False
     assert payload["fixture"] == "schwarzschild1"
+    assert "failed" not in payload
 
 
 def test_compare_flipped_sign_fails(tmp_path, capsys):
@@ -208,8 +210,35 @@ def test_compare_flipped_sign_fails(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(out)
     assert payload["pass"] is False
+    assert payload["failed"] == ["max_gap"]
     assert payload["max_gap"] > 1e-3
     assert payload["flip_subprincipal"] is True
+
+
+# From r = 2.2 the ray's q drift and kernel residual fall about 16x per step
+# halving: 9.8e-6 and 9.9e-6 at h = 0.1, 6.5e-7 at h = 0.05, 1.1e-9 at
+# h = 0.01, against the default q_drift 1e-6 and kernel 1e-8; the two
+# transports agree to 4e-7 at every step, so the gap alone passes them all.
+@pytest.mark.parametrize("command", ["compare", "trace"])
+@pytest.mark.parametrize("step, failed", [
+    (0.1, ["q_drift", "kernel"]), (0.05, ["kernel"]), (0.01, None)])
+def test_ray_passes_only_when_every_gate_holds(tmp_path, capsys, command,
+                                               step, failed):
+    cfg = schw_compare_cfg(tmp_path, chart_seed_point=[0.0, 2.2, 1.2, 0.3],
+                           integrator={"kind": "rk4_fixed", "step": step})
+    rc, out, _ = run(capsys, [command, "--config", cfg, "--no-meta"])
+    report = json.loads(out.strip().split("\n")[-1])["summary"] \
+        if command == "trace" else json.loads(out)
+    assert rc == (1 if failed else 0)
+    assert report["pass"] is (failed is None)
+    assert report.get("failed") == failed
+    assert report["left_chart"] is False
+    if command == "compare":
+        assert report["max_gap"] < 1e-6
+        rc, out, _ = run(capsys, [command, "--config", cfg, "--no-meta",
+                                  "--flip-subprincipal-sign"])
+        assert rc == 1
+        assert json.loads(out)["failed"] == ["max_gap"] + (failed or [])
 
 
 def test_compare_deterministic_bytes(tmp_path, capsys):

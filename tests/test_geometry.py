@@ -239,6 +239,61 @@ def test_autodiff_matches_central_difference():
                              - metric_derivative(fd, x))) < 1e-8, expr
 
 
+_JET_CATALOG = {
+    "minkowski2": lambda: ds.minkowski(2),
+    "minkowski4": lambda: ds.minkowski(4),
+    "minkowski_linear": lambda: ds.minkowski_linear_chart(
+        np.array([[1.2, 0.3, 0.0, 0.0], [0.1, 1.0, 0.2, 0.0],
+                  [0.0, 0.0, 1.0, 0.1], [0.2, 0.0, 0.0, 0.9]])),
+    "schwarzschild1.0": lambda: ds.catalog_metric("schwarzschild1.0"),
+    "schwarzschild_isotropic1.0":
+        lambda: ds.catalog_metric("schwarzschild_isotropic1.0"),
+    "conformal_flat": lambda: ds.catalog_metric(
+        "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}"),
+    "conformal_flat_constant": lambda: ds.catalog_metric(
+        "conformal_flat{1.5}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JET_CATALOG))
+def test_catalog_jet_matches_eval_and_central_differences(name):
+    """A catalog jet's g is eval's exactly; its dg matches Richardson
+    extrapolated central differences, whose O(h^4) error stays below the
+    bounds of the two tests above across the whole sample box."""
+    from diracsym.geometry import _partials
+
+    m = _JET_CATALOG[name]()
+    bound = 1e-8 if name.startswith("conformal") else 1e-6
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = ds.random_chart_point(m, rng)
+        g, dg = m.jet(x)
+        assert np.array_equal(g, m.eval(x))
+        assert dg.shape == (m.dim,) * 3
+        d1, d2 = (_partials(m.eval, x, h) for h in (1e-4, 5e-5))
+        assert np.max(np.abs((4.0 * d2 - d1) / 3.0 - dg)) < bound, x
+
+
+@pytest.mark.parametrize("name", ["schwarzschild1.0", "conformal_flat"])
+def test_rk4_flow_takes_one_jet_per_stage_and_no_eval(name):
+    import dataclasses
+
+    from diracsym.geometry import _flow
+
+    m = _JET_CATALOG[name]()
+    jets, evals = [], []
+    counted = dataclasses.replace(
+        m, eval=lambda x: evals.append(1) or m.eval(x),
+        jet=lambda x: jets.append(1) or m.jet(x))
+    x0 = SCHW_X0 if name.startswith("schwarzschild") \
+        else np.array([0.1, -0.3, 0.5, 0.2])
+    xi0 = ds.random_null_covector(m, x0, np.random.default_rng(2))
+    traj = _flow(counted, PhasePoint(x0, xi0), 0.1, "rk4_fixed", 1e-2, 1e-10)
+    assert traj.n - 1 == 10 and not traj.left_chart
+    assert len(jets) == 1 + 4 * 10
+    assert not evals
+
+
 # --------------------------------------------------------------------------
 # flow
 

@@ -24,7 +24,7 @@ from diracsym.symbols import (
     symbol_package,
 )
 
-from conftest import SCHW_X0, rotating_chart
+from conftest import SCHW_X0, look_alike_dirac, rotating_chart
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -295,6 +295,22 @@ def test_symbol_package_closed_vs_fd_paths(rep_schw, schw, sys_schw):
                              - np.stack(fd.d_sigma_m[key]))) < 1e-6
 
 
+def test_symbol_package_look_alike_gets_its_own_bracket(rep_schw, schw,
+                                                        sys_schw):
+    """A system that carries the module and the Dirac d_coeff_A but doubles
+    A gets the central-difference bracket of its own symbol, about twice
+    the Dirac one, not the engine's closed form."""
+    rng = np.random.default_rng(21)
+    p = PhasePoint(SCHW_X0, ds.random_null_covector(schw, SCHW_X0, rng))
+    dirac = symbol_package(rep_schw, p, sys=sys_schw)
+    fake = symbol_package(rep_schw, p, sys=look_alike_dirac(sys_schw))
+    scale = np.max(np.abs(dirac.bracket))
+    assert scale > 1e-3
+    assert np.max(np.abs(fake.bracket - 2.0 * dirac.bracket)) < 1e-6 * scale
+    assert np.max(np.abs(np.stack(fake.d_sigma_m["dxi"])
+                         - 2.0 * np.stack(dirac.d_sigma_m["dxi"]))) < 1e-12
+
+
 # --------------------------------------------------------------------------
 # principal type certificates
 
@@ -388,7 +404,7 @@ def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     Z = np.linalg.solve(g, p.xi)
     rho = np.concatenate([-np.einsum("kab,a,b->k", dg, Z, Z), 2.0 * Z])
     rho /= np.linalg.norm(rho)
-    if sys.rep is rep and sys.d_coeff_A is not None:
+    if getattr(sys, "_dirac_of", None) is rep:
         sd = _StageEngine(rep)(p.x, p.xi)
         dsdx, dsdxi = sd.ds1x, sd.A
     else:

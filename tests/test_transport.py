@@ -27,7 +27,7 @@ from diracsym.transport import (
     transport_spin,
 )
 
-from conftest import SCHW_X0, null_state, rotating_chart
+from conftest import SCHW_X0, look_alike_dirac, null_state, rotating_chart
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -469,11 +469,11 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
         state = null_state(m, rep, x0, seed)
     stages = 4 if flow["integrator"] == "rk4_fixed" else 6
     if stages == 6:
-        # the ray has rejected steps: more metric evaluations than the
-        # seed plus six per accepted step
+        # the ray has rejected steps: more metric jets than the seed plus
+        # six per accepted step
         calls = []
         counted = dataclasses.replace(
-            m, eval=lambda x: calls.append(1) or m.eval(x))
+            m, jet=lambda x: calls.append(1) or m.jet(x))
         hs = []
         _flow(counted, state.phase, t_end,
               on_block=lambda h, _: hs.extend(h), **flow)
@@ -681,13 +681,23 @@ def test_spinor_rep_stack_matches_points():
 
 def test_denker_rejects_foreign_system_with_rep(rep_schw, sys_schw):
     """A system that carries the module but not its Dirac coefficients
-    would otherwise be transported as the Dirac system."""
+    would otherwise be transported as the Dirac system.  Only the object
+    dirac_system returned passes: neither a look-alike that also carries
+    the Dirac d_coeff_A nor a copy with one coefficient swapped does."""
+    import dataclasses
+
     doubled = FirstOrderSystem(
         N=4, coeff_A=lambda x: [2.0 * a for a in sys_schw.coeff_A(x)],
         coeff_B=lambda x: 5.0 * np.eye(4), rep=rep_schw, name="doubled")
+    look_alike = look_alike_dirac(sys_schw)
+    swapped = dataclasses.replace(sys_schw, coeff_B=doubled.coeff_B)
     state = null_state(rep_schw.metric, rep_schw, SCHW_X0, 3)
-    with pytest.raises(ConfigError):
-        transport_denker(doubled, state, 0.1)
+    for fake in (doubled, look_alike, swapped):
+        with pytest.raises(ConfigError):
+            transport_denker(fake, state, 0.1)
+        with pytest.raises(ConfigError):
+            compare_transports(rep_schw, fake, state, 0.1)
+    assert transport_denker(sys_schw, state, 0.1).trajectory.n == 101
 
 
 def test_compare_rejects_system_of_another_module(rep_schw, sys_mink4):

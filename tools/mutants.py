@@ -73,6 +73,18 @@ MUTANTS = [
     ("compare_accepts_any_module", "src/diracsym/transport.py",
      "if not _dirac_backed(rep, sys):",
      "if sys.rep is None:"),
+    ("conformal_jet_factor_1.9", "src/diracsym/geometry.py",
+     "(two * w * dw / _CS_STEP)",
+     "(0.95 * two * w * dw / _CS_STEP)"),
+    ("schwarzschild_jet_dg133_scaled", "src/diracsym/geometry.py",
+     "2.0 * r, 2.0 * r * s * s)",
+     "2.0 * r, 2.02 * r * s * s)"),
+    ("dirac_backed_by_rep_alone", "src/diracsym/symbols.py",
+     'getattr(sys, "_dirac_of", None) is rep',
+     "sys.rep is rep"),
+    ("compare_without_q_drift_gate", "src/diracsym/cli.py",
+     '_verdict(payload, sc, ("max_gap", "q_drift", "kernel"))',
+     '_verdict(payload, sc, ("max_gap", "kernel"))'),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
