@@ -272,21 +272,23 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def _kv_rows(w, val, prefix=""):
+    """``key,value`` rows of ``val`` on the CSV writer w, keys sorted and
+    dotted through nested dicts, lists as JSON."""
+    if isinstance(val, dict):
+        for k in sorted(val):
+            _kv_rows(w, val[k], f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(val, (list, tuple)):
+        w.writerow([prefix, json.dumps(val, default=_json_default)])
+    else:
+        w.writerow([prefix, val])
+
+
 def _emit_kv_csv(obj, path):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["key", "value"])
-
-    def walk(prefix, val):
-        if isinstance(val, dict):
-            for k in sorted(val):
-                walk(f"{prefix}.{k}" if prefix else str(k), val[k])
-        elif isinstance(val, (list, tuple)):
-            w.writerow([prefix, json.dumps(val, default=_json_default)])
-        else:
-            w.writerow([prefix, val])
-
-    walk("", obj)
+    _kv_rows(w, obj)
     _write_text(buf.getvalue(), path)
 
 
@@ -337,6 +339,8 @@ def _emit_trace(traj, orbit, summary, path, fmt, no_meta):
         for r in recs:
             w.writerow([r["t"], *r["x"], *r["xi"], r["q"], *r["w_re"],
                         *r["w_im"], r["kernel_residual"]])
+        w.writerow([])
+        _kv_rows(w, summary)
         _write_text(buf.getvalue(), path)
 
 

@@ -424,7 +424,7 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
 
 # Accepted steps per block of stage records handed on by ``_flow``; bounds
 # the records held at once, whatever the length of the run.
-_BLOCK_STEPS = 16
+_BLOCK_STEPS = 32
 # Dormand-Prince attempts (accepted plus rejected steps) allowed per unit of
 # t, and for at least one unit, in one run.  The step floor alone does not
 # bound a run: an error estimate that never shrinks like h^5 holds the step

@@ -29,6 +29,7 @@ from .geometry import (
     _frame_from,
     _frame_jet_from,
     _metric_jet,
+    _metric_value,
     _null_projection,
     _partials,
     _phase_core,
@@ -220,7 +221,7 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
     eng = _StageEngine(rep)
 
     def coeff_A(x):
-        E, _, _ = _frame_jet_from(m, *_metric_jet(m, x))
+        E, _ = _frame_from(m, _metric_value(m, np.asarray(x, dtype=float)))
         return list(1j * eng.contract(E, "gamma"))
 
     def coeff_B(x):

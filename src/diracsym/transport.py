@@ -22,9 +22,12 @@ first, with the trajectory integrator's own code and grid; its ray is
 ``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
 computed at the stages of its accepted steps, block by block; one stacked
 engine call per block turns them into each law's matrix L at every stage,
-and the polarizations follow the linear recursion k = -(L @ w) through the
-same step function.  A law's sections do not depend on whether the other
-law rides along.
+a few stacked products turn those into each step's increment operator D
+under the flow's own tableau, and a polarization advances as w + D w, one
+small product per step.  The sections equal those of a joint
+ray-and-polarization integration to roundoff, are bit for bit the same
+for any block size, and do not depend on whether the other law rides
+along.
 """
 from __future__ import annotations
 
@@ -46,10 +49,10 @@ from .geometry import (
     _DP_A,
     _RK4_A,
     _check_seed,
+    _combine,
     _flow,
     _frame_jet_from,
     _metric_jet,
-    _rk_step,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
     _dirac_backed, dirac_system
@@ -142,9 +145,15 @@ class _Recursion:
     One stacked engine call evaluates the block's stage records, giving
     each law's matrix L at every stage: the generator M - kappa Id of the
     symbol-level law when ``sign`` is set, then omega(x; xdot) of the
-    spinor law when ``spin``.  The stacked polarizations V (law, N, 1)
-    follow the linear recursion k = -(L_stage @ V) through the flow's own
-    tableau ``rows``, so stage j of the recursion reads record j.  The
+    spinor law when ``spin``.  Both laws are linear, dw/dt = -L w, so a
+    step of the flow's own tableau ``rows`` (a = rows[:-1], b = rows[-1])
+    takes the polarizations V (law, N, 1) to V + D V, with the increment
+    operator formed for every step of the block and both laws at once:
+    P_1 = L_1, P_j = L_j + L_j S_j with S_j = sum_k a_jk (-h) P_k, and
+    D = sum_j b_j (-h) P_j.  Stage 1 of a step reads the previous step's
+    last record, the seed's in the first block and carried across blocks
+    after that.  V itself is stepped, V + D V, never multiplied by the
+    propagator I + D, whose rounding grows the gap of long rays.  The
     negative-control sign flips only the subprincipal term: the
     kernel-restricted theorem predicts a scale defect exp(2 int kappa) for
     the wrong sign, while the gauge scalar is part of the trivialization,
@@ -154,8 +163,9 @@ class _Recursion:
 
     def __init__(self, eng: _StageEngine, V0, sign: Optional[float],
                  spin: bool, rows):
-        self.eng, self.sign, self.spin, self.rows = eng, sign, spin, rows
-        self.V, self.k = V0, None
+        self.eng, self.sign, self.spin = eng, sign, spin
+        self.a, self.b = rows[:-1], rows[-1]
+        self.V, self.last = V0, None  # last: L at the latest sample
         self.Vs, self.xis, self.Es, self.L0s = [], [], [], []
 
     def __call__(self, hs, records):
@@ -163,27 +173,30 @@ class _Recursion:
         laws = ([st.generator(self.sign)] if self.sign is not None else []) \
             + ([st.omega_dot] if self.spin else [])
         L = np.stack(laws, axis=1)
-        negL = -L
-        j = -1
-
-        def f(V):
-            nonlocal j
-            j += 1
-            return negL[j] @ V
-
-        kept = []
-        if self.k is None:  # the first block opens with the seed
-            self.k = f(self.V)
-            kept.append(j)
-            self.Vs.append(self.V)
-        for h in hs:
-            self.V, ks = _rk_step(f, self.V, self.k, h, self.rows)
-            self.k = ks[-1]
-            kept.append(j)
-            self.Vs.append(self.V)
+        s = len(self.a) + 1  # records per step, one per row of the tableau
+        first = self.last is None  # the first block opens with the seed
+        # index arrays and the copied carry hold no view of a finished
+        # block's arrays, which would stay alive to the end of the run
+        kept = np.arange(0 if first else s - 1, len(records), s)
         self.xis.append(st.xi[kept])
         self.Es.append(st.E[kept])
         self.L0s.append(L[kept, 0])
+        if first:
+            self.Vs.append(self.V)
+        else:
+            L = np.concatenate((self.last, L))
+        self.last = L[-1:].copy()
+        Ls = L[:-1].reshape((len(hs), s) + L.shape[1:])
+        mh = -np.asarray(hs)[:, None, None, None]
+        P = [Ls[:, 0]]
+        for j, row in enumerate(self.a, start=1):
+            S = _combine(0.0, mh, row, P)  # sum_k a_jk (-h) P_k
+            P.append(Ls[:, j] + Ls[:, j] @ S)
+        V = self.V
+        for D in _combine(0.0, mh, self.b, P):  # sum_j b_j (-h) P_j
+            V = V + D @ V
+            self.Vs.append(V)
+        self.V = V
 
 
 def _transport_run(eng: _StageEngine, state: PolarizationState,
@@ -295,10 +308,9 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
                        flip_subprincipal: bool = False) -> TransportReport:
     """One trajectory, both transports on its exact grid, gap report.
 
-    The phase point and the two polarization vectors, both starting from
-    w0, evolve inside one joint integration that also records the
-    trajectory: its grid, chart truncation and phase samples are those of
-    ``integrate_bicharacteristic`` bit for bit, and the comparison carries
+    Both polarizations start from w0 and ride the one phase flow, whose
+    grid, chart truncation and phase samples are those of
+    ``integrate_bicharacteristic`` bit for bit, so the comparison carries
     no discretization asymmetry.  ``convergence=True`` reruns at half step
     and reports the max_gap shrink factor.  The engine reads every matrix
     off ``rep``, so ``sys`` must be ``rep``'s own Dirac system.

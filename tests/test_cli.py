@@ -1,4 +1,5 @@
 """End-to-end command line checks, run in process through cli.main."""
+import csv
 import json
 import os
 import subprocess
@@ -165,11 +166,34 @@ def test_trace_csv_table(tmp_path, capsys):
     })
     rc, out, _ = run(capsys, ["trace", "--config", cfg, "--format", "csv"])
     assert rc == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 102
+    table, summary = out.split("\n\n")
+    lines = table.split("\n")
+    assert len(lines) == 1 + 101
     head = lines[0].split(",")
     assert head[0] == "t" and head[-1] == "kernel_residual"
     assert "w0_re" in head and "xi3" in head
+    rows = summary.strip().split("\n")
+    assert "pass,True" in rows and "samples,101" in rows
+    assert [r.split(",")[0] for r in rows] == sorted(
+        r.split(",")[0] for r in rows)
+
+
+def test_failing_csv_trace_states_its_summary(tmp_path, capsys):
+    """The near-horizon ray at h = 0.05 fails the kernel gate; the CSV
+    trace says so after its sample table."""
+    cfg = schw_compare_cfg(tmp_path, chart_seed_point=[0.0, 2.2, 1.2, 0.3],
+                           integrator={"kind": "rk4_fixed", "step": 0.05})
+    rc, out, _ = run(capsys, ["trace", "--config", cfg, "--format", "csv",
+                              "--no-meta"])
+    assert rc == 1
+    table, summary = out.split("\n\n")
+    assert len(table.split("\n")) == 1 + 21
+    rows = dict(csv.reader(summary.strip().split("\n")))
+    assert rows["pass"] == "False"
+    assert json.loads(rows["failed"]) == ["kernel"]
+    assert rows["left_chart"] == "False"
+    assert float(rows["q_drift"]) < 1e-6
+    assert float(rows["max_kernel_residual"]) > 1e-8
 
 
 # --------------------------------------------------------------------------

@@ -76,6 +76,38 @@ def test_principal_symbol_matches_clifford_action(sys_schw, schw, rep_schw):
         assert np.max(np.abs(principal_symbol(sys_schw, p) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("metric", [
+    "minkowski4", "schwarzschild1.0", "schwarzschild_isotropic1.0",
+    "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}",
+    "rotating"])
+def test_coeff_A_is_the_engine_frame_from_the_metric_value(metric):
+    """coeff_A reads the frame off the metric value alone, bit for bit the
+    engine's A, which takes it from the full metric jet."""
+    m = rotating_chart() if metric == "rotating" else ds.catalog_metric(metric)
+    rep = ds.build_canonical_module(m)
+    sysd, eng = dirac_system(rep), _StageEngine(rep)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        x = ds.random_chart_point(m, rng)
+        A = np.array(sysd.coeff_A(x))
+        assert np.array_equal(A, eng(x, rng.normal(size=4)).A)
+
+
+def test_coeff_A_of_a_metric_without_jet_evaluates_it_once():
+    """No central differences of a metric without jet: coeff_A needs the
+    value only."""
+    import dataclasses
+
+    base = rotating_chart()
+    calls = []
+    m = dataclasses.replace(base, jet=None,
+                            eval=lambda x: calls.append(1) or base.eval(x))
+    sysd = dirac_system(ds.build_canonical_module(m))
+    calls.clear()
+    sysd.coeff_A([0.0, 0.4, -0.3, 0.2])
+    assert len(calls) == 1
+
+
 # --------------------------------------------------------------------------
 # auxiliary symbol and factorization
 

@@ -446,6 +446,22 @@ def _reference_cases():
     }
 
 
+def _reference_run(case):
+    """(metric, module, Dirac system, state, t_end, flow) of a reference
+    case."""
+    m, x0, seed, t_end, flow = _reference_cases()[case]
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep)
+    if seed is None:  # x0 holds the covector of the left-chart ray at SCHW_X0
+        xi = x0
+        x0 = SCHW_X0
+        vecs, _ = kernel_basis(principal_symbol(sysd, PhasePoint(x0, xi)))
+        state = PolarizationState(PhasePoint(x0, xi), vecs[0])
+    else:
+        state = null_state(m, rep, x0, seed)
+    return m, rep, sysd, state, t_end, flow
+
+
 @pytest.mark.parametrize("case", sorted(_reference_cases()))
 def test_split_transport_matches_joint_reference(case, monkeypatch):
     """Phase flow first, stacked stage coefficients and the linear
@@ -457,16 +473,7 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
     from diracsym.geometry import _BLOCK_STEPS, _flow
     from diracsym.symbols import _StageEngine
 
-    m, x0, seed, t_end, flow = _reference_cases()[case]
-    rep = ds.build_canonical_module(m)
-    sysd = dirac_system(rep)
-    if seed is None:  # x0 holds the covector of the left-chart ray at SCHW_X0
-        xi = x0
-        x0 = SCHW_X0
-        vecs, _ = kernel_basis(principal_symbol(sysd, PhasePoint(x0, xi)))
-        state = PolarizationState(PhasePoint(x0, xi), vecs[0])
-    else:
-        state = null_state(m, rep, x0, seed)
+    m, rep, sysd, state, t_end, flow = _reference_run(case)
     stages = 4 if flow["integrator"] == "rk4_fixed" else 6
     if stages == 6:
         # the ray has rejected steps: more metric jets than the seed plus
@@ -503,6 +510,41 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
             err = np.linalg.norm(got - ref[:, j], axis=1)
             assert np.all(err <= 1e-12 * np.linalg.norm(ref[:, j], axis=1)), \
                 (case, flip, j, float(np.max(err)))
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_sections_do_not_depend_on_block_size(case, monkeypatch):
+    """The flow hands on its records in blocks, and stage 1 of a block's
+    first step is carried over from the block before: the trajectory and
+    both laws' sections are bit for bit the same for any block size, also
+    with rejected steps (conformal_dopri) and a truncated ray
+    (left_chart)."""
+    from diracsym import geometry
+
+    _, rep, sysd, state, t_end, flow = _reference_run(case)
+    runs = []
+    for size in (1, 3, geometry._BLOCK_STEPS, 1000):
+        monkeypatch.setattr(geometry, "_BLOCK_STEPS", size)
+        runs.append(compare_transports(rep, sysd, state, t_end, **flow))
+    first = runs[0]
+    assert first.trajectory.n > 10
+    for rpt in runs[1:]:
+        for key in ("ts", "xs", "xis", "qs"):
+            assert np.array_equal(getattr(first.trajectory, key),
+                                  getattr(rpt.trajectory, key)), key
+        for orbit in ("orbit_denker", "orbit_spin"):
+            assert np.array_equal(getattr(first, orbit).sections,
+                                  getattr(rpt, orbit).sections), orbit
+
+
+def test_long_ray_gap_floor(rep_schw, sys_schw, schw):
+    """5,000 RK4 steps: the polarizations are stepped as V + D V, so the
+    gap stays at roundoff (8e-16 here); a per-step propagator (I + D) V
+    lets rounding accumulate to 9e-14."""
+    state = null_state(schw, rep_schw, SCHW_X0, 3)
+    rpt = compare_transports(rep_schw, sys_schw, state, 5.0, step=1e-3)
+    assert rpt.trajectory.n == 5001 and not rpt.left_chart
+    assert rpt.max_gap < 1e-14
 
 
 def test_replay_rejects_unknown_integrator(sys_mink4):

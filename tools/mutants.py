@@ -82,6 +82,12 @@ MUTANTS = [
     ("dirac_backed_by_rep_alone", "src/diracsym/symbols.py",
      'getattr(sys, "_dirac_of", None) is rep',
      "sys.rep is rep"),
+    ("recursion_propagator_form", "src/diracsym/transport.py",
+     "V = V + D @ V",
+     "V = (np.eye(D.shape[-1]) + D) @ V"),
+    ("recursion_carry_frozen", "src/diracsym/transport.py",
+     "self.last = L[-1:].copy()",
+     "self.last = L[-1:].copy() if first else self.last"),
     ("compare_without_q_drift_gate", "src/diracsym/cli.py",
      '_verdict(payload, sc, ("max_gap", "q_drift", "kernel"))',
      '_verdict(payload, sc, ("max_gap", "kernel"))'),
