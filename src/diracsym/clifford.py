@@ -116,14 +116,8 @@ class CliffordModuleRep:
         psub = np.concatenate((
             np.einsum("cij,abjk->cabik", up, spin).reshape(-1, N, N),
             -0.5 * up))
-        tensors = {
-            "gamma": up, "commutator": commutator, "spin": spin, "psub": psub,
-            # -1/2 [gamma^a, gamma^b]; -gamma^a times each p_sub row; -Id
-            "generator": np.concatenate((
-                -0.5 * commutator.reshape(-1, N, N),
-                -np.einsum("aij,rjk->arik", up, psub).reshape(-1, N, N),
-                -np.eye(N)[None])),
-        }
+        tensors = {"gamma": up, "commutator": commutator, "spin": spin,
+                   "psub": psub}
         self._stage_tensors = {
             k: np.ascontiguousarray(T.reshape(-1, N * N),
                                     dtype=complex).view(float)

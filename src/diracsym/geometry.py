@@ -240,7 +240,7 @@ def _phase_core(m: MetricField, x, xi):
     g, dg = _metric_jet(m, x)  # raises OutsideChart past the domain guard
     Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
     dx = 2.0 * Z
-    dxi = dg @ Z @ Z
+    dxi = dg.dot(Z).dot(Z)
     return g, dg, Z, dx, dxi
 
 

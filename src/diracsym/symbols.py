@@ -81,10 +81,10 @@ class StageData:
     Holds the flow vectors Z = g^-1 xi and dx = 2 Z and small real
     coefficient arrays read off the metric and frame jets: the frame E, its
     partials dE, E^-1 dE, and the lowered connection coefficients
-    Wl[m, a, b] = omega_m^{ab} in the frame.  Every matrix is one
-    contraction of coefficients against the module's Clifford tensors and
-    is formed only when read, so a transport stage pays for the generator
-    and the contracted connection alone.
+    Wl[m, a, b] = omega_m^{ab} in the frame.  Every matrix is formed only
+    when read, by one contraction against the module's Clifford tensors
+    (the generator by three and a stacked product), so a transport stage
+    pays for the generator and the contracted connection alone.
     """
 
     __slots__ = ("eng", "xi", "Z", "dx", "E", "dE", "EdE", "Wl")
@@ -153,16 +153,18 @@ class StageData:
     def generator(self, sign: float = 1.0) -> np.ndarray:
         """(1/2) bracket + sign * i sigma_tilde p_sub - kappa Id.
 
-        sigma_tilde equals sigma_1 = i c_a gamma^a (c = E^T xi) for the
-        canonical modules, so the subprincipal term is bilinear in c and
-        the p_sub coefficients; one contraction forms the whole matrix.
+        sigma_tilde equals sigma_1 = i Gamma(c) (c = E^T xi) for the
+        canonical modules, so the subprincipal term is -Gamma(sign c) p_sub:
+        the bracket, p_sub and Gamma(sign c) are one contraction each, and
+        one stacked product joins the last two.
         """
-        c = sign * (self.xi[..., None, :] @ self.E)
-        sub = c.swapaxes(-1, -2) * self._psub_coeffs()[..., None, :]
-        coeffs = np.concatenate((
-            self._bracket_coeffs(), _rows(sub),
-            np.asarray(self.kappa)[..., None]), axis=-1)
-        return self.eng.contract(coeffs, "generator")
+        c = sign * (self.xi[..., None, :] @ self.E)[..., 0, :]
+        p_sub = self.eng.contract(self._psub_coeffs(), "psub")
+        out = 0.5 * self.bracket
+        out -= self.eng.contract(c, "gamma") @ p_sub
+        i = np.arange(self.eng.N)
+        out[..., i, i] -= self.kappa[..., None]
+        return out
 
 
 class _StageEngine:
@@ -171,11 +173,11 @@ class _StageEngine:
 
     One evaluation takes the phase flow's values at its points, and forms
     the frame jet and the frame connection coefficients once; ``StageData``
-    contracts them into the principal symbol, the generator of the
-    symbol-level transport, the contracted spin connection, and the
-    symbol-package matrices, against Clifford tensors the module computes
-    once.  A transport hands it the records of a block of accepted stages
-    at once (``at``); a point call evaluates the flow first.
+    contracts them against Clifford tensors the module computes once: into
+    the principal symbol, the contracted spin connection and the
+    symbol-package matrices, and into the factors of the generator of the
+    symbol-level transport.  A transport hands it the records of a block of
+    accepted stages at once (``at``); a point call evaluates the flow first.
     """
 
     def __init__(self, rep: CliffordModuleRep):

@@ -51,8 +51,10 @@ from .geometry import (
     _check_seed,
     _combine,
     _flow,
+    _frame_from,
     _frame_jet_from,
     _metric_jet,
+    _metric_value,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
     _dirac_backed, dirac_system
@@ -220,7 +222,8 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
         raise ConfigError(f"initial polarization has shape {w0.shape}, "
                           f"expected ({eng.N},)")
     if sign is not None:
-        _initial_kernel_check(eng(p0.x, p0.xi).sigma1, w0, kernel_tol)
+        E = _frame_from(eng.m, _metric_value(eng.m, p0.x))[0]
+        _initial_kernel_check(eng.sigma1(p0.xi, E), w0, kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     rec = _Recursion(eng, np.array([w0] * n_laws)[:, :, None], sign, spin,

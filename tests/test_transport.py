@@ -159,6 +159,88 @@ def test_stage_engine_against_independent_code(fixture, flip):
         assert np.max(np.abs(a - b)) <= 1e-14 * (1 + np.max(np.abs(b)))
 
 
+def _one_contraction_generator(st, rep, sign):
+    """The generator as one contraction, kept as a reference: a (..., 289)
+    real coefficient array (the bracket's 16, c_a times each of the 68
+    p_sub coefficients, kappa) against the tensor of its rows, -1/2
+    [gamma^a, gamma^b], -gamma^a times each p_sub row and -Id, built as
+    the module once built it."""
+    N = rep.N
+    up = np.stack(rep.gammas_up)
+    P = up[:, None] @ up
+    commutator = P - P.transpose(1, 0, 2, 3)
+    psub = np.concatenate((
+        np.einsum("cij,abjk->cabik", up, -0.25 * P).reshape(-1, N, N),
+        -0.5 * up))
+    T = np.concatenate((
+        -0.5 * commutator.reshape(-1, N, N),
+        -np.einsum("aij,rjk->arik", up, psub).reshape(-1, N, N),
+        -np.eye(N)[None]))
+    T = np.ascontiguousarray(T.reshape(-1, N * N), dtype=complex).view(float)
+    c = sign * (st.xi[..., None, :] @ st.E)
+    sub = c.swapaxes(-1, -2) * st._psub_coeffs()[..., None, :]
+    coeffs = np.concatenate((
+        st._bracket_coeffs(), sub.reshape(sub.shape[:-2] + (-1,)),
+        np.asarray(st.kappa)[..., None]), axis=-1)
+    out = (coeffs @ T).view(complex)
+    return out.reshape(out.shape[:-1] + (N, N))
+
+
+@pytest.mark.parametrize("fixture", sorted(STAGE_FIXTURES))
+def test_generator_matches_one_contraction_form(fixture):
+    """The factored generator (three contractions and one stacked product)
+    equals the one-contraction form to 1e-14 relative, for both signs, at
+    point calls and in one stacked call."""
+    from diracsym.geometry import _phase_core
+    from diracsym.symbols import _StageEngine
+
+    m = STAGE_FIXTURES[fixture]()
+    rep = ds.build_canonical_module(m)
+    eng = _StageEngine(rep)
+    rng = np.random.default_rng(43)
+    points = []
+    for _ in range(4):
+        x = ds.random_chart_point(m, rng)
+        points.append((x, ds.random_null_covector(m, x, rng)))
+    stacked = eng.at(*map(np.array, zip(*(
+        (xi, *_phase_core(m, x, xi)[:4]) for x, xi in points))))
+    for sign in (1.0, -1.0):
+        calls = [eng(x, xi) for x, xi in points] + [stacked]
+        for st in calls:
+            got, want = st.generator(sign), _one_contraction_generator(
+                st, rep, sign)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_generator_scratch_stays_small(schw, rep_schw):
+    """StageData.generator on one 32-step RK4 block of schwarzschild1.0
+    (129 stage records) peaks below 300 KiB of Python allocations (the
+    one-contraction form took 602 KiB), so the block size does not cost
+    memory in the generator."""
+    import tracemalloc
+
+    from diracsym.geometry import _flow
+    from diracsym.symbols import _StageEngine
+
+    state = null_state(schw, rep_schw, SCHW_X0, 0)
+    records = []
+    _flow(schw, state.phase, 0.032, "rk4_fixed", 1e-3, 1e-10,
+          on_block=lambda hs, block: records.extend(block))
+    assert len(records) == 129
+    st = _StageEngine(rep_schw).at(*map(np.array, zip(*records)))
+    st.generator(1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = st.generator(1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (129, 4, 4)
+    assert peak <= 300 * 1024, peak
+
+
 def test_curved_nondiagonal_chart_frame_certificate_and_transport():
     """The rotating chart has a non-diagonal metric with nonzero
     derivatives: its frame jet against central differences, the module
@@ -226,6 +308,30 @@ def test_denker_requires_dirac_backing(sys_mink4):
                             coeff_B=sys_mink4.coeff_B, name="bare")
     with pytest.raises(ConfigError):
         transport_denker(bare, mink_state(), 0.5)
+
+
+def test_seed_check_reads_the_frame_alone(rep_schw, sys_schw, schw,
+                                         monkeypatch):
+    """The seed's kernel check takes sigma_1 from the frame of the metric
+    value: with the engine's one-point call refused, the three transports
+    still run, and an off-kernel seed is still refused."""
+    from diracsym.symbols import _StageEngine
+
+    state = null_state(schw, rep_schw, SCHW_X0, 0)
+
+    def refuse(self, x, xi):
+        raise AssertionError("one-point engine call")
+
+    monkeypatch.setattr(_StageEngine, "__call__", refuse)
+    rpt = compare_transports(rep_schw, sys_schw, state, 0.1, step=1e-2)
+    assert rpt.trajectory.n == 11 and rpt.max_gap < 1e-6
+    assert len(transport_denker(sys_schw, state, 0.1, step=1e-2).sections) \
+        == 11
+    assert len(transport_spin(rep_schw, state, 0.1, step=1e-2).sections) \
+        == 11
+    off = PolarizationState(state.phase, np.array([1.0, 0, 0, 0]))
+    with pytest.raises(KernelViolation):
+        compare_transports(rep_schw, sys_schw, off, 0.1, step=1e-2)
 
 
 def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):

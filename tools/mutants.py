@@ -88,6 +88,12 @@ MUTANTS = [
     ("recursion_carry_frozen", "src/diracsym/transport.py",
      "self.last = L[-1:].copy()",
      "self.last = L[-1:].copy() if first else self.last"),
+    ("generator_product_order", "src/diracsym/symbols.py",
+     'out -= self.eng.contract(c, "gamma") @ p_sub',
+     'out -= p_sub @ self.eng.contract(c, "gamma")'),
+    ("generator_kappa_dropped", "src/diracsym/symbols.py",
+     "out[..., i, i] -= self.kappa[..., None]",
+     "out[..., i, i] -= 0.0 * self.kappa[..., None]"),
     ("compare_without_q_drift_gate", "src/diracsym/cli.py",
      '_verdict(payload, sc, ("max_gap", "q_drift", "kernel"))',
      '_verdict(payload, sc, ("max_gap", "kernel"))'),
