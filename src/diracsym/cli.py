@@ -223,7 +223,7 @@ class _Scenario:
                     self.tols["null"], require_null=True)
         return xi
 
-    def initial_polarization(self, rep, sys, xi) -> np.ndarray:
+    def initial_polarization(self, sys, xi) -> np.ndarray:
         spec = self.polarization_spec
         name = "initial_polarization"
         if isinstance(spec, str):
@@ -357,7 +357,6 @@ def _write_text(text, path):
 
 def cmd_certify(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
-    sys_ = dirac_system(rep)
     report = certify_axioms(rep, sc.sample, tolerance=sc.tols["axioms"])
 
     rng = np.random.default_rng(sc.seed)
@@ -367,9 +366,8 @@ def cmd_certify(sc: _Scenario, args) -> int:
         points.append(PhasePoint(x, random_null_covector(sc.metric, x, rng)))
     # a summary, not the certificates: memory stays flat in sample.points
     pt_pass, dims, cond = True, set(), 0.0
-    for c in certify_principal_types(
-            rep, points, sys=sys_, null_tol=sc.tols["null"],
-            rank_tol=sc.tols["rank"], seed=sc.seed):
+    for c in certify_principal_types(rep, points, null_tol=sc.tols["null"],
+                                     rank_tol=sc.tols["rank"], seed=sc.seed):
         pt_pass = pt_pass and c.passed
         dims.add(c.ker_dim)
         cond = max(cond, c.ker_coker_condition_number)
@@ -413,7 +411,7 @@ def cmd_trace(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
     sys_ = dirac_system(rep)
     xi = sc.null_covector()
-    w0 = sc.initial_polarization(rep, sys_, xi)
+    w0 = sc.initial_polarization(sys_, xi)
     orbit = transport_denker(
         sys_, PolarizationState(PhasePoint(sc.x0, xi), w0), sc.t_end,
         step=sc.step, integrator=sc.integrator, tol=sc.tol,
@@ -438,7 +436,7 @@ def cmd_compare(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
     sys_ = dirac_system(rep)
     xi = sc.null_covector()
-    w0 = sc.initial_polarization(rep, sys_, xi)
+    w0 = sc.initial_polarization(sys_, xi)
     state = PolarizationState(PhasePoint(sc.x0, xi), w0)
     report = compare_transports(
         rep, sys_, state, sc.t_end, step=sc.step, integrator=sc.integrator,
@@ -453,11 +451,9 @@ def cmd_compare(sc: _Scenario, args) -> int:
 
 def cmd_symbols(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
-    sys_ = dirac_system(rep)
     Nfield = sc.timelike_field()
     xi = sc.initial_covector()
-    pkg = symbol_package(rep, PhasePoint(sc.x0, xi), sys=sys_,
-                         N=Nfield)
+    pkg = symbol_package(rep, PhasePoint(sc.x0, xi), N=Nfield)
     payload = dict(pkg.to_dict())
     payload["command"] = "symbols"
     payload["fixture"] = sc.metric.name

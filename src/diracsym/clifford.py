@@ -23,6 +23,7 @@ from .errors import (
 )
 from .geometry import (
     MetricField,
+    _christoffel_from,
     _frame_jet_from,
     _metric_jet,
     eval_metric,
@@ -148,10 +149,7 @@ def _connection_from(pair_products, eta, g, dg, E, dE, Einv):
     signs and contracted against gamma^a gamma^b.
     """
     d = g.shape[-1]
-    # T[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
-    T = dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
-    Gam = 0.5 * (np.linalg.inv(g) @ T.reshape(T.shape[:-2] + (d * d,)))
-    Gam = Gam.reshape(T.shape)
+    Gam = _christoffel_from(g, dg)
     w = Einv[..., None, :, :] @ (dE + Gam.swapaxes(-3, -2)
                                  @ E[..., None, :, :])
     w_low = np.diagonal(eta)[:, None] * w

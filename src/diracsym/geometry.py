@@ -206,13 +206,19 @@ def metric_derivative(m: MetricField, x) -> np.ndarray:
     return _metric_jet(m, x)[1]
 
 
+def _christoffel_from(g, dg) -> np.ndarray:
+    """Gamma[..., i, j, k] = Gamma^i_{jk} from a metric jet, at one point or
+    along leading stack axes of ``g`` (..., d, d) and ``dg`` (..., d, d, d)."""
+    d = g.shape[-1]
+    # T[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
+    T = dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
+    Gam = 0.5 * (np.linalg.inv(g) @ T.reshape(T.shape[:-2] + (d * d,)))
+    return Gam.reshape(T.shape)
+
+
 def christoffel(m: MetricField, x) -> np.ndarray:
     """Levi-Civita symbols, indexed Gamma[i, j, k] = Gamma^i_{jk}."""
-    g, dg = _metric_jet(m, x)
-    ginv = np.linalg.inv(g)
-    # T[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
-    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, T)
+    return _christoffel_from(*_metric_jet(m, x))
 
 
 def raise_covector(m: MetricField, x, xi) -> np.ndarray:

@@ -28,7 +28,6 @@ from .geometry import (
     _checked_inverse,
     _frame_from,
     _frame_jet_from,
-    _metric_jet,
     _metric_value,
     _null_projection,
     _partials,
@@ -64,7 +63,6 @@ class FirstOrderSystem:
     N: int
     coeff_A: Callable
     coeff_B: Callable
-    d_coeff_A: Optional[Callable] = None  # x -> dA[k, m] = d_k A^m
     rep: Optional[CliffordModuleRep] = None
     name: str = "first_order_system"
 
@@ -84,7 +82,8 @@ class StageData:
     Wl[m, a, b] = omega_m^{ab} in the frame.  Every matrix is formed only
     when read, by one contraction against the module's Clifford tensors
     (the generator by three and a stacked product), so a transport stage
-    pays for the generator and the contracted connection alone.
+    pays for the generator and the contracted connection alone.  Read off:
+    sigma1, A, ds1x, bracket, B, p_sub, kappa, omega_dot and generator.
     """
 
     __slots__ = ("eng", "xi", "Z", "dx", "E", "dE", "EdE", "Wl")
@@ -139,6 +138,11 @@ class StageData:
         return self.eng.contract(u, "psub")
 
     @property
+    def p_sub(self) -> np.ndarray:
+        """Subprincipal symbol B - (1/2i) d_k A^k of the Dirac system."""
+        return self.eng.contract(self._psub_coeffs(), "psub")
+
+    @property
     def kappa(self) -> np.ndarray:
         """(1/2) Z^k d_k log|det g|, i.e. -Z^k tr(E^-1 d_k E)."""
         rates = _rows(self.EdE) @ self.eng.trace
@@ -159,9 +163,8 @@ class StageData:
         one stacked product joins the last two.
         """
         c = sign * (self.xi[..., None, :] @ self.E)[..., 0, :]
-        p_sub = self.eng.contract(self._psub_coeffs(), "psub")
         out = 0.5 * self.bracket
-        out -= self.eng.contract(c, "gamma") @ p_sub
+        out -= self.eng.contract(c, "gamma") @ self.p_sub
         i = np.arange(self.eng.N)
         out[..., i, i] -= self.kappa[..., None]
         return out
@@ -230,14 +233,8 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
         # B does not depend on the covector; any nonzero one serves
         return eng(np.asarray(x, float), np.eye(m.dim)[0]).B
 
-    def d_coeff_A(x):
-        _, dE, _ = _frame_jet_from(m, *_metric_jet(m, x))
-        return 1j * eng.contract(dE, "gamma")
-
-    sysd = FirstOrderSystem(
-        N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B, d_coeff_A=d_coeff_A,
-        rep=rep, name=f"dirac[{m.name}]",
-    )
+    sysd = FirstOrderSystem(N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B,
+                            rep=rep, name=f"dirac[{m.name}]")
     sysd._dirac_of = rep  # the marker _dirac_backed reads
     return sysd
 
@@ -272,16 +269,16 @@ def sigma_tilde(rep: CliffordModuleRep, p: PhasePoint, N) -> np.ndarray:
 def subprincipal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
     """sigma^s = B(x) - (1/2i) sum_j d_j A^j(x).
 
-    Uses the system's closed-form coefficient derivatives when present,
-    otherwise central differences of its coefficients.
+    The module's own Dirac system reads it off one engine evaluation in
+    closed form; any other system takes central differences of its own
+    coefficients A^j.
     """
+    if _dirac_backed(sys.rep, sys):
+        return _StageEngine(sys.rep)(p.x, p.xi).p_sub
     x = p.x
     B = np.asarray(sys.coeff_B(x), dtype=complex)
-    if sys.d_coeff_A is not None:
-        dA = np.asarray(sys.d_coeff_A(x))
-    else:
-        dA = _partials(lambda z: np.asarray(sys.coeff_A(z), dtype=complex),
-                       x, _FD_STEP)
+    dA = _partials(lambda z: np.asarray(sys.coeff_A(z), dtype=complex),
+                   x, _FD_STEP)
     return B + 0.5j * np.einsum("kkij->ij", dA)
 
 
@@ -373,9 +370,10 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
                    N=None) -> SymbolPackage:
     """Assemble the full symbol data at one phase point.
 
-    Dirac-backed systems get closed-form derivatives and bracket; foreign
-    systems fall back to central differences (including the bracket, built
-    from the two symbol evaluators)."""
+    The module's own Dirac system takes its symbol jets, bracket and p_sub
+    from one engine evaluation; a foreign system takes central differences
+    of its own coefficients (the bracket from the two symbol evaluators).
+    sigma_1, sigma_tilde and q come from their public evaluators."""
     m = rep.metric
     if sys is None:
         sys = dirac_system(rep)
@@ -383,11 +381,11 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     s1 = principal_symbol(sys, p)
     st = sigma_tilde(rep, p, Nfield(p.x))
     q = hamiltonian_q(m, p.x, p.xi)
-    psub = subprincipal_symbol(sys, p)
     if _dirac_backed(rep, sys):
         sd = _StageEngine(rep)(p.x, p.xi)
-        dsdx, dsdxi, bracket = sd.ds1x, sd.A, sd.bracket
+        dsdx, dsdxi, bracket, psub = sd.ds1x, sd.A, sd.bracket, sd.p_sub
     else:
+        psub = subprincipal_symbol(sys, p)
         dsdx, dsdxi = _symbol_jet(sys, p)
 
         def s1_eval(x, xi):
@@ -600,16 +598,15 @@ def _condition_numbers(U, Vh, ker_dim, dsig) -> np.ndarray:
 
 def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
                    unit, null_tol: float, rank_tol: float) -> list:
+    """Certificates of a block of points, from ``_phase_core``'s q-flow
+    values at each point: H_q = (dx, dxi), rho = (dq/dx, dq/dxi)."""
     m = rep.metric
     xs = np.array([p.x for p in points])
     xis = np.array([p.xi for p in points])
     # raises OutsideChart at a point past the domain guard
-    g, dg = (np.array(a) for a in zip(*(_metric_jet(m, x) for x in xs)))
+    g, dg, Z, dx, dxi = (np.array(a) for a in zip(
+        *(_phase_core(m, x, xi) for x, xi in zip(xs, xis))))
     s1 = _symbols(rep, sys, xs, xis, g)
-    if m.diagonal:
-        Z = xis / g.diagonal(axis1=-2, axis2=-1)
-    else:
-        Z = np.linalg.solve(g, xis[..., None])[..., 0]
     q = np.einsum("pi,pi->p", xis, Z)
     xi_sq = np.einsum("pi,pi->p", xis, xis)
     off = ~(np.abs(q) < null_tol * (1.0 + xi_sq))
@@ -618,9 +615,6 @@ def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
         raise NotOnCharacteristicSet(
             f"|q| = {abs(q[i])} >= {null_tol} * (1 + |xi|^2)")
 
-    # the q-flow is H_q = (dq/dxi, -dq/dx) = (dx, dxi)
-    dx = 2.0 * Z
-    dxi = np.einsum("pkab,pa,pb->pk", dg, Z, Z)
     rho = np.concatenate((-dxi, dx), axis=-1)      # (dq/dx, dq/dxi)
     grad_norm = np.linalg.norm(rho, axis=-1)
     dq_nonzero = grad_norm > 1e-8 * (1.0 + xi_sq)

@@ -52,8 +52,6 @@ from .geometry import (
     _combine,
     _flow,
     _frame_from,
-    _frame_jet_from,
-    _metric_jet,
     _metric_value,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
@@ -102,7 +100,6 @@ class TransportReport:
     max_gap: float
     max_kernel_residual: float
     q_drift: float
-    convergence_ratio: Optional[float]
     t_end: float
     step: Optional[float]
     fixture: str = ""
@@ -122,7 +119,6 @@ class TransportReport:
             "max_gap": self.max_gap,
             "max_kernel_residual": self.max_kernel_residual,
             "q_drift": self.q_drift,
-            "convergence_ratio": self.convergence_ratio,
             "left_chart": self.left_chart,
             "product_drift": self.product_drift,
             "generator_norm_integral": self.generator_norm_integral,
@@ -307,16 +303,14 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
                        tol: float = 1e-10,
                        kernel_tol: float = 1e-8,
                        null_tol: float = 1e-10,
-                       convergence: bool = False,
                        flip_subprincipal: bool = False) -> TransportReport:
     """One trajectory, both transports on its exact grid, gap report.
 
     Both polarizations start from w0 and ride the one phase flow, whose
     grid, chart truncation and phase samples are those of
     ``integrate_bicharacteristic`` bit for bit, so the comparison carries
-    no discretization asymmetry.  ``convergence=True`` reruns at half step
-    and reports the max_gap shrink factor.  The engine reads every matrix
-    off ``rep``, so ``sys`` must be ``rep``'s own Dirac system.
+    no discretization asymmetry.  The engine reads every matrix off
+    ``rep``, so ``sys`` must be ``rep``'s own Dirac system.
     """
     if not _dirac_backed(rep, sys):
         raise ConfigError("compare_transports needs sys = dirac_system(rep)")
@@ -327,21 +321,10 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     gaps = np.linalg.norm(V[:, 0] - V[:, 1], axis=1) / float(
         np.linalg.norm(state.w))
     integral = _generator_norm_integral(traj.ts, L)
-
-    ratio = None
-    if convergence and integrator == "rk4_fixed" and not traj.left_chart:
-        half = compare_transports(
-            rep, sys, state, t_end, step=0.5 * step, integrator=integrator,
-            tol=tol, kernel_tol=kernel_tol, null_tol=null_tol,
-            convergence=False, flip_subprincipal=flip_subprincipal)
-        if half.max_gap > 1e-16 and np.max(gaps) > 1e-15:
-            ratio = float(np.max(gaps) / half.max_gap)
-
     report = TransportReport(
         max_gap=float(np.max(gaps)),
         max_kernel_residual=float(np.max(resid)),
         q_drift=float(np.max(np.abs(traj.qs - traj.qs[0]))),
-        convergence_ratio=ratio,
         t_end=t_end, step=step if integrator == "rk4_fixed" else None,
         fixture=rep.metric.name, left_chart=traj.left_chart,
         product_drift=_product_drift(rep.gram, V[:, 1]),
@@ -385,8 +368,7 @@ def _push_forward(cm: ChartMap, rep: CliffordModuleRep, xs, xis, ws):
     transpose of its jacobian J, polarizations by the spinor of the frame
     change L = E_B^-1 J E_A.  J must be regular and L Lorentz."""
     def frames(m, pts):
-        g, dg = map(np.array, zip(*[_metric_jet(m, p) for p in pts]))
-        return _frame_jet_from(m, g, dg)
+        return _frame_from(m, np.array([_metric_value(m, p) for p in pts]))
 
     J = np.asarray(cm.jacobian(xs), dtype=float)
     bad = np.abs(np.linalg.det(J)) < 1e-12
@@ -394,7 +376,7 @@ def _push_forward(cm: ChartMap, rep: CliffordModuleRep, xs, xis, ws):
         raise ChartMapDegenerate(
             f"jacobian of {cm.name} singular at {xs[bad][0]}")
     y = np.asarray(cm.forward(xs), dtype=float)
-    L = frames(cm.metric_b, y)[2] @ J @ frames(cm.metric_a, xs)[0]
+    L = frames(cm.metric_b, y)[1] @ J @ frames(cm.metric_a, xs)[0]
     eta = rep.eta
     bad = np.max(np.abs(L.swapaxes(1, 2) @ eta @ L - eta), axis=(1, 2)) > 1e-8
     if np.any(bad):

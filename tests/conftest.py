@@ -76,12 +76,12 @@ def rotating_chart(omega=0.3):
 
 
 def look_alike_dirac(sysd):
-    """Not the Dirac system, though it carries the module and the Dirac
-    system's own d_coeff_A: A doubled and B = 5 Id."""
+    """Not the Dirac system, though it carries the module: A doubled and
+    B = 5 Id."""
     return ds.FirstOrderSystem(
         N=sysd.N, coeff_A=lambda x: [2.0 * a for a in sysd.coeff_A(x)],
-        coeff_B=lambda x: 5.0 * np.eye(sysd.N), d_coeff_A=sysd.d_coeff_A,
-        rep=sysd.rep, name="look_alike")
+        coeff_B=lambda x: 5.0 * np.eye(sysd.N), rep=sysd.rep,
+        name="look_alike")
 
 
 def null_state(m, rep, x, seed):

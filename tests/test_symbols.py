@@ -198,19 +198,6 @@ def test_plane_wave_application_oracle(sys_schw, schw):
     assert np.max(np.abs(Pu - want)) < 1e-8
 
 
-def test_closed_form_coefficient_derivatives(sys_schw):
-    # d_coeff_A against central differences of coeff_A
-    x0 = SCHW_X0
-    dA = sys_schw.d_coeff_A(x0)
-    h = 1e-6
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = h * (1 + abs(x0[k]))
-        fd = (np.stack(sys_schw.coeff_A(x0 + e))
-              - np.stack(sys_schw.coeff_A(x0 - e))) / (2 * e[k])
-        assert np.max(np.abs(dA[k] - fd)) < 1e-6
-
-
 # --------------------------------------------------------------------------
 # kernel bases
 
@@ -329,9 +316,10 @@ def test_symbol_package_closed_vs_fd_paths(rep_schw, schw, sys_schw):
 
 def test_symbol_package_look_alike_gets_its_own_bracket(rep_schw, schw,
                                                         sys_schw):
-    """A system that carries the module and the Dirac d_coeff_A but doubles
-    A gets the central-difference bracket of its own symbol, about twice
-    the Dirac one, not the engine's closed form."""
+    """A system that carries the module but doubles A and sets B = 5 Id
+    gets the central-difference bracket of its own symbol, about twice the
+    Dirac one, and its own subprincipal symbol 5 Id plus twice the Dirac
+    divergence term, not the engine's closed forms."""
     rng = np.random.default_rng(21)
     p = PhasePoint(SCHW_X0, ds.random_null_covector(schw, SCHW_X0, rng))
     dirac = symbol_package(rep_schw, p, sys=sys_schw)
@@ -341,6 +329,26 @@ def test_symbol_package_look_alike_gets_its_own_bracket(rep_schw, schw,
     assert np.max(np.abs(fake.bracket - 2.0 * dirac.bracket)) < 1e-6 * scale
     assert np.max(np.abs(np.stack(fake.d_sigma_m["dxi"])
                          - 2.0 * np.stack(dirac.d_sigma_m["dxi"]))) < 1e-12
+    div = dirac.p_sub - sys_schw.coeff_B(SCHW_X0)
+    assert np.max(np.abs(div)) > 1e-3
+    want = 5.0 * np.eye(4) + 2.0 * div
+    assert np.max(np.abs(fake.p_sub - want)) < 1e-6 * np.max(np.abs(want))
+
+
+def test_symbol_package_reads_one_metric_jet(schw):
+    """The Dirac system's package takes its jets, bracket and p_sub from
+    one engine evaluation: one metric jet per call."""
+    import dataclasses
+
+    calls = []
+    m = dataclasses.replace(schw, jet=lambda x: calls.append(1)
+                            or schw.jet(x))
+    rep = ds.build_canonical_module(m)
+    rng = np.random.default_rng(21)
+    p = PhasePoint(SCHW_X0, ds.random_null_covector(schw, SCHW_X0, rng))
+    calls.clear()
+    symbol_package(rep, p)
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
