@@ -61,14 +61,14 @@ _DEFAULT_TOLS = {"axioms": 1e-6, "max_gap": 1e-6, "q_drift": 1e-6,
 
 def _number(value, name: str, kind=float):
     """``kind(value)``, or a ConfigError naming the key; an ``int`` key
-    takes only integral values, and no key takes a bool."""
+    takes only integral values, and no key a bool, NaN or Infinity."""
     try:
-        if isinstance(value, bool) or (kind is int and
-                                       float(value) != int(value)):
+        if isinstance(value, bool) or not math.isfinite(float(value)) or (
+                kind is int and float(value) != int(value)):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        kind_name = "an integer" if kind is int else "a number"
+        kind_name = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}") \
             from None
 

@@ -75,8 +75,8 @@ class MetricField:
     (g, dg) with dg[k, i, j] = d_k g_ij follows one of two rules, picked by
     whether ``jet`` is given:
 
-    * ``jet(x) -> (g, dg)`` when supplied, with the g of ``eval`` (the
-      catalog supplies closed forms, and a complex step for
+    * ``jet(x) -> (g, dg)`` when supplied, float arrays with the g of
+      ``eval`` (the catalog supplies closed forms, and a complex step for
       ``conformal_flat``);
     * otherwise ``eval`` and central differences of it (``_partials``).
     """
@@ -238,12 +238,14 @@ def hamiltonian_q(m: MetricField, x, xi) -> float:
 
 
 def _phase_core(m: MetricField, x, xi):
-    """Shared kernel of the q-flow right-hand side.
+    """Shared kernel of the q-flow right-hand side at a point x (an array).
 
     Returns (g, dg, Z, dx, dxi); every caller that must stay bitwise
-    consistent with trajectory integration goes through here.
+    consistent with trajectory integration goes through here.  It checks
+    the domain guard and calls ``jet`` itself (``_metric_jet`` without one).
     """
-    g, dg = _metric_jet(m, x)  # raises OutsideChart past the domain guard
+    _guard(m, x)  # raises OutsideChart past the domain guard
+    g, dg = m.jet(x) if m.jet is not None else _metric_jet(m, x)
     Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
     dx = 2.0 * Z
     dxi = dg.dot(Z).dot(Z)
@@ -424,13 +426,15 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
     if not m.domain_guard(p0.x):
         raise OutsideChart("initial point violates the domain guard")
     q0 = hamiltonian_q(m, p0.x, p0.xi)
-    if require_null and abs(q0) >= null_tol * (1.0 + float(p0.xi @ p0.xi)):
+    # a NaN q, from a covector that is not finite, fails too
+    if require_null and not abs(q0) < null_tol * (1.0 + float(p0.xi @ p0.xi)):
         raise NotOnCharacteristicSet(f"|q(p0)| = {abs(q0)}")
 
 
 # Accepted steps per block of stage records handed on by ``_flow``; bounds
-# the records held at once, whatever the length of the run.
-_BLOCK_STEPS = 32
+# the records held at once, whatever the length of the run.  A 64-step RK4
+# block holds 257 records, whose stage-engine scratch stays below 720 KiB.
+_BLOCK_STEPS = 64
 # Dormand-Prince attempts (accepted plus rejected steps) allowed per unit of
 # t, and for at least one unit, in one run.  The step floor alone does not
 # bound a run: an error estimate that never shrinks like h^5 holds the step
@@ -447,12 +451,12 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     control at ``tol``.  A domain-guard violation (OutsideChart from any
     stage) truncates the run.
 
-    Each rate evaluation leaves a record ``(xi, g, dg, Z, dx)`` of what
-    ``_phase_core`` computed there.  The records of accepted steps go, in
-    evaluation order, to ``on_block(hs, records)`` once per
-    ``_BLOCK_STEPS`` steps and at the end: the first block opens with the
-    seed's record, and a step of size hs[i] adds its stages after the
-    first, the last of them at the step's new sample; both lists are
+    Each rate evaluation leaves a record ``(xi, g, dg, Z)`` of what
+    ``_phase_core`` computed there (its dx is 2 Z).  The records of
+    accepted steps go, in evaluation order, to ``on_block(hs, records)``
+    once per ``_BLOCK_STEPS`` steps and at the end: the first block opens
+    with the seed's record, and a step of size hs[i] adds its stages after
+    the first, the last of them at the step's new sample; both lists are
     cleared after the call.  Records of rejected steps and of a step cut
     off by the guard are dropped.
     """
@@ -470,7 +474,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
 
     def f(y):
         g, dg, Z, dx, dxi = _phase_core(m, y[:d], y[d:])
-        stage.append((y[d:], g, dg, Z, dx))
+        stage.append((y[d:], g, dg, Z))
         return np.concatenate((dx, dxi))
 
     def flush():

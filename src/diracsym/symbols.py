@@ -27,7 +27,6 @@ from .geometry import (
     PhasePoint,
     _checked_inverse,
     _frame_from,
-    _frame_jet_from,
     _metric_value,
     _null_projection,
     _partials,
@@ -74,27 +73,20 @@ def _rows(a) -> np.ndarray:
 
 class StageData:
     """The transports' data at one phase point (x, xi), or at a stack of
-    points along leading axes of every field.
-
-    Holds the flow vectors Z = g^-1 xi and dx = 2 Z and small real
-    coefficient arrays read off the metric and frame jets: the frame E, its
-    partials dE, E^-1 dE, and the lowered connection coefficients
-    Wl[m, a, b] = omega_m^{ab} in the frame.  Every matrix is formed only
-    when read, by one contraction against the module's Clifford tensors
-    (the generator by three and a stacked product), so a transport stage
-    pays for the generator and the contracted connection alone.  Read off:
-    sigma1, A, ds1x, bracket, B, p_sub, kappa, omega_dot and generator.
+    points along leading axes of every field: the frame E, E^-1, E^-1 Z,
+    and what ``_StageEngine.at`` reads off the frame components F of dg:
+    the bracket coefficients P, the divergence term dv, kappa and the
+    lowered frame connection omega[c, a, b] = omega_c^{ab}.  Every matrix
+    is formed only when read, by one contraction against the module's
+    Clifford tensors (the generator by three and a stacked product).  Read
+    off: sigma1, A, ds1x, bracket, B, p_sub, kappa, omega_dot and generator.
     """
 
-    __slots__ = ("eng", "xi", "Z", "dx", "E", "dE", "EdE", "Wl")
+    __slots__ = ("eng", "xi", "E", "Einv", "Zf", "P", "dv", "kappa", "omega")
 
-    def __init__(self, eng, xi, Z, dx, E, dE, EdE, Wl):
-        self.eng, self.xi, self.Z, self.dx = eng, xi, Z, dx
-        self.E, self.dE, self.EdE, self.Wl = E, dE, EdE, Wl
-
-    def _xi_dE(self) -> np.ndarray:
-        """(xi . d_k E)_b, indexed [..., k, b]."""
-        return (self.xi[..., None, None, :] @ self.dE)[..., 0, :]
+    def __init__(self, eng, xi, E, Einv, Zf, P, dv, kappa, omega):
+        self.eng, self.xi, self.E, self.Einv, self.Zf = eng, xi, E, Einv, Zf
+        self.P, self.dv, self.kappa, self.omega = P, dv, kappa, omega
 
     @property
     def sigma1(self) -> np.ndarray:
@@ -108,26 +100,20 @@ class StageData:
 
     @property
     def ds1x(self) -> np.ndarray:
-        """d sigma_1 / d x^k."""
-        return 1j * self.eng.contract(self._xi_dE(), "gamma")
-
-    def _bracket_coeffs(self) -> np.ndarray:
-        # P[a, b] = E^k_a (xi . d_k E)_b, so sum_k A^k d_k sigma_1 is
-        # -P_ab gamma^a gamma^b
-        return _rows(self.E.swapaxes(-1, -2) @ self._xi_dE())
+        """d sigma_1 / d x^k = i gamma^b sum_c (E^-1)^c_k P[c, b]."""
+        return 1j * self.eng.contract(self.Einv.swapaxes(-1, -2) @ self.P,
+                                      "gamma")
 
     def _psub_coeffs(self) -> np.ndarray:
-        # B = -i A^m omega_m = K_cab gamma^c (-1/4 gamma^a gamma^b) with
-        # K = E^T Wl; the divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
-        d = self.xi.shape[-1]
-        K = self.E.swapaxes(-1, -2) @ _rows(self.Wl)
-        dv = self.eng.trace @ self.dE.reshape(self.dE.shape[:-3] + (d * d, d))
-        return np.concatenate((_rows(K), dv), axis=-1)
+        # B = -i A^m omega_m = omega_cab gamma^c (-1/4 gamma^a gamma^b); the
+        # divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
+        return np.concatenate((_rows(_rows(self.omega)), self.dv), axis=-1)
 
     @property
     def bracket(self) -> np.ndarray:
-        """sum_k [A^k, d_k sigma_1], the matrix Poisson bracket."""
-        return -self.eng.contract(self._bracket_coeffs(), "commutator")
+        """sum_k [A^k, d_k sigma_1] = -P_ab [gamma^a, gamma^b], the matrix
+        Poisson bracket."""
+        return -self.eng.contract(_rows(self.P), "commutator")
 
     @property
     def B(self) -> np.ndarray:
@@ -143,16 +129,10 @@ class StageData:
         return self.eng.contract(self._psub_coeffs(), "psub")
 
     @property
-    def kappa(self) -> np.ndarray:
-        """(1/2) Z^k d_k log|det g|, i.e. -Z^k tr(E^-1 d_k E)."""
-        rates = _rows(self.EdE) @ self.eng.trace
-        return -(self.Z[..., None, :] @ rates[..., :, None])[..., 0, 0]
-
-    @property
     def omega_dot(self) -> np.ndarray:
-        """omega(x; xdot) = xdot^m omega_m."""
-        w = (self.dx[..., None, :] @ _rows(self.Wl))[..., 0, :]
-        return self.eng.contract(w, "spin")
+        """omega(x; xdot) = xdot^m omega_m, with E^-1 xdot = 2 E^-1 Z."""
+        w = 2.0 * self.Zf[..., None, :] @ _rows(self.omega)
+        return self.eng.contract(w[..., 0, :], "spin")
 
     def generator(self, sign: float = 1.0) -> np.ndarray:
         """(1/2) bracket + sign * i sigma_tilde p_sub - kappa Id.
@@ -174,9 +154,10 @@ class _StageEngine:
     """Closed-form evaluation of everything the transports need, at one
     phase point or at a stack of them.
 
-    One evaluation takes the phase flow's values at its points, and forms
-    the frame jet and the frame connection coefficients once; ``StageData``
-    contracts them against Clifford tensors the module computes once: into
+    One evaluation takes the phase flow's values at its points and forms
+    the frame and the frame components F of dg, which fix the Levi-Civita
+    connection (the Koszul formula); ``StageData`` contracts what follows
+    from them against Clifford tensors the module computes once: into
     the principal symbol, the contracted spin connection and the
     symbol-package matrices, and into the factors of the generator of the
     symbol-level transport.  A transport hands it the records of a block of
@@ -186,8 +167,7 @@ class _StageEngine:
     def __init__(self, rep: CliffordModuleRep):
         self.m = rep.metric
         self.N = rep.N
-        self.eps = np.diagonal(rep.eta)[:, None].copy()
-        self.trace = np.eye(rep.dim).ravel()  # v @ trace = sum_k v[k, k]
+        self.eta = np.diagonal(rep.eta).copy()
         self.tensors = rep._stage_tensors
 
     def contract(self, coeffs, tensor: str) -> np.ndarray:
@@ -202,21 +182,36 @@ class _StageEngine:
         return 1j * self.contract(c, "gamma")
 
     def __call__(self, x, xi) -> StageData:
-        g, dg, Z, dx, _ = _phase_core(self.m, x, xi)
-        return self.at(xi, g, dg, Z, dx)
+        g, dg, Z = _phase_core(self.m, x, xi)[:3]
+        return self.at(xi, g, dg, Z)
 
-    def at(self, xi, g, dg, Z, dx) -> StageData:
-        """StageData from the flow's values (xi, g, dg, Z, dx), which may
-        carry leading stack axes."""
-        E, dE, Einv = _frame_jet_from(self.m, g, dg)
-        EdE = Einv[..., None, :, :] @ dE
-        # omega_m^{ab} = eta E^-1 d_m E + E^T Gamma_m E lowered; with
-        # g^-1 = E eta E^T the Christoffel part is (1/2) E^T T_m E where
-        # T_m[l, k] = d_m g_lk + d_k g_lm - d_l g_mk
-        T = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
-        ET = E.swapaxes(-1, -2)[..., None, :, :]
-        Wl = self.eps * EdE + 0.5 * (ET @ T @ E[..., None, :, :])
-        return StageData(self, xi, Z, dx, E, dE, EdE, Wl)
+    def at(self, xi, g, dg, Z) -> StageData:
+        """StageData from the flow's values (xi, g, dg, Z), which may carry
+        leading stack axes; xdot = 2 Z.
+
+        F[c, a, b] = E^k_c E^l_a E^j_b d_k g_lj.  g = R^T eta R with E = R^-1
+        gives F_c = X_c + X_c^T with X_c = eta (d_c R) E = triu(F_c) - (1/2)
+        diag(F_c) and E^-1 d_c E = -eta X_c along frame vector c.  So
+        omega_cab = (1/2) (F_cab + F_bac - F_acb) - X_cab, P[a, b] =
+        (xi . d_a E)_b = -(E^T xi . eta X_a)_b, dv_b = d_k E^k_b = -sum_e
+        eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) = (1/2) E^-1 Z . tr_eta F.
+        """
+        E, Einv = _frame_from(self.m, g)
+        eta, i, ET = self.eta, np.arange(len(self.eta)), E.swapaxes(-1, -2)
+        F = (ET @ dg.reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
+        F = ET[..., None, :, :] @ F @ E[..., None, :, :]
+        X = np.triu(F)
+        X[..., i, i] *= 0.5
+        c = (xi[..., None, :] @ E)[..., 0, :]
+        P = -((c * eta)[..., None, None, :] @ X)[..., 0, :]
+        Zf = (Einv @ Z[..., None])[..., 0]
+        kappa = 0.5 * np.sum(Zf * (F[..., i, i] @ eta), axis=-1)
+        omega = F + F.swapaxes(-3, -1)
+        omega -= F.swapaxes(-3, -2)
+        omega *= 0.5
+        omega -= X
+        return StageData(self, xi, E, Einv, Zf, P, -(eta @ X[..., i, i, :]),
+                         kappa, omega)
 
 
 def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
@@ -547,13 +542,13 @@ def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
 
 
 def _conormal_jets(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis,
-                   g, dg, Z, dx):
+                   g, dg, Z):
     """(d sigma_1/dx^j, d sigma_1/dxi_j), stacked over j into one axis of
     2 d, at a stack of phase points: from one engine call on the flow's
     values for the module's own Dirac system, by ``_symbol_jet`` point by
     point for a foreign one."""
     if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep).at(xis, g, dg, Z, dx)
+        sd = _StageEngine(rep).at(xis, g, dg, Z)
         return np.concatenate((sd.ds1x, sd.A), axis=-3)
     return np.array([np.concatenate(_symbol_jet(sys, PhasePoint(x, xi)))
                      for x, xi in zip(xs, xis)]).reshape(
@@ -626,7 +621,7 @@ def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
     ker_dim = sys.N - _rank(s, rank_tol)
     need = (ker_dim > 0) & dq_nonzero
     jet = _conormal_jets(rep, sys, xs[need], xis[need], g[need], dg[need],
-                         Z[need], dx[need])
+                         Z[need])
     dsig = np.einsum("pj,pjab->pab", rho[need] / grad_norm[need, None], jet)
     cond = np.full(len(points), np.inf)
     cond[need] = _condition_numbers(U[need], Vh[need], ker_dim[need], dsig)

@@ -20,14 +20,14 @@ The Hamiltonian flow of q does not depend on the polarization, and both
 laws are linear in it along that flow.  So a transport runs the phase flow
 first, with the trajectory integrator's own code and grid; its ray is
 ``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
-computed at the stages of its accepted steps, block by block; one stacked
-engine call per block turns them into each law's matrix L at every stage,
-a few stacked products turn those into each step's increment operator D
-under the flow's own tableau, and a polarization advances as w + D w, one
-small product per step.  The sections equal those of a joint
-ray-and-polarization integration to roundoff, are bit for bit the same
-for any block size, and do not depend on whether the other law rides
-along.
+computed at the stages of its accepted steps, records (xi, g, dg, Z), in
+blocks of 64 steps; one stacked engine call per block forms the frame
+components F of dg and from F each law's matrix L at every stage, a few
+stacked products turn those into each step's increment operator D under
+the flow's own tableau, and a polarization advances as w + D w, one small
+product per step.  The sections equal those of a joint ray-and-polarization
+integration to roundoff, are bit for bit the same for any block size, and do
+not depend on whether the other law rides along.
 """
 from __future__ import annotations
 
@@ -248,11 +248,12 @@ def _product_drift(G, S) -> float:
 
 
 def _initial_kernel_check(sigma1, w0, kernel_tol):
+    """Refuse a w0 that is zero, not finite or off sigma1's kernel."""
     nw = float(np.linalg.norm(w0))
-    if nw == 0.0:
-        raise KernelViolation("zero initial polarization vector")
+    if not 0.0 < nw < np.inf:
+        raise KernelViolation(f"initial polarization vector has norm {nw}")
     res = float(np.linalg.norm(sigma1 @ w0))
-    if res > kernel_tol * nw:
+    if not res <= kernel_tol * nw:
         raise KernelViolation(
             f"initial vector off the kernel: residual {res} > "
             f"{kernel_tol} * {nw}")

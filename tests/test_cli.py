@@ -473,6 +473,38 @@ def test_bad_adaptive_tolerance_exits_2(tmp_path, cmd, tol):
     assert "Traceback" not in proc.stderr
 
 
+_NON_FINITE = [
+    ("chart_seed_point", [float("nan"), 0.0, 0.0, 0.0]),
+    ("chart_seed_point", [0.0, 0.0, float("inf"), 0.0]),
+    ("timelike_field", [float("inf"), 0.0, 0.0, 0.0]),
+    ("timelike_field", [1.0, float("nan"), 0.0, 0.0]),
+    ("initial_covector", [float("nan"), 0.6, 0.8, 0.0]),
+    ("initial_covector", [1.0, -float("inf"), 0.8, 0.0]),
+    ("initial_polarization", [float("nan"), 0.0, 0.0, 0.0]),
+    ("initial_polarization", [float("inf"), 0.0, 0.0, 0.0]),
+    ("initial_polarization",
+     [[0.0, float("nan")], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("cmd,key,value", [
+    pytest.param(cmd, key, value, id=f"{cmd}-{key}-{i}")
+    for cmd in ("trace", "compare", "symbols")
+    for i, (key, value) in enumerate(_NON_FINITE)
+    # symbols reads no polarization
+    if not (cmd == "symbols" and key == "initial_polarization")])
+def test_non_finite_vector_entry_exits_2(tmp_path, capsys, cmd, key, value):
+    """JSON's NaN and Infinity literals in a vector key are a config error
+    with one line on stderr, not a run or a traceback."""
+    path = write_cfg(tmp_path, "bad.json", mink_cmp_cfg(**{key: value}))
+    assert "NaN" in Path(path).read_text() or \
+        "Infinity" in Path(path).read_text()
+    rc, out, err = run(capsys, [cmd, "--config", path, "--no-meta"])
+    assert rc == 2 and out == ""
+    assert "ConfigError" in err and key in err and "finite" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_import_needs_no_scipy():
     """The package depends on numpy alone; a fresh interpreter that imports
     the CLI must not have loaded scipy."""

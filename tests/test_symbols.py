@@ -411,6 +411,37 @@ def test_certify_intrinsic_kernel_jump_fails_ker_const(rep_mink4, sys_mink4):
     assert ok.neighborhood_ker_dims == [2] * 8
 
 
+def test_certificate_reads_the_conormal_x_part(rep_schw, schw):
+    """A foreign 2 x 2 system whose certificate depends on the x-part of
+    the conormal direction rho = (dq/dx, dq/dxi): sigma_1 = diag(alpha .
+    xi, beta(x) . xi) with alpha . xi0 = 0 and beta(x) = alpha + b (x^1 -
+    r0) e_0.  At (x0, xi0) sigma_1 = 0, so kernel and cokernel are all of
+    C^2 and the condition number is the ratio of the two entries of
+    rho . d sigma_1: dx . alpha and (dq/dr) b xi0_0 + dx . alpha.  b makes
+    the second twice the first, so the number is 2; with the sign of
+    dq/dx flipped the second entry vanishes."""
+    x0 = np.array([0.0, 10.0, 1.2, 0.3])
+    xi0 = ds.null_project_covector(schw, x0, np.array([1.0, 1.25, 0.0, 0.0]))
+    alpha = np.array([xi0[1], -xi0[0], 0.0, 0.0])
+    dx = 2.0 * np.linalg.solve(schw.eval(x0), xi0)       # dq/dxi
+    h = np.array([0.0, 1e-4, 0.0, 0.0])
+    dq_dr = (ds.hamiltonian_q(schw, x0 + h, xi0)
+             - ds.hamiltonian_q(schw, x0 - h, xi0)) / 2e-4
+    b = (dx @ alpha) / (dq_dr * xi0[0])
+    assert abs(dx @ alpha) > 0.1 and abs(dq_dr) > 1e-3
+
+    def coeff_A(x):
+        beta = alpha + b * (x[1] - x0[1]) * np.eye(4)[0]
+        return [np.diag([a, c]).astype(complex) for a, c in zip(alpha, beta)]
+
+    pair = FirstOrderSystem(N=2, coeff_A=coeff_A,
+                            coeff_B=lambda x: np.zeros((2, 2)),
+                            name="diagonal_pair")
+    cert = certify_principal_type(rep_schw, PhasePoint(x0, xi0), sys=pair)
+    assert cert.ker_dim == 2 and cert.dq_nonzero
+    assert cert.ker_coker_condition_number == pytest.approx(2.0, rel=1e-6)
+
+
 def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     """The neighbourhood and conormal parts of the point-by-point
     certifier: one ``kernel_basis`` per neighbour and the conormal

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import diracsym as ds
-from diracsym.errors import ConfigError, KernelViolation
+from diracsym.errors import (ConfigError, KernelViolation,
+                             NotOnCharacteristicSet)
 from diracsym.geometry import PhasePoint
 from diracsym.symbols import (
     FirstOrderSystem,
@@ -135,8 +136,9 @@ def test_stage_engine_against_independent_code(fixture, flip):
         xi = ds.random_null_covector(m, x, rng)
         points.append((x, xi))
         st = eng(x, xi)
+        dx = ds.hamiltonian_field(m, PhasePoint(x, xi))[0]
         assert np.max(np.abs(st.omega_dot
-                             - spin_connection_matrix(rep, x, st.dx))) < 1e-12
+                             - spin_connection_matrix(rep, x, dx))) < 1e-12
 
         pkg = symbol_package(rep, PhasePoint(x, xi), sys=generic)
         sub = denker_generator(pkg) - 0.5 * pkg.bracket
@@ -147,7 +149,7 @@ def test_stage_engine_against_independent_code(fixture, flip):
     # one stacked call over the flow's values at all points equals the
     # point calls
     stacked = eng.at(*map(np.array, zip(*(
-        (xi, *_phase_core(m, x, xi)[:4]) for x, xi in points))))
+        (xi, *_phase_core(m, x, xi)[:3]) for x, xi in points))))
     for i, (x, xi) in enumerate(points):
         st = eng(x, xi)
         for name in ("sigma1", "A", "ds1x", "bracket", "B", "kappa",
@@ -180,7 +182,8 @@ def _one_contraction_generator(st, rep, sign):
     c = sign * (st.xi[..., None, :] @ st.E)
     sub = c.swapaxes(-1, -2) * st._psub_coeffs()[..., None, :]
     coeffs = np.concatenate((
-        st._bracket_coeffs(), sub.reshape(sub.shape[:-2] + (-1,)),
+        st.P.reshape(st.P.shape[:-2] + (-1,)),
+        sub.reshape(sub.shape[:-2] + (-1,)),
         np.asarray(st.kappa)[..., None]), axis=-1)
     out = (coeffs @ T).view(complex)
     return out.reshape(out.shape[:-1] + (N, N))
@@ -203,7 +206,7 @@ def test_generator_matches_one_contraction_form(fixture):
         x = ds.random_chart_point(m, rng)
         points.append((x, ds.random_null_covector(m, x, rng)))
     stacked = eng.at(*map(np.array, zip(*(
-        (xi, *_phase_core(m, x, xi)[:4]) for x, xi in points))))
+        (xi, *_phase_core(m, x, xi)[:3]) for x, xi in points))))
     for sign in (1.0, -1.0):
         calls = [eng(x, xi) for x, xi in points] + [stacked]
         for st in calls:
@@ -239,6 +242,35 @@ def test_generator_scratch_stays_small(schw, rep_schw):
         tracemalloc.stop()
     assert out.shape == (129, 4, 4)
     assert peak <= 300 * 1024, peak
+
+
+def test_engine_scratch_stays_small(schw, rep_schw):
+    """_StageEngine.at on one 64-step RK4 block of schwarzschild1.0 (257
+    stage records) peaks below 720 KiB of Python allocations, its output
+    included; built from the frame partials dE, E^-1 dE and the three-term
+    Christoffel tensor it took 837 KiB."""
+    import tracemalloc
+
+    from diracsym.geometry import _flow
+    from diracsym.symbols import _StageEngine
+
+    state = null_state(schw, rep_schw, SCHW_X0, 0)
+    records = []
+    _flow(schw, state.phase, 0.064, "rk4_fixed", 1e-3, 1e-10,
+          on_block=lambda hs, block: records.extend(block))
+    assert len(records) == 257
+    args = list(map(np.array, zip(*records)))
+    eng = _StageEngine(rep_schw)
+    eng.at(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        st = eng.at(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert st.generator(1.0).shape == (257, 4, 4)
+    assert peak <= 720 * 1024, peak
 
 
 def test_curved_nondiagonal_chart_frame_certificate_and_transport():
@@ -332,6 +364,29 @@ def test_seed_check_reads_the_frame_alone(rep_schw, sys_schw, schw,
     off = PolarizationState(state.phase, np.array([1.0, 0, 0, 0]))
     with pytest.raises(KernelViolation):
         compare_transports(rep_schw, sys_schw, off, 0.1, step=1e-2)
+
+
+def test_non_finite_seed_is_refused(rep_schw, sys_schw, schw):
+    """A covector with a NaN entry is not null and a NaN or infinite
+    polarization is not in the kernel: each transport refuses the seed
+    before the run instead of transporting it."""
+    state = null_state(schw, rep_schw, SCHW_X0, 0)
+    nan_xi = PolarizationState(
+        PhasePoint(SCHW_X0, np.array([np.nan, 1.0, 0.0, 0.0])), state.w)
+    with pytest.raises(NotOnCharacteristicSet):
+        compare_transports(rep_schw, sys_schw, nan_xi, 0.1, step=1e-2)
+    with pytest.raises(NotOnCharacteristicSet):
+        transport_denker(sys_schw, nan_xi, 0.1, step=1e-2)
+    with pytest.raises(NotOnCharacteristicSet):
+        transport_spin(rep_schw, nan_xi, 0.1, step=1e-2)
+    for bad in (np.nan, np.inf):
+        w = state.w.copy()
+        w[0] = bad
+        off = PolarizationState(state.phase, w)
+        with pytest.raises(KernelViolation):
+            compare_transports(rep_schw, sys_schw, off, 0.1, step=1e-2)
+        with pytest.raises(KernelViolation):
+            transport_denker(sys_schw, off, 0.1, step=1e-2)
 
 
 def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):

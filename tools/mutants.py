@@ -102,6 +102,18 @@ MUTANTS = [
     ("subprincipal_closed_form_by_rep_alone", "src/diracsym/symbols.py",
      "if _dirac_backed(sys.rep, sys):",
      "if sys.rep is not None:"),
+    ("conormal_x_part_sign", "src/diracsym/symbols.py",
+     "rho = np.concatenate((-dxi, dx), axis=-1)",
+     "rho = np.concatenate((dxi, dx), axis=-1)"),
+    ("engine_x_whole_diagonal", "src/diracsym/symbols.py",
+     "X[..., i, i] *= 0.5",
+     "X[..., i, i] *= 1.0"),
+    ("engine_omega_facb_sign", "src/diracsym/symbols.py",
+     "omega -= F.swapaxes(-3, -2)",
+     "omega += F.swapaxes(-3, -2)"),
+    ("engine_kappa_plain_trace", "src/diracsym/symbols.py",
+     "np.sum(Zf * (F[..., i, i] @ eta), axis=-1)",
+     "np.sum(Zf * F[..., i, i].sum(-1), axis=-1)"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
