@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -187,21 +188,30 @@ class _Scenario:
                               f"most {_MAX_SAMPLE}")
         self.seed = self.sample.seed
 
-    # -- resolution helpers -------------------------------------------------
+    # -- resolution helpers, each resolved once per scenario -----------------
 
+    @functools.cached_property
     def timelike_field(self):
-        N = resolve_timelike_field(self.metric, self.timelike_spec)
-        vec = N(self.x0)
-        g, _ = eval_metric(self.metric, self.x0)
+        """The timelike field N, once the metric at the seed point passes
+        ``eval_metric`` and N is timelike and future-directed there.  The
+        default N is the seed frame's e_0, and one frame serves both."""
+        m, x0 = self.metric, self.x0
+        N = resolve_timelike_field(m, self.timelike_spec)
+        frame = orthonormal_frame(m, x0) \
+            if isinstance(self.timelike_spec, str) else None
+        vec = N(x0) if frame is None else frame.E[:, 0]
+        g, _ = eval_metric(m, x0)
         if float(vec @ g @ vec) >= 0.0:
             raise NotTimelike("configured timelike_field is not timelike at "
                               "the seed point")
-        s = orthonormal_frame(self.metric, self.x0)
-        if (s.E_inv @ vec)[0] <= 0.0:
+        if frame is None:
+            frame = orthonormal_frame(m, x0)
+        if (frame.E_inv @ vec)[0] <= 0.0:
             raise NotFutureDirected("configured timelike_field is not "
                                     "future-directed at the seed point")
         return N
 
+    @functools.cached_property
     def initial_covector(self) -> np.ndarray:
         spec = self.covector_spec
         if isinstance(spec, str):
@@ -218,7 +228,7 @@ class _Scenario:
 
     def null_covector(self) -> np.ndarray:
         """The initial covector, which must be null at the seed point."""
-        xi = self.initial_covector()
+        xi = self.initial_covector
         _check_seed(self.metric, PhasePoint(self.x0, xi), self.t_end,
                     self.tols["null"], require_null=True)
         return xi
@@ -300,26 +310,23 @@ def _emit(payload, sc, no_meta):
         _emit_kv_csv(payload, sc.out_path)
 
 
-def _trace_records(traj, orbit):
-    recs = []
-    for i in range(traj.n):
-        w = orbit.sections[i]
-        recs.append({
-            "t": float(traj.ts[i]),
-            "x": [float(v) for v in traj.xs[i]],
-            "xi": [float(v) for v in traj.xis[i]],
-            "q": float(traj.qs[i]),
-            "w_re": [float(v) for v in w.real],
-            "w_im": [float(v) for v in w.imag],
-            "kernel_residual": float(orbit.kernel_residuals[i]),
-        })
-    return recs
+# one encoder for every trace row (json.dumps builds one per call), with
+# json.dumps(row, sort_keys=True)'s settings
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _emit_trace(traj, orbit, summary, path, fmt, no_meta):
-    recs = _trace_records(traj, orbit)
+    """One row per sample (t, x, xi, q, w_re, w_im, kernel_residual), then
+    the summary; each column is read off its array in one ``tolist``."""
+    W = np.asarray(orbit.sections)
+    rows = zip(traj.ts.tolist(), traj.xs.tolist(), traj.xis.tolist(),
+               traj.qs.tolist(), W.real.tolist(), W.imag.tolist(),
+               np.asarray(orbit.kernel_residuals).tolist())
     if fmt == "json":
-        lines = [json.dumps(r, sort_keys=True) for r in recs]
+        lines = [_ROW_ENCODER.encode(
+            {"t": t, "x": x, "xi": xi, "q": q, "w_re": w_re, "w_im": w_im,
+             "kernel_residual": res})
+            for t, x, xi, q, w_re, w_im, res in rows]
         tail = dict(summary)
         if not no_meta:
             tail["meta"] = _meta()
@@ -329,16 +336,14 @@ def _emit_trace(traj, orbit, summary, path, fmt, no_meta):
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        d = len(recs[0]["x"])
-        N = len(recs[0]["w_re"])
+        d, N = traj.xs.shape[1], W.shape[1]
         head = (["t"] + [f"x{i}" for i in range(d)]
                 + [f"xi{i}" for i in range(d)] + ["q"]
                 + [f"w{i}_re" for i in range(N)]
                 + [f"w{i}_im" for i in range(N)] + ["kernel_residual"])
         w.writerow(head)
-        for r in recs:
-            w.writerow([r["t"], *r["x"], *r["xi"], r["q"], *r["w_re"],
-                        *r["w_im"], r["kernel_residual"]])
+        w.writerows([t, *x, *xi, q, *w_re, *w_im, res]
+                    for t, x, xi, q, w_re, w_im, res in rows)
         w.writerow([])
         _kv_rows(w, summary)
         _write_text(buf.getvalue(), path)
@@ -451,9 +456,8 @@ def cmd_compare(sc: _Scenario, args) -> int:
 
 def cmd_symbols(sc: _Scenario, args) -> int:
     rep = build_canonical_module(sc.metric)
-    Nfield = sc.timelike_field()
-    xi = sc.initial_covector()
-    pkg = symbol_package(rep, PhasePoint(sc.x0, xi), N=Nfield)
+    pkg = symbol_package(rep, PhasePoint(sc.x0, sc.initial_covector),
+                         N=sc.timelike_field)
     payload = dict(pkg.to_dict())
     payload["command"] = "symbols"
     payload["fixture"] = sc.metric.name
@@ -488,10 +492,10 @@ def _run_one(cmd, config_path, args) -> int:
             ext = "jsonl" if cmd == "trace" and sc.out_format == "json" \
                 else sc.out_format
             sc.out_path = str(Path(config_path).with_suffix(f".out.{ext}"))
-        # full validation before any computation
-        sc.timelike_field()
+        # full validation before any computation: resolving checks each
+        sc.timelike_field
         if cmd in ("trace", "compare", "symbols"):
-            sc.initial_covector()
+            sc.initial_covector
         return _COMMANDS[cmd](sc, args)
     except (ConfigError, NotTimelike, NotFutureDirected, ZeroCovector,
             NotOnCharacteristicSet, KernelViolation) as e:
@@ -502,7 +506,10 @@ def _run_one(cmd, config_path, args) -> int:
         return 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and then reused by
+    every ``main`` call in the process; a parse leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="diracsym",
         description="Dirac symbol calculus scenarios: certification, "
@@ -525,8 +532,12 @@ def main(argv=None) -> int:
                        help="omit timestamps for byte-stable output")
         p.add_argument("--flip-subprincipal-sign", action="store_true",
                        help=argparse.SUPPRESS)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command; may be called any number of times in a process."""
+    args = _parser().parse_args(argv)
     cfg_path = Path(args.config)
     args.batch_dir = cfg_path.is_dir()
     if not args.batch_dir:

@@ -9,8 +9,10 @@ and reports per-axiom residuals.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +53,16 @@ def gamma_matrices(dim: int):
 
     Returns (gammas, eta, G) with gamma_a gamma_b + gamma_b gamma_a =
     -2 eta_ab Id, eta = diag(-1, 1, ..., 1), and G the Gram matrix of the
-    indefinite product.  Dimensions other than 2 and 4 are rejected.
+    indefinite product.  Dimensions other than 2 and 4 are rejected.  Each
+    call returns fresh arrays of its own.
     """
+    gammas, eta, G = _shipped_gammas(dim)
+    return [g.copy() for g in gammas], eta.copy(), G.copy()
+
+
+@functools.cache
+def _shipped_gammas(dim: int):
+    """The gamma set of ``gamma_matrices``, built once per dimension."""
     if dim == 4:
         s1 = np.array([[0, 1], [1, 0]], dtype=complex)
         s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,16 +71,58 @@ def gamma_matrices(dim: int):
         I2 = np.eye(2, dtype=complex)
         g0 = np.block([[I2, z], [z, -I2]])
         gk = [np.block([[z, s], [-s, z]]) for s in (s1, s2, s3)]
-        gammas = [g0] + gk
-        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-        return gammas, eta, g0.copy()
+        return [g0] + gk, np.diag([-1.0, 1.0, 1.0, 1.0]), g0
     if dim == 2:
         g0 = np.array([[1, 0], [0, -1]], dtype=complex)
         g1 = np.array([[0, 1j], [1j, 0]], dtype=complex)
-        eta = np.diag([-1.0, 1.0])
-        return [g0, g1], eta, g0.copy()
+        return [g0, g1], np.diag([-1.0, 1.0]), g0
     raise UnsupportedDimension(
         f"no shipped gamma set for dimension {dim} (have 2 and 4)")
+
+
+# Clifford tables by gamma set: the shape and bytes of the stacked
+# upper-index gammas -> the read-only arrays ``_derive_tables`` forms from
+# them, shared by every module with that gamma set.
+_TABLES: dict = {}
+_MAX_TABLES = 16
+
+
+def _clifford_tables(up):
+    """(gamma^a, gamma^a gamma^b, stage tensors) for the stacked upper-index
+    gammas ``up`` (d, N, N), derived on the first request for that exact
+    gamma set and shared read-only afterwards."""
+    key = (up.shape, up.tobytes())
+    tables = _TABLES.get(key)
+    if tables is None:
+        if len(_TABLES) >= _MAX_TABLES:
+            _TABLES.clear()
+        tables = _TABLES[key] = _derive_tables(up)
+    return tables
+
+
+def _derive_tables(up):
+    """The tables of ``_clifford_tables``, every array read-only.
+
+    The stage tensors are the Clifford tensors the stage engine contracts
+    real coefficient arrays against: rows of N*N complex entries stored as
+    interleaved (re, im) floats, so a contraction is one real matmul whose
+    result is read back with .view(complex).
+    """
+    N = up.shape[-1]
+    up = up.copy()
+    P = up[:, None] @ up                              # gamma^a gamma^b
+    spin = -0.25 * P                                  # -1/4 gamma^a gamma^b
+    commutator = P - P.transpose(1, 0, 2, 3)          # [gamma^a, gamma^b]
+    # p_sub rows: gamma^c (-1/4 gamma^a gamma^b), then -1/2 gamma^b
+    psub = np.concatenate((
+        np.einsum("cij,abjk->cabik", up, spin).reshape(-1, N, N),
+        -0.5 * up))
+    stage = {k: np.ascontiguousarray(T.reshape(-1, N * N)).view(float)
+             for k, T in (("gamma", up), ("commutator", commutator),
+                          ("spin", spin), ("psub", psub))}
+    for a in (up, P, *stage.values()):
+        a.flags.writeable = False
+    return up, P, MappingProxyType(stage)
 
 
 @dataclass
@@ -91,14 +143,12 @@ class CliffordModuleRep:
     q_eval: Optional[Callable] = None
     eta: Optional[np.ndarray] = None
     name: str = "clifford_module"
-    # upper-index gammas and their pair products, cached for the connection
+    # upper-index gammas, their pair products and the stage engine's
+    # tensors: shared read-only tables of the gamma set (_clifford_tables)
     gammas_up: list = field(default=None, repr=False, init=False)
     _pair_products: np.ndarray = field(default=None, repr=False, init=False)
-    # the Clifford tensors the stage engine contracts real coefficient
-    # arrays against: rows of N*N complex entries stored as interleaved
-    # (re, im) floats, so a contraction is one real matmul whose result
-    # is read back with .view(complex)
-    _stage_tensors: dict = field(default=None, repr=False, init=False)
+    _stage_tensors: MappingProxyType = field(default=None, repr=False,
+                                             init=False)
 
     def __post_init__(self):
         self.gammas = [np.asarray(g, dtype=complex) for g in self.gammas]
@@ -107,22 +157,9 @@ class CliffordModuleRep:
         if self.eta is None:
             self.eta = np.diag([-1.0] + [1.0] * (d - 1))
         eps = np.diagonal(self.eta)
-        self.gammas_up = [eps[a] * self.gammas[a] for a in range(d)]
-        N = self.N
-        up = np.stack(self.gammas_up)                     # gamma^a
-        P = self._pair_products = up[:, None] @ up        # gamma^a gamma^b
-        spin = -0.25 * P                                  # -1/4 gamma^a gamma^b
-        commutator = P - P.transpose(1, 0, 2, 3)          # [gamma^a, gamma^b]
-        # p_sub rows: gamma^c (-1/4 gamma^a gamma^b), then -1/2 gamma^b
-        psub = np.concatenate((
-            np.einsum("cij,abjk->cabik", up, spin).reshape(-1, N, N),
-            -0.5 * up))
-        tensors = {"gamma": up, "commutator": commutator, "spin": spin,
-                   "psub": psub}
-        self._stage_tensors = {
-            k: np.ascontiguousarray(T.reshape(-1, N * N),
-                                    dtype=complex).view(float)
-            for k, T in tensors.items()}
+        up, self._pair_products, self._stage_tensors = _clifford_tables(
+            np.stack([eps[a] * self.gammas[a] for a in range(d)]))
+        self.gammas_up = list(up)
 
     @property
     def dim(self) -> int:

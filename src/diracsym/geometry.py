@@ -85,7 +85,6 @@ class MetricField:
     eval: Callable
     jet: Optional[Callable] = None
     domain_guard: Callable = lambda x: True
-    guard_margin: Optional[Callable] = None
     name: str = "custom"
     diagonal: bool = False
     sample_box: Optional[np.ndarray] = None
@@ -731,14 +730,11 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
                            (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
                            2.0 * r * r * s * c)
 
-    def margin(x):
-        return min(float(x[1]) - r_min, math.sin(float(x[2])) - _THETA_MARGIN)
-
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
         dim=4, eval=lambda x: jet(x)[0], jet=jet,
-        domain_guard=_radial_guard(r_min), guard_margin=margin,
+        domain_guard=_radial_guard(r_min),
         name=f"schwarzschild{mass:g}", diagonal=True, sample_box=box,
     )
 

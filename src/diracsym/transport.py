@@ -206,10 +206,11 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
     stage records feed ``_Recursion`` block by block (``flow`` holds
     integrator, step, tol).
 
-    The symbol-level law needs ``state.w`` in the kernel of sigma_1 to
-    ``kernel_tol``.  Returns (trajectory, V, sections per law, relative
-    kernel residuals |sigma_1 v| / |v| and matrices L of the first law),
-    with V[i, j] the polarization of law j at sample i.
+    Every law refuses a ``state.w`` that is zero or not finite, and the
+    symbol-level law needs it in the kernel of sigma_1 to ``kernel_tol``.
+    Returns (trajectory, V, sections per law, relative kernel residuals
+    |sigma_1 v| / |v| and matrices L of the first law), with V[i, j] the
+    polarization of law j at sample i.
     """
     p0 = state.phase
     _check_seed(eng.m, p0, t_end, null_tol, require_null=True)
@@ -217,9 +218,10 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
     if w0.shape != (eng.N,):
         raise ConfigError(f"initial polarization has shape {w0.shape}, "
                           f"expected ({eng.N},)")
+    nw = _initial_norm(w0)
     if sign is not None:
         E = _frame_from(eng.m, _metric_value(eng.m, p0.x))[0]
-        _initial_kernel_check(eng.sigma1(p0.xi, E), w0, kernel_tol)
+        _initial_kernel_check(eng.sigma1(p0.xi, E), w0, nw, kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     rec = _Recursion(eng, np.array([w0] * n_laws)[:, :, None], sign, spin,
@@ -247,11 +249,16 @@ def _product_drift(G, S) -> float:
     return float(np.max(np.abs(prods - prods[0])))
 
 
-def _initial_kernel_check(sigma1, w0, kernel_tol):
-    """Refuse a w0 that is zero, not finite or off sigma1's kernel."""
+def _initial_norm(w0) -> float:
+    """|w0|, once w0 is neither zero nor non-finite."""
     nw = float(np.linalg.norm(w0))
     if not 0.0 < nw < np.inf:
         raise KernelViolation(f"initial polarization vector has norm {nw}")
+    return nw
+
+
+def _initial_kernel_check(sigma1, w0, nw, kernel_tol):
+    """Refuse a w0 of norm nw that is off sigma1's kernel."""
     res = float(np.linalg.norm(sigma1 @ w0))
     if not res <= kernel_tol * nw:
         raise KernelViolation(

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main."""
 import csv
+import io
 import json
 import os
 import subprocess
@@ -603,3 +604,91 @@ def test_batch_empty_directory(tmp_path, capsys):
     rc, _, err = run(capsys, ["certify", "--config", str(tmp_path)])
     assert rc == 2
     assert "no *.json scenarios" in err
+
+
+# --------------------------------------------------------------------------
+# one process, many calls; trace rows
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """main keeps nothing between calls: a usage error, a compare with
+    --seed and --format, a certify and a plain compare, run one after the
+    other in this process, each give the rc, stdout and stderr of the same
+    call in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    cmp_ = schw_compare_cfg(tmp_path, initial_covector="random_null(0)",
+                            integrator={"step": 1e-2}, t_end=0.05)
+    cert = write_cfg(tmp_path, "cert.json", {
+        "metric": "minkowski4", "sample": {"points": 2, "vectors": 2}})
+    calls = [
+        ["compare", "--config", cmp_, "--no-meta", "--seed", "3",
+         "--format", "xml"],
+        ["compare", "--config", cmp_, "--no-meta", "--seed", "3",
+         "--format", "csv"],
+        ["certify", "--config", cert, "--no-meta"],
+        ["compare", "--config", cmp_, "--no-meta"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    procs = [subprocess.Popen([sys.executable, "-m", "diracsym.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) for argv in calls]
+    fresh = [(p.wait(timeout=120), *p.communicate()) for p in procs]
+    assert [rc for rc, _, _ in fresh] == [2, 0, 0, 0]
+    assert "invalid choice" in fresh[0][2]
+    assert fresh[1][1] != fresh[3][1]
+    for argv, want in zip(calls, fresh):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+        cap = capsys.readouterr()
+        assert (rc, cap.out, cap.err) == want, argv
+
+
+def _per_element_trace(ts, xs, xis, qs, W, res):
+    """The trace rows as dicts of floats, one element at a time: the rows
+    a trace once emitted, kept as the reference for the column read."""
+    return [{"t": float(ts[i]), "x": [float(v) for v in xs[i]],
+             "xi": [float(v) for v in xis[i]], "q": float(qs[i]),
+             "w_re": [float(v) for v in W[i].real],
+             "w_im": [float(v) for v in W[i].imag],
+             "kernel_residual": float(res[i])} for i in range(len(ts))]
+
+
+def test_trace_rows_match_per_element_output(tmp_path):
+    """JSON rows equal json.dumps(row, sort_keys=True) and CSV rows the
+    per-element rows, NaN, +-inf, -0.0 and subnormals included."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(4)
+    n = 7
+    ts, qs, res = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+    xs, xis = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    W = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.5e-310]
+    ts[:6] = qs[1:] = res[1:] = special
+    xs[1:, 2] = xis[:6, 0] = special
+    W.real[1:, 1] = W.imag[:6, 3] = special
+    traj = SimpleNamespace(ts=ts, xs=xs, xis=xis, qs=qs, n=n)
+    orbit = SimpleNamespace(sections=list(W), kernel_residuals=res)
+    summary = {"command": "trace", "samples": n, "q_drift": float("nan")}
+    rows = _per_element_trace(ts, xs, xis, qs, W, res)
+
+    path = tmp_path / "t.jsonl"
+    cli._emit_trace(traj, orbit, summary, str(path), "json", True)
+    lines = path.read_text().splitlines()
+    assert lines[:-1] == [json.dumps(r, sort_keys=True) for r in rows]
+    assert lines[-1] == json.dumps({"summary": summary}, sort_keys=True)
+    assert "NaN" in lines[0] and "-Infinity" in lines[2]
+
+    path = tmp_path / "t.csv"
+    cli._emit_trace(traj, orbit, summary, str(path), "csv", True)
+    head, table = path.read_text().split("\n\n")[0].split("\n", 1)
+    assert head.startswith("t,x0,") and head.endswith(",kernel_residual")
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        [r["t"], *r["x"], *r["xi"], r["q"], *r["w_re"], *r["w_im"],
+         r["kernel_residual"]] for r in rows)
+    assert table + "\n" == want.getvalue()
+    assert path.read_text().endswith(
+        "\n\ncommand,trace\nq_drift,nan\nsamples,7\n")

@@ -45,6 +45,54 @@ def test_gamma_unsupported_dimension():
         gamma_matrices(5)
 
 
+def test_gamma_matrices_are_fresh_and_writable():
+    """Each call hands out arrays of its own: writing into one set leaves
+    the next call and the modules built since untouched."""
+    gammas, eta, G = gamma_matrices(4)
+    rep = ds.build_canonical_module(ds.minkowski(4))
+    for a in (*gammas, eta, G):
+        a[0, 0] = 7.0
+    again, eta2, G2 = gamma_matrices(4)
+    assert again[0][0, 0] == 1.0 and eta2[0, 0] == -1.0 and G2[0, 0] == 1.0
+    assert rep.gammas[0][0, 0] == 1.0 and rep.gammas_up[0][0, 0] == -1.0
+
+
+def _tables(rep):
+    return [rep._pair_products, *rep.gammas_up,
+            *rep._stage_tensors.values()]
+
+
+def test_modules_share_read_only_tables_of_one_gamma_set():
+    """Two modules of one gamma set share one set of Clifford tables, and a
+    write into any of them raises; a look-alike set (gamma_1 and gamma_2
+    swapped, still a Clifford set) gets tables of its own, derived from its
+    own gammas by the same path."""
+    a = ds.build_canonical_module(ds.minkowski(4))
+    b = ds.build_canonical_module(ds.schwarzschild(1.0))
+    assert all(np.shares_memory(s, t)
+               for s, t in zip(_tables(a), _tables(b)))
+    for T in _tables(a):
+        with pytest.raises(ValueError):
+            T[(0,) * T.ndim] = 1.0
+    with pytest.raises(TypeError):
+        a._stage_tensors["gamma"] = a._stage_tensors["spin"]
+
+    gammas, eta, G = gamma_matrices(4)
+    gammas[1], gammas[2] = gammas[2], gammas[1]
+    c = ds.CliffordModuleRep(N=4, gammas=gammas, gram=G, metric=a.metric,
+                             eta=eta)
+    assert not any(np.shares_memory(s, t)
+                   for s, t in zip(_tables(a), _tables(c)))
+    up = np.stack([np.diagonal(eta)[k] * gammas[k] for k in range(4)])
+    assert np.array_equal(np.stack(c.gammas_up), up)
+    assert np.array_equal(c._pair_products, up[:, None] @ up)
+    assert np.array_equal(c._stage_tensors["gamma"].view(complex),
+                          up.reshape(4, 16))
+    assert np.array_equal(c._stage_tensors["spin"].view(complex),
+                          -0.25 * (up[:, None] @ up).reshape(16, 16))
+    assert not np.array_equal(c._pair_products, a._pair_products)
+
+
 def test_gram_index_split(rep_mink4):
     ev = np.linalg.eigvalsh(rep_mink4.gram)
     assert int(np.sum(ev > 0)) == 2

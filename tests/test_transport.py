@@ -389,6 +389,23 @@ def test_non_finite_seed_is_refused(rep_schw, sys_schw, schw):
             transport_denker(sys_schw, off, 0.1, step=1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_spinor_law_refuses_zero_or_non_finite_polarization(rep_schw, schw,
+                                                            bad):
+    """The spinor law needs no kernel vector, but a NaN, infinite or zero
+    w0 is refused before the run rather than carried as NaN sections; any
+    nonzero finite w0 still runs."""
+    phase = null_state(schw, rep_schw, SCHW_X0, 0).phase
+    w = np.zeros(4, dtype=complex) if bad == 0.0 \
+        else np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(KernelViolation, match="norm"):
+        transport_spin(rep_schw, PolarizationState(phase, w), 0.1,
+                       step=1e-2)
+    ok = transport_spin(rep_schw, PolarizationState(phase, np.eye(4)[0]),
+                        0.1, step=1e-2)
+    assert np.all(np.isfinite(ok.sections)) and len(ok.sections) == 11
+
+
 def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, 1.25, 0.0, 0.0]))

@@ -114,6 +114,17 @@ MUTANTS = [
     ("engine_kappa_plain_trace", "src/diracsym/symbols.py",
      "np.sum(Zf * (F[..., i, i] @ eta), axis=-1)",
      "np.sum(Zf * F[..., i, i].sum(-1), axis=-1)"),
+    ("clifford_tables_keyed_by_dimension", "src/diracsym/clifford.py",
+     "key = (up.shape, up.tobytes())",
+     "key = len(up)"),
+    ("trace_row_w_parts_swapped", "src/diracsym/cli.py",
+     '"w_re": w_re, "w_im": w_im,',
+     '"w_re": w_im, "w_im": w_re,'),
+    ("parser_keeps_last_options", "src/diracsym/cli.py",
+     "args = _parser().parse_args(argv)\n",
+     "args = _parser().parse_args(argv)\n"
+     "    _parser()._actions[-1].choices[args.command].set_defaults(\n"
+     "        **vars(args))\n"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
