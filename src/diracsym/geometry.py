@@ -2,19 +2,19 @@
 
 Everything works on a single chart: a metric field is a callable returning
 the matrix ``g_ij(x)`` in signature (-, +, ..., +), and its jet (g, dg) comes
-from a supplied ``jet`` (closed form, or a complex step through the scalar
-factor for ``conformal_flat``) or else from central differences.  On
-top of that sit Christoffel symbols, the scalar Hamiltonian
-``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
-integration, and orthonormal frames from the factorization ``g = R^T eta R``
-with ``R`` upper triangular, which is Gram-Schmidt in chart order.
+from a supplied ``jet`` (a closed form for every catalog metric, for
+``conformal_flat`` by forward-mode differentiation of its expression) or
+else from central differences.  On top of that sit Christoffel symbols, the
+scalar Hamiltonian ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null
+bicharacteristic integration, and orthonormal frames from the factorization
+``g = R^T eta R`` with ``R`` upper triangular, which is Gram-Schmidt in
+chart order.
 """
 from __future__ import annotations
 
 import ast
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,8 +76,7 @@ class MetricField:
     whether ``jet`` is given:
 
     * ``jet(x) -> (g, dg)`` when supplied, float arrays with the g of
-      ``eval`` (the catalog supplies closed forms, and a complex step for
-      ``conformal_flat``);
+      ``eval`` (the catalog supplies closed forms);
     * otherwise ``eval`` and central differences of it (``_partials``).
     """
 
@@ -775,96 +774,231 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     )
 
 
+def _abs(a):
+    """|a|, keeping the sign of a -0.0."""
+    return -a if a < 0.0 else a
+
+
+# What a conformal factor may contain, with the forward-mode derivative of
+# each piece.  Functions: name -> (function, rule for f'(a)); binary
+# operators: node type -> rules for the partials in a and in b; unary minus:
+# its partial (unary plus passes its operand on).  A rule is a number or an
+# expression in the operands a and b, the node's value v and the functions
+# named here.
 _EXPR_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh,
-    "tanh": np.tanh, "arctan": np.arctan,
-    # |z| continued from the sign of the real part, so that a complex step
-    # through it differentiates |x| rather than the modulus
-    "abs": lambda z: np.where(np.real(z) < 0.0, -z, z),
+    "sin": (np.sin, "cos(a)"), "cos": (np.cos, "-sin(a)"),
+    "tan": (np.tan, "1.0 + v * v"), "exp": (np.exp, "v"),
+    "log": (np.log, "1.0 / a"), "sqrt": (np.sqrt, "0.5 / v"),
+    "sinh": (np.sinh, "cosh(a)"), "cosh": (np.cosh, "sinh(a)"),
+    "tanh": (np.tanh, "1.0 - v * v"),
+    "arctan": (np.arctan, "1.0 / (1.0 + a * a)"),
+    "abs": (_abs, "-1.0 if a < 0.0 else 1.0"),   # slope +1 at 0
 }
-_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-                ast.Mult: operator.mul, ast.Div: operator.truediv,
-                ast.Pow: operator.pow}
-_EXPR_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_CS_STEP = 1e-30
+_EXPR_BINOPS = {
+    ast.Add: (1.0, 1.0), ast.Sub: (1.0, -1.0),
+    ast.Mult: ("b", "a"), ast.Div: ("1.0 / b", "-v / b"),
+    ast.Pow: ("b * a ** (b - 1.0)", "v * log(a)"),
+}
+
+# compile wants a position on every statement and expression; all of the
+# generated code sits at line 1
+_AT = {"lineno": 1, "col_offset": 0}
 
 
-def _parse_expr(expr: str, names: dict):
-    """Compile an arithmetic expression into a function of a point ``pt``.
+def _ast(term):
+    """An expression tree for a term: a tree as it is, a variable name, or
+    a float literal."""
+    if isinstance(term, ast.AST):
+        return term
+    if isinstance(term, str):
+        return ast.Name(term, ast.Load(), **_AT)
+    return ast.Constant(term, **_AT)
 
-    Accepted: numeric constants (evaluated as float64, so ``9**9**9``
-    overflows instead of growing an integer), the coordinate ``names``
-    (bound to ``pt[names[id]]``), ``pi``, ``+ - * / **``, unary ``+ -``
-    and one-argument calls of ``_EXPR_FUNCS``.  Any other node raises
-    ConfigError, so an expression reaches nothing else in the interpreter.
+
+def _times(p, d):
+    """The term p * d, either factor of which may be the literal 1.0."""
+    if p == 1.0 or d == 1.0:
+        return d if p == 1.0 else p
+    return ast.BinOp(_ast(p), ast.Mult(), _ast(d), **_AT)
+
+
+class _KernelBuilder:
+    """Straight-line code for an arithmetic expression and its gradient.
+
+    ``node`` walks the expression; each node becomes one assignment of its
+    value and, in forward mode, one of its partial d_k for each coordinate
+    k its subtree depends on.  Code is built as ``ast`` nodes: coordinates
+    are read as ``_p[i]`` and constants and functions are bound by value
+    under private names, so no text of the expression reaches ``compile``.
     """
-    def build(node):
+
+    def __init__(self, expr: str, names: dict):
+        self.expr, self.names = expr, names
+        self.env = {"__builtins__": {}, "_array": np.array,
+                    "_point": functools.partial(np.asarray,
+                                                dtype=np.float64)}
+        self.env.update((f"_{k}", f) for k, (f, _) in _EXPR_FUNCS.items())
+        self.values, self.partials = [], []
+
+    def assign(self, body, expr) -> str:
+        name = f"_v{len(self.values) + len(self.partials)}"
+        body.append(ast.Assign([ast.Name(name, ast.Store(), **_AT)], expr,
+                               **_AT))
+        return name
+
+    def constant(self, value) -> str:
+        try:
+            c = np.float64(value)
+        except OverflowError:
+            raise ConfigError(f"conformal factor {self.expr!r}: a constant "
+                              f"is beyond the float range") from None
+        name = f"_c{len(self.env)}"
+        self.env[name] = c
+        return name
+
+    def partial(self, rule, **terms):
+        """The term of a rule whose names a, b and v stand for the variables
+        ``terms`` names and each function f for its binding _f."""
+        if isinstance(rule, float):
+            return rule
+        expr = ast.parse(rule, mode="eval").body
+        for n in ast.walk(expr):
+            if isinstance(n, ast.Name):
+                n.id = terms.get(n.id, f"_{n.id}")
+        if isinstance(expr, ast.Name):
+            return expr.id
+        return self.assign(self.partials, expr)
+
+    def chain(self, partials, derivs) -> dict:
+        """{k: sum of p_j d_jk over the operands j that depend on k}."""
+        out = {}
+        for p, d in zip(partials, derivs):
+            for k, dk in d.items():
+                t = _times(p, dk)
+                out[k] = t if k not in out else \
+                    ast.BinOp(_ast(out[k]), ast.Add(), _ast(t), **_AT)
+        return {k: self.assign(self.partials, t)
+                if isinstance(t, ast.AST) else t for k, t in out.items()}
+
+    def apply(self, expr, rules, operands):
+        """(value, partials) of a node computing ``expr`` from
+        ``operands``, pairs (value term, partials), by ``rules``."""
+        v = self.assign(self.values, expr)
+        terms = dict(zip("ab", (a for a, _ in operands)), v=v)
+        return v, self.chain(
+            [self.partial(r, **terms) if d else None
+             for r, (_, d) in zip(rules, operands)],
+            [d for _, d in operands])
+
+    def node(self, node):
+        """(value term, {k: d_k term}) of an expression node."""
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            c = np.float64(node.value)
-            return lambda pt: c
-        if isinstance(node, ast.Name) and node.id in names:
-            i = names[node.id]
-            return lambda pt: pt[i]
+            return self.constant(node.value), {}
+        if isinstance(node, ast.Name) and node.id in self.names:
+            i = self.names[node.id]
+            return self.assign(self.values, ast.Subscript(
+                _ast("_p"), ast.Constant(i, **_AT), ast.Load(), **_AT)), \
+                {i: 1.0}
         if isinstance(node, ast.Name) and node.id == "pi":
-            return lambda pt: math.pi
+            return self.constant(math.pi), {}
         if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
-            op = _EXPR_BINOPS[type(node.op)]
-            a, b = build(node.left), build(node.right)
-            return lambda pt: op(a(pt), b(pt))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNOPS:
-            op, a = _EXPR_UNOPS[type(node.op)], build(node.operand)
-            return lambda pt: op(a(pt))
+            ops = self.node(node.left), self.node(node.right)
+            return self.apply(
+                ast.BinOp(_ast(ops[0][0]), type(node.op)(), _ast(ops[1][0]),
+                          **_AT),
+                _EXPR_BINOPS[type(node.op)], ops)
+        if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
+            return self.node(node.operand)
+        if isinstance(node, ast.UnaryOp) and type(node.op) is ast.USub:
+            op = self.node(node.operand)
+            return self.apply(ast.UnaryOp(ast.USub(), _ast(op[0]), **_AT),
+                              (-1.0,), (op,))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _EXPR_FUNCS and len(node.args) == 1
                 and not node.keywords):
-            fn, a = _EXPR_FUNCS[node.func.id], build(node.args[0])
-            return lambda pt: fn(a(pt))
+            op = self.node(node.args[0])
+            return self.apply(
+                ast.Call(_ast(f"_{node.func.id}"), [_ast(op[0])], [], **_AT),
+                (_EXPR_FUNCS[node.func.id][1],), (op,))
         what = (f"name {node.id!r}" if isinstance(node, ast.Name)
                 else type(node).__name__)
-        raise ConfigError(f"conformal factor {expr!r}: {what} is not allowed")
+        raise ConfigError(f"conformal factor {self.expr!r}: {what} is not "
+                          f"allowed")
 
+
+def _function(name: str, body: list, result) -> ast.FunctionDef:
+    """def name(_p): _p = float64 array of _p; body; return result."""
+    read = ast.Assign([ast.Name("_p", ast.Store(), **_AT)],
+                      ast.Call(_ast("_point"), [_ast("_p")], [], **_AT), **_AT)
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    return ast.FunctionDef(name, args, [read, *body,
+                                        ast.Return(result, **_AT)],
+                           decorator_list=[], **_AT)
+
+
+@functools.lru_cache(maxsize=256)
+def _omega_kernels(expr: str, dim: int):
+    """(value, jet) compiled from the expression ``expr`` in x0..x{dim-1}
+    (aliases t, x, y, z when dim == 4): value(p) = Omega(p) and jet(p) =
+    (Omega(p), [d_k Omega(p)]), each reading p as a float64 array.
+
+    Accepted: numeric constants (float64, so ``9**9**9`` overflows instead
+    of growing an integer), the coordinates, ``pi``, ``+ - * / **``, unary
+    ``+ -`` and one-argument calls of ``_EXPR_FUNCS``; any other node
+    raises ConfigError.  Both functions run the same value statements, so
+    jet's Omega is value's bit for bit; they are compiled together once
+    per (expr, dim), with no builtins.
+    """
+    names = {f"x{i}": i for i in range(dim)}
+    if dim == 4:
+        names.update(t=0, x=1, y=2, z=3)
+    b = _KernelBuilder(expr, names)
     try:
-        return build(ast.parse(expr, mode="eval").body)
+        w, dw = b.node(ast.parse(expr, mode="eval").body)
     except (SyntaxError, ValueError, RecursionError) as e:
         raise ConfigError(f"conformal factor {expr!r} does not parse: {e}") \
             from None
+    grad = ast.Call(_ast("_array"), [ast.List(
+        [_ast(dw.get(k, 0.0)) for k in range(dim)], ast.Load(), **_AT)], [],
+        **_AT)
+    module = ast.Module([
+        _function("_value", b.values, _ast(w)),
+        _function("_jet", b.values + b.partials,
+                  ast.Tuple([_ast(w), grad], ast.Load(), **_AT))],
+        type_ignores=[])
+    exec(compile(module, "<conformal factor>", "exec"), b.env)
+    return b.env.pop("_value"), b.env.pop("_jet")
 
 
 def conformal_flat(omega: str, dim: int = 4) -> MetricField:
     """g = Omega(x)^2 * eta for an expression ``omega`` in x0..x{dim-1}
-    (aliases t, x, y, z when dim == 4), restricted as ``_parse_expr`` says.
+    (aliases t, x, y, z when dim == 4), restricted as ``_omega_kernels``
+    says.
 
-    ``jet`` takes d_k Omega by a complex step, Im Omega(x + i h e_k) / h
-    with h = 1e-30, which has no subtractive cancellation.
+    ``jet`` is closed form: d_k Omega by forward-mode differentiation of
+    the expression, which ``_omega_kernels`` compiles once per (omega, dim)
+    along with Omega itself, and dg = 2 Omega dOmega eta.
     """
     expr = str(omega)
-    names = {f"x{i}": i for i in range(dim)}
-    if dim == 4:
-        names.update(t=0, x=1, y=2, z=3)
-    om = _parse_expr(expr, names)
+    value, omega_jet = _omega_kernels(expr, dim)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
-    steps = 1j * _CS_STEP * np.eye(dim)
-    two = np.full(dim, 2.0)  # carries the step axis when Omega is constant
 
-    def value(x):
-        w = om(x)
-        return w, w * w * eta
+    def metric(x):
+        w = value(x)
+        return w * w * eta
 
     def jet(x):
-        w, g = value(x)
-        # row i of the stepped point is coordinate i in each of the dim
-        # step directions, so one evaluation gives every d_k Omega
-        dw = np.imag(om(x[:, None] + steps))
-        return g, (two * w * dw / _CS_STEP)[:, None, None] * eta
+        w, dw = omega_jet(x)
+        return w * w * eta, (2.0 * w * dw)[:, None, None] * eta
 
     def guard(x):
         # the metric Omega^2 eta must be finite; NaN fails both tests
-        w = abs(float(om(x)))
+        w = abs(float(value(x)))
         return w > 1e-6 and w * w < math.inf
 
     return MetricField(
-        dim=dim, eval=lambda x: value(x)[1], jet=jet,
+        dim=dim, eval=metric, jet=jet,
         domain_guard=guard, name="conformal_flat{" + expr + "}",
         diagonal=True, sample_box=np.array([[-2.0, 2.0]] * dim),
     )

@@ -381,7 +381,8 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
 
 
 @pytest.mark.parametrize("metric", [
-    "conformal_flat{1+}", "conformal_flat{().__class__.__name__ and 1}"])
+    "conformal_flat{1+}", "conformal_flat{().__class__.__name__ and 1}",
+    "conformal_flat{1" + "0" * 400 + "}"])
 def test_conformal_expression_errors_exit_2(tmp_path, capsys, metric):
     path = write_cfg(tmp_path, "bad.json", {"metric": metric})
     rc, _, err = run(capsys, ["compare", "--config", path])

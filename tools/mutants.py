@@ -76,8 +76,17 @@ MUTANTS = [
      "if not _dirac_backed(rep, sys):",
      "if sys.rep is None:"),
     ("conformal_jet_factor_1.9", "src/diracsym/geometry.py",
-     "(two * w * dw / _CS_STEP)",
-     "(0.95 * two * w * dw / _CS_STEP)"),
+     "(2.0 * w * dw)",
+     "(1.9 * w * dw)"),
+    ("product_rule_term_dropped", "src/diracsym/geometry.py",
+     'ast.Mult: ("b", "a")',
+     'ast.Mult: ("b", "0.0")'),
+    ("quotient_rule_db_sign", "src/diracsym/geometry.py",
+     'ast.Div: ("1.0 / b", "-v / b")',
+     'ast.Div: ("1.0 / b", "v / b")'),
+    ("cos_chain_factor_sign", "src/diracsym/geometry.py",
+     '"cos": (np.cos, "-sin(a)")',
+     '"cos": (np.cos, "sin(a)")'),
     ("schwarzschild_jet_dg133_scaled", "src/diracsym/geometry.py",
      "2.0 * r, 2.0 * r * s * s)",
      "2.0 * r, 2.02 * r * s * s)"),
