@@ -36,13 +36,11 @@ from .geometry import (
     hamiltonian_field,
     hamiltonian_q,
     integrate_bicharacteristic,
-    lower_vector,
     metric_derivative,
     minkowski,
     minkowski_linear_chart,
     null_project_covector,
     orthonormal_frame,
-    raise_covector,
     random_chart_point,
     random_null_covector,
     schwarzschild,
@@ -55,7 +53,6 @@ from .clifford import (
     SampleSpec,
     build_canonical_module,
     certify_axioms,
-    clifford_mul,
     gamma_matrices,
     q_operator,
     spin_connection_matrix,

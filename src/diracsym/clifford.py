@@ -40,7 +40,6 @@ __all__ = [
     "CertificateReport",
     "gamma_matrices",
     "build_canonical_module",
-    "clifford_mul",
     "q_operator",
     "spin_connection_matrix",
     "spin_connection_coefficients",
@@ -80,36 +79,22 @@ def _shipped_gammas(dim: int):
         f"no shipped gamma set for dimension {dim} (have 2 and 4)")
 
 
-# Clifford tables by gamma set: the shape and bytes of the stacked
-# upper-index gammas -> the read-only arrays ``_derive_tables`` forms from
-# them, shared by every module with that gamma set.
-_TABLES: dict = {}
-_MAX_TABLES = 16
-
-
-def _clifford_tables(up):
-    """(gamma^a, gamma^a gamma^b, stage tensors) for the stacked upper-index
-    gammas ``up`` (d, N, N), derived on the first request for that exact
-    gamma set and shared read-only afterwards."""
-    key = (up.shape, up.tobytes())
-    tables = _TABLES.get(key)
-    if tables is None:
-        if len(_TABLES) >= _MAX_TABLES:
-            _TABLES.clear()
-        tables = _TABLES[key] = _derive_tables(up)
-    return tables
-
-
-def _derive_tables(up):
-    """The tables of ``_clifford_tables``, every array read-only.
+@functools.lru_cache(maxsize=16)
+def _clifford_tables(shape, data):
+    """(eta, gamma^a, gamma^a gamma^b, stage tensors) for the gamma set
+    whose stacked (d, N, N) complex entries are the bytes ``data``, derived
+    on the first request for that exact gamma set and shared read-only
+    afterwards.
 
     The stage tensors are the Clifford tensors the stage engine contracts
     real coefficient arrays against: rows of N*N complex entries stored as
     interleaved (re, im) floats, so a contraction is one real matmul whose
     result is read back with .view(complex).
     """
-    N = up.shape[-1]
-    up = up.copy()
+    d, N = shape[0], shape[-1]
+    eta = np.diag([-1.0] + [1.0] * (d - 1))
+    up = np.diagonal(eta)[:, None, None] * np.frombuffer(
+        data, dtype=complex).reshape(shape)
     P = up[:, None] @ up                              # gamma^a gamma^b
     spin = -0.25 * P                                  # -1/4 gamma^a gamma^b
     commutator = P - P.transpose(1, 0, 2, 3)          # [gamma^a, gamma^b]
@@ -120,31 +105,33 @@ def _derive_tables(up):
     stage = {k: np.ascontiguousarray(T.reshape(-1, N * N)).view(float)
              for k, T in (("gamma", up), ("commutator", commutator),
                           ("spin", spin), ("psub", psub))}
-    for a in (up, P, *stage.values()):
+    for a in (eta, up, P, *stage.values()):
         a.flags.writeable = False
-    return up, P, MappingProxyType(stage)
+    return eta, up, P, MappingProxyType(stage)
 
 
 @dataclass
 class CliffordModuleRep:
-    """A spin-k/2 Clifford module in one global trivialization.
+    """A Clifford module in one global trivialization: its gamma set, the
+    Gram matrix of its indefinite product and the metric.
 
     ``gammas`` act in frame indices; coordinate vectors are converted with
-    the coframe before acting.  ``q_eval(x, N_1, ..., N_k)`` gives the
-    Q-section, along leading axes of stacked directions N_i (d,) or
-    (n, d); the canonical k = 1 build uses Q(N) = Gamma(N).
+    the coframe before acting.  N (the gammas' size) and eta = diag(-1, 1,
+    ..., 1) are derived from the gammas.  ``q_eval(x, N)`` gives the
+    Q-section along leading axes of stacked directions N (d,) or (n, d);
+    a module without one has Q(N) = Gamma(N).
     """
 
-    N: int
     gammas: list
     gram: np.ndarray
     metric: MetricField
-    q_power: int = 1
     q_eval: Optional[Callable] = None
-    eta: Optional[np.ndarray] = None
     name: str = "clifford_module"
-    # upper-index gammas, their pair products and the stage engine's
-    # tensors: shared read-only tables of the gamma set (_clifford_tables)
+    N: int = field(default=None, init=False)
+    # eta, the upper-index gammas, their pair products and the stage
+    # engine's tensors: shared read-only tables of the gamma set
+    # (_clifford_tables)
+    eta: np.ndarray = field(default=None, repr=False, init=False)
     gammas_up: list = field(default=None, repr=False, init=False)
     _pair_products: np.ndarray = field(default=None, repr=False, init=False)
     _stage_tensors: MappingProxyType = field(default=None, repr=False,
@@ -153,12 +140,10 @@ class CliffordModuleRep:
     def __post_init__(self):
         self.gammas = [np.asarray(g, dtype=complex) for g in self.gammas]
         self.gram = np.asarray(self.gram, dtype=complex)
-        d = len(self.gammas)
-        if self.eta is None:
-            self.eta = np.diag([-1.0] + [1.0] * (d - 1))
-        eps = np.diagonal(self.eta)
-        up, self._pair_products, self._stage_tensors = _clifford_tables(
-            np.stack([eps[a] * self.gammas[a] for a in range(d)]))
+        gam = np.stack(self.gammas)
+        self.N = gam.shape[-1]
+        self.eta, up, self._pair_products, self._stage_tensors = \
+            _clifford_tables(gam.shape, gam.tobytes())
         self.gammas_up = list(up)
 
     @property
@@ -176,63 +161,54 @@ class CliffordModuleRep:
         s = orthonormal_frame(self.metric, x)
         return self.gamma_of_frame(np.asarray(Z, dtype=float) @ s.E_inv.T)
 
+    def q_of(self, x, N) -> np.ndarray:
+        """Q(N) from ``q_eval``, or Gamma(N) when the module has none."""
+        return (self.q_eval or self.gamma_of)(x, N)
 
-def _connection_from(pair_products, eta, g, dg, E, dE, Einv):
+
+def _connection_from(rep: CliffordModuleRep, g, dg, E, dE, Einv):
     """Christoffel symbols Gam[..., i, j, k] = Gamma^i_jk and the spinor
-    connection matrices omega[..., mu] from a metric and frame jet, at one
-    point or along leading stack axes of every jet array.
+    connection matrices omega[..., mu] of ``rep`` from a metric and frame
+    jet, at one point or along leading stack axes of every jet array.
 
     omega_mu^a_b = [E^-1 (d_mu E + Gamma_mu E)]^a_b, lowered with the frame
     signs and contracted against gamma^a gamma^b.
     """
-    d = g.shape[-1]
+    d, N = g.shape[-1], rep.N
     Gam = _christoffel_from(g, dg)
     w = Einv[..., None, :, :] @ (dE + Gam.swapaxes(-3, -2)
                                  @ E[..., None, :, :])
-    w_low = np.diagonal(eta)[:, None] * w
-    N = pair_products.shape[-1]
+    w_low = np.diagonal(rep.eta)[:, None] * w
     omega = -0.25 * (w_low.reshape(w.shape[:-2] + (d * d,))
-                     @ pair_products.reshape(d * d, N * N))
+                     @ rep._pair_products.reshape(d * d, N * N))
     return Gam, omega.reshape(w.shape[:-2] + (N, N))
 
 
-def spin_connection_coefficients(m: MetricField, gammas_pair_products,
-                                 eta, x) -> np.ndarray:
+def spin_connection_coefficients(rep: CliffordModuleRep, x) -> np.ndarray:
     """Matrices omega_mu of the spinor connection, one per coordinate
     direction, in the frame trivialization, built from the Christoffel
     symbols and the frame jet (see ``_connection_from``)."""
-    g, dg = _metric_jet(m, x)
-    E, dE, Einv = _frame_jet_from(m, g, dg)
-    return _connection_from(gammas_pair_products, eta, g, dg, E, dE,
-                            Einv)[1]
+    g, dg = _metric_jet(rep.metric, x)
+    return _connection_from(rep, g, dg,
+                            *_frame_jet_from(rep.metric, g, dg))[1]
 
 
 def spin_connection_matrix(rep: CliffordModuleRep, x, v) -> np.ndarray:
     """omega(x; v) = v^mu omega_mu for a coordinate direction v."""
-    om = spin_connection_coefficients(rep.metric, rep._pair_products,
-                                      rep.eta, x)
+    om = spin_connection_coefficients(rep, x)
     v = np.asarray(v, dtype=float)
     return np.einsum("m,mij->ij", v, om)
 
 
 def build_canonical_module(m: MetricField) -> CliffordModuleRep:
     """The shipped spin-1/2 module: fixed gammas, G = gamma_0, Q = Gamma."""
-    gammas, eta, G = gamma_matrices(m.dim)
-    rep = CliffordModuleRep(
-        N=gammas[0].shape[0], gammas=gammas, gram=G, metric=m,
-        q_power=1, eta=eta, name=f"canonical_spin_half[{m.name}]",
-    )
-    rep.q_eval = lambda x, Nvec: rep.gamma_of(x, Nvec)
-    return rep
-
-
-def clifford_mul(rep: CliffordModuleRep, x, Z, phi):
-    """Gamma(Z) phi for a coordinate vector Z at x."""
-    return rep.gamma_of(x, Z) @ np.asarray(phi, dtype=complex)
+    gammas, _, G = gamma_matrices(m.dim)
+    return CliffordModuleRep(gammas, G, m,
+                             name=f"canonical_spin_half[{m.name}]")
 
 
 def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
-    """Q_N = Q(N, ..., N) for a future-directed timelike N (checked)."""
+    """Q_N = Q(N) for a future-directed timelike N (checked)."""
     N = np.asarray(N, dtype=float)
     g, _ = eval_metric(rep.metric, x)
     nn = float(N @ g @ N)
@@ -241,9 +217,7 @@ def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
     s = orthonormal_frame(rep.metric, x)
     if (s.E_inv @ N)[0] <= 0.0:
         raise NotFutureDirected("N has non-positive frame time component")
-    if rep.q_eval is None:
-        raise UnsupportedDimension("module carries no Q section")
-    return rep.q_eval(x, *([N] * rep.q_power))
+    return rep.q_of(x, N)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +291,6 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     d = rep.dim
     G = rep.gram
     Id = np.eye(rep.N)
-    eta = rep.eta
     r = {}
     # draws: Z, Y, Y0 (3d), A (d x d), N's frame direction (d - 1), W (d)
     n_draw = 3 * d + d * d + (d - 1) + d
@@ -345,7 +318,7 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     W = draws[..., -d:]
 
     E, dE, Einv = _frame_jet_from(m, g, dg)
-    Gam, om = _connection_from(rep._pair_products, eta, g, dg, E, dE, Einv)
+    Gam, om = _connection_from(rep, g, dg, E, dE, Einv)
     gp = g[:, None]                                    # (points, 1, d, d)
 
     def dot(U, V):
@@ -382,7 +355,7 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     Q0 = np.empty((n_pts, rep.N, rep.N), dtype=complex)
     for i in range(n_pts):
         dirs = np.concatenate((Nv[i], Yp[i, found[i]], E[i, None, :, 0]))
-        Q = rep.q_eval(xs[i], *([dirs] * rep.q_power))
+        Q = rep.q_of(xs[i], dirs)
         QN[i], QY[i, found[i]], Q0[i] = Q[:n_vec], Q[n_vec:-1], Q[-1]
 
     def herm(M):
@@ -454,8 +427,7 @@ def certify_axioms(rep: CliffordModuleRep, sample: SampleSpec,
     axioms = {key: AxiomResult(key, r[key], tolerance, r[key] < tolerance)
               for key in ("C1", "C2", "C3", "C4", "C5", "C6", "C7.1",
                           "C7.2", "C7p")}
-    if rep.q_power == 1:
-        axioms["C5"].note = "equals C3 for spin 1/2 modules"
+    axioms["C5"].note = "equals C3 for spin 1/2 modules"
     axioms["C8"] = AxiomResult(
         "C8", max(0.0, -c8_min), tolerance, c8_min > 0.0,
         extra={"min_eigenvalue": c8_min})

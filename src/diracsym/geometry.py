@@ -46,8 +46,6 @@ __all__ = [
     "eval_metric",
     "metric_derivative",
     "christoffel",
-    "raise_covector",
-    "lower_vector",
     "hamiltonian_q",
     "hamiltonian_field",
     "orthonormal_frame",
@@ -217,16 +215,6 @@ def _christoffel_from(g, dg) -> np.ndarray:
 def christoffel(m: MetricField, x) -> np.ndarray:
     """Levi-Civita symbols, indexed Gamma[i, j, k] = Gamma^i_{jk}."""
     return _christoffel_from(*_metric_jet(m, x))
-
-
-def raise_covector(m: MetricField, x, xi) -> np.ndarray:
-    g = _metric_value(m, x)
-    return np.linalg.solve(g, np.asarray(xi, dtype=float))
-
-
-def lower_vector(m: MetricField, x, Z) -> np.ndarray:
-    g = _metric_value(m, x)
-    return g @ np.asarray(Z, dtype=float)
 
 
 def hamiltonian_q(m: MetricField, x, xi) -> float:

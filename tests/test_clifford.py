@@ -4,6 +4,8 @@ The independent oracle for the compatibility axiom is a central-difference
 derivative of the Clifford action; the library certifies with closed-form
 jets, so agreement is a genuine dual-route check.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ import diracsym as ds
 from diracsym.clifford import (
     SampleSpec,
     certify_axioms,
-    clifford_mul,
     gamma_matrices,
     q_operator,
     spin_connection_matrix,
@@ -66,7 +67,9 @@ def test_modules_share_read_only_tables_of_one_gamma_set():
     """Two modules of one gamma set share one set of Clifford tables, and a
     write into any of them raises; a look-alike set (gamma_1 and gamma_2
     swapped, still a Clifford set) gets tables of its own, derived from its
-    own gammas by the same path."""
+    own gammas by the same path.  A module built from the unswapped set
+    alone (N, eta and Q derived) certifies bit for bit as the canonical
+    build, with Q = Gamma."""
     a = ds.build_canonical_module(ds.minkowski(4))
     b = ds.build_canonical_module(ds.schwarzschild(1.0))
     assert all(np.shares_memory(s, t)
@@ -79,8 +82,7 @@ def test_modules_share_read_only_tables_of_one_gamma_set():
 
     gammas, eta, G = gamma_matrices(4)
     gammas[1], gammas[2] = gammas[2], gammas[1]
-    c = ds.CliffordModuleRep(N=4, gammas=gammas, gram=G, metric=a.metric,
-                             eta=eta)
+    c = ds.CliffordModuleRep(gammas, G, a.metric)
     assert not any(np.shares_memory(s, t)
                    for s, t in zip(_tables(a), _tables(c)))
     up = np.stack([np.diagonal(eta)[k] * gammas[k] for k in range(4)])
@@ -91,6 +93,18 @@ def test_modules_share_read_only_tables_of_one_gamma_set():
     assert np.array_equal(c._stage_tensors["spin"].view(complex),
                           -0.25 * (up[:, None] @ up).reshape(16, 16))
     assert not np.array_equal(c._pair_products, a._pair_products)
+
+    gammas, _, G = gamma_matrices(4)
+    bare = ds.CliffordModuleRep(gammas, G, a.metric)
+    assert bare.N == 4 and np.array_equal(bare.eta, eta)
+    assert all(np.shares_memory(s, t)
+               for s, t in zip(_tables(a), _tables(bare)))
+    sample = SampleSpec(points=5, vectors=4, seed=2)
+    got = certify_axioms(bare, sample).to_dict()
+    assert got == certify_axioms(a, sample).to_dict()
+    N = np.array([1.0, 0.2, -0.1, 0.3])
+    assert np.array_equal(q_operator(bare, np.zeros(4), N),
+                          bare.gamma_of(np.zeros(4), N))
 
 
 def test_gram_index_split(rep_mink4):
@@ -118,7 +132,7 @@ def test_clifford_mul_schwarzschild_time_leg(rep_schw, schw):
     # unit-time frame leg: gamma(d_t) = sqrt(f) gamma_0 at r=10
     phi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     dt = np.array([1.0, 0.0, 0.0, 0.0])
-    out = clifford_mul(rep_schw, SCHW_X0, dt, phi)
+    out = rep_schw.gamma_of(SCHW_X0, dt) @ phi
     g0 = gamma_matrices(4)[0][0]
     assert np.allclose(out, np.sqrt(0.8) * (g0 @ phi), atol=1e-14)
 
@@ -245,11 +259,21 @@ def test_c5_matches_c3_for_vector_modules(rep_schw):
 def test_build_canonical_module_wiring(rep_schw, schw):
     assert rep_schw.N == 4
     assert rep_schw.metric is schw
-    assert rep_schw.q_power == 1
+    assert rep_schw.q_eval is None
     fr = ds.orthonormal_frame(schw, SCHW_X0)
     N = fr.E[:, 0]
-    assert np.allclose(rep_schw.q_eval(SCHW_X0, N),
-                       rep_schw.gamma_of(SCHW_X0, N), atol=0)
+    assert np.array_equal(q_operator(rep_schw, SCHW_X0, N),
+                          rep_schw.gamma_of(SCHW_X0, N))
+
+
+def test_default_q_follows_a_replaced_metric(rep_schw):
+    """Q = Gamma is read at call time: a copy with another metric takes
+    Gamma of its own frame, not of the module it was copied from."""
+    flat = dataclasses.replace(rep_schw, metric=ds.minkowski(4))
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(q_operator(flat, SCHW_X0, e0), flat.gammas[0])
+    assert not np.allclose(q_operator(rep_schw, SCHW_X0, e0),
+                           flat.gammas[0])
 
 
 def test_c8_fails_for_an_indefinite_gram_pairing(mink4):
@@ -287,7 +311,7 @@ def _reference_certify_axioms(rep, sample):
     c8_min = np.inf
 
     def Q(x, V):
-        return rep.q_eval(x, *([V] * rep.q_power))
+        return rep.q_eval(x, V) if rep.q_eval else rep.gamma_of(x, V)
 
     for _ in range(sample.points):
         x = ds.random_chart_point(m, rng)

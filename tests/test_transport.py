@@ -122,7 +122,7 @@ def test_stage_engine_against_independent_code(fixture, flip):
     sysd = dirac_system(rep)
 
     def coeff_B(x):
-        om = spin_connection_coefficients(m, rep._pair_products, rep.eta, x)
+        om = spin_connection_coefficients(rep, x)
         return -1j * sum(a @ o for a, o in zip(sysd.coeff_A(x), om))
 
     generic = FirstOrderSystem(N=4, coeff_A=sysd.coeff_A, coeff_B=coeff_B,

@@ -124,8 +124,12 @@ MUTANTS = [
      "np.sum(Zf * (F[..., i, i] @ eta), axis=-1)",
      "np.sum(Zf * F[..., i, i].sum(-1), axis=-1)"),
     ("clifford_tables_keyed_by_dimension", "src/diracsym/clifford.py",
-     "key = (up.shape, up.tobytes())",
-     "key = len(up)"),
+     "_clifford_tables(gam.shape, gam.tobytes())",
+     "_clifford_tables(gam.shape, _clifford_tables.__dict__.setdefault(\n"
+     "                gam.shape, gam.tobytes()))"),
+    ("default_q_of_minus_n", "src/diracsym/clifford.py",
+     "(self.q_eval or self.gamma_of)(x, N)",
+     "(self.q_eval or (lambda x, N: self.gamma_of(x, -N)))(x, N)"),
     ("trace_row_w_parts_swapped", "src/diracsym/cli.py",
      '"w_re": w_re, "w_im": w_im,',
      '"w_re": w_im, "w_im": w_re,'),
