@@ -140,8 +140,20 @@ class CliffordModuleRep:
     def __post_init__(self):
         self.gammas = [np.asarray(g, dtype=complex) for g in self.gammas]
         self.gram = np.asarray(self.gram, dtype=complex)
+        if len(self.gammas) != self.metric.dim:
+            raise ConfigError(f"{self.name}: {len(self.gammas)} gammas for "
+                              f"a metric of dimension {self.metric.dim}")
+        N = self.gammas[0].shape[-1] if self.gammas[0].ndim else 0
+        for a, g in enumerate(self.gammas):
+            if g.shape != (N, N):
+                raise ConfigError(f"{self.name}: gamma {a} has shape "
+                                  f"{g.shape}, not ({N}, {N})")
+        if self.gram.shape != (N, N):
+            raise ConfigError(f"{self.name}: gram has shape "
+                              f"{self.gram.shape}, not ({N}, {N}) like the "
+                              f"gammas")
         gam = np.stack(self.gammas)
-        self.N = gam.shape[-1]
+        self.N = N
         self.eta, up, self._pair_products, self._stage_tensors = \
             _clifford_tables(gam.shape, gam.tobytes())
         self.gammas_up = list(up)

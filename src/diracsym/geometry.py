@@ -76,6 +76,14 @@ class MetricField:
     * ``jet(x) -> (g, dg)`` when supplied, float arrays with the g of
       ``eval`` (the catalog supplies closed forms);
     * otherwise ``eval`` and central differences of it (``_partials``).
+
+    The flow and the jet evaluators read the jet once per point, checked
+    against the chart: past ``domain_guard`` it raises OutsideChart.  A
+    catalog jet tests its own chart on the values it computes and carries
+    the guard it stands for as its ``_chart_of`` marker; it is called as
+    it is.  Any other jet, and central differences, run after the guard.
+    ``__post_init__`` picks the rule, so a ``dataclasses.replace`` with
+    another ``jet`` or ``domain_guard`` runs the guard again.
     """
 
     dim: int
@@ -91,6 +99,18 @@ class MetricField:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
+        fused = getattr(self.jet, "_chart_of", None) is self.domain_guard
+        self._checked_jet = self.jet if fused else self._guarded_jet
+
+    def _guarded_jet(self, x):
+        """The guard, then ``jet`` or ``eval`` and central differences."""
+        _guard(self, x)
+        if self.jet is None:
+            return (np.asarray(self.eval(x), dtype=float),
+                    _partials(lambda z: np.asarray(self.eval(z), float), x,
+                              _FD_STEP))
+        g, dg = self.jet(x)
+        return np.asarray(g, dtype=float), np.asarray(dg, dtype=float)
 
 
 @dataclass
@@ -140,9 +160,13 @@ class Trajectory:
 # metric evaluation
 
 
+def _outside(x, name: str) -> OutsideChart:
+    return OutsideChart(f"point {np.asarray(x)} outside chart of {name}")
+
+
 def _guard(m: MetricField, x):
     if not m.domain_guard(x):
-        raise OutsideChart(f"point {np.asarray(x)} outside chart of {m.name}")
+        raise _outside(x, m.name)
 
 
 def _metric_value(m: MetricField, x) -> np.ndarray:
@@ -164,16 +188,9 @@ def _partials(f, x, step: float) -> np.ndarray:
 
 
 def _metric_jet(m: MetricField, x):
-    """(g, dg) with dg[k, i, j] = d_k g_ij once x passes the domain guard:
-    the metric's ``jet`` when it has one, ``eval`` and central differences
-    otherwise."""
-    x = np.asarray(x, dtype=float)
-    _guard(m, x)
-    if m.jet is not None:
-        g, dg = m.jet(x)
-        return np.asarray(g, dtype=float), np.asarray(dg, dtype=float)
-    return (np.asarray(m.eval(x), dtype=float),
-            _partials(lambda z: np.asarray(m.eval(z), float), x, _FD_STEP))
+    """(g, dg) with dg[k, i, j] = d_k g_ij from the metric's chart-checked
+    jet (see ``MetricField``)."""
+    return m._checked_jet(np.asarray(x, dtype=float))
 
 
 def _checked_inverse(g, x):
@@ -227,11 +244,11 @@ def _phase_core(m: MetricField, x, xi):
     """Shared kernel of the q-flow right-hand side at a point x (an array).
 
     Returns (g, dg, Z, dx, dxi); every caller that must stay bitwise
-    consistent with trajectory integration goes through here.  It checks
-    the domain guard and calls ``jet`` itself (``_metric_jet`` without one).
+    consistent with trajectory integration goes through here.  It reads
+    the metric once, from its chart-checked jet, which raises OutsideChart
+    past the chart.
     """
-    _guard(m, x)  # raises OutsideChart past the domain guard
-    g, dg = m.jet(x) if m.jet is not None else _metric_jet(m, x)
+    g, dg = m._checked_jet(x)
     Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
     dx = 2.0 * Z
     dxi = dg.dot(Z).dot(Z)
@@ -697,32 +714,48 @@ def _radial_jet(g_diag, dr_diag, dth_33):
     return g, dg
 
 
+def _sin(th) -> float:
+    """sin(theta) as np.sin gives it, NaN at +-inf where math.sin raises."""
+    return math.sin(th) if abs(th) < math.inf else math.nan
+
+
+def _radial_ok(r, s, r_min: float) -> bool:
+    """The chart test of a Schwarzschild chart on r and s = sin(theta):
+    r >= r_min and s >= _THETA_MARGIN; a NaN fails."""
+    return r >= r_min and s >= _THETA_MARGIN
+
+
 def _radial_guard(r_min: float):
-    """Domain guard of a Schwarzschild chart: r >= r_min, sin(theta) off 0."""
+    """Domain guard of a Schwarzschild chart (``_radial_ok``)."""
     def guard(x):
-        return (x[1] >= r_min) and (np.sin(x[2]) >= _THETA_MARGIN)
+        return _radial_ok(x[1], _sin(x[2]), r_min)
     return guard
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
     M = _mass(mass)
     r_min = 2.0 * M * (1.0 + _HORIZON_MARGIN)
+    name = f"schwarzschild{mass:g}"
 
     def jet(x):
         r, th = float(x[1]), float(x[2])
+        s = _sin(th)
+        if not _radial_ok(r, s, r_min):
+            raise _outside(x, name)
         f = 1.0 - 2.0 * M / r
         fp = 2.0 * M / (r * r)
-        s, c = math.sin(th), math.cos(th)
+        c = math.cos(th)
         return _radial_jet((-f, 1.0 / f, r * r, r * r * s * s),
                            (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
                            2.0 * r * r * s * c)
 
+    # the marker MetricField reads: this jet tests the guard's chart itself
+    jet._chart_of = guard = _radial_guard(r_min)
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet,
-        domain_guard=_radial_guard(r_min),
-        name=f"schwarzschild{mass:g}", diagonal=True, sample_box=box,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet, domain_guard=guard,
+        name=name, diagonal=True, sample_box=box,
     )
 
 
@@ -735,14 +768,18 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     replaced by its isotropic counterpart."""
     M = _mass(mass)
     rho_min = 0.5 * M * (1.0 + _HORIZON_MARGIN)
+    name = f"schwarzschild_isotropic{mass:g}"
 
     def jet(x):
         rho, th = float(x[1]), float(x[2])
+        s = _sin(th)
+        if not _radial_ok(rho, s, rho_min):
+            raise _outside(x, name)
         u = 1.0 + M / (2.0 * rho)
         du = -M / (2.0 * rho * rho)
         A = (1.0 - M / (2.0 * rho)) / u
         dA = (M / (rho * rho)) / (u * u)
-        s, c = math.sin(th), math.cos(th)
+        c = math.cos(th)
         u4 = u * u * u * u
         du4 = 4.0 * u ** 3 * du                      # d_rho u^4
         dr = du4 * rho * rho + 2.0 * u ** 4 * rho    # d_rho (u^4 rho^2)
@@ -751,20 +788,36 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
             (-2.0 * A * dA, du4, dr, dr * s * s),
             2.0 * u ** 4 * rho * rho * s * c)
 
+    jet._chart_of = guard = _radial_guard(rho_min)  # as in schwarzschild
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet,
-        domain_guard=_radial_guard(rho_min),
-        name=f"schwarzschild_isotropic{mass:g}", diagonal=True,
-        sample_box=box,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet, domain_guard=guard,
+        name=name, diagonal=True, sample_box=box,
     )
 
 
 def _abs(a):
     """|a|, keeping the sign of a -0.0."""
     return -a if a < 0.0 else a
+
+
+def _div(a, b):
+    """a / b, with numpy's inf or NaN where b is +-0."""
+    return a / b if b else float(np.float64(a) / b)
+
+
+def _pow(a, b):
+    """a ** b as float64 scalars give it: inf on overflow and at 0 ** -1,
+    NaN for a negative base under a fractional power.  Not the np.power
+    ufunc, whose SIMD loops may round differently in the last place."""
+    return float(np.float64(a) ** np.float64(b))
+
+
+def _coords(p) -> list:
+    """A point's coordinates as floats."""
+    return np.asarray(p, dtype=np.float64).tolist()
 
 
 # What a conformal factor may contain, with the forward-mode derivative of
@@ -818,14 +871,18 @@ class _KernelBuilder:
     k its subtree depends on.  Code is built as ``ast`` nodes: coordinates
     are read as ``_p[i]`` and constants and functions are bound by value
     under private names, so no text of the expression reaches ``compile``.
+    It computes in Python floats with numpy's float64 scalar semantics: a
+    function is numpy's with a float result, and every / and ** becomes a
+    call of ``_div`` or ``_pow`` (``_ScalarOps``), so no input raises and
+    none turns complex.
     """
 
     def __init__(self, expr: str, names: dict):
         self.expr, self.names = expr, names
         self.env = {"__builtins__": {}, "_array": np.array,
-                    "_point": functools.partial(np.asarray,
-                                                dtype=np.float64)}
-        self.env.update((f"_{k}", f) for k, (f, _) in _EXPR_FUNCS.items())
+                    "_point": _coords, "_div": _div, "_pow": _pow}
+        self.env.update((f"_{k}", lambda a, f=f: float(f(a)))
+                        for k, (f, _) in _EXPR_FUNCS.items())
         self.values, self.partials = [], []
 
     def assign(self, body, expr) -> str:
@@ -836,7 +893,7 @@ class _KernelBuilder:
 
     def constant(self, value) -> str:
         try:
-            c = np.float64(value)
+            c = float(value)
         except OverflowError:
             raise ConfigError(f"conformal factor {self.expr!r}: a constant "
                               f"is beyond the float range") from None
@@ -914,8 +971,19 @@ class _KernelBuilder:
                           f"allowed")
 
 
+class _ScalarOps(ast.NodeTransformer):
+    """Every / and ** as a call of _div or _pow."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        helper = {ast.Div: "_div", ast.Pow: "_pow"}.get(type(node.op))
+        if helper is None:
+            return node
+        return ast.Call(_ast(helper), [node.left, node.right], [], **_AT)
+
+
 def _function(name: str, body: list, result) -> ast.FunctionDef:
-    """def name(_p): _p = float64 array of _p; body; return result."""
+    """def name(_p): _p = the coordinates of _p; body; return result."""
     read = ast.Assign([ast.Name("_p", ast.Store(), **_AT)],
                       ast.Call(_ast("_point"), [_ast("_p")], [], **_AT), **_AT)
     args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
@@ -929,9 +997,9 @@ def _function(name: str, body: list, result) -> ast.FunctionDef:
 def _omega_kernels(expr: str, dim: int):
     """(value, jet) compiled from the expression ``expr`` in x0..x{dim-1}
     (aliases t, x, y, z when dim == 4): value(p) = Omega(p) and jet(p) =
-    (Omega(p), [d_k Omega(p)]), each reading p as a float64 array.
+    (Omega(p), array [d_k Omega(p)]), each reading p as float64 values.
 
-    Accepted: numeric constants (float64, so ``9**9**9`` overflows instead
+    Accepted: numeric constants (floats, so ``9**9**9`` overflows instead
     of growing an integer), the coordinates, ``pi``, ``+ - * / **``, unary
     ``+ -`` and one-argument calls of ``_EXPR_FUNCS``; any other node
     raises ConfigError.  Both functions run the same value statements, so
@@ -955,8 +1023,17 @@ def _omega_kernels(expr: str, dim: int):
         _function("_jet", b.values + b.partials,
                   ast.Tuple([_ast(w), grad], ast.Load(), **_AT))],
         type_ignores=[])
+    _ScalarOps().visit(module)
     exec(compile(module, "<conformal factor>", "exec"), b.env)
     return b.env.pop("_value"), b.env.pop("_jet")
+
+
+def _omega_ok(w) -> bool:
+    """The chart test of a conformal factor: the metric Omega^2 eta must
+    be nondegenerate and finite, |Omega| > 1e-6 and Omega^2 < inf; NaN
+    fails both."""
+    w = abs(w)
+    return w > 1e-6 and w * w < math.inf
 
 
 def conformal_flat(omega: str, dim: int = 4) -> MetricField:
@@ -966,11 +1043,13 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
 
     ``jet`` is closed form: d_k Omega by forward-mode differentiation of
     the expression, which ``_omega_kernels`` compiles once per (omega, dim)
-    along with Omega itself, and dg = 2 Omega dOmega eta.
+    along with Omega itself, and dg = 2 Omega dOmega eta.  It tests the
+    chart on its own Omega.
     """
     expr = str(omega)
     value, omega_jet = _omega_kernels(expr, dim)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    name = "conformal_flat{" + expr + "}"
 
     def metric(x):
         w = value(x)
@@ -978,16 +1057,16 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
 
     def jet(x):
         w, dw = omega_jet(x)
-        return w * w * eta, (2.0 * w * dw)[:, None, None] * eta
+        if not _omega_ok(w):
+            raise _outside(x, name)
+        return w * w * eta, np.multiply.outer(2.0 * w * dw, eta)
 
     def guard(x):
-        # the metric Omega^2 eta must be finite; NaN fails both tests
-        w = abs(float(value(x)))
-        return w > 1e-6 and w * w < math.inf
+        return _omega_ok(value(x))
 
+    jet._chart_of = guard  # as in schwarzschild
     return MetricField(
-        dim=dim, eval=metric, jet=jet,
-        domain_guard=guard, name="conformal_flat{" + expr + "}",
+        dim=dim, eval=metric, jet=jet, domain_guard=guard, name=name,
         diagonal=True, sample_box=np.array([[-2.0, 2.0]] * dim),
     )
 

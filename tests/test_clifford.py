@@ -5,19 +5,26 @@ derivative of the Clifford action; the library certifies with closed-form
 jets, so agreement is a genuine dual-route check.
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import diracsym as ds
 from diracsym.clifford import (
+    CliffordModuleRep,
     SampleSpec,
     certify_axioms,
     gamma_matrices,
     q_operator,
     spin_connection_matrix,
 )
-from diracsym.errors import NotFutureDirected, NotTimelike, UnsupportedDimension
+from diracsym.errors import (
+    ConfigError,
+    NotFutureDirected,
+    NotTimelike,
+    UnsupportedDimension,
+)
 from diracsym.geometry import _frame_jet_from, _metric_jet
 
 from conftest import SCHW_X0, rotating_chart
@@ -241,6 +248,27 @@ def test_certifier_catches_broken_module(rep_mink4, mink4):
     assert not rpt.passed
     assert not rpt.axioms["C1"].passed
     assert rpt.axioms["C1"].max_residual == pytest.approx(0.0402, abs=2e-3)
+
+
+@pytest.mark.parametrize("case", ["gram_2x2", "three_gammas",
+                                  "gamma_not_square", "gammas_of_two_sizes"])
+def test_malformed_module_is_refused_at_construction(case):
+    """A module whose shapes do not fit fails at construction with a
+    ConfigError naming the fault; certify_axioms used to die on it with a
+    raw numpy ValueError."""
+    gammas, _, G = gamma_matrices(4)
+    m = ds.minkowski(4)
+    args, fault = {
+        "gram_2x2": ((gammas, G[:2, :2], m), "gram has shape (2, 2)"),
+        "three_gammas": ((gammas[:3], G, m), "3 gammas for a metric of "
+                                             "dimension 4"),
+        "gamma_not_square": ((gammas[:3] + [gammas[3][:3]], G, m),
+                             "gamma 3 has shape (3, 4)"),
+        "gammas_of_two_sizes": (([gammas[0][:2, :2]] + gammas[1:], G, m),
+                                "gamma 1 has shape (4, 4), not (2, 2)"),
+    }[case]
+    with pytest.raises(ConfigError, match=re.escape(fault)):
+        CliffordModuleRep(*args)
 
 
 def test_certifier_c8_positivity_note(rep_mink4):

@@ -5,6 +5,7 @@ Schwarzschild and conformally flat line elements are re-derived symbolically
 here and compared against the library's closed-form and autodiff jets.
 """
 import ast
+import collections
 import functools
 import math
 import operator
@@ -35,7 +36,7 @@ from diracsym.geometry import (
     metric_derivative,
 )
 
-from conftest import SCHW_X0
+from conftest import SCHW_X0, rotating_chart
 
 
 # --------------------------------------------------------------------------
@@ -426,17 +427,122 @@ def test_conformal_jet_matches_complex_step(case):
 def test_conformal_kernels_see_only_their_bindings():
     """The compiled functions run without builtins and name nothing but
     the point reader, the gradient's array constructor, the whitelisted
-    functions and the expression's float64 constants."""
+    functions, the division and power helpers and the expression's float
+    constants."""
     expr = ("abs(sin(t)) + cos(x) + tan(y) + exp(z) + log(2 + t) + sqrt(2)"
             " + sinh(x) + cosh(y) + tanh(z) + arctan(t) - pi/x**2")
-    allowed = {"_point", "_array"} | {f"_{f}" for f in _EXPR_FUNCS}
+    allowed = {"_point", "_array", "_div", "_pow"} | \
+        {f"_{f}" for f in _EXPR_FUNCS}
     for fn in _omega_kernels(expr, 4):
         env = fn.__globals__
         assert env["__builtins__"] == {}
         for name in fn.__code__.co_names:
-            assert name in allowed or type(env[name]) is np.float64, name
+            assert name in allowed or type(env[name]) is float, name
     with pytest.raises(ConfigError):
         ds.conformal_flat("_p")
+
+
+# A float64-scalar evaluation of an expression with forward partials, the
+# numpy semantics the compiled float kernels must keep bit for bit: every
+# number is an np.float64, every / and ** numpy's scalar operator.
+# Functions: name -> (f, f'(a, v)); operators: (f, d/da, d/db) of (a, b, v).
+_F64_FUNCS = {
+    "sin": (np.sin, lambda a, v: np.cos(a)),
+    "cos": (np.cos, lambda a, v: -np.sin(a)),
+    "tan": (np.tan, lambda a, v: 1.0 + v * v),
+    "exp": (np.exp, lambda a, v: v),
+    "log": (np.log, lambda a, v: 1.0 / a),
+    "sqrt": (np.sqrt, lambda a, v: 0.5 / v),
+    "sinh": (np.sinh, lambda a, v: np.cosh(a)),
+    "cosh": (np.cosh, lambda a, v: np.sinh(a)),
+    "tanh": (np.tanh, lambda a, v: 1.0 - v * v),
+    "arctan": (np.arctan, lambda a, v: 1.0 / (1.0 + a * a)),
+    "abs": (lambda a: -a if a < 0.0 else a,
+            lambda a, v: -1.0 if a < 0.0 else 1.0),
+}
+_F64_OPS = {
+    ast.Add: (operator.add, lambda a, b, v: 1.0, lambda a, b, v: 1.0),
+    ast.Sub: (operator.sub, lambda a, b, v: 1.0, lambda a, b, v: -1.0),
+    ast.Mult: (operator.mul, lambda a, b, v: b, lambda a, b, v: a),
+    ast.Div: (operator.truediv, lambda a, b, v: 1.0 / b,
+              lambda a, b, v: -v / b),
+    ast.Pow: (operator.pow, lambda a, b, v: b * a ** (b - 1.0),
+              lambda a, b, v: v * np.log(a)),
+}
+
+
+def _f64_jet(expr, x):
+    """(Omega, [d_k Omega]) at the 4-point x in float64 scalars: each node's
+    partials, over the coordinates its subtree depends on, are the sum in
+    operand order of (partial in the operand) * (operand's partial)."""
+    names = dict(t=0, x=1, y=2, z=3, x0=0, x1=1, x2=2, x3=3)
+
+    def chain(parts, operands):
+        out = {}
+        for p, (_, d) in zip(parts, operands):
+            for k, dk in d.items():
+                out[k] = p * dk if k not in out else out[k] + p * dk
+        return out
+
+    def ev(node):
+        if isinstance(node, ast.Constant):
+            return np.float64(node.value), {}
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return np.float64(math.pi), {}
+        if isinstance(node, ast.Name):
+            return np.float64(x[names[node.id]]), {names[node.id]: 1.0}
+        if isinstance(node, ast.UnaryOp):
+            a, d = ev(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return a, d
+            return -a, chain([-1.0], [(a, d)])
+        if isinstance(node, ast.BinOp):
+            ops = ev(node.left), ev(node.right)
+            f, da, db = _F64_OPS[type(node.op)]
+            (a, _), (b, _) = ops
+            v = f(a, b)
+            return v, chain([da(a, b, v), db(a, b, v)], ops)
+        f, df = _F64_FUNCS[node.func.id]
+        a, d = ev(node.args[0])
+        v = f(a)
+        return v, chain([df(a, v)], [(a, d)])
+
+    w, dw = ev(ast.parse(expr, mode="eval").body)
+    return w, np.array([dw.get(k, 0.0) for k in range(4)])
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e200, 1000.0, -1000.0,
+            math.inf, -math.inf, math.nan)
+
+
+def test_conformal_kernels_keep_float64_scalar_semantics():
+    """Omega, d Omega and eval equal a float64-scalar evaluation, NaN for
+    NaN, for every whitelisted function and operator at every pair of
+    special values (x/+-0, 0/0, 0**-1, (-1)**0.5, 1e200**2, exp(1000),
+    log(-1), sqrt(-1), abs at +-0, infinities, NaN) and at random points;
+    no point raises, none turns complex."""
+    exprs = [f"{f}(t)" for f in _EXPR_FUNCS] + [
+        "t + x", "t - x", "t * x", "t / x", "t ** x", "-t", "+t",
+        "2 ** t", "t ** 2", "1 / t", "pi * t", "sin(t * x) / (1 + x ** 2)",
+        "abs(t) ** x - log(x) * sqrt(t)"]
+    rng = np.random.default_rng(19)
+    pts = [np.array([t, x, 0.5, 0.25]) for t in _SPECIAL for x in _SPECIAL]
+    pts += [np.array([*rng.uniform(0.0, 5.0, 1), *rng.uniform(-3, 3, 3)])
+            for _ in range(100)]
+    with np.errstate(all="ignore"):
+        for expr in exprs:
+            value, jet = _omega_kernels(expr, 4)
+            m = ds.conformal_flat(expr)
+            for p in pts:
+                w, dw = _f64_jet(expr, p)
+                got_w, got_dw = jet(p)
+                assert type(got_w) is float and type(value(p)) is float
+                assert got_dw.dtype == np.float64
+                assert np.array_equal(got_w, w, equal_nan=True), (expr, p)
+                assert np.array_equal(value(p), w, equal_nan=True)
+                assert np.array_equal(got_dw, dw, equal_nan=True), (expr, p)
+                assert np.array_equal(m.eval(p), w * w * np.diag(
+                    [-1.0, 1.0, 1.0, 1.0]), equal_nan=True), (expr, p)
 
 
 def test_conformal_kernel_is_compiled_once_per_expression_and_dim():
@@ -521,6 +627,141 @@ def test_rk4_flow_takes_one_jet_per_stage_and_no_eval(name):
     assert traj.n - 1 == 10 and not traj.left_chart
     assert len(jets) == 1 + 4 * 10
     assert not evals
+
+
+def _counting(calls, key, f):
+    def counted(*args):
+        calls[key] += 1
+        return f(*args)
+    return counted
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of metric work in catalog metrics built inside the test:
+    "stage" (``_phase_core`` calls), "jet" (a conformal jet kernel or a
+    Schwarzschild closed form), "value" (the conformal Omega kernel alone,
+    which is what its guard runs) and "guard" (a Schwarzschild guard)."""
+    from diracsym import geometry
+
+    calls = collections.Counter()
+    kernels, radial_guard = geometry._omega_kernels, geometry._radial_guard
+    monkeypatch.setattr(geometry, "_omega_kernels", lambda e, d: tuple(
+        _counting(calls, k, f) for k, f in zip(("value", "jet"),
+                                               kernels(e, d))))
+    monkeypatch.setattr(geometry, "_radial_guard", lambda r_min: _counting(
+        calls, "guard", radial_guard(r_min)))
+    monkeypatch.setattr(geometry, "_radial_jet",
+                        _counting(calls, "jet", geometry._radial_jet))
+    monkeypatch.setattr(geometry, "_phase_core",
+                        _counting(calls, "stage", geometry._phase_core))
+    return calls
+
+
+@pytest.mark.parametrize("name,integrator", [
+    ("conformal_flat", "rk45_adaptive"), ("schwarzschild1.0", "rk4_fixed")])
+def test_flow_evaluates_a_catalog_metric_once_per_stage(name, integrator,
+                                                        counted):
+    """One jet per stage evaluation and no guard or Omega value: the
+    catalog jet tests its own chart.  The seed check keeps its guard."""
+    from diracsym.geometry import _check_seed
+
+    m = _JET_CATALOG[name]()
+    x0 = SCHW_X0 if name.startswith("schwarzschild") \
+        else np.array([0.1, -0.3, 0.5, 0.2])
+    p0 = PhasePoint(x0, ds.random_null_covector(m, x0,
+                                                np.random.default_rng(2)))
+    counted.clear()
+    _check_seed(m, p0, 0.5, 1e-10, True)
+    seed = counted.copy()
+    assert seed["guard"] + seed["value"] >= 1
+    counted.clear()
+    traj = ds.integrate_bicharacteristic(m, p0, 0.5, integrator=integrator,
+                                         step=1e-2, tol=1e-12)
+    assert traj.n > 10 and not traj.left_chart
+    assert counted["guard"] == seed["guard"]
+    assert counted["value"] == seed["value"]
+    flow = counted - seed
+    assert flow["stage"] == flow["jet"] >= 1 + 4 * (traj.n - 1)
+
+
+_INWARD = np.array([1.0, -1.25, 0.0, 0.0])
+
+
+def _leaving_ray(case):
+    """(metric, seed, t_end, integrator) of a ray that leaves its chart."""
+    integrator = "rk45_adaptive" if case.endswith("dopri") else "rk4_fixed"
+    if case == "conformal_to_zero":   # Omega = exp(-t) -> 0 along the ray
+        return (ds.conformal_flat("exp(-t)"),
+                PhasePoint(np.zeros(4), np.array([-1.0, 1.0, 0.0, 0.0])),
+                20.0, integrator)
+    m, x0, aim = {
+        "rotating_chart": (rotating_chart(), np.array([0.0, 0.4, -0.3, 0.2]),
+                           np.array([1.0, 1.0, 0.0, 0.0])),
+        "isotropic_inward": (
+            ds.catalog_metric("schwarzschild_isotropic1.0"),
+            np.array([0.0, 5.0, 1.2, 0.3]), _INWARD),
+        "schwarzschild_pole": (ds.catalog_metric("schwarzschild1.0"),
+                               np.array([0.0, 10.0, 0.3, 0.3]),
+                               np.array([1.0, 0.0, -1.0, 0.0])),
+    }.get(case, (ds.catalog_metric("schwarzschild1.0"), SCHW_X0, _INWARD))
+    xi = ds.null_project_covector(m, x0, aim)
+    return m, PhasePoint(x0, xi), 50.0, integrator
+
+
+# where each ray stopped while the flow ran the guard before every jet:
+# (samples, last time)
+_TRIPS = {
+    "schwarzschild_inward": (400, 3.99),
+    "schwarzschild_inward_dopri": (206, 3.998976835942659),
+    "schwarzschild_pole": (1533, 15.32),
+    "isotropic_inward": (240, 2.39),
+    "conformal_to_zero": (26, 0.25),
+    "rotating_chart": (138, 1.37),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIPS))
+def test_flow_stops_where_the_guard_trips(case):
+    """A ray that leaves the chart of a catalog jet stops at the sample
+    where it stopped when the guard ran before every jet, and where
+    guard-then-jet stops it now: r at the horizon, sin(theta) at the
+    pole, Omega at 0."""
+    import dataclasses
+
+    m, p0, t_end, integrator = _leaving_ray(case)
+    kw = dict(integrator=integrator, step=1e-2, tol=1e-10)
+    with np.errstate(all="ignore"):
+        traj = ds.integrate_bicharacteristic(m, p0, t_end, **kw)
+        guarded = ds.integrate_bicharacteristic(
+            dataclasses.replace(m, jet=lambda x: m.jet(x)), p0, t_end, **kw)
+    n, t_last = _TRIPS[case]
+    assert traj.left_chart and traj.n == n
+    assert traj.ts[-1] == pytest.approx(t_last, rel=1e-12)
+    for a, b in ((traj.ts, guarded.ts), (traj.xs, guarded.xs),
+                 (traj.xis, guarded.xis)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["schwarzschild_inward", "rotating_chart"])
+def test_flow_guards_a_user_jet_once_per_stage(case, counted):
+    """A jet that is not its guard's catalog jet (a wrapper of one, or a
+    user's own) runs after the guard, once per stage, and the ray stops
+    where the guard trips."""
+    import dataclasses
+
+    from diracsym.geometry import _flow
+
+    m, p0, t_end, integrator = _leaving_ray(case)
+    if case == "rotating_chart":
+        m = dataclasses.replace(m, domain_guard=_counting(
+            counted, "guard", m.domain_guard))
+    else:
+        m = dataclasses.replace(m, jet=lambda x, jet=m.jet: jet(x))
+    counted.clear()
+    traj = _flow(m, p0, t_end, integrator, 1e-2, 1e-10)
+    assert traj.left_chart and traj.n == _TRIPS[case][0]
+    assert counted["guard"] == counted["stage"] > 4 * (traj.n - 1)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The mutation sweep's mutants still apply: each one's old text occurs
 exactly once in its file, so a refactor that moves the text shows here and
-not only when ``tools/mutants.py`` next runs.  The sweep leaves this file
-out of its runs, since every mutant removes its own old text.  The pairing
-script's summary step is checked on synthetic run output."""
+not only when ``tools/mutants.py`` next runs, and each mutated file still
+compiles.  The sweep leaves this file out of its runs, since every mutant
+removes its own old text.  The pairing script's summary step is checked on
+synthetic run output, and its byte-compiling step with ``subprocess.run``
+replaced."""
 import importlib.util
 import json
 from pathlib import Path
@@ -21,6 +23,15 @@ _spec.loader.exec_module(mutants)
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m[0])
 def test_mutant_text_occurs_once(mutant):
     assert mutants._check(mutant) == ""
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m[0])
+def test_mutant_compiles(mutant):
+    """A mutant is a working program that computes something else, not a
+    syntax error that any suite would kill."""
+    _, rel, old, new = mutant
+    path = TOOLS.parent / rel
+    compile(path.read_text().replace(old, new), str(path), "exec")
 
 
 _spec = importlib.util.spec_from_file_location("bench_pairs",
@@ -72,3 +83,17 @@ def test_bench_pairs_summary_of_synthetic_runs():
     assert env["loadavg_start"] == [0] * 3 and env["loadavg_end"] == [3] * 3
     assert bench_pairs._seeds("51-60") == list(range(51, 61))
     assert bench_pairs._seeds("7") == [7]
+
+
+def test_bench_pairs_precompiles_both_sides(monkeypatch, tmp_path):
+    """Both sides' src/ and bench/ get fresh .pyc files before any run."""
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kw: calls.append((cmd, kw)))
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    bench_pairs._precompile(roots)
+    assert [cmd[1:5] for cmd, _ in calls] == \
+        [["-m", "compileall", "-f", "-q"]] * 2
+    assert [cmd[5:] for cmd, _ in calls] == \
+        [[str(r / "src"), str(r / "bench")] for r in roots]
+    assert all(kw == {"check": True} for _, kw in calls)

@@ -4,14 +4,16 @@
         --seeds 51-60 --seconds 36 --out BENCH_17.json --what "..."
 
 The parent commit is exported with ``git archive`` into a temporary
-directory.  For each workload and seed the unchanged ``bench/run.py
---trace 0`` runs once on each side, alternating which side runs first (the
-parent on even pairs, the change on odd ones).  Each run's last line of
-standard output is its result and the line before it its details.  The
-output holds, per workload and side, the median, quartiles (inclusive
-method) and count of every end-to-end metric, the attempted and failed
-ops, each pair's values and the pairs the change wins per metric, and the
-machine the runs shared.
+directory, and ``src/`` and ``bench/`` of both sides are byte-compiled
+afresh (``compileall -f``), so no run pays for, or measures the memory of,
+compiling a stale module.  For each workload and seed the unchanged
+``bench/run.py --trace 0`` runs once on each side, alternating which side
+runs first (the parent on even pairs, the change on odd ones).  Each
+run's last line of standard output is its result and the line before it
+its details.  The output holds, per workload and side, the median,
+quartiles (inclusive method) and count of every end-to-end metric, the
+attempted and failed ops, each pair's values and the pairs the change
+wins per metric, and the machine the runs shared.
 
 Not part of Tier-1: every run takes the benchmark's full run length.
 """
@@ -106,6 +108,13 @@ def _export(rev: str, dest: Path) -> str:
     return commit.stdout.strip()
 
 
+def _precompile(roots) -> None:
+    """Rewrite the .pyc files of ``src/`` and ``bench/`` under each root."""
+    for root in roots:
+        subprocess.run([sys.executable, "-m", "compileall", "-f", "-q",
+                        str(root / "src"), str(root / "bench")], check=True)
+
+
 def _run(root: Path, workload: str, seed: int, seconds: float):
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
@@ -131,6 +140,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = _export(args.parent, Path(tmp))
         roots = {"parent": Path(tmp) / "parent", "change": REPO}
+        _precompile(roots.values())
         workloads, runs = {}, []
         for workload in args.workloads.split(","):
             pairs = []
@@ -151,7 +161,8 @@ def main(argv=None) -> int:
                    f"<{args.seeds}> --seconds {args.seconds:g} --trace 0, "
                    f"one run per side and seed, from an export of the "
                    f"parent commit and from the change, alternating which "
-                   f"side runs first in each pair",
+                   f"side runs first in each pair, after python -m "
+                   f"compileall -f -q src bench on both sides",
         "machine": machine(runs[0], runs[-1]),
         "parent_commit": commit,
         "units": {m["name"]: m["unit"] for m in metrics},

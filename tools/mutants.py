@@ -76,8 +76,20 @@ MUTANTS = [
      "if not _dirac_backed(rep, sys):",
      "if sys.rep is None:"),
     ("conformal_jet_factor_1.9", "src/diracsym/geometry.py",
-     "(2.0 * w * dw)",
-     "(1.9 * w * dw)"),
+     "np.multiply.outer(2.0 * w * dw, eta)",
+     "np.multiply.outer(1.9 * w * dw, eta)"),
+    ("conformal_jet_skips_chart_check", "src/diracsym/geometry.py",
+     "if not _omega_ok(w):",
+     "if not _omega_ok(1.0):"),
+    ("radial_jet_skips_theta_check", "src/diracsym/geometry.py",
+     "if not _radial_ok(r, s, r_min):",
+     "if not _radial_ok(r, 1.0, r_min):"),
+    ("power_helper_uses_ufunc", "src/diracsym/geometry.py",
+     "return float(np.float64(a) ** np.float64(b))",
+     "return float(np.power(a, b))"),
+    ("division_helper_raises", "src/diracsym/geometry.py",
+     "return a / b if b else float(np.float64(a) / b)",
+     "return a / b"),
     ("product_rule_term_dropped", "src/diracsym/geometry.py",
      'ast.Mult: ("b", "a")',
      'ast.Mult: ("b", "0.0")'),
