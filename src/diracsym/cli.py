@@ -24,6 +24,7 @@ from .errors import DiracsymError, ConfigError, KernelViolation, \
     NotFutureDirected, NotOnCharacteristicSet, NotTimelike, ZeroCovector
 from .geometry import (
     PhasePoint,
+    _chart_value,
     _check_seed,
     catalog_metric,
     eval_metric,
@@ -142,7 +143,7 @@ class _Scenario:
         dim = self.metric.dim
         self.x0 = _vector(cfg["chart_seed_point"], "chart_seed_point", dim) \
             if "chart_seed_point" in cfg else default_x
-        if not self.metric.domain_guard(self.x0):
+        if _chart_value(self.metric, self.x0) is None:
             raise ConfigError("chart_seed_point violates the domain guard")
 
         self.timelike_spec = cfg.get("timelike_field", "normalized_dt")

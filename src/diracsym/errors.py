@@ -6,7 +6,7 @@ class DiracsymError(Exception):
 
 
 class OutsideChart(DiracsymError):
-    """A point violates the metric's domain guard."""
+    """A point lies outside the metric's chart."""
 
 
 class DegenerateMetric(DiracsymError):

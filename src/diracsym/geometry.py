@@ -77,19 +77,19 @@ class MetricField:
       ``eval`` (the catalog supplies closed forms);
     * otherwise ``eval`` and central differences of it (``_partials``).
 
-    The flow and the jet evaluators read the jet once per point, checked
-    against the chart: past ``domain_guard`` it raises OutsideChart.  A
-    catalog jet tests its own chart on the values it computes and carries
-    the guard it stands for as its ``_chart_of`` marker; it is called as
-    it is.  Any other jet, and central differences, run after the guard.
-    ``__post_init__`` picks the rule, so a ``dataclasses.replace`` with
-    another ``jet`` or ``domain_guard`` runs the guard again.
+    Past the chart, ``eval`` and ``jet`` raise OutsideChart themselves (a
+    catalog metric tests its chart on the values it computes), or else
+    ``domain_guard(x)`` is False there and runs before them.  The flow
+    and the jet evaluators read one jet per point: ``jet`` itself when
+    there is no guard, else the guard, then ``jet`` or central
+    differences.  ``__post_init__`` picks the rule, so a
+    ``dataclasses.replace`` picks it again.
     """
 
     dim: int
     eval: Callable
     jet: Optional[Callable] = None
-    domain_guard: Callable = lambda x: True
+    domain_guard: Optional[Callable] = None
     name: str = "custom"
     diagonal: bool = False
     sample_box: Optional[np.ndarray] = None
@@ -99,11 +99,11 @@ class MetricField:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
-        fused = getattr(self.jet, "_chart_of", None) is self.domain_guard
-        self._checked_jet = self.jet if fused else self._guarded_jet
+        own = self.jet is not None and self.domain_guard is None
+        self._checked_jet = self.jet if own else self._guarded_jet
 
     def _guarded_jet(self, x):
-        """The guard, then ``jet`` or ``eval`` and central differences."""
+        """The guard if any, then ``jet`` or central differences."""
         _guard(self, x)
         if self.jet is None:
             return (np.asarray(self.eval(x), dtype=float),
@@ -141,7 +141,7 @@ class FrameSample:
 @dataclass
 class Trajectory:
     """Bicharacteristic samples.  ``left_chart`` marks a partial run that
-    stopped at the domain guard."""
+    stopped where it left the chart."""
 
     ts: np.ndarray
     xs: np.ndarray
@@ -165,13 +165,21 @@ def _outside(x, name: str) -> OutsideChart:
 
 
 def _guard(m: MetricField, x):
-    if not m.domain_guard(x):
+    if m.domain_guard is not None and not m.domain_guard(x):
         raise _outside(x, m.name)
 
 
 def _metric_value(m: MetricField, x) -> np.ndarray:
     _guard(m, x)
     return np.asarray(m.eval(x), dtype=float)
+
+
+def _chart_value(m: MetricField, x) -> Optional[np.ndarray]:
+    """g at x, or None past the chart (see ``MetricField``)."""
+    try:
+        return _metric_value(m, x)
+    except OutsideChart:
+        return None
 
 
 def _partials(f, x, step: float) -> np.ndarray:
@@ -423,12 +431,13 @@ def _steps_for(t_end: float, step: float):
 
 def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
                 null_tol: float, require_null: bool):
-    """Reject a run before it starts: t_end, domain guard, null seed."""
+    """Reject a run before it starts: t_end, chart, null seed."""
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be finite and positive, got {t_end}")
-    if not m.domain_guard(p0.x):
-        raise OutsideChart("initial point violates the domain guard")
-    q0 = hamiltonian_q(m, p0.x, p0.xi)
+    try:
+        q0 = hamiltonian_q(m, p0.x, p0.xi)
+    except OutsideChart:
+        raise OutsideChart("initial point violates the domain guard") from None
     # a NaN q, from a covector that is not finite, fails too
     if require_null and not abs(q0) < null_tol * (1.0 + float(p0.xi @ p0.xi)):
         raise NotOnCharacteristicSet(f"|q(p0)| = {abs(q0)}")
@@ -451,8 +460,8 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     packed as the array (x, xi).
 
     RK4 takes the grid of ``step``; Dormand-Prince picks its grid by error
-    control at ``tol``.  A domain-guard violation (OutsideChart from any
-    stage) truncates the run.
+    control at ``tol``.  A stage past the chart (OutsideChart) truncates
+    the run.
 
     Each rate evaluation leaves a record ``(xi, g, dg, Z)`` of what
     ``_phase_core`` computed there (its dx is 2 Z).  The records of
@@ -461,7 +470,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     with the seed's record, and a step of size hs[i] adds its stages after
     the first, the last of them at the step's new sample; both lists are
     cleared after the call.  Records of rejected steps and of a step cut
-    off by the guard are dropped.
+    off at the chart's edge are dropped.
     """
     if integrator == "rk4_fixed":
         knob, value = "step", step
@@ -573,7 +582,7 @@ def integrate_bicharacteristic(
         as absolute and relative error target).
     require_null : reject seeds with |q| >= null_tol * (1 + |xi|^2).
 
-    A domain-guard violation mid-run truncates the trajectory and sets
+    Leaving the chart mid-run truncates the trajectory and sets
     ``left_chart`` instead of raising.
     """
     _check_seed(m, p0, t_end, null_tol, require_null)
@@ -725,13 +734,6 @@ def _radial_ok(r, s, r_min: float) -> bool:
     return r >= r_min and s >= _THETA_MARGIN
 
 
-def _radial_guard(r_min: float):
-    """Domain guard of a Schwarzschild chart (``_radial_ok``)."""
-    def guard(x):
-        return _radial_ok(x[1], _sin(x[2]), r_min)
-    return guard
-
-
 def schwarzschild(mass: float = 1.0) -> MetricField:
     M = _mass(mass)
     r_min = 2.0 * M * (1.0 + _HORIZON_MARGIN)
@@ -749,13 +751,11 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
                            (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
                            2.0 * r * r * s * c)
 
-    # the marker MetricField reads: this jet tests the guard's chart itself
-    jet._chart_of = guard = _radial_guard(r_min)
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet, domain_guard=guard,
-        name=name, diagonal=True, sample_box=box,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet, name=name, diagonal=True,
+        sample_box=box,
     )
 
 
@@ -788,13 +788,12 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
             (-2.0 * A * dA, du4, dr, dr * s * s),
             2.0 * u ** 4 * rho * rho * s * c)
 
-    jet._chart_of = guard = _radial_guard(rho_min)  # as in schwarzschild
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
     return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet, domain_guard=guard,
-        name=name, diagonal=True, sample_box=box,
+        dim=4, eval=lambda x: jet(x)[0], jet=jet, name=name, diagonal=True,
+        sample_box=box,
     )
 
 
@@ -1043,8 +1042,8 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
 
     ``jet`` is closed form: d_k Omega by forward-mode differentiation of
     the expression, which ``_omega_kernels`` compiles once per (omega, dim)
-    along with Omega itself, and dg = 2 Omega dOmega eta.  It tests the
-    chart on its own Omega.
+    along with Omega itself, and dg = 2 Omega dOmega eta.  ``eval`` and
+    ``jet`` test the chart on their own Omega.
     """
     expr = str(omega)
     value, omega_jet = _omega_kernels(expr, dim)
@@ -1053,6 +1052,8 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
 
     def metric(x):
         w = value(x)
+        if not _omega_ok(w):
+            raise _outside(x, name)
         return w * w * eta
 
     def jet(x):
@@ -1061,13 +1062,9 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
             raise _outside(x, name)
         return w * w * eta, np.multiply.outer(2.0 * w * dw, eta)
 
-    def guard(x):
-        return _omega_ok(value(x))
-
-    jet._chart_of = guard  # as in schwarzschild
     return MetricField(
-        dim=dim, eval=metric, jet=jet, domain_guard=guard, name=name,
-        diagonal=True, sample_box=np.array([[-2.0, 2.0]] * dim),
+        dim=dim, eval=metric, jet=jet, name=name, diagonal=True,
+        sample_box=np.array([[-2.0, 2.0]] * dim),
     )
 
 

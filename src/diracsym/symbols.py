@@ -25,6 +25,7 @@ from .errors import NotOnCharacteristicSet, ZeroCovector
 from .geometry import (
     MetricField,
     PhasePoint,
+    _chart_value,
     _checked_inverse,
     _frame_from,
     _metric_value,
@@ -483,8 +484,8 @@ def certify_principal_types(rep: CliffordModuleRep, points,
     radial field has none.
 
     Every point draws its neighbours from a fresh default_rng(seed): per
-    neighbour up to 16 positions within 1e-3 (1 + |x|) until the domain
-    guard holds (else the point's own), then a spatial covector within
+    neighbour up to 16 positions within 1e-3 (1 + |x|) until one lies in
+    the chart (else the point's own), then a spatial covector within
     1e-3 |xi|, whose xi_0 is moved onto the null cone; a neighbour without
     a real null root is skipped.
 
@@ -510,25 +511,27 @@ def certify_principal_types(rep: CliffordModuleRep, points,
 
 def _neighbours(m: MetricField, x, xi, unit):
     """The 8 neighbours of (x, xi) before null projection, as (positions,
-    covectors), read off ``unit`` in draw order."""
+    covectors, metric values), read off ``unit`` in draw order."""
     d = m.dim
     scale_x = 1e-3 * (1.0 + np.abs(x))
     scale_xi = 1e-3 * float(np.linalg.norm(xi))
     xs = np.empty((_NEIGHBOURS, d))
     xis = np.tile(xi, (_NEIGHBOURS, 1))
+    gs = np.empty((_NEIGHBOURS, d, d))
     pos = 0
     for k in range(_NEIGHBOURS):
         for _ in range(_GUARD_TRIES):
             x2 = x + scale_x * unit[pos:pos + d]
             pos += d
-            if m.domain_guard(x2):
+            g = _chart_value(m, x2)
+            if g is not None:
                 break
         else:
-            x2 = x
-        xs[k] = x2
+            x2, g = x, _metric_value(m, x)
+        xs[k], gs[k] = x2, g
         xis[k, 1:] += scale_xi * unit[pos:pos + d - 1]
         pos += d - 1
-    return xs, xis
+    return xs, xis, gs
 
 
 def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
@@ -560,12 +563,9 @@ def _neighbourhood_dims(rep: CliffordModuleRep, sys: FirstOrderSystem, xs,
     """Kernel dimensions of sys's symbol at each point's neighbours that
     have a real null root, one array per point."""
     m = rep.metric
-    near = [_neighbours(m, x, xi, unit) for x, xi in zip(xs, xis)]
-    nx = np.concatenate([a for a, _ in near])
-    # each position passed the domain guard or is its point's own
-    g2 = np.array([m.eval(x) for x in nx], dtype=float)
-    nxi, real = _null_projection(_checked_inverse(g2, nx),
-                                 np.concatenate([b for _, b in near]))
+    nx, nxi, g2 = (np.concatenate(a) for a in zip(
+        *(_neighbours(m, x, xi, unit) for x, xi in zip(xs, xis))))
+    nxi, real = _null_projection(_checked_inverse(g2, nx), nxi)
     owner = np.repeat(np.arange(len(xs)), _NEIGHBOURS)[real]
     s2 = _symbols(rep, sys, nx[real], nxi[real], g2[real])
     ranks = _rank(np.linalg.svd(s2, compute_uv=False), rank_tol)
@@ -598,7 +598,7 @@ def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
     m = rep.metric
     xs = np.array([p.x for p in points])
     xis = np.array([p.xi for p in points])
-    # raises OutsideChart at a point past the domain guard
+    # raises OutsideChart at a point past the chart
     g, dg, Z, dx, dxi = (np.array(a) for a in zip(
         *(_phase_core(m, x, xi) for x, xi in zip(xs, xis))))
     s1 = _symbols(rep, sys, xs, xis, g)

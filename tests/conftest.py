@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diracsym as ds
+from diracsym.errors import OutsideChart
 from diracsym.symbols import _StageEngine, dirac_system, kernel_basis
 from diracsym.transport import PolarizationState
 
@@ -47,6 +48,15 @@ def sys_schw(rep_schw):
 
 
 SCHW_X0 = np.array([0.0, 10.0, 1.2, 0.3])
+
+
+def in_chart(m, x) -> bool:
+    """Whether the public metric evaluator reads m at x."""
+    try:
+        ds.eval_metric(m, x)
+    except OutsideChart:
+        return False
+    return True
 
 
 def rotating_chart(omega=0.3):

@@ -12,6 +12,7 @@ import pytest
 
 import diracsym as ds
 from diracsym import cli
+from diracsym.errors import OutsideChart
 
 SCHW_X0 = [0.0, 10.0, 1.2, 0.3]
 
@@ -378,6 +379,36 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg, needle):
     rc, _, err = run(capsys, ["trace", "--config", path])
     assert rc == 2
     assert needle in err
+
+
+# seeds past the chart, one per chart test: r below r_min, theta = 0, rho
+# below rho_min, and Omega = t = 0
+_PAST_CHART = {
+    "r_below_r_min": ("schwarzschild1.0", [0.0, 1.5, 1.2, 0.3]),
+    "theta_zero": ("schwarzschild1.0", [0.0, 10.0, 0.0, 0.3]),
+    "rho_below_rho_min": ("schwarzschild_isotropic1.0",
+                          [0.0, 0.4, 1.2, 0.3]),
+    "omega_zero": ("conformal_flat{t}", [0.0, 0.1, 0.2, 0.3]),
+}
+
+
+@pytest.mark.parametrize("command", ["compare", "trace", "certify",
+                                     "symbols"])
+@pytest.mark.parametrize("seed", sorted(_PAST_CHART))
+def test_seed_past_the_chart_exits_2(tmp_path, capsys, seed, command):
+    """Every chart test refuses a seed with the same message, in the CLI
+    and in the library."""
+    metric, x0 = _PAST_CHART[seed]
+    path = write_cfg(tmp_path, "bad.json", {"metric": metric,
+                                            "chart_seed_point": x0})
+    rc, out, err = run(capsys, [command, "--config", path, "--no-meta"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: ConfigError: chart_seed_point violates the "
+                   "domain guard\n")
+    p0 = ds.PhasePoint(x0, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(OutsideChart) as e:
+        ds.integrate_bicharacteristic(ds.catalog_metric(metric), p0, 1.0)
+    assert str(e.value) == "initial point violates the domain guard"
 
 
 @pytest.mark.parametrize("metric", [

@@ -32,11 +32,13 @@ from diracsym.geometry import (
     _EXPR_FUNCS,
     MetricField,
     PhasePoint,
+    _chart_value,
     _omega_kernels,
+    _omega_ok,
     metric_derivative,
 )
 
-from conftest import SCHW_X0, rotating_chart
+from conftest import SCHW_X0, in_chart, rotating_chart
 
 
 # --------------------------------------------------------------------------
@@ -185,8 +187,7 @@ def test_ray_of_a_wrong_jet_is_no_geodesic(schw):
         g, dg = schw.jet(x)
         return g, 1.01 * dg
 
-    off = MetricField(dim=4, eval=schw.eval, jet=jet,
-                      domain_guard=schw.domain_guard, diagonal=True,
+    off = MetricField(dim=4, eval=schw.eval, jet=jet, diagonal=True,
                       name="schwarzschild_jet_off")
     traj = _ray(off, SCHW_X0, 7)
     xs = _geodesic_positions("schwarzschild1.0", traj)
@@ -319,8 +320,7 @@ def test_nonsymmetric_metric_rejected():
 
 
 def test_central_difference_matches_closed_form(schw):
-    fd = MetricField(dim=4, eval=schw.eval,
-                     domain_guard=schw.domain_guard, name="schw_fd")
+    fd = MetricField(dim=4, eval=schw.eval, name="schw_fd")
     x = SCHW_X0
     assert np.max(np.abs(metric_derivative(fd, x)
                          - metric_derivative(schw, x))) < 1e-6
@@ -335,8 +335,7 @@ def test_autodiff_matches_central_difference():
             "1 + 0.05*sinh(y)*cosh(z) - 0.02*tanh(t)/(2 + cos(x))**2"
             " + 0.01*tan(x0 - x3) - pi/100"):
         m = ds.conformal_flat(expr)
-        fd = MetricField(dim=4, eval=m.eval,
-                         domain_guard=m.domain_guard, name="conf_fd")
+        fd = MetricField(dim=4, eval=m.eval, name="conf_fd")
         assert np.max(np.abs(metric_derivative(m, x)
                              - metric_derivative(fd, x))) < 1e-8, expr
 
@@ -520,7 +519,8 @@ def test_conformal_kernels_keep_float64_scalar_semantics():
     NaN, for every whitelisted function and operator at every pair of
     special values (x/+-0, 0/0, 0**-1, (-1)**0.5, 1e200**2, exp(1000),
     log(-1), sqrt(-1), abs at +-0, infinities, NaN) and at random points;
-    no point raises, none turns complex."""
+    no kernel raises, none turns complex.  eval is Omega^2 eta where
+    ``_omega_ok`` holds and raises OutsideChart elsewhere."""
     exprs = [f"{f}(t)" for f in _EXPR_FUNCS] + [
         "t + x", "t - x", "t * x", "t / x", "t ** x", "-t", "+t",
         "2 ** t", "t ** 2", "1 / t", "pi * t", "sin(t * x) / (1 + x ** 2)",
@@ -541,8 +541,12 @@ def test_conformal_kernels_keep_float64_scalar_semantics():
                 assert np.array_equal(got_w, w, equal_nan=True), (expr, p)
                 assert np.array_equal(value(p), w, equal_nan=True)
                 assert np.array_equal(got_dw, dw, equal_nan=True), (expr, p)
+                if not _omega_ok(w):
+                    with pytest.raises(OutsideChart):
+                        m.eval(p)
+                    continue
                 assert np.array_equal(m.eval(p), w * w * np.diag(
-                    [-1.0, 1.0, 1.0, 1.0]), equal_nan=True), (expr, p)
+                    [-1.0, 1.0, 1.0, 1.0])), (expr, p)
 
 
 def test_conformal_kernel_is_compiled_once_per_expression_and_dim():
@@ -640,17 +644,16 @@ def _counting(calls, key, f):
 def counted(monkeypatch):
     """Counts of metric work in catalog metrics built inside the test:
     "stage" (``_phase_core`` calls), "jet" (a conformal jet kernel or a
-    Schwarzschild closed form), "value" (the conformal Omega kernel alone,
-    which is what its guard runs) and "guard" (a Schwarzschild guard)."""
+    Schwarzschild closed form, which the Schwarzschild ``eval`` runs too)
+    and "value" (the conformal Omega kernel alone, which its ``eval``
+    runs).  A test may count its own guard under "guard"."""
     from diracsym import geometry
 
     calls = collections.Counter()
-    kernels, radial_guard = geometry._omega_kernels, geometry._radial_guard
+    kernels = geometry._omega_kernels
     monkeypatch.setattr(geometry, "_omega_kernels", lambda e, d: tuple(
         _counting(calls, k, f) for k, f in zip(("value", "jet"),
                                                kernels(e, d))))
-    monkeypatch.setattr(geometry, "_radial_guard", lambda r_min: _counting(
-        calls, "guard", radial_guard(r_min)))
     monkeypatch.setattr(geometry, "_radial_jet",
                         _counting(calls, "jet", geometry._radial_jet))
     monkeypatch.setattr(geometry, "_phase_core",
@@ -662,8 +665,8 @@ def counted(monkeypatch):
     ("conformal_flat", "rk45_adaptive"), ("schwarzschild1.0", "rk4_fixed")])
 def test_flow_evaluates_a_catalog_metric_once_per_stage(name, integrator,
                                                         counted):
-    """One jet per stage evaluation and no guard or Omega value: the
-    catalog jet tests its own chart.  The seed check keeps its guard."""
+    """One jet per stage evaluation and no Omega value: the catalog jet
+    tests its own chart.  The seed check reads the metric once."""
     from diracsym.geometry import _check_seed
 
     m = _JET_CATALOG[name]()
@@ -674,15 +677,47 @@ def test_flow_evaluates_a_catalog_metric_once_per_stage(name, integrator,
     counted.clear()
     _check_seed(m, p0, 0.5, 1e-10, True)
     seed = counted.copy()
-    assert seed["guard"] + seed["value"] >= 1
+    assert sum(seed.values()) == seed["value"] + seed["jet"] == 1
     counted.clear()
     traj = ds.integrate_bicharacteristic(m, p0, 0.5, integrator=integrator,
                                          step=1e-2, tol=1e-12)
     assert traj.n > 10 and not traj.left_chart
-    assert counted["guard"] == seed["guard"]
     assert counted["value"] == seed["value"]
     flow = counted - seed
     assert flow["stage"] == flow["jet"] >= 1 + 4 * (traj.n - 1)
+
+
+def test_each_chart_read_runs_the_metric_once(counted):
+    """The seed check and eval_metric each run the conformal Omega kernel
+    once.  Certifying 50 points runs one jet per point and one metric
+    value per neighbour, and no guard: no catalog metric has one."""
+    from diracsym.geometry import _check_seed
+    from diracsym.symbols import certify_principal_types
+
+    m = _JET_CATALOG["conformal_flat"]()
+    x0 = np.array([0.1, -0.3, 0.5, 0.2])
+    p0 = PhasePoint(x0, ds.random_null_covector(m, x0,
+                                                np.random.default_rng(2)))
+    for read in (lambda: _check_seed(m, p0, 0.5, 1e-10, True),
+                 lambda: ds.eval_metric(m, x0)):
+        counted.clear()
+        read()
+        assert counted == {"value": 1}
+    # a Schwarzschild neighbour's value is its closed form's g
+    for name, want in (("conformal_flat", {"jet": 50, "value": 400}),
+                       ("schwarzschild1.0", {"jet": 50 + 400})):
+        m = _JET_CATALOG[name]()
+        assert m.domain_guard is None
+        rep = ds.build_canonical_module(m)
+        rng = np.random.default_rng(3)
+        points = []
+        for _ in range(50):
+            x = ds.random_chart_point(m, rng)
+            points.append(PhasePoint(x, ds.random_null_covector(m, x, rng)))
+        counted.clear()
+        certs = list(certify_principal_types(rep, points))
+        assert all(c.passed for c in certs)
+        assert counted == want, name
 
 
 _INWARD = np.array([1.0, -1.25, 0.0, 0.0])
@@ -724,9 +759,9 @@ _TRIPS = {
 @pytest.mark.parametrize("case", sorted(_TRIPS))
 def test_flow_stops_where_the_guard_trips(case):
     """A ray that leaves the chart of a catalog jet stops at the sample
-    where it stopped when the guard ran before every jet, and where
-    guard-then-jet stops it now: r at the horizon, sin(theta) at the
-    pole, Omega at 0."""
+    where it stopped when a guard ran before every jet, and where a guard
+    that reads the metric's chart stops it now: r at the horizon,
+    sin(theta) at the pole, Omega at 0."""
     import dataclasses
 
     m, p0, t_end, integrator = _leaving_ray(case)
@@ -734,7 +769,9 @@ def test_flow_stops_where_the_guard_trips(case):
     with np.errstate(all="ignore"):
         traj = ds.integrate_bicharacteristic(m, p0, t_end, **kw)
         guarded = ds.integrate_bicharacteristic(
-            dataclasses.replace(m, jet=lambda x: m.jet(x)), p0, t_end, **kw)
+            dataclasses.replace(
+                m, domain_guard=lambda x: _chart_value(m, x) is not None),
+            p0, t_end, **kw)
     n, t_last = _TRIPS[case]
     assert traj.left_chart and traj.n == n
     assert traj.ts[-1] == pytest.approx(t_last, rel=1e-12)
@@ -743,21 +780,43 @@ def test_flow_stops_where_the_guard_trips(case):
         assert np.array_equal(a, b)
 
 
+def _unchecked_schwarzschild(M):
+    """A user's Schwarzschild metric: the catalog's closed form with no
+    chart test in its jet, and the catalog's chart as its domain guard."""
+    from diracsym import geometry
+
+    r_min = 2.0 * M * (1.0 + geometry._HORIZON_MARGIN)
+
+    def jet(x):
+        r, th = float(x[1]), float(x[2])
+        s, c = math.sin(th), math.cos(th)
+        f = 1.0 - 2.0 * M / r
+        fp = 2.0 * M / (r * r)
+        return geometry._radial_jet(
+            (-f, 1.0 / f, r * r, r * r * s * s),
+            (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
+            2.0 * r * r * s * c)
+
+    return MetricField(
+        dim=4, eval=lambda x: jet(x)[0], jet=jet, diagonal=True,
+        domain_guard=lambda x: geometry._radial_ok(x[1], math.sin(x[2]),
+                                                   r_min))
+
+
 @pytest.mark.parametrize("case", ["schwarzschild_inward", "rotating_chart"])
 def test_flow_guards_a_user_jet_once_per_stage(case, counted):
-    """A jet that is not its guard's catalog jet (a wrapper of one, or a
-    user's own) runs after the guard, once per stage, and the ray stops
-    where the guard trips."""
+    """A user's jet that does not test its chart (the Schwarzschild closed
+    form, or the rotating chart's) runs after the domain guard, once per
+    stage, and the ray stops where the guard trips."""
     import dataclasses
 
     from diracsym.geometry import _flow
 
     m, p0, t_end, integrator = _leaving_ray(case)
-    if case == "rotating_chart":
-        m = dataclasses.replace(m, domain_guard=_counting(
-            counted, "guard", m.domain_guard))
-    else:
-        m = dataclasses.replace(m, jet=lambda x, jet=m.jet: jet(x))
+    if case != "rotating_chart":
+        m = _unchecked_schwarzschild(1.0)
+    m = dataclasses.replace(m, domain_guard=_counting(
+        counted, "guard", m.domain_guard))
     counted.clear()
     traj = _flow(m, p0, t_end, integrator, 1e-2, 1e-10)
     assert traj.left_chart and traj.n == _TRIPS[case][0]
@@ -981,7 +1040,7 @@ def test_random_chart_point_deterministic(schw):
     a = ds.random_chart_point(schw, np.random.default_rng(3))
     b = ds.random_chart_point(schw, np.random.default_rng(3))
     assert np.array_equal(a, b)
-    assert schw.domain_guard(a)
+    assert in_chart(schw, a)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from diracsym.symbols import (
     symbol_package,
 )
 
-from conftest import SCHW_X0, look_alike_dirac, rotating_chart
+from conftest import SCHW_X0, in_chart, look_alike_dirac, rotating_chart
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -456,7 +456,7 @@ def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     for _ in range(8):
         for _ in range(16):
             x2 = p.x + scale_x * rng.uniform(-1.0, 1.0, size=m.dim)
-            if m.domain_guard(x2):
+            if in_chart(m, x2):
                 break
         else:
             x2 = p.x.copy()
@@ -537,6 +537,57 @@ def test_stacked_neighbourhood_matches_point_loop_on_a_foreign_system(
         cert = certify_principal_type(rep_mink4, p, sys=shifted, seed=seed)
         nbh, cond = _reference_principal_type(rep_mink4, p, shifted,
                                               seed=seed)
+        assert cert.neighborhood_ker_dims == nbh
+        assert cert.ker_coker_condition_number == pytest.approx(cond,
+                                                                rel=1e-12)
+
+
+# points within 1e-3 of a chart's edge: the horizon margin r = 2.002, the
+# pole margin sin(theta) = 1e-6, and x = 0, past which Omega drops to 0
+_CHART_EDGES = {
+    "horizon": ("schwarzschild1.0", [0.0, 2.0025, 1.2, 0.3]),
+    "pole": ("schwarzschild1.0", [0.0, 10.0, 5e-4, 0.3]),
+    "omega_zero": ("conformal_flat{0.5 + 0.5 * x / abs(x)}",
+                   [0.1, 5e-4, 0.2, 0.3]),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_CHART_EDGES))
+def test_neighbours_past_the_chart_are_drawn_again(monkeypatch, edge):
+    """Near a chart's edge some neighbour draws fall past it; each is
+    drawn again, every neighbour kept lies in the chart with the metric
+    value read there, and the certificates equal the point-by-point
+    reference's."""
+    from diracsym import symbols
+
+    metric, x = _CHART_EDGES[edge]
+    m = ds.catalog_metric(metric)
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep)
+    rng = np.random.default_rng(8)
+    points = [PhasePoint(np.array(x), ds.random_null_covector(m, x, rng))
+              for _ in range(4)]
+    kept, misses = [], []
+    neighbours, chart_value = symbols._neighbours, symbols._chart_value
+
+    def kept_neighbours(*args):
+        kept.append(neighbours(*args))
+        return kept[-1]
+
+    def counted_chart_value(m, x):
+        g = chart_value(m, x)
+        misses.append(g is None)
+        return g
+
+    monkeypatch.setattr(symbols, "_neighbours", kept_neighbours)
+    monkeypatch.setattr(symbols, "_chart_value", counted_chart_value)
+    certs = list(certify_principal_types(rep, points, sys=sysd, seed=5))
+    assert len(kept) == len(points) and sum(misses) >= 4
+    for p, cert, (xs, _, gs) in zip(points, certs, kept):
+        for x2, g in zip(xs, gs):
+            assert in_chart(m, x2) and not np.array_equal(x2, p.x)
+            assert np.array_equal(g, ds.eval_metric(m, x2)[0])
+        nbh, cond = _reference_principal_type(rep, p, sysd, seed=5)
         assert cert.neighborhood_ker_dims == nbh
         assert cert.ker_coker_condition_number == pytest.approx(cond,
                                                                 rel=1e-12)

@@ -79,8 +79,14 @@ MUTANTS = [
      "np.multiply.outer(2.0 * w * dw, eta)",
      "np.multiply.outer(1.9 * w * dw, eta)"),
     ("conformal_jet_skips_chart_check", "src/diracsym/geometry.py",
-     "if not _omega_ok(w):",
-     "if not _omega_ok(1.0):"),
+     "w, dw = omega_jet(x)\n        if not _omega_ok(w):",
+     "w, dw = omega_jet(x)\n        if not _omega_ok(1.0):"),
+    ("conformal_eval_skips_chart_check", "src/diracsym/geometry.py",
+     "w = value(x)\n        if not _omega_ok(w):",
+     "w = value(x)\n        if not _omega_ok(1.0):"),
+    ("neighbour_keeps_draw_past_chart", "src/diracsym/symbols.py",
+     "g = _chart_value(m, x2)\n            if g is not None:",
+     "g = _chart_value(m, x2)\n            if True:"),
     ("radial_jet_skips_theta_check", "src/diracsym/geometry.py",
      "if not _radial_ok(r, s, r_min):",
      "if not _radial_ok(r, 1.0, r_min):"),
