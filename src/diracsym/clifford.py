@@ -26,7 +26,7 @@ from .errors import (
 from .geometry import (
     MetricField,
     _christoffel_from,
-    _frame_jet_from,
+    _frame_connection,
     _metric_jet,
     eval_metric,
     orthonormal_frame,
@@ -42,7 +42,6 @@ __all__ = [
     "build_canonical_module",
     "q_operator",
     "spin_connection_matrix",
-    "spin_connection_coefficients",
     "certify_axioms",
 ]
 
@@ -178,38 +177,25 @@ class CliffordModuleRep:
         return (self.q_eval or self.gamma_of)(x, N)
 
 
-def _connection_from(rep: CliffordModuleRep, g, dg, E, dE, Einv):
-    """Christoffel symbols Gam[..., i, j, k] = Gamma^i_jk and the spinor
-    connection matrices omega[..., mu] of ``rep`` from a metric and frame
-    jet, at one point or along leading stack axes of every jet array.
-
-    omega_mu^a_b = [E^-1 (d_mu E + Gamma_mu E)]^a_b, lowered with the frame
-    signs and contracted against gamma^a gamma^b.
-    """
-    d, N = g.shape[-1], rep.N
-    Gam = _christoffel_from(g, dg)
-    w = Einv[..., None, :, :] @ (dE + Gam.swapaxes(-3, -2)
-                                 @ E[..., None, :, :])
-    w_low = np.diagonal(rep.eta)[:, None] * w
-    omega = -0.25 * (w_low.reshape(w.shape[:-2] + (d * d,))
-                     @ rep._pair_products.reshape(d * d, N * N))
-    return Gam, omega.reshape(w.shape[:-2] + (N, N))
-
-
-def spin_connection_coefficients(rep: CliffordModuleRep, x) -> np.ndarray:
+def _spin_connection(rep: CliffordModuleRep, Einv, omega) -> np.ndarray:
     """Matrices omega_mu of the spinor connection, one per coordinate
-    direction, in the frame trivialization, built from the Christoffel
-    symbols and the frame jet (see ``_connection_from``)."""
-    g, dg = _metric_jet(rep.metric, x)
-    return _connection_from(rep, g, dg,
-                            *_frame_jet_from(rep.metric, g, dg))[1]
+    direction, in the frame trivialization: the frame connection
+    omega[c, a, b] of ``_frame_connection`` turned to coordinate directions
+    by E^-T and contracted against -1/4 gamma^a gamma^b, along leading stack
+    axes of ``Einv`` and ``omega``."""
+    d, N = rep.dim, rep.N
+    w = Einv.swapaxes(-1, -2) @ omega.reshape(omega.shape[:-2] + (d * d,))
+    om = -0.25 * (w @ rep._pair_products.reshape(d * d, N * N))
+    return om.reshape(w.shape[:-1] + (N, N))
 
 
 def spin_connection_matrix(rep: CliffordModuleRep, x, v) -> np.ndarray:
-    """omega(x; v) = v^mu omega_mu for a coordinate direction v."""
-    om = spin_connection_coefficients(rep, x)
-    v = np.asarray(v, dtype=float)
-    return np.einsum("m,mij->ij", v, om)
+    """omega(x; v) = v^mu omega_mu for a coordinate direction v, from the
+    connection the transports run (``_frame_connection``)."""
+    _, Einv, _, _, omega = _frame_connection(rep.metric,
+                                             *_metric_jet(rep.metric, x))
+    return np.tensordot(np.asarray(v, dtype=float),
+                        _spin_connection(rep, Einv, omega), axes=1)
 
 
 def build_canonical_module(m: MetricField) -> CliffordModuleRep:
@@ -329,8 +315,9 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     u = draws[..., 3 * d + d * d:-d]
     W = draws[..., -d:]
 
-    E, dE, Einv = _frame_jet_from(m, g, dg)
-    Gam, om = _connection_from(rep, g, dg, E, dE, Einv)
+    E, Einv, _, X, omega = _frame_connection(m, g, dg)
+    om = _spin_connection(rep, Einv, omega)
+    Gam = _christoffel_from(g, dg)
     gp = g[:, None]                                    # (points, 1, d, d)
 
     def dot(U, V):
@@ -348,8 +335,12 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     Zo = Wp - (dot(Wp, Yp) / yy)[..., None] * Yp
 
     # C3 on the affine field Y0 + A (x' - x): its frame components'
-    # derivative and its covariant derivative, one row per direction mu
-    dEinv = -(Einv[:, None] @ dE @ Einv[:, None])
+    # derivative, with d_mu E^-1 = sum_c E^-1[c, mu] eta X_c E^-1 from
+    # E^-1 d_c E = -eta X_c, and its covariant derivative by the
+    # Christoffel symbols, one row per direction mu
+    etaX = np.diagonal(rep.eta)[:, None] * X
+    dEinv = Einv.swapaxes(-1, -2) @ etaX.reshape(n_pts, d, d * d)
+    dEinv = dEinv.reshape(X.shape) @ Einv[:, None]
     dcomp = ((dEinv[:, None] @ Y0[:, :, None, :, None])[..., 0]
              + (Einv[:, None] @ A).swapaxes(-1, -2))
     nab = (A.swapaxes(-1, -2)

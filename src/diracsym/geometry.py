@@ -8,7 +8,7 @@ else from central differences.  On top of that sit Christoffel symbols, the
 scalar Hamiltonian ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null
 bicharacteristic integration, and orthonormal frames from the factorization
 ``g = R^T eta R`` with ``R`` upper triangular, which is Gram-Schmidt in
-chart order.
+chart order, with their Levi-Civita frame connection.
 """
 from __future__ import annotations
 
@@ -344,26 +344,28 @@ def _frame_from(m: MetricField, g):
     return np.linalg.inv(R), R
 
 
-def _frame_jet_from(m: MetricField, g, dg):
-    """(E, dE, E_inv) from an already computed metric jet, at one point or
-    at a stack of points along leading axes of ``g`` (..., d, d) and ``dg``
+def _frame_connection(m: MetricField, g, dg):
+    """(E, E^-1, F, X, omega) from a metric jet, at one point or at a stack
+    of points along leading axes of ``g`` (..., d, d) and ``dg``
     (..., d, d, d); the frame is ``_frame_from``'s.
 
-    Differentiating g = R^T eta R, E^T dg_k E = X + X^T with X = eta dR_k E
-    upper triangular, so X is the strict upper triangle plus half the
-    diagonal of E^T dg_k E, and dE_k = -E dR_k E = -E eta X.  A diagonal
-    metric has E = diag(|g_aa|^-1/2), whose partials are read off directly.
+    F[c, a, b] = E^k_c E^l_a E^j_b d_k g_lj.  g = R^T eta R with E = R^-1
+    gives F_c = X_c + X_c^T with X_c = eta (d_c R) E = triu(F_c) - (1/2)
+    diag(F_c), so E^-1 d_c E = -eta X_c along frame vector c, and the
+    Koszul formula gives the Levi-Civita frame connection omega[c, a, b] =
+    omega_c^{ab} = (1/2) (F_cab + F_bac - F_acb) - X_cab.
     """
-    eye, sig = _unit(m.dim)
     E, Einv = _frame_from(m, g)
-    if m.diagonal:
-        piv = sig * g.diagonal(axis1=-2, axis2=-1)
-        dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
-        dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
-        return E, dediag[..., None] * eye, Einv
-    M = E.swapaxes(-1, -2)[..., None, :, :] @ dg @ E[..., None, :, :]
-    dE = -(E * sig)[..., None, :, :] @ (np.triu(M) - 0.5 * eye * M)
-    return E, dE, Einv
+    i, ET = np.arange(m.dim), E.swapaxes(-1, -2)
+    F = (ET @ dg.reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
+    F = ET[..., None, :, :] @ F @ E[..., None, :, :]
+    X = np.triu(F)
+    X[..., i, i] *= 0.5
+    omega = F + F.swapaxes(-3, -1)
+    omega -= F.swapaxes(-3, -2)
+    omega *= 0.5
+    omega -= X
+    return E, Einv, F, X, omega
 
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:

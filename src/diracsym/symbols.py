@@ -27,6 +27,7 @@ from .geometry import (
     PhasePoint,
     _chart_value,
     _checked_inverse,
+    _frame_connection,
     _frame_from,
     _metric_value,
     _null_projection,
@@ -155,9 +156,9 @@ class _StageEngine:
     """Closed-form evaluation of everything the transports need, at one
     phase point or at a stack of them.
 
-    One evaluation takes the phase flow's values at its points and forms
-    the frame and the frame components F of dg, which fix the Levi-Civita
-    connection (the Koszul formula); ``StageData`` contracts what follows
+    One evaluation takes the phase flow's values at its points and reads
+    the frame, the frame components F of dg and the Levi-Civita connection
+    they fix off ``_frame_connection``; ``StageData`` contracts what follows
     from them against Clifford tensors the module computes once: into
     the principal symbol, the contracted spin connection and the
     symbol-package matrices, and into the factors of the generator of the
@@ -190,27 +191,18 @@ class _StageEngine:
         """StageData from the flow's values (xi, g, dg, Z), which may carry
         leading stack axes; xdot = 2 Z.
 
-        F[c, a, b] = E^k_c E^l_a E^j_b d_k g_lj.  g = R^T eta R with E = R^-1
-        gives F_c = X_c + X_c^T with X_c = eta (d_c R) E = triu(F_c) - (1/2)
-        diag(F_c) and E^-1 d_c E = -eta X_c along frame vector c.  So
-        omega_cab = (1/2) (F_cab + F_bac - F_acb) - X_cab, P[a, b] =
-        (xi . d_a E)_b = -(E^T xi . eta X_a)_b, dv_b = d_k E^k_b = -sum_e
-        eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) = (1/2) E^-1 Z . tr_eta F.
+        The frame E, the frame components F of dg, X_c = eta (d_c R) E and
+        the connection omega come from ``_frame_connection``; with E^-1 d_c E
+        = -eta X_c, P[a, b] = (xi . d_a E)_b = -(E^T xi . eta X_a)_b, dv_b =
+        d_k E^k_b = -sum_e eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) =
+        (1/2) E^-1 Z . tr_eta F.
         """
-        E, Einv = _frame_from(self.m, g)
-        eta, i, ET = self.eta, np.arange(len(self.eta)), E.swapaxes(-1, -2)
-        F = (ET @ dg.reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
-        F = ET[..., None, :, :] @ F @ E[..., None, :, :]
-        X = np.triu(F)
-        X[..., i, i] *= 0.5
+        E, Einv, F, X, omega = _frame_connection(self.m, g, dg)
+        eta, i = self.eta, np.arange(len(self.eta))
         c = (xi[..., None, :] @ E)[..., 0, :]
         P = -((c * eta)[..., None, None, :] @ X)[..., 0, :]
         Zf = (Einv @ Z[..., None])[..., 0]
         kappa = 0.5 * np.sum(Zf * (F[..., i, i] @ eta), axis=-1)
-        omega = F + F.swapaxes(-3, -1)
-        omega -= F.swapaxes(-3, -2)
-        omega *= 0.5
-        omega -= X
         return StageData(self, xi, E, Einv, Zf, P, -(eta @ X[..., i, i, :]),
                          kappa, omega)
 

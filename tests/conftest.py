@@ -3,6 +3,7 @@ import pytest
 
 import diracsym as ds
 from diracsym.errors import OutsideChart
+from diracsym.geometry import _frame_from, _metric_jet
 from diracsym.symbols import _StageEngine, dirac_system, kernel_basis
 from diracsym.transport import PolarizationState
 
@@ -57,6 +58,59 @@ def in_chart(m, x) -> bool:
     except OutsideChart:
         return False
     return True
+
+
+# --------------------------------------------------------------------------
+# independent oracle of the library's connection: the frame partials dE and
+# the spinor connection from Christoffel symbols, a route that shares no
+# formula with geometry._frame_connection
+
+
+def frame_jet(m, g, dg):
+    """(E, dE, E_inv) with dE[..., k] = d_k E, at one point or along
+    leading stack axes of ``g`` (..., d, d) and ``dg`` (..., d, d, d).
+
+    Differentiating g = R^T eta R, E^T dg_k E = X + X^T with X = eta dR_k E
+    upper triangular, so X is the strict upper triangle plus half the
+    diagonal of E^T dg_k E, and dE_k = -E dR_k E = -E eta X.  A diagonal
+    metric has E = diag(|g_aa|^-1/2), whose partials are read off directly.
+    """
+    d = g.shape[-1]
+    eye, sig = np.eye(d), np.array([-1.0] + [1.0] * (d - 1))
+    E, Einv = _frame_from(m, g)
+    if m.diagonal:
+        piv = sig * g.diagonal(axis1=-2, axis2=-1)
+        dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
+        dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
+        return E, dediag[..., None] * eye, Einv
+    M = E.swapaxes(-1, -2)[..., None, :, :] @ dg @ E[..., None, :, :]
+    dE = -(E * sig)[..., None, :, :] @ (np.triu(M) - 0.5 * eye * M)
+    return E, dE, Einv
+
+
+def connection_from(rep, g, dg, E, dE, Einv):
+    """Christoffel symbols Gam[..., i, j, k] = Gamma^i_jk and the spinor
+    connection matrices omega[..., mu] of ``rep`` from a metric and frame
+    jet, at one point or along leading stack axes of every jet array.
+
+    omega_mu^a_b = [E^-1 (d_mu E + Gamma_mu E)]^a_b, lowered with the frame
+    signs and contracted against -1/4 gamma^a gamma^b.
+    """
+    d, N = g.shape[-1], rep.N
+    T = dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
+    Gam = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(g), T)
+    w = Einv[..., None, :, :] @ (dE + Gam.swapaxes(-3, -2)
+                                 @ E[..., None, :, :])
+    w_low = np.diagonal(rep.eta)[:, None] * w
+    omega = -0.25 * (w_low.reshape(w.shape[:-2] + (d * d,))
+                     @ rep._pair_products.reshape(d * d, N * N))
+    return Gam, omega.reshape(w.shape[:-2] + (N, N))
+
+
+def connection_at(rep, x):
+    """The oracle's spinor connection matrices omega_mu at x."""
+    g, dg = _metric_jet(rep.metric, x)
+    return connection_from(rep, g, dg, *frame_jet(rep.metric, g, dg))[1]
 
 
 def rotating_chart(omega=0.3):

@@ -25,9 +25,9 @@ from diracsym.errors import (
     NotTimelike,
     UnsupportedDimension,
 )
-from diracsym.geometry import _frame_jet_from, _metric_jet
+from diracsym.geometry import _metric_jet
 
-from conftest import SCHW_X0, rotating_chart
+from conftest import SCHW_X0, connection_from, frame_jet, rotating_chart
 
 AXIOM_KEYS = ["C1", "C2", "C3", "C4", "C5", "C6", "C7.1", "C7.2", "C7p", "C8"]
 
@@ -316,6 +316,35 @@ def test_c8_fails_for_an_indefinite_gram_pairing(mink4):
     assert c8.max_residual == pytest.approx(1.0, abs=1e-12)
 
 
+def test_certificate_reads_the_transport_connection(monkeypatch):
+    """C2 and C3 certify the connection the transports run: the certifier
+    and the stage engine read one ``_frame_connection``, and a term D
+    symmetric in (a, b) added to its omega fails both on schwarzschild1.0.
+    Such a term moves the spinor connection by a multiple of the identity,
+    which C2 sees and C3's commutator cannot, so the patch also takes D
+    off X, as omega = Koszul(F) - X demands, and C3 reads that through the
+    frame derivative E^-1 d_c E = -eta X_c."""
+    from diracsym import geometry, symbols
+
+    frame_connection = geometry._frame_connection
+    assert ds.clifford._frame_connection is frame_connection
+    assert symbols._frame_connection is frame_connection
+    rep = ds.build_canonical_module(ds.catalog_metric("schwarzschild1.0"))
+    sample = SampleSpec(points=5, vectors=3, seed=0)
+    clean = certify_axioms(rep, sample).axioms
+    assert clean["C2"].passed and clean["C3"].passed
+
+    def skewed(m, g, dg):
+        E, Einv, F, X, omega = frame_connection(m, g, dg)
+        D = 1e-3 * np.eye(m.dim)
+        return E, Einv, F, X - D, omega + D
+
+    monkeypatch.setattr(ds.clifford, "_frame_connection", skewed)
+    got = certify_axioms(rep, sample).axioms
+    assert not got["C2"].passed and not got["C3"].passed
+    assert got["C2"].max_residual > 1e-4 and got["C3"].max_residual > 1e-4
+
+
 # --------------------------------------------------------------------------
 # the stacked certifier against a point-by-point reference
 
@@ -323,9 +352,10 @@ def test_c8_fails_for_an_indefinite_gram_pairing(mink4):
 def _reference_certify_axioms(rep, sample):
     """The per-point, per-vector loop ``certify_axioms`` used to run: the
     same draws in the same order, one residual matrix at a time, with the
-    spin connection built per direction from the Christoffel symbols and
-    the frame jet.  Returns every axiom's max residual and C8's smallest
-    eigenvalue."""
+    frame partials and the spin connection of the test oracle
+    (``conftest.frame_jet`` and ``connection_from``: Christoffel symbols,
+    not the library's Koszul formula).  Returns every axiom's max residual
+    and C8's smallest eigenvalue."""
     def maxabs(A):
         return float(np.max(np.abs(A)))
 
@@ -343,17 +373,10 @@ def _reference_certify_axioms(rep, sample):
 
     for _ in range(sample.points):
         x = ds.random_chart_point(m, rng)
-        g, ginv = ds.eval_metric(m, x)
-        E, dE, Einv = _frame_jet_from(m, *_metric_jet(m, x))
+        g, dg = _metric_jet(m, x)
+        E, dE, Einv = frame_jet(m, g, dg)
         dEinv = -(Einv @ dE @ Einv)
-        dg = _metric_jet(m, x)[1]
-        T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-        Gam = 0.5 * np.einsum("il,ljk->ijk", ginv, T)
-        om = np.array([-0.25 * np.einsum(
-            "ab,abij->ij",
-            np.diagonal(rep.eta)[:, None]
-            * (Einv @ (dE[mu] + Gam[:, mu, :] @ E)),
-            rep._pair_products) for mu in range(d)])
+        Gam, om = connection_from(rep, g, dg, E, dE, Einv)
 
         def gamma_vec(V):
             return rep.gamma_of_frame(Einv @ V)

@@ -274,7 +274,7 @@ def test_frame_generic_gram_schmidt_nondiagonal():
 def test_frame_degenerate_on_wrong_time_sign():
     # time sign, a spatial sign, and a pivot underflow, on the general
     # (non-diagonal) path
-    from diracsym.geometry import _frame_jet_from
+    from diracsym.geometry import _frame_from
 
     bad = ([1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
            [-1.0, 1.0, 1e-14, 1.0])
@@ -294,10 +294,9 @@ def test_frame_degenerate_on_wrong_time_sign():
             if not diagonal:
                 g[:, 0, 3] = g[:, 3, 0] = 1e-3
             with pytest.raises(FrameDegenerate, match="at stacked point 3"):
-                _frame_jet_from(m, g, np.zeros((5, 4, 4, 4)))
+                _frame_from(m, g)
         g = np.array([np.diag([-1.0, 1.0, 1.0, 1.0])] * 5)
-        assert _frame_jet_from(m, g, np.zeros((5, 4, 4, 4)))[0].shape == \
-            (5, 4, 4)
+        assert _frame_from(m, g)[0].shape == (5, 4, 4)
 
 
 def test_degenerate_metric_rejected():

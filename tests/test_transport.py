@@ -28,7 +28,8 @@ from diracsym.transport import (
     transport_spin,
 )
 
-from conftest import SCHW_X0, look_alike_dirac, null_state, rotating_chart
+from conftest import (SCHW_X0, connection_at, look_alike_dirac, null_state,
+                      rotating_chart)
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,12 +109,12 @@ STAGE_FIXTURES = {
 @pytest.mark.parametrize("fixture", sorted(STAGE_FIXTURES))
 def test_stage_engine_against_independent_code(fixture, flip):
     """The transport stage's two rates against code that shares none of its
-    contractions: omega_dot against the Christoffel-built spin connection,
-    and generator + kappa Id against the finite-difference symbol package
-    of a system whose zeroth-order part is -i A^m omega_m from that same
-    independent connection."""
-    from diracsym.clifford import (spin_connection_coefficients,
-                                   spin_connection_matrix)
+    contractions: omega_dot, and the public spin_connection_matrix that
+    reads the same connection, against the test oracle's Christoffel-built
+    spin connection (conftest.connection_at), and generator + kappa Id
+    against the finite-difference symbol package of a system whose
+    zeroth-order part is -i A^m omega_m from that same oracle."""
+    from diracsym.clifford import spin_connection_matrix
     from diracsym.geometry import _phase_core
     from diracsym.symbols import _StageEngine
 
@@ -122,7 +123,7 @@ def test_stage_engine_against_independent_code(fixture, flip):
     sysd = dirac_system(rep)
 
     def coeff_B(x):
-        om = spin_connection_coefficients(rep, x)
+        om = connection_at(rep, x)
         return -1j * sum(a @ o for a, o in zip(sysd.coeff_A(x), om))
 
     generic = FirstOrderSystem(N=4, coeff_A=sysd.coeff_A, coeff_B=coeff_B,
@@ -137,8 +138,10 @@ def test_stage_engine_against_independent_code(fixture, flip):
         points.append((x, xi))
         st = eng(x, xi)
         dx = ds.hamiltonian_field(m, PhasePoint(x, xi))[0]
-        assert np.max(np.abs(st.omega_dot
-                             - spin_connection_matrix(rep, x, dx))) < 1e-12
+        want = np.tensordot(dx, connection_at(rep, x), axes=1)
+        assert np.max(np.abs(st.omega_dot - want)) < 1e-12
+        assert np.max(np.abs(spin_connection_matrix(rep, x, dx)
+                             - want)) < 1e-12
 
         pkg = symbol_package(rep, PhasePoint(x, xi), sys=generic)
         sub = denker_generator(pkg) - 0.5 * pkg.bracket
@@ -273,32 +276,48 @@ def test_engine_scratch_stays_small(schw, rep_schw):
     assert peak <= 720 * 1024, peak
 
 
-def test_curved_nondiagonal_chart_frame_certificate_and_transport():
-    """The rotating chart has a non-diagonal metric with nonzero
-    derivatives: its frame jet against central differences, the module
-    certificate, and the transport claim with its flipped-sign control."""
-    from diracsym.geometry import _frame_jet_from, _metric_jet
+def _check_frame_derivative(m):
+    """The frame derivative that the engine and the certificate read, E^-1
+    d_c E = -eta X_c along frame vector c (``_frame_connection``), against
+    central differences of ``_frame_from``, at 5 random chart points."""
+    from diracsym.geometry import _frame_connection, _frame_from, _metric_jet
 
-    m = rotating_chart()
-
-    def frame_jet(x):
-        return _frame_jet_from(m, *_metric_jet(m, x))
+    def frame(x):
+        return _frame_from(m, _metric_jet(m, x)[0])[0]
 
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = ds.random_chart_point(m, rng)
-        E, dE, Einv = frame_jet(x)
+        g, dg = _metric_jet(m, x)
+        E, Einv, _, X, _ = _frame_connection(m, g, dg)
         # upper triangular with a positive diagonal: chart-order
         # Gram-Schmidt, the only such frame
         assert np.array_equal(E, np.triu(E)) and np.all(np.diag(E) > 0)
-        assert np.max(np.abs(E.T @ m.eval(x) @ E - eta)) < 1e-12
+        assert np.max(np.abs(E.T @ g @ E - eta)) < 1e-12
         assert np.max(np.abs(Einv @ E - np.eye(4))) < 1e-12
+        dE = []
         for k in range(4):
             h = np.zeros(4)
-            h[k] = 1e-5
-            fd = (frame_jet(x + h)[0] - frame_jet(x - h)[0]) / 2e-5
-            assert np.max(np.abs(dE[k] - fd)) < 1e-7
+            h[k] = 1e-5 * (1.0 + abs(x[k]))
+            dE.append((frame(x + h) - frame(x - h)) / (2.0 * h[k]))
+        fd = Einv @ np.einsum("kc,kab->cab", E, np.array(dE))
+        assert np.max(np.abs(fd + eta @ X)) < 1e-7
+
+
+@pytest.mark.parametrize("fixture", ["conformal_flat", "schwarzschild1.0"])
+def test_diagonal_frame_derivative_against_central_differences(fixture):
+    """Diagonal metrics take the general frame-derivative formula too."""
+    _check_frame_derivative(STAGE_FIXTURES[fixture]())
+
+
+def test_curved_nondiagonal_chart_frame_certificate_and_transport():
+    """The rotating chart has a non-diagonal metric with nonzero
+    derivatives: its frame derivative against central differences, the
+    module certificate, and the transport claim with its flipped-sign
+    control."""
+    m = rotating_chart()
+    _check_frame_derivative(m)
 
     rep = ds.build_canonical_module(m)
     cert = ds.certify_axioms(rep, ds.SampleSpec(points=5, vectors=3, seed=0))

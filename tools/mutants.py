@@ -132,12 +132,15 @@ MUTANTS = [
     ("conormal_x_part_sign", "src/diracsym/symbols.py",
      "rho = np.concatenate((-dxi, dx), axis=-1)",
      "rho = np.concatenate((dxi, dx), axis=-1)"),
-    ("engine_x_whole_diagonal", "src/diracsym/symbols.py",
+    ("engine_x_whole_diagonal", "src/diracsym/geometry.py",
      "X[..., i, i] *= 0.5",
      "X[..., i, i] *= 1.0"),
-    ("engine_omega_facb_sign", "src/diracsym/symbols.py",
+    ("engine_omega_facb_sign", "src/diracsym/geometry.py",
      "omega -= F.swapaxes(-3, -2)",
      "omega += F.swapaxes(-3, -2)"),
+    ("spin_connection_coordinates_untransposed", "src/diracsym/clifford.py",
+     "w = Einv.swapaxes(-1, -2) @ omega.reshape(",
+     "w = Einv @ omega.reshape("),
     ("engine_kappa_plain_trace", "src/diracsym/symbols.py",
      "np.sum(Zf * (F[..., i, i] @ eta), axis=-1)",
      "np.sum(Zf * F[..., i, i].sum(-1), axis=-1)"),
