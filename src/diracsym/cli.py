@@ -170,6 +170,10 @@ class _Scenario:
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
         self.out_path = out.get("path")
+        if "path" in out and not (isinstance(self.out_path, str)
+                                  and self.out_path):
+            raise ConfigError(f"outputs.path must be a non-empty string, "
+                              f"got {self.out_path!r}")
 
         self.tols = dict(_DEFAULT_TOLS)
         self.tols.update({k: _tolerance(v, k)
@@ -353,8 +357,11 @@ def _emit_trace(traj, orbit, summary, path, fmt, no_meta):
 def _write_text(text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Lorentzian chart geometry at the coordinate level.
 
 Everything works on a single chart: a metric field is a callable returning
-the matrix ``g_ij(x)`` in signature (-, +, ..., +), and its jet (g, dg) comes
-from a supplied ``jet`` (a closed form for every catalog metric, for
-``conformal_flat`` by forward-mode differentiation of its expression) or
-else from central differences.  On top of that sit Christoffel symbols, the
-scalar Hamiltonian ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null
-bicharacteristic integration, and orthonormal frames from the factorization
+the matrix ``g_ij(x)`` in signature (-, +, ..., +) and its jet (g, dg) (a
+closed form for every catalog metric, for ``conformal_flat`` by forward-mode
+differentiation of its expression); both raise OutsideChart past the chart.
+On top of that sit Christoffel symbols, the scalar Hamiltonian
+``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
+integration, and orthonormal frames from the factorization
 ``g = R^T eta R`` with ``R`` upper triangular, which is Gram-Schmidt in
 chart order, with their Levi-Civita frame connection.
 """
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-14
-_FD_STEP = 1e-5   # relative central-difference step of a metric without jet
 _PIVOT_TOL = 1e-12
 _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 
@@ -69,27 +68,17 @@ _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 class MetricField:
     """A chart-level Lorentzian metric.
 
-    ``eval`` maps a coordinate point to the matrix ``g_ij``.  The jet
-    (g, dg) with dg[k, i, j] = d_k g_ij follows one of two rules, picked by
-    whether ``jet`` is given:
-
-    * ``jet(x) -> (g, dg)`` when supplied, float arrays with the g of
-      ``eval`` (the catalog supplies closed forms);
-    * otherwise ``eval`` and central differences of it (``_partials``).
-
-    Past the chart, ``eval`` and ``jet`` raise OutsideChart themselves (a
-    catalog metric tests its chart on the values it computes), or else
-    ``domain_guard(x)`` is False there and runs before them.  The flow
-    and the jet evaluators read one jet per point: ``jet`` itself when
-    there is no guard, else the guard, then ``jet`` or central
-    differences.  ``__post_init__`` picks the rule, so a
-    ``dataclasses.replace`` picks it again.
+    ``eval`` maps a coordinate point to the matrix ``g_ij``, and ``jet(x)
+    -> (g, dg)`` gives float arrays with eval's g and dg[k, i, j] =
+    d_k g_ij (the catalog supplies closed forms).  Past the chart both
+    raise OutsideChart themselves: a catalog metric tests its chart on the
+    values it computes.  The flow and the jet evaluators read one jet per
+    point.
     """
 
     dim: int
     eval: Callable
-    jet: Optional[Callable] = None
-    domain_guard: Optional[Callable] = None
+    jet: Callable
     name: str = "custom"
     diagonal: bool = False
     sample_box: Optional[np.ndarray] = None
@@ -99,18 +88,6 @@ class MetricField:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
-        own = self.jet is not None and self.domain_guard is None
-        self._checked_jet = self.jet if own else self._guarded_jet
-
-    def _guarded_jet(self, x):
-        """The guard if any, then ``jet`` or central differences."""
-        _guard(self, x)
-        if self.jet is None:
-            return (np.asarray(self.eval(x), dtype=float),
-                    _partials(lambda z: np.asarray(self.eval(z), float), x,
-                              _FD_STEP))
-        g, dg = self.jet(x)
-        return np.asarray(g, dtype=float), np.asarray(dg, dtype=float)
 
 
 @dataclass
@@ -164,13 +141,7 @@ def _outside(x, name: str) -> OutsideChart:
     return OutsideChart(f"point {np.asarray(x)} outside chart of {name}")
 
 
-def _guard(m: MetricField, x):
-    if m.domain_guard is not None and not m.domain_guard(x):
-        raise _outside(x, m.name)
-
-
 def _metric_value(m: MetricField, x) -> np.ndarray:
-    _guard(m, x)
     return np.asarray(m.eval(x), dtype=float)
 
 
@@ -196,9 +167,8 @@ def _partials(f, x, step: float) -> np.ndarray:
 
 
 def _metric_jet(m: MetricField, x):
-    """(g, dg) with dg[k, i, j] = d_k g_ij from the metric's chart-checked
-    jet (see ``MetricField``)."""
-    return m._checked_jet(np.asarray(x, dtype=float))
+    """(g, dg) with dg[k, i, j] = d_k g_ij from the metric's jet."""
+    return m.jet(np.asarray(x, dtype=float))
 
 
 def _checked_inverse(g, x):
@@ -223,7 +193,7 @@ def eval_metric(m: MetricField, x):
 
 
 def metric_derivative(m: MetricField, x) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by the metric's derivative rule."""
+    """dg[k, i, j] = d_k g_ij from the metric's jet."""
     return _metric_jet(m, x)[1]
 
 
@@ -253,10 +223,10 @@ def _phase_core(m: MetricField, x, xi):
 
     Returns (g, dg, Z, dx, dxi); every caller that must stay bitwise
     consistent with trajectory integration goes through here.  It reads
-    the metric once, from its chart-checked jet, which raises OutsideChart
-    past the chart.
+    the metric once, from its jet, which raises OutsideChart past the
+    chart.
     """
-    g, dg = m._checked_jet(x)
+    g, dg = m.jet(x)
     Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
     dx = 2.0 * Z
     dxi = dg.dot(Z).dot(Z)
@@ -422,12 +392,20 @@ def _rk_step(f, y, k1, h, rows):
     return y_new, ks
 
 
+# 20x the longest RK4 grid of the tests, demos and benchmark (5,000 steps)
+_MAX_RK4_STEPS = 100_000
+
+
 def _steps_for(t_end: float, step: float):
-    n_full = int(math.floor(t_end / step + 1e-12))
+    # capped first, so no longer list is built (t_end / step may be inf)
+    n_full = int(math.floor(min(t_end / step + 1e-12, _MAX_RK4_STEPS + 1)))
     hs = [step] * n_full
     rem = t_end - n_full * step
     if rem > 1e-12 * max(1.0, t_end):
         hs.append(rem)
+    if len(hs) > _MAX_RK4_STEPS:
+        raise ConfigError(f"rk4_fixed t_end {t_end} at step {step} needs "
+                          f"more than {_MAX_RK4_STEPS} steps")
     return hs
 
 
@@ -483,6 +461,12 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{integrator} {knob} must be finite and positive, "
                           f"got {value}")
+    grid = _steps_for(t_end, step) if integrator == "rk4_fixed" else None
+    h_min = 1e-13 * max(1.0, t_end)
+    # a run without a step would pass every check on its seed alone; this
+    # and the RK4 grid's cap refuse a run before its first rate
+    if not (grid if integrator == "rk4_fixed" else t_end > h_min):
+        raise ConfigError(f"t_end {t_end} leaves no {integrator} step")
     d = m.dim
     stage, block, hs = [], [], []
 
@@ -512,7 +496,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     left = False
     try:
         if integrator == "rk4_fixed":
-            for h in _steps_for(t_end, step):
+            for h in grid:
                 y, ks = _rk_step(f, y, k, h, _RK4_A)
                 k = ks[-1]
                 t += h
@@ -520,7 +504,6 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
                 accept(h)
         else:
             h = min(t_end, max(tol ** 0.2, 1e-6))
-            h_min = 1e-13 * max(1.0, t_end)
             max_attempts = int(_ATTEMPTS_PER_T * max(1.0, t_end))
             attempts = 0
             while t_end - t > h_min:

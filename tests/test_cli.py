@@ -506,6 +506,99 @@ def test_bad_adaptive_tolerance_exits_2(tmp_path, cmd, tol):
     assert "Traceback" not in proc.stderr
 
 
+# A run with no step would pass every gate on its seed alone: RK4 at
+# h = 1e-3 has no step for t_end <= 1e-12, Dormand-Prince none for
+# t_end <= 1e-13.
+@pytest.mark.parametrize("cmd", ["trace", "compare"])
+@pytest.mark.parametrize("integrator,t_end", [
+    ({"kind": "rk4_fixed", "step": 1e-3}, 1e-13),
+    ({"kind": "rk45_adaptive", "tol": 1e-10}, 1e-14)])
+def test_run_without_a_step_exits_2(tmp_path, capsys, cmd, integrator,
+                                    t_end):
+    cfg = schw_compare_cfg(tmp_path, integrator=integrator, t_end=t_end)
+    rc, out, err = run(capsys, [cmd, "--config", cfg, "--no-meta"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ConfigError: t_end ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_rk4_grid_cap_boundary(tmp_path, capsys, monkeypatch):
+    """With the cap at 10, a 10-step grid runs and an 11-step one (10 full
+    steps and a rest) is refused."""
+    from diracsym import geometry
+
+    monkeypatch.setattr(geometry, "_MAX_RK4_STEPS", 10)
+    for t_end, want in ((0.1, 0), (0.105, 2)):
+        path = write_cfg(tmp_path, "cap.json", mink_cmp_cfg(t_end=t_end))
+        rc, out, err = run(capsys, ["trace", "--config", path, "--no-meta"])
+        assert rc == want, t_end
+        if want == 0:
+            assert json.loads(out.splitlines()[-1])["summary"]["samples"] == 11
+        else:
+            assert out == "" and "more than 10 steps" in err
+            assert len(err.strip().splitlines()) == 1
+
+
+# each of these grids has some 10^303 steps; the list of them overflowed
+@pytest.mark.parametrize("cmd", ["trace", "compare"])
+@pytest.mark.parametrize("over", [{"integrator": {"step": 1e-300}},
+                                  {"t_end": 1e300}])
+def test_rk4_grid_past_the_cap_exits_2(tmp_path, capsys, cmd, over):
+    cfg = schw_compare_cfg(tmp_path, **over)
+    rc, out, err = run(capsys, [cmd, "--config", cfg, "--no-meta"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ConfigError: rk4_fixed t_end ")
+    assert "more than 100000 steps" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cmd,fmt", [("compare", "json"), ("compare", "csv"),
+                                     ("trace", "json")])
+@pytest.mark.parametrize("path,out", [
+    (5, None), (["a"], None), ("", None), ("missing_dir/x.json", None),
+    (None, "missing_dir/x.json")],
+    ids=["int", "list", "empty", "path_in_missing_dir", "out_in_missing_dir"])
+def test_bad_output_path_exits_2(tmp_path, capsys, cmd, fmt, path, out):
+    """An outputs.path that is not a non-empty string is refused as the
+    scenario is read; a report that cannot be written (here: into a
+    directory that does not exist) names its path.  One stderr line each."""
+    argv, outputs = [cmd, "--no-meta"], {"format": fmt}
+    target = None
+    if out is not None:
+        target = str(tmp_path / out)
+        argv += ["--out", target]
+    elif path == "missing_dir/x.json":
+        target = outputs["path"] = str(tmp_path / path)
+    else:
+        outputs["path"] = path
+    cfg = write_cfg(tmp_path, "a.json", mink_cmp_cfg(outputs=outputs))
+    rc, stdout, err = run(capsys, argv + ["--config", cfg])
+    assert rc == 2 and stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    if target is None:
+        assert err.startswith("error: ConfigError: outputs.path must be a "
+                              "non-empty string")
+    else:
+        assert err.startswith(f"error: ConfigError: cannot write {target}: ")
+        assert not Path(target).exists()
+
+
+def test_batch_runs_on_past_a_bad_output_path(tmp_path, capsys):
+    """Directory mode exits 2 for a report it cannot write and for a
+    refused outputs.path, and still runs the scenarios after them."""
+    write_cfg(tmp_path, "a.json", mink_cmp_cfg(
+        outputs={"path": str(tmp_path / "missing_dir" / "a.json")}))
+    write_cfg(tmp_path, "b.json", mink_cmp_cfg(outputs={"path": 5}))
+    write_cfg(tmp_path, "c.json", mink_cmp_cfg())
+    rc, out, err = run(capsys, ["compare", "--config", str(tmp_path),
+                                "--no-meta"])
+    assert rc == 2 and out == ""
+    a, b = err.splitlines()
+    assert a.startswith("error: ConfigError: cannot write ")
+    assert b.startswith("error: ConfigError: outputs.path must be")
+    assert json.loads((tmp_path / "c.out.json").read_text())["pass"] is True
+
+
 _NON_FINITE = [
     ("chart_seed_point", [float("nan"), 0.0, 0.0, 0.0]),
     ("chart_seed_point", [0.0, 0.0, float("inf"), 0.0]),

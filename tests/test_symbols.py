@@ -93,19 +93,20 @@ def test_coeff_A_is_the_engine_frame_from_the_metric_value(metric):
         assert np.array_equal(A, eng(x, rng.normal(size=4)).A)
 
 
-def test_coeff_A_of_a_metric_without_jet_evaluates_it_once():
-    """No central differences of a metric without jet: coeff_A needs the
-    value only."""
+def test_coeff_A_reads_the_metric_value_once_and_no_jet():
+    """coeff_A needs the value only: one eval and no jet."""
+    import collections
     import dataclasses
 
     base = rotating_chart()
-    calls = []
-    m = dataclasses.replace(base, jet=None,
-                            eval=lambda x: calls.append(1) or base.eval(x))
+    calls = collections.Counter()
+    m = dataclasses.replace(
+        base, eval=lambda x: calls.update(["eval"]) or base.eval(x),
+        jet=lambda x: calls.update(["jet"]) or base.jet(x))
     sysd = dirac_system(ds.build_canonical_module(m))
     calls.clear()
     sysd.coeff_A([0.0, 0.4, -0.3, 0.2])
-    assert len(calls) == 1
+    assert calls == {"eval": 1}
 
 
 # --------------------------------------------------------------------------

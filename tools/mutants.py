@@ -159,6 +159,15 @@ MUTANTS = [
      "args = _parser().parse_args(argv)\n"
      "    _parser()._actions[-1].choices[args.command].set_defaults(\n"
      "        **vars(args))\n"),
+    ("rk4_empty_grid_accepted", "src/diracsym/geometry.py",
+     'if not (grid if integrator == "rk4_fixed" else t_end > h_min):',
+     'if not (True if integrator == "rk4_fixed" else t_end > h_min):'),
+    ("rk4_grid_cap_dropped", "src/diracsym/geometry.py",
+     "if len(hs) > _MAX_RK4_STEPS:",
+     "if False:"),
+    ("output_path_type_unchecked", "src/diracsym/cli.py",
+     'if "path" in out and not (isinstance(self.out_path, str)',
+     'if False and not (isinstance(self.out_path, str)'),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
