@@ -30,7 +30,6 @@ from .geometry import (
     PhasePoint,
     Trajectory,
     catalog_metric,
-    christoffel,
     conformal_flat,
     eval_metric,
     hamiltonian_field,
@@ -38,7 +37,6 @@ from .geometry import (
     integrate_bicharacteristic,
     metric_derivative,
     minkowski,
-    minkowski_linear_chart,
     null_project_covector,
     orthonormal_frame,
     random_chart_point,

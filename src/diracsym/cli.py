@@ -494,7 +494,9 @@ def _run_one(cmd, config_path, args) -> int:
         sc = _Scenario(cfg, seed_override=args.seed)
         if args.format:
             sc.out_format = args.format
-        if args.out:
+        if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must be a non-empty path")
             sc.out_path = args.out
         elif sc.out_path is None and args.batch_dir:
             ext = "jsonl" if cmd == "trace" and sc.out_format == "json" \
@@ -558,7 +560,7 @@ def main(argv=None) -> int:
         print(f"error: no *.json scenarios under {cfg_path}",
               file=sys.stderr)
         return 2
-    if args.out:
+    if args.out is not None:
         print("error: --out is incompatible with a config directory",
               file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Lorentzian chart geometry at the coordinate level.
 
-Everything works on a single chart: a metric field is a callable returning
-the matrix ``g_ij(x)`` in signature (-, +, ..., +) and its jet (g, dg) (a
-closed form for every catalog metric, for ``conformal_flat`` by forward-mode
-differentiation of its expression); both raise OutsideChart past the chart.
+Everything works on a single chart: a metric field is its jet, a callable
+returning the matrix ``g_ij(x)`` in signature (-, +, ..., +) and its partials
+dg (a closed form for every catalog metric, for ``conformal_flat`` by
+forward-mode differentiation of its expression), which raises OutsideChart
+past the chart.  Every read of the metric is one read of that jet.
 On top of that sit Christoffel symbols, the scalar Hamiltonian
 ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
 integration, and orthonormal frames from the factorization
@@ -38,14 +39,12 @@ __all__ = [
     "FrameSample",
     "Trajectory",
     "minkowski",
-    "minkowski_linear_chart",
     "schwarzschild",
     "schwarzschild_isotropic",
     "conformal_flat",
     "catalog_metric",
     "eval_metric",
     "metric_derivative",
-    "christoffel",
     "hamiltonian_q",
     "hamiltonian_field",
     "orthonormal_frame",
@@ -66,18 +65,16 @@ _NOT_TIME_FIRST = "chart order does not yield a time-first orthonormal frame"
 
 @dataclass
 class MetricField:
-    """A chart-level Lorentzian metric.
+    """A chart-level Lorentzian metric, given by its jet alone.
 
-    ``eval`` maps a coordinate point to the matrix ``g_ij``, and ``jet(x)
-    -> (g, dg)`` gives float arrays with eval's g and dg[k, i, j] =
-    d_k g_ij (the catalog supplies closed forms).  Past the chart both
-    raise OutsideChart themselves: a catalog metric tests its chart on the
-    values it computes.  The flow and the jet evaluators read one jet per
-    point.
+    ``jet(x) -> (g, dg)`` maps a coordinate point to float arrays with the
+    matrix g_ij and dg[k, i, j] = d_k g_ij (the catalog supplies closed
+    forms).  Past the chart it raises OutsideChart itself: a catalog
+    metric tests its chart on the values it computes.  Every read of the
+    metric, the flow's and the metric value's alike, is one jet.
     """
 
     dim: int
-    eval: Callable
     jet: Callable
     name: str = "custom"
     diagonal: bool = False
@@ -141,14 +138,10 @@ def _outside(x, name: str) -> OutsideChart:
     return OutsideChart(f"point {np.asarray(x)} outside chart of {name}")
 
 
-def _metric_value(m: MetricField, x) -> np.ndarray:
-    return np.asarray(m.eval(x), dtype=float)
-
-
 def _chart_value(m: MetricField, x) -> Optional[np.ndarray]:
     """g at x, or None past the chart (see ``MetricField``)."""
     try:
-        return _metric_value(m, x)
+        return _metric_jet(m, x)[0]
     except OutsideChart:
         return None
 
@@ -167,7 +160,8 @@ def _partials(f, x, step: float) -> np.ndarray:
 
 
 def _metric_jet(m: MetricField, x):
-    """(g, dg) with dg[k, i, j] = d_k g_ij from the metric's jet."""
+    """(g, dg) with dg[k, i, j] = d_k g_ij at x: every read of the metric
+    outside the flow goes through here."""
     return m.jet(np.asarray(x, dtype=float))
 
 
@@ -188,7 +182,7 @@ def _checked_inverse(g, x):
 
 def eval_metric(m: MetricField, x):
     """Return (g, g_inverse) at x, with degeneracy checks."""
-    g = _metric_value(m, x)
+    g = _metric_jet(m, x)[0]
     return g, _checked_inverse(g, x)
 
 
@@ -207,14 +201,9 @@ def _christoffel_from(g, dg) -> np.ndarray:
     return Gam.reshape(T.shape)
 
 
-def christoffel(m: MetricField, x) -> np.ndarray:
-    """Levi-Civita symbols, indexed Gamma[i, j, k] = Gamma^i_{jk}."""
-    return _christoffel_from(*_metric_jet(m, x))
-
-
 def hamiltonian_q(m: MetricField, x, xi) -> float:
     xi = np.asarray(xi, dtype=float)
-    g = _metric_value(m, x)
+    g = _metric_jet(m, x)[0]
     return float(xi @ np.linalg.solve(g, xi))
 
 
@@ -340,7 +329,7 @@ def _frame_connection(m: MetricField, g, dg):
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
     """Orthonormal frame at x; deterministic, e_0 future-directed."""
-    E, Einv = _frame_from(m, _metric_value(m, np.asarray(x, dtype=float)))
+    E, Einv = _frame_from(m, _metric_jet(m, x)[0])
     return FrameSample(E=E, E_inv=Einv)
 
 
@@ -392,20 +381,21 @@ def _rk_step(f, y, k1, h, rows):
     return y_new, ks
 
 
-# 20x the longest RK4 grid of the tests, demos and benchmark (5,000 steps)
-_MAX_RK4_STEPS = 100_000
+# Steps one run may take, RK4 grid steps or Dormand-Prince attempts: 20x
+# the longest RK4 grid of the tests, demos and benchmark (5,000 steps)
+_MAX_STEPS = 100_000
 
 
 def _steps_for(t_end: float, step: float):
     # capped first, so no longer list is built (t_end / step may be inf)
-    n_full = int(math.floor(min(t_end / step + 1e-12, _MAX_RK4_STEPS + 1)))
+    n_full = int(math.floor(min(t_end / step + 1e-12, _MAX_STEPS + 1)))
     hs = [step] * n_full
     rem = t_end - n_full * step
     if rem > 1e-12 * max(1.0, t_end):
         hs.append(rem)
-    if len(hs) > _MAX_RK4_STEPS:
+    if len(hs) > _MAX_STEPS:
         raise ConfigError(f"rk4_fixed t_end {t_end} at step {step} needs "
-                          f"more than {_MAX_RK4_STEPS} steps")
+                          f"more than {_MAX_STEPS} steps")
     return hs
 
 
@@ -428,9 +418,9 @@ def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
 # block holds 257 records, whose stage-engine scratch stays below 720 KiB.
 _BLOCK_STEPS = 64
 # Dormand-Prince attempts (accepted plus rejected steps) allowed per unit of
-# t, and for at least one unit, in one run.  The step floor alone does not
-# bound a run: an error estimate that never shrinks like h^5 holds the step
-# far above the floor for ever.
+# t, and for at least one unit, in one run, up to _MAX_STEPS in all.  The
+# step floor alone does not bound a run: an error estimate that never
+# shrinks like h^5 holds the step far above the floor for ever.
 _ATTEMPTS_PER_T = 50_000
 
 
@@ -504,7 +494,8 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
                 accept(h)
         else:
             h = min(t_end, max(tol ** 0.2, 1e-6))
-            max_attempts = int(_ATTEMPTS_PER_T * max(1.0, t_end))
+            max_attempts = min(int(_ATTEMPTS_PER_T * max(1.0, t_end)),
+                               _MAX_STEPS)
             attempts = 0
             while t_end - t > h_min:
                 h_try = min(h, t_end - t)
@@ -648,12 +639,8 @@ def _constant_metric(g: np.ndarray, name: str, diagonal: bool) -> MetricField:
     """The constant metric g, sampled from the box [-5, 5]^d; jet (g, 0)."""
     d = len(g)
     zeros = np.zeros((d, d, d))
-
-    def jet(x):
-        return g.copy(), zeros
-
     return MetricField(
-        dim=d, eval=lambda x: g.copy(), jet=jet, name=name,
+        dim=d, jet=lambda x: (g.copy(), zeros), name=name,
         diagonal=diagonal, sample_box=np.array([[-5.0, 5.0]] * d))
 
 
@@ -663,16 +650,6 @@ def minkowski(dim: int = 4) -> MetricField:
             f"minkowski has dimensions 2 and 4, not {dim}")
     return _constant_metric(np.diag([-1.0] + [1.0] * (dim - 1)),
                             f"minkowski{dim}", diagonal=True)
-
-
-def minkowski_linear_chart(L: np.ndarray, name: str = "minkowski_linear") -> MetricField:
-    """Flat metric written in coordinates y = L x (constant, generally
-    non-diagonal)."""
-    L = np.asarray(L, dtype=float)
-    dim = L.shape[0]
-    Linv = np.linalg.inv(L)
-    eta = np.diag([-1.0] + [1.0] * (dim - 1))
-    return _constant_metric(Linv.T @ eta @ Linv, name, diagonal=False)
 
 
 # Masses the Schwarzschild charts accept.  Their sample boxes span radii
@@ -738,10 +715,8 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
 
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
-    return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet, name=name, diagonal=True,
-        sample_box=box,
-    )
+    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
+                       sample_box=box)
 
 
 def _iso_radius(r: float, M: float) -> float:
@@ -776,10 +751,8 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
-    return MetricField(
-        dim=4, eval=lambda x: jet(x)[0], jet=jet, name=name, diagonal=True,
-        sample_box=box,
-    )
+    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
+                       sample_box=box)
 
 
 def _abs(a):
@@ -850,11 +823,12 @@ def _times(p, d):
 class _KernelBuilder:
     """Straight-line code for an arithmetic expression and its gradient.
 
-    ``node`` walks the expression; each node becomes one assignment of its
-    value and, in forward mode, one of its partial d_k for each coordinate
-    k its subtree depends on.  Code is built as ``ast`` nodes: coordinates
-    are read as ``_p[i]`` and constants and functions are bound by value
-    under private names, so no text of the expression reaches ``compile``.
+    ``node`` walks the expression; each node appends to ``body`` one
+    assignment of its value and, in forward mode, one of its partial d_k
+    for each coordinate k its subtree depends on.  Code is built as
+    ``ast`` nodes: coordinates are read as ``_p[i]`` and constants and
+    functions are bound by value under private names, so no text of the
+    expression reaches ``compile``.
     It computes in Python floats with numpy's float64 scalar semantics: a
     function is numpy's with a float result, and every / and ** becomes a
     call of ``_div`` or ``_pow`` (``_ScalarOps``), so no input raises and
@@ -867,12 +841,12 @@ class _KernelBuilder:
                     "_point": _coords, "_div": _div, "_pow": _pow}
         self.env.update((f"_{k}", lambda a, f=f: float(f(a)))
                         for k, (f, _) in _EXPR_FUNCS.items())
-        self.values, self.partials = [], []
+        self.body = []
 
-    def assign(self, body, expr) -> str:
-        name = f"_v{len(self.values) + len(self.partials)}"
-        body.append(ast.Assign([ast.Name(name, ast.Store(), **_AT)], expr,
-                               **_AT))
+    def assign(self, expr) -> str:
+        name = f"_v{len(self.body)}"
+        self.body.append(ast.Assign([ast.Name(name, ast.Store(), **_AT)],
+                                    expr, **_AT))
         return name
 
     def constant(self, value) -> str:
@@ -896,7 +870,7 @@ class _KernelBuilder:
                 n.id = terms.get(n.id, f"_{n.id}")
         if isinstance(expr, ast.Name):
             return expr.id
-        return self.assign(self.partials, expr)
+        return self.assign(expr)
 
     def chain(self, partials, derivs) -> dict:
         """{k: sum of p_j d_jk over the operands j that depend on k}."""
@@ -906,13 +880,13 @@ class _KernelBuilder:
                 t = _times(p, dk)
                 out[k] = t if k not in out else \
                     ast.BinOp(_ast(out[k]), ast.Add(), _ast(t), **_AT)
-        return {k: self.assign(self.partials, t)
-                if isinstance(t, ast.AST) else t for k, t in out.items()}
+        return {k: self.assign(t) if isinstance(t, ast.AST) else t
+                for k, t in out.items()}
 
     def apply(self, expr, rules, operands):
         """(value, partials) of a node computing ``expr`` from
         ``operands``, pairs (value term, partials), by ``rules``."""
-        v = self.assign(self.values, expr)
+        v = self.assign(expr)
         terms = dict(zip("ab", (a for a, _ in operands)), v=v)
         return v, self.chain(
             [self.partial(r, **terms) if d else None
@@ -925,7 +899,7 @@ class _KernelBuilder:
             return self.constant(node.value), {}
         if isinstance(node, ast.Name) and node.id in self.names:
             i = self.names[node.id]
-            return self.assign(self.values, ast.Subscript(
+            return self.assign(ast.Subscript(
                 _ast("_p"), ast.Constant(i, **_AT), ast.Load(), **_AT)), \
                 {i: 1.0}
         if isinstance(node, ast.Name) and node.id == "pi":
@@ -966,29 +940,17 @@ class _ScalarOps(ast.NodeTransformer):
         return ast.Call(_ast(helper), [node.left, node.right], [], **_AT)
 
 
-def _function(name: str, body: list, result) -> ast.FunctionDef:
-    """def name(_p): _p = the coordinates of _p; body; return result."""
-    read = ast.Assign([ast.Name("_p", ast.Store(), **_AT)],
-                      ast.Call(_ast("_point"), [_ast("_p")], [], **_AT), **_AT)
-    args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
-    return ast.FunctionDef(name, args, [read, *body,
-                                        ast.Return(result, **_AT)],
-                           decorator_list=[], **_AT)
-
-
 @functools.lru_cache(maxsize=256)
 def _omega_kernels(expr: str, dim: int):
-    """(value, jet) compiled from the expression ``expr`` in x0..x{dim-1}
-    (aliases t, x, y, z when dim == 4): value(p) = Omega(p) and jet(p) =
-    (Omega(p), array [d_k Omega(p)]), each reading p as float64 values.
+    """The jet compiled from the expression ``expr`` in x0..x{dim-1}
+    (aliases t, x, y, z when dim == 4): jet(p) = (Omega(p), array
+    [d_k Omega(p)]), reading p as float64 values.
 
     Accepted: numeric constants (floats, so ``9**9**9`` overflows instead
     of growing an integer), the coordinates, ``pi``, ``+ - * / **``, unary
     ``+ -`` and one-argument calls of ``_EXPR_FUNCS``; any other node
-    raises ConfigError.  Both functions run the same value statements, so
-    jet's Omega is value's bit for bit; they are compiled together once
-    per (expr, dim), with no builtins.
+    raises ConfigError.  It is compiled once per (expr, dim), with no
+    builtins.
     """
     names = {f"x{i}": i for i in range(dim)}
     if dim == 4:
@@ -1002,14 +964,18 @@ def _omega_kernels(expr: str, dim: int):
     grad = ast.Call(_ast("_array"), [ast.List(
         [_ast(dw.get(k, 0.0)) for k in range(dim)], ast.Load(), **_AT)], [],
         **_AT)
-    module = ast.Module([
-        _function("_value", b.values, _ast(w)),
-        _function("_jet", b.values + b.partials,
-                  ast.Tuple([_ast(w), grad], ast.Load(), **_AT))],
-        type_ignores=[])
+    # def _jet(_p): _p = _point(_p); body; return (Omega, gradient)
+    read = ast.Assign([ast.Name("_p", ast.Store(), **_AT)],
+                      ast.Call(_ast("_point"), [_ast("_p")], [], **_AT), **_AT)
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    result = ast.Return(ast.Tuple([_ast(w), grad], ast.Load(), **_AT), **_AT)
+    module = ast.Module([ast.FunctionDef("_jet", args, [read, *b.body, result],
+                                         decorator_list=[], **_AT)],
+                        type_ignores=[])
     _ScalarOps().visit(module)
     exec(compile(module, "<conformal factor>", "exec"), b.env)
-    return b.env.pop("_value"), b.env.pop("_jet")
+    return b.env.pop("_jet")
 
 
 def _omega_ok(w) -> bool:
@@ -1027,19 +993,13 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
 
     ``jet`` is closed form: d_k Omega by forward-mode differentiation of
     the expression, which ``_omega_kernels`` compiles once per (omega, dim)
-    along with Omega itself, and dg = 2 Omega dOmega eta.  ``eval`` and
-    ``jet`` test the chart on their own Omega.
+    along with Omega itself, and dg = 2 Omega dOmega eta.  It tests the
+    chart on its own Omega.
     """
     expr = str(omega)
-    value, omega_jet = _omega_kernels(expr, dim)
+    omega_jet = _omega_kernels(expr, dim)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
     name = "conformal_flat{" + expr + "}"
-
-    def metric(x):
-        w = value(x)
-        if not _omega_ok(w):
-            raise _outside(x, name)
-        return w * w * eta
 
     def jet(x):
         w, dw = omega_jet(x)
@@ -1047,10 +1007,8 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
             raise _outside(x, name)
         return w * w * eta, np.multiply.outer(2.0 * w * dw, eta)
 
-    return MetricField(
-        dim=dim, eval=metric, jet=jet, name=name, diagonal=True,
-        sample_box=np.array([[-2.0, 2.0]] * dim),
-    )
+    return MetricField(dim=dim, jet=jet, name=name, diagonal=True,
+                       sample_box=np.array([[-2.0, 2.0]] * dim))
 
 
 _CATALOG_PATTERNS = (

@@ -29,7 +29,7 @@ from .geometry import (
     _checked_inverse,
     _frame_connection,
     _frame_from,
-    _metric_value,
+    _metric_jet,
     _null_projection,
     _partials,
     _phase_core,
@@ -214,7 +214,7 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
     eng = _StageEngine(rep)
 
     def coeff_A(x):
-        E, _ = _frame_from(m, _metric_value(m, np.asarray(x, dtype=float)))
+        E, _ = _frame_from(m, _metric_jet(m, x)[0])
         return list(1j * eng.contract(E, "gamma"))
 
     def coeff_B(x):
@@ -519,7 +519,7 @@ def _neighbours(m: MetricField, x, xi, unit):
             if g is not None:
                 break
         else:
-            x2, g = x, _metric_value(m, x)
+            x2, g = x, _metric_jet(m, x)[0]
         xs[k], gs[k] = x2, g
         xis[k, 1:] += scale_xi * unit[pos:pos + d - 1]
         pos += d - 1

@@ -52,7 +52,7 @@ from .geometry import (
     _combine,
     _flow,
     _frame_from,
-    _metric_value,
+    _metric_jet,
 )
 from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
     _dirac_backed, dirac_system
@@ -220,7 +220,7 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
                           f"expected ({eng.N},)")
     nw = _initial_norm(w0)
     if sign is not None:
-        E = _frame_from(eng.m, _metric_value(eng.m, p0.x))[0]
+        E = _frame_from(eng.m, _metric_jet(eng.m, p0.x)[0])[0]
         _initial_kernel_check(eng.sigma1(p0.xi, E), w0, nw, kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
@@ -376,7 +376,7 @@ def _push_forward(cm: ChartMap, rep: CliffordModuleRep, xs, xis, ws):
     transpose of its jacobian J, polarizations by the spinor of the frame
     change L = E_B^-1 J E_A.  J must be regular and L Lorentz."""
     def frames(m, pts):
-        return _frame_from(m, np.array([_metric_value(m, p) for p in pts]))
+        return _frame_from(m, np.array([_metric_jet(m, p)[0] for p in pts]))
 
     J = np.asarray(cm.jacobian(xs), dtype=float)
     bad = np.abs(np.linalg.det(J)) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 import diracsym as ds
 from diracsym.errors import OutsideChart
-from diracsym.geometry import _frame_from, _metric_jet
+from diracsym.geometry import _constant_metric, _frame_from, _metric_jet
 from diracsym.symbols import _StageEngine, dirac_system, kernel_basis
 from diracsym.transport import PolarizationState
 
@@ -117,9 +117,9 @@ def rotating_chart(omega=0.3):
     """Flat space in coordinates rotating about z at rate omega: curved
     and non-diagonal components, g_00 = -1 + omega^2 (X^2 + Y^2),
     g_0X = -omega Y, g_0Y = omega X.  The chart ends where g_00 nears 0:
-    eval, and with it the jet, raises OutsideChart unless
-    omega^2 (X^2 + Y^2) < 0.9 (a NaN fails)."""
-    def ev(x):
+    the jet raises OutsideChart unless omega^2 (X^2 + Y^2) < 0.9 (a NaN
+    fails)."""
+    def jet(x):
         X, Y = x[1], x[2]
         if not omega**2 * (X**2 + Y**2) < 0.9:
             raise OutsideChart(f"point {np.asarray(x)} outside chart of "
@@ -127,20 +127,25 @@ def rotating_chart(omega=0.3):
         g = np.diag([-1.0 + omega**2 * (X * X + Y * Y), 1.0, 1.0, 1.0])
         g[0, 1] = g[1, 0] = -omega * Y
         g[0, 2] = g[2, 0] = omega * X
-        return g
-
-    def dev(x):
         dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = 2.0 * omega**2 * x[1]
-        dg[2, 0, 0] = 2.0 * omega**2 * x[2]
+        dg[1, 0, 0] = 2.0 * omega**2 * X
+        dg[2, 0, 0] = 2.0 * omega**2 * Y
         dg[1, 0, 2] = dg[1, 2, 0] = omega
         dg[2, 0, 1] = dg[2, 1, 0] = -omega
-        return dg
+        return g, dg
 
     return ds.MetricField(
-        dim=4, eval=ev, jet=lambda x: (ev(x), dev(x)),
-        name="rotating_minkowski",
+        dim=4, jet=jet, name="rotating_minkowski",
         sample_box=np.array([[-1.0, 1.0]] * 4))
+
+
+def linear_chart(L):
+    """Flat space in coordinates y = L x: a constant metric, non-diagonal
+    for a generic L."""
+    Linv = np.linalg.inv(L)
+    eta = np.diag([-1.0] + [1.0] * (len(L) - 1))
+    return _constant_metric(Linv.T @ eta @ Linv, "minkowski_linear",
+                            diagonal=False)
 
 
 def look_alike_dirac(sysd):

@@ -527,7 +527,7 @@ def test_rk4_grid_cap_boundary(tmp_path, capsys, monkeypatch):
     steps and a rest) is refused."""
     from diracsym import geometry
 
-    monkeypatch.setattr(geometry, "_MAX_RK4_STEPS", 10)
+    monkeypatch.setattr(geometry, "_MAX_STEPS", 10)
     for t_end, want in ((0.1, 0), (0.105, 2)):
         path = write_cfg(tmp_path, "cap.json", mink_cmp_cfg(t_end=t_end))
         rc, out, err = run(capsys, ["trace", "--config", path, "--no-meta"])
@@ -537,6 +537,25 @@ def test_rk4_grid_cap_boundary(tmp_path, capsys, monkeypatch):
         else:
             assert out == "" and "more than 10 steps" in err
             assert len(err.strip().splitlines()) == 1
+
+
+def test_dopri_attempt_cap_exits_1(tmp_path, capsys, monkeypatch):
+    """Dormand-Prince attempts share the RK4 grid's cap: with it at 10, a
+    conformal ray that takes 336 steps to t = 8 fails after 10 attempts
+    with one stderr line and no report."""
+    from diracsym import geometry
+
+    monkeypatch.setattr(geometry, "_MAX_STEPS", 10)
+    cfg = write_cfg(tmp_path, "cap.json", {
+        "metric": "conformal_flat{1 + 0.05*sin(3*t) + 0.05*cos(2*x)*cos(2*y)}",
+        "chart_seed_point": [0.1, 0.2, -0.3, 0.4],
+        "integrator": {"kind": "rk45_adaptive", "tol": 1e-12},
+        "t_end": 8.0,
+    })
+    rc, out, err = run(capsys, ["compare", "--config", cfg, "--no-meta"])
+    assert rc == 1 and out == ""
+    assert err.startswith("failure: StepUnderflow: 10 step attempts ")
+    assert len(err.strip().splitlines()) == 1
 
 
 # each of these grids has some 10^303 steps; the list of them overflowed
@@ -556,15 +575,19 @@ def test_rk4_grid_past_the_cap_exits_2(tmp_path, capsys, cmd, over):
                                      ("trace", "json")])
 @pytest.mark.parametrize("path,out", [
     (5, None), (["a"], None), ("", None), ("missing_dir/x.json", None),
-    (None, "missing_dir/x.json")],
-    ids=["int", "list", "empty", "path_in_missing_dir", "out_in_missing_dir"])
+    (None, "missing_dir/x.json"), (None, "")],
+    ids=["int", "list", "empty", "path_in_missing_dir", "out_in_missing_dir",
+         "empty_out"])
 def test_bad_output_path_exits_2(tmp_path, capsys, cmd, fmt, path, out):
-    """An outputs.path that is not a non-empty string is refused as the
-    scenario is read; a report that cannot be written (here: into a
-    directory that does not exist) names its path.  One stderr line each."""
+    """An outputs.path that is not a non-empty string, or an empty --out,
+    is refused as the scenario is read (an empty --out is not stdout); a
+    report that cannot be written (here: into a directory that does not
+    exist) names its path.  One stderr line each."""
     argv, outputs = [cmd, "--no-meta"], {"format": fmt}
     target = None
-    if out is not None:
+    if out == "":
+        argv += ["--out", ""]
+    elif out is not None:
         target = str(tmp_path / out)
         argv += ["--out", target]
     elif path == "missing_dir/x.json":
@@ -575,7 +598,9 @@ def test_bad_output_path_exits_2(tmp_path, capsys, cmd, fmt, path, out):
     rc, stdout, err = run(capsys, argv + ["--config", cfg])
     assert rc == 2 and stdout == ""
     assert len(err.strip().splitlines()) == 1
-    if target is None:
+    if out == "":
+        assert err == "error: ConfigError: --out must be a non-empty path\n"
+    elif target is None:
         assert err.startswith("error: ConfigError: outputs.path must be a "
                               "non-empty string")
     else:

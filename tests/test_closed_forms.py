@@ -46,7 +46,7 @@ def _closed_form_errors(name, x0, xi0, t_end, step, flip=False):
     rpt = compare_transports(rep, sysd, PolarizationState(p, w0), t_end,
                              step=step, flip_subprincipal=flip)
     assert rpt.trajectory.n > 1 and not rpt.left_chart
-    omega = np.sqrt([m.eval(x)[1, 1] for x in rpt.trajectory.xs])
+    omega = np.sqrt([m.jet(x)[0][1, 1] for x in rpt.trajectory.xs])
     want = (omega / omega[0])[:, None] ** -0.5 * w0
     errs = [float(np.max(np.linalg.norm(np.asarray(o.sections) - want,
                                         axis=1))) / np.linalg.norm(w0)

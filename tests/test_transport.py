@@ -28,8 +28,8 @@ from diracsym.transport import (
     transport_spin,
 )
 
-from conftest import (SCHW_X0, connection_at, look_alike_dirac, null_state,
-                      rotating_chart)
+from conftest import (SCHW_X0, connection_at, linear_chart, look_alike_dirac,
+                      null_state, rotating_chart)
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,7 +91,7 @@ def _linear_chart():
     L = np.eye(4)
     L[0, 1] = 0.3
     L[2, 3] = -0.2
-    return ds.minkowski_linear_chart(L)
+    return linear_chart(L)
 
 
 STAGE_FIXTURES = {

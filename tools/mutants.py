@@ -81,9 +81,6 @@ MUTANTS = [
     ("conformal_jet_skips_chart_check", "src/diracsym/geometry.py",
      "w, dw = omega_jet(x)\n        if not _omega_ok(w):",
      "w, dw = omega_jet(x)\n        if not _omega_ok(1.0):"),
-    ("conformal_eval_skips_chart_check", "src/diracsym/geometry.py",
-     "w = value(x)\n        if not _omega_ok(w):",
-     "w = value(x)\n        if not _omega_ok(1.0):"),
     ("neighbour_keeps_draw_past_chart", "src/diracsym/symbols.py",
      "g = _chart_value(m, x2)\n            if g is not None:",
      "g = _chart_value(m, x2)\n            if True:"),
@@ -163,11 +160,18 @@ MUTANTS = [
      'if not (grid if integrator == "rk4_fixed" else t_end > h_min):',
      'if not (True if integrator == "rk4_fixed" else t_end > h_min):'),
     ("rk4_grid_cap_dropped", "src/diracsym/geometry.py",
-     "if len(hs) > _MAX_RK4_STEPS:",
+     "if len(hs) > _MAX_STEPS:",
      "if False:"),
     ("output_path_type_unchecked", "src/diracsym/cli.py",
      'if "path" in out and not (isinstance(self.out_path, str)',
      'if False and not (isinstance(self.out_path, str)'),
+    ("dopri_budget_ignores_max_steps", "src/diracsym/geometry.py",
+     "max_attempts = min(int(_ATTEMPTS_PER_T * max(1.0, t_end)),\n"
+     "                               _MAX_STEPS)",
+     "max_attempts = int(_ATTEMPTS_PER_T * max(1.0, t_end))"),
+    ("empty_out_accepted", "src/diracsym/cli.py",
+     "if not args.out:\n                raise ConfigError(",
+     "if False:\n                raise ConfigError("),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
