@@ -77,8 +77,6 @@ from .transport import (
     TransportReport,
     compare_transports,
     covariance_check,
-    denker_generator,
-    identity_map,
     minkowski_boost_map,
     schwarzschild_isotropic_map,
     transport_denker,

@@ -469,8 +469,11 @@ def cmd_symbols(sc: _Scenario, args) -> int:
     payload = dict(pkg.to_dict())
     payload["command"] = "symbols"
     payload["fixture"] = sc.metric.name
+    finite = all(np.all(np.isfinite(M)) for M in (
+        pkg.q, pkg.sigma_m, pkg.sigma_tilde, pkg.p_sub, pkg.bracket,
+        pkg.d_sigma_m["dx"], pkg.d_sigma_m["dxi"]))
     payload["pass"] = bool(
-        pkg.factorization_residual < sc.tols["factorization"])
+        finite and pkg.factorization_residual < sc.tols["factorization"])
     _emit(payload, sc, args.no_meta)
     return 0 if payload["pass"] else 1
 
@@ -483,6 +486,9 @@ _COMMANDS = {"certify": cmd_certify, "trace": cmd_trace,
 # driver
 
 
+# one stderr line per scenario: numpy's floating-point warnings (say from a
+# jet that is not finite) stay off it
+@np.errstate(all="ignore")
 def _run_one(cmd, config_path, args) -> int:
     try:
         cfg = json.loads(Path(config_path).read_text())

@@ -4,8 +4,11 @@ The canonical build fixes one gamma-matrix set per supported dimension,
 represents Clifford multiplication through the orthonormal frame of the
 metric, and carries an indefinite sesquilinear product ``<phi, psi> =
 psi* G phi`` together with the spin connection in the global frame
-trivialization.  ``certify_axioms`` measures every module axiom numerically
-and reports per-axiom residuals.
+trivialization.  Gamma(Z), the spin connection and the transports' stage
+data (``CliffordModuleRep.stage``) are contractions against four Clifford
+tensors of the gamma set, so ``certify_axioms``, which measures every
+module axiom numerically and reports per-axiom residuals, certifies the
+tensors the transports run.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .geometry import (
     _christoffel_from,
     _frame_connection,
     _metric_jet,
+    _phase_core,
     eval_metric,
     orthonormal_frame,
     random_chart_point,
@@ -80,33 +84,118 @@ def _shipped_gammas(dim: int):
 
 @functools.lru_cache(maxsize=16)
 def _clifford_tables(shape, data):
-    """(eta, gamma^a, gamma^a gamma^b, stage tensors) for the gamma set
-    whose stacked (d, N, N) complex entries are the bytes ``data``, derived
-    on the first request for that exact gamma set and shared read-only
-    afterwards.
+    """(eta, Clifford tensors) for the gamma set whose stacked (d, N, N)
+    complex entries are the bytes ``data``, derived on the first request
+    for that exact gamma set and shared read-only afterwards.
 
-    The stage tensors are the Clifford tensors the stage engine contracts
-    real coefficient arrays against: rows of N*N complex entries stored as
-    interleaved (re, im) floats, so a contraction is one real matmul whose
-    result is read back with .view(complex).
+    A tensor holds one Clifford product per row, N*N complex entries as
+    interleaved (re, im) floats, for ``CliffordModuleRep.contract``'s one
+    real matmul: "gamma" gamma^a, "commutator" [gamma^a, gamma^b], "spin"
+    -1/4 gamma^a gamma^b and "psub" gamma^c (-1/4 gamma^a gamma^b), then
+    -1/2 gamma^b (``StageData._psub_coeffs``'s row order).
     """
     d, N = shape[0], shape[-1]
     eta = np.diag([-1.0] + [1.0] * (d - 1))
     up = np.diagonal(eta)[:, None, None] * np.frombuffer(
         data, dtype=complex).reshape(shape)
     P = up[:, None] @ up                              # gamma^a gamma^b
-    spin = -0.25 * P                                  # -1/4 gamma^a gamma^b
-    commutator = P - P.transpose(1, 0, 2, 3)          # [gamma^a, gamma^b]
-    # p_sub rows: gamma^c (-1/4 gamma^a gamma^b), then -1/2 gamma^b
+    spin = -0.25 * P
     psub = np.concatenate((
         np.einsum("cij,abjk->cabik", up, spin).reshape(-1, N, N),
         -0.5 * up))
-    stage = {k: np.ascontiguousarray(T.reshape(-1, N * N)).view(float)
-             for k, T in (("gamma", up), ("commutator", commutator),
-                          ("spin", spin), ("psub", psub))}
-    for a in (eta, up, P, *stage.values()):
+    tensors = {k: np.ascontiguousarray(T.reshape(-1, N * N)).view(float)
+               for k, T in (("gamma", up),
+                            ("commutator", P - P.transpose(1, 0, 2, 3)),
+                            ("spin", spin), ("psub", psub))}
+    for a in (eta, *tensors.values()):
         a.flags.writeable = False
-    return eta, up, P, MappingProxyType(stage)
+    return eta, MappingProxyType(tensors)
+
+
+def _rows(a) -> np.ndarray:
+    """``a`` with its last two axes flattened into one."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+class StageData:
+    """The transports' data at one phase point (x, xi), or at a stack of
+    points along leading axes of every field: the frame E, E^-1, E^-1 Z,
+    and what ``CliffordModuleRep.stage_at`` reads off the frame components
+    F of dg: the bracket coefficients P, the divergence term dv, kappa and
+    the lowered frame connection omega[c, a, b] = omega_c^{ab}.  Every
+    matrix is formed only when read, by one contraction against the
+    module's Clifford tensors (the generator by three and a stacked
+    product).  Read off: sigma1, A, ds1x, bracket, B, p_sub, kappa,
+    omega_dot and generator.
+    """
+
+    __slots__ = ("rep", "xi", "E", "Einv", "Zf", "P", "dv", "kappa",
+                 "omega")
+
+    def __init__(self, rep, xi, E, Einv, Zf, P, dv, kappa, omega):
+        self.rep, self.xi, self.E, self.Einv, self.Zf = rep, xi, E, Einv, Zf
+        self.P, self.dv, self.kappa, self.omega = P, dv, kappa, omega
+
+    @property
+    def sigma1(self) -> np.ndarray:
+        """i Gamma(xi^sharp)."""
+        return self.rep.sigma1(self.xi, self.E)
+
+    @property
+    def A(self) -> np.ndarray:
+        """A^m = d sigma_1 / d xi_m."""
+        return 1j * self.rep.contract(self.E, "gamma")
+
+    @property
+    def ds1x(self) -> np.ndarray:
+        """d sigma_1 / d x^k = i gamma^b sum_c (E^-1)^c_k P[c, b]."""
+        return 1j * self.rep.contract(self.Einv.swapaxes(-1, -2) @ self.P,
+                                      "gamma")
+
+    def _psub_coeffs(self) -> np.ndarray:
+        # B = -i A^m omega_m = omega_cab gamma^c (-1/4 gamma^a gamma^b); the
+        # divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
+        return np.concatenate((_rows(_rows(self.omega)), self.dv), axis=-1)
+
+    @property
+    def bracket(self) -> np.ndarray:
+        """sum_k [A^k, d_k sigma_1] = -P_ab [gamma^a, gamma^b], the matrix
+        Poisson bracket."""
+        return -self.rep.contract(_rows(self.P), "commutator")
+
+    @property
+    def B(self) -> np.ndarray:
+        """Zeroth-order coefficient -i A^m omega_m of the Dirac system:
+        p_sub without its divergence term."""
+        u = self._psub_coeffs()
+        u[..., -self.xi.shape[-1]:] = 0.0
+        return self.rep.contract(u, "psub")
+
+    @property
+    def p_sub(self) -> np.ndarray:
+        """Subprincipal symbol B - (1/2i) d_k A^k of the Dirac system."""
+        return self.rep.contract(self._psub_coeffs(), "psub")
+
+    @property
+    def omega_dot(self) -> np.ndarray:
+        """omega(x; xdot) = xdot^m omega_m, with E^-1 xdot = 2 E^-1 Z."""
+        w = 2.0 * self.Zf[..., None, :] @ _rows(self.omega)
+        return self.rep.contract(w[..., 0, :], "spin")
+
+    def generator(self, sign: float = 1.0) -> np.ndarray:
+        """(1/2) bracket + sign * i sigma_tilde p_sub - kappa Id.
+
+        sigma_tilde equals sigma_1 = i Gamma(c) (c = E^T xi) for the
+        canonical modules, so the subprincipal term is -Gamma(sign c) p_sub:
+        the bracket, p_sub and Gamma(sign c) are one contraction each, and
+        one stacked product joins the last two.
+        """
+        c = sign * (self.xi[..., None, :] @ self.E)[..., 0, :]
+        out = 0.5 * self.bracket
+        out -= self.rep.contract(c, "gamma") @ self.p_sub
+        i = np.arange(self.rep.N)
+        out[..., i, i] -= self.kappa[..., None]
+        return out
 
 
 @dataclass
@@ -118,7 +207,9 @@ class CliffordModuleRep:
     the coframe before acting.  N (the gammas' size) and eta = diag(-1, 1,
     ..., 1) are derived from the gammas.  ``q_eval(x, N)`` gives the
     Q-section along leading axes of stacked directions N (d,) or (n, d);
-    a module without one has Q(N) = Gamma(N).
+    a module without one has Q(N) = Gamma(N).  ``stage`` and ``stage_at``
+    give everything the transports need at a phase point or a stack of
+    them, by contractions against its Clifford tensors (``contract``).
     """
 
     gammas: list
@@ -127,14 +218,10 @@ class CliffordModuleRep:
     q_eval: Optional[Callable] = None
     name: str = "clifford_module"
     N: int = field(default=None, init=False)
-    # eta, the upper-index gammas, their pair products and the stage
-    # engine's tensors: shared read-only tables of the gamma set
-    # (_clifford_tables)
+    # eta and the Clifford tensors: shared read-only tables of the gamma
+    # set (_clifford_tables)
     eta: np.ndarray = field(default=None, repr=False, init=False)
-    gammas_up: list = field(default=None, repr=False, init=False)
-    _pair_products: np.ndarray = field(default=None, repr=False, init=False)
-    _stage_tensors: MappingProxyType = field(default=None, repr=False,
-                                             init=False)
+    tensors: MappingProxyType = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         self.gammas = [np.asarray(g, dtype=complex) for g in self.gammas]
@@ -153,18 +240,23 @@ class CliffordModuleRep:
                               f"gammas")
         gam = np.stack(self.gammas)
         self.N = N
-        self.eta, up, self._pair_products, self._stage_tensors = \
-            _clifford_tables(gam.shape, gam.tobytes())
-        self.gammas_up = list(up)
+        self.eta, self.tensors = _clifford_tables(gam.shape, gam.tobytes())
 
     @property
     def dim(self) -> int:
         return len(self.gammas)
 
+    def contract(self, coeffs, tensor: str) -> np.ndarray:
+        """Real coeffs[..., k] times row k of a Clifford tensor, as N x N
+        matrices."""
+        out = (coeffs @ self.tensors[tensor]).view(complex)
+        return out.reshape(out.shape[:-1] + (self.N, self.N))
+
     def gamma_of_frame(self, comps) -> np.ndarray:
-        """Gamma(Z) from frame components Z^a, along leading axes of
-        ``comps``."""
-        return np.tensordot(comps, self.gammas, axes=(-1, 0))
+        """Gamma(Z) = Z_a gamma^a from frame components Z^a, along leading
+        axes of ``comps``."""
+        return self.contract(np.asarray(comps, dtype=float)
+                             * np.diagonal(self.eta), "gamma")
 
     def gamma_of(self, x, Z) -> np.ndarray:
         """Gamma(Z) for coordinate vectors Z at x, along leading axes of
@@ -176,17 +268,43 @@ class CliffordModuleRep:
         """Q(N) from ``q_eval``, or Gamma(N) when the module has none."""
         return (self.q_eval or self.gamma_of)(x, N)
 
+    def sigma1(self, xi, E) -> np.ndarray:
+        """i Gamma(E^T xi); batched over leading axes of xi and E."""
+        c = np.einsum("...m,...ma->...a", xi, E)
+        return 1j * self.contract(c, "gamma")
+
+    def stage(self, x, xi) -> StageData:
+        """StageData at the phase point (x, xi)."""
+        g, dg, Z = _phase_core(self.metric, x, xi)[:3]
+        return self.stage_at(xi, g, dg, Z)
+
+    def stage_at(self, xi, g, dg, Z) -> StageData:
+        """StageData from the flow's values (xi, g, dg, Z), which may carry
+        leading stack axes; xdot = 2 Z.
+
+        The frame E, the frame components F of dg, X_c = eta (d_c R) E and
+        the connection omega come from ``_frame_connection``; with E^-1 d_c E
+        = -eta X_c, P[a, b] = (xi . d_a E)_b = -(E^T xi . eta X_a)_b, dv_b =
+        d_k E^k_b = -sum_e eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) =
+        (1/2) E^-1 Z . tr_eta F.
+        """
+        E, Einv, F, X, omega = _frame_connection(self.metric, g, dg)
+        eta, i = np.diagonal(self.eta), np.arange(self.dim)
+        c = (xi[..., None, :] @ E)[..., 0, :]
+        P = -((c * eta)[..., None, None, :] @ X)[..., 0, :]
+        Zf = (Einv @ Z[..., None])[..., 0]
+        kappa = 0.5 * np.sum(Zf * (F[..., i, i] @ eta), axis=-1)
+        return StageData(self, xi, E, Einv, Zf, P, -(eta @ X[..., i, i, :]),
+                         kappa, omega)
+
 
 def _spin_connection(rep: CliffordModuleRep, Einv, omega) -> np.ndarray:
     """Matrices omega_mu of the spinor connection, one per coordinate
     direction, in the frame trivialization: the frame connection
     omega[c, a, b] of ``_frame_connection`` turned to coordinate directions
-    by E^-T and contracted against -1/4 gamma^a gamma^b, along leading stack
-    axes of ``Einv`` and ``omega``."""
-    d, N = rep.dim, rep.N
-    w = Einv.swapaxes(-1, -2) @ omega.reshape(omega.shape[:-2] + (d * d,))
-    om = -0.25 * (w @ rep._pair_products.reshape(d * d, N * N))
-    return om.reshape(w.shape[:-1] + (N, N))
+    by E^-T and contracted against the module's spin tensor -1/4 gamma^a
+    gamma^b, along leading stack axes of ``Einv`` and ``omega``."""
+    return rep.contract(Einv.swapaxes(-1, -2) @ _rows(omega), "spin")
 
 
 def spin_connection_matrix(rep: CliffordModuleRep, x, v) -> np.ndarray:
@@ -409,7 +527,7 @@ def certify_axioms(rep: CliffordModuleRep, sample: SampleSpec,
     m = rep.metric
     n_pts, n_vec = sample.points, sample.vectors
     rng = np.random.default_rng(sample.seed)
-    gam = np.stack(rep.gammas)
+    gam = rep.gamma_of_frame(np.eye(rep.dim))
     G = rep.gram
     # frame-index Clifford relation, point independent
     r = {"C1": _maxabs(gam[:, None] @ gam + gam @ gam[:, None]

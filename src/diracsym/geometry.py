@@ -569,12 +569,23 @@ def integrate_bicharacteristic(
 # sampling helpers
 
 
+_CHART_TRIES = 16   # draws of a random point inside the chart
+
+
 def random_chart_point(m: MetricField, rng: np.random.Generator) -> np.ndarray:
+    """A uniform draw from the metric's sample box that lies in its chart:
+    draws past the chart are redrawn, and a ConfigError names the metric
+    after ``_CHART_TRIES`` of them."""
     if m.sample_box is None:
         raise ConfigError(f"metric {m.name} has no sample box")
     lo = m.sample_box[:, 0]
     hi = m.sample_box[:, 1]
-    return lo + (hi - lo) * rng.random(m.dim)
+    for _ in range(_CHART_TRIES):
+        x = lo + (hi - lo) * rng.random(m.dim)
+        if _chart_value(m, x) is not None:
+            return x
+    raise ConfigError(f"metric {m.name}: {_CHART_TRIES} draws from its "
+                      f"sample box all lie outside its chart")
 
 
 def _null_projection(ginv, xi):

@@ -12,6 +12,10 @@ canonical spin-1/2 modules the conjugation collapses and sigma_tilde equals
 sigma_1 as a function on phase space; the fast transport path exploits this
 identity while the public evaluator keeps the explicit conjugated form (the
 two are compared in the test suite).
+
+A module's Dirac system reads its symbol jets, bracket and p_sub in closed
+form off the module (``CliffordModuleRep.stage``); any other system gets
+them by central differences of its own coefficients.
 """
 from __future__ import annotations
 
@@ -23,11 +27,11 @@ import numpy as np
 from .clifford import CliffordModuleRep, q_operator
 from .errors import NotOnCharacteristicSet, ZeroCovector
 from .geometry import (
+    _CHART_TRIES,
     MetricField,
     PhasePoint,
     _chart_value,
     _checked_inverse,
-    _frame_connection,
     _frame_from,
     _metric_jet,
     _null_projection,
@@ -68,158 +72,18 @@ class FirstOrderSystem:
     name: str = "first_order_system"
 
 
-def _rows(a) -> np.ndarray:
-    """``a`` with its last two axes flattened into one."""
-    return a.reshape(a.shape[:-2] + (-1,))
-
-
-class StageData:
-    """The transports' data at one phase point (x, xi), or at a stack of
-    points along leading axes of every field: the frame E, E^-1, E^-1 Z,
-    and what ``_StageEngine.at`` reads off the frame components F of dg:
-    the bracket coefficients P, the divergence term dv, kappa and the
-    lowered frame connection omega[c, a, b] = omega_c^{ab}.  Every matrix
-    is formed only when read, by one contraction against the module's
-    Clifford tensors (the generator by three and a stacked product).  Read
-    off: sigma1, A, ds1x, bracket, B, p_sub, kappa, omega_dot and generator.
-    """
-
-    __slots__ = ("eng", "xi", "E", "Einv", "Zf", "P", "dv", "kappa", "omega")
-
-    def __init__(self, eng, xi, E, Einv, Zf, P, dv, kappa, omega):
-        self.eng, self.xi, self.E, self.Einv, self.Zf = eng, xi, E, Einv, Zf
-        self.P, self.dv, self.kappa, self.omega = P, dv, kappa, omega
-
-    @property
-    def sigma1(self) -> np.ndarray:
-        """i Gamma(xi^sharp)."""
-        return self.eng.sigma1(self.xi, self.E)
-
-    @property
-    def A(self) -> np.ndarray:
-        """A^m = d sigma_1 / d xi_m."""
-        return 1j * self.eng.contract(self.E, "gamma")
-
-    @property
-    def ds1x(self) -> np.ndarray:
-        """d sigma_1 / d x^k = i gamma^b sum_c (E^-1)^c_k P[c, b]."""
-        return 1j * self.eng.contract(self.Einv.swapaxes(-1, -2) @ self.P,
-                                      "gamma")
-
-    def _psub_coeffs(self) -> np.ndarray:
-        # B = -i A^m omega_m = omega_cab gamma^c (-1/4 gamma^a gamma^b); the
-        # divergence term -(1/2i) d_k A^k = -1/2 dv_b gamma^b
-        return np.concatenate((_rows(_rows(self.omega)), self.dv), axis=-1)
-
-    @property
-    def bracket(self) -> np.ndarray:
-        """sum_k [A^k, d_k sigma_1] = -P_ab [gamma^a, gamma^b], the matrix
-        Poisson bracket."""
-        return -self.eng.contract(_rows(self.P), "commutator")
-
-    @property
-    def B(self) -> np.ndarray:
-        """Zeroth-order coefficient -i A^m omega_m of the Dirac system:
-        p_sub without its divergence term."""
-        u = self._psub_coeffs()
-        u[..., -self.xi.shape[-1]:] = 0.0
-        return self.eng.contract(u, "psub")
-
-    @property
-    def p_sub(self) -> np.ndarray:
-        """Subprincipal symbol B - (1/2i) d_k A^k of the Dirac system."""
-        return self.eng.contract(self._psub_coeffs(), "psub")
-
-    @property
-    def omega_dot(self) -> np.ndarray:
-        """omega(x; xdot) = xdot^m omega_m, with E^-1 xdot = 2 E^-1 Z."""
-        w = 2.0 * self.Zf[..., None, :] @ _rows(self.omega)
-        return self.eng.contract(w[..., 0, :], "spin")
-
-    def generator(self, sign: float = 1.0) -> np.ndarray:
-        """(1/2) bracket + sign * i sigma_tilde p_sub - kappa Id.
-
-        sigma_tilde equals sigma_1 = i Gamma(c) (c = E^T xi) for the
-        canonical modules, so the subprincipal term is -Gamma(sign c) p_sub:
-        the bracket, p_sub and Gamma(sign c) are one contraction each, and
-        one stacked product joins the last two.
-        """
-        c = sign * (self.xi[..., None, :] @ self.E)[..., 0, :]
-        out = 0.5 * self.bracket
-        out -= self.eng.contract(c, "gamma") @ self.p_sub
-        i = np.arange(self.eng.N)
-        out[..., i, i] -= self.kappa[..., None]
-        return out
-
-
-class _StageEngine:
-    """Closed-form evaluation of everything the transports need, at one
-    phase point or at a stack of them.
-
-    One evaluation takes the phase flow's values at its points and reads
-    the frame, the frame components F of dg and the Levi-Civita connection
-    they fix off ``_frame_connection``; ``StageData`` contracts what follows
-    from them against Clifford tensors the module computes once: into
-    the principal symbol, the contracted spin connection and the
-    symbol-package matrices, and into the factors of the generator of the
-    symbol-level transport.  A transport hands it the records of a block of
-    accepted stages at once (``at``); a point call evaluates the flow first.
-    """
-
-    def __init__(self, rep: CliffordModuleRep):
-        self.m = rep.metric
-        self.N = rep.N
-        self.eta = np.diagonal(rep.eta).copy()
-        self.tensors = rep._stage_tensors
-
-    def contract(self, coeffs, tensor: str) -> np.ndarray:
-        """Real coeffs[..., k] times row k of a Clifford tensor, as N x N
-        matrices."""
-        out = (coeffs @ self.tensors[tensor]).view(complex)
-        return out.reshape(out.shape[:-1] + (self.N, self.N))
-
-    def sigma1(self, xi, E) -> np.ndarray:
-        """i Gamma(E^T xi); batched over leading axes of xi and E."""
-        c = np.einsum("...m,...ma->...a", xi, E)
-        return 1j * self.contract(c, "gamma")
-
-    def __call__(self, x, xi) -> StageData:
-        g, dg, Z = _phase_core(self.m, x, xi)[:3]
-        return self.at(xi, g, dg, Z)
-
-    def at(self, xi, g, dg, Z) -> StageData:
-        """StageData from the flow's values (xi, g, dg, Z), which may carry
-        leading stack axes; xdot = 2 Z.
-
-        The frame E, the frame components F of dg, X_c = eta (d_c R) E and
-        the connection omega come from ``_frame_connection``; with E^-1 d_c E
-        = -eta X_c, P[a, b] = (xi . d_a E)_b = -(E^T xi . eta X_a)_b, dv_b =
-        d_k E^k_b = -sum_e eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) =
-        (1/2) E^-1 Z . tr_eta F.
-        """
-        E, Einv, F, X, omega = _frame_connection(self.m, g, dg)
-        eta, i = self.eta, np.arange(len(self.eta))
-        c = (xi[..., None, :] @ E)[..., 0, :]
-        P = -((c * eta)[..., None, None, :] @ X)[..., 0, :]
-        Zf = (Einv @ Z[..., None])[..., 0]
-        kappa = 0.5 * np.sum(Zf * (F[..., i, i] @ eta), axis=-1)
-        return StageData(self, xi, E, Einv, Zf, P, -(eta @ X[..., i, i, :]),
-                         kappa, omega)
-
-
 def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
     """First-order system of the Dirac operator of the module on its
     metric, arranged so sigma_1(x, xi) = i Gamma(xi^sharp) exactly."""
     m = rep.metric
-    eng = _StageEngine(rep)
 
     def coeff_A(x):
         E, _ = _frame_from(m, _metric_jet(m, x)[0])
-        return list(1j * eng.contract(E, "gamma"))
+        return list(1j * rep.contract(E, "gamma"))
 
     def coeff_B(x):
         # B does not depend on the covector; any nonzero one serves
-        return eng(np.asarray(x, float), np.eye(m.dim)[0]).B
+        return rep.stage(np.asarray(x, float), np.eye(m.dim)[0]).B
 
     sysd = FirstOrderSystem(N=rep.N, coeff_A=coeff_A, coeff_B=coeff_B,
                             rep=rep, name=f"dirac[{m.name}]")
@@ -257,12 +121,12 @@ def sigma_tilde(rep: CliffordModuleRep, p: PhasePoint, N) -> np.ndarray:
 def subprincipal_symbol(sys: FirstOrderSystem, p: PhasePoint) -> np.ndarray:
     """sigma^s = B(x) - (1/2i) sum_j d_j A^j(x).
 
-    The module's own Dirac system reads it off one engine evaluation in
+    The module's own Dirac system reads it off one stage of its module in
     closed form; any other system takes central differences of its own
     coefficients A^j.
     """
     if _dirac_backed(sys.rep, sys):
-        return _StageEngine(sys.rep)(p.x, p.xi).p_sub
+        return sys.rep.stage(p.x, p.xi).p_sub
     x = p.x
     B = np.asarray(sys.coeff_B(x), dtype=complex)
     dA = _partials(lambda z: np.asarray(sys.coeff_A(z), dtype=complex),
@@ -337,7 +201,7 @@ class SymbolPackage:
 
 def _dirac_backed(rep: CliffordModuleRep, sys: FirstOrderSystem) -> bool:
     """Whether sys is the system that dirac_system(rep) returned, whose
-    jets the engine reads off rep in closed form; a system that only
+    jets its module's stage data gives in closed form; a system that only
     carries rep and look-alike coefficients is foreign."""
     return rep is not None and getattr(sys, "_dirac_of", None) is rep
 
@@ -346,7 +210,7 @@ def _symbol_jet(sys: FirstOrderSystem, p: PhasePoint):
     """(d sigma_1/dx^j, d sigma_1/dxi_j) at p, stacked over j, for a
     foreign system: central differences of its principal symbol in x and
     its coefficients A^j.  The module's own Dirac system reads both from
-    the engine instead."""
+    its module's stage data instead."""
     dsdx = _partials(lambda z: principal_symbol(sys, PhasePoint(z, p.xi)),
                      p.x, _FD_STEP)
     dsdxi = np.array([np.asarray(a, dtype=complex) for a in sys.coeff_A(p.x)])
@@ -359,7 +223,7 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     """Assemble the full symbol data at one phase point.
 
     The module's own Dirac system takes its symbol jets, bracket and p_sub
-    from one engine evaluation; a foreign system takes central differences
+    from one stage of the module; a foreign system takes central differences
     of its own coefficients (the bracket from the two symbol evaluators).
     sigma_1, sigma_tilde and q come from their public evaluators."""
     m = rep.metric
@@ -370,7 +234,7 @@ def symbol_package(rep: CliffordModuleRep, p: PhasePoint,
     st = sigma_tilde(rep, p, Nfield(p.x))
     q = hamiltonian_q(m, p.x, p.xi)
     if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep)(p.x, p.xi)
+        sd = rep.stage(p.x, p.xi)
         dsdx, dsdxi, bracket, psub = sd.ds1x, sd.A, sd.bracket, sd.p_sub
     else:
         psub = subprincipal_symbol(sys, p)
@@ -454,7 +318,6 @@ def certify_principal_type(rep: CliffordModuleRep, p: PhasePoint,
 # points certified.
 _BLOCK_POINTS = 64
 _NEIGHBOURS = 8
-_GUARD_TRIES = 16   # draws of a neighbour's position inside the chart
 
 
 def certify_principal_types(rep: CliffordModuleRep, points,
@@ -484,7 +347,7 @@ def certify_principal_types(rep: CliffordModuleRep, points,
     Points go through in blocks of ``_BLOCK_POINTS``, each yielded before
     the next is formed, with one metric jet per point and one metric value
     per neighbour.  The Dirac system's symbols come from frames, its
-    conormal derivative from one engine call, a foreign system's from
+    conormal derivative from one stacked stage, a foreign system's from
     ``principal_symbol`` and central differences.  One stacked SVD gives
     the neighbourhood ranks, one full stacked SVD each point's kernel and
     cokernel; any orthonormal bases of them give the same condition
@@ -494,7 +357,7 @@ def certify_principal_types(rep: CliffordModuleRep, points,
         sys = dirac_system(rep)
     points = list(points)
     unit = np.random.default_rng(seed).uniform(
-        -1.0, 1.0, size=_NEIGHBOURS * (_GUARD_TRIES + 1) * rep.metric.dim)
+        -1.0, 1.0, size=_NEIGHBOURS * (_CHART_TRIES + 1) * rep.metric.dim)
     for start in range(0, len(points), _BLOCK_POINTS):
         yield from _certify_block(rep, sys,
                                   points[start:start + _BLOCK_POINTS], unit,
@@ -512,7 +375,7 @@ def _neighbours(m: MetricField, x, xi, unit):
     gs = np.empty((_NEIGHBOURS, d, d))
     pos = 0
     for k in range(_NEIGHBOURS):
-        for _ in range(_GUARD_TRIES):
+        for _ in range(_CHART_TRIES):
             x2 = x + scale_x * unit[pos:pos + d]
             pos += d
             g = _chart_value(m, x2)
@@ -531,7 +394,7 @@ def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
     their frames for the module's own Dirac system, by
     ``principal_symbol`` point by point for a foreign one."""
     if _dirac_backed(rep, sys):
-        return _StageEngine(rep).sigma1(xis, _frame_from(rep.metric, g)[0])
+        return rep.sigma1(xis, _frame_from(rep.metric, g)[0])
     return np.array([principal_symbol(sys, PhasePoint(x, xi))
                      for x, xi in zip(xs, xis)]).reshape(-1, sys.N, sys.N)
 
@@ -539,11 +402,11 @@ def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
 def _conormal_jets(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis,
                    g, dg, Z):
     """(d sigma_1/dx^j, d sigma_1/dxi_j), stacked over j into one axis of
-    2 d, at a stack of phase points: from one engine call on the flow's
+    2 d, at a stack of phase points: from one stacked stage on the flow's
     values for the module's own Dirac system, by ``_symbol_jet`` point by
     point for a foreign one."""
     if _dirac_backed(rep, sys):
-        sd = _StageEngine(rep).at(xis, g, dg, Z)
+        sd = rep.stage_at(xis, g, dg, Z)
         return np.concatenate((sd.ds1x, sd.A), axis=-3)
     return np.array([np.concatenate(_symbol_jet(sys, PhasePoint(x, xi)))
                      for x, xi in zip(xs, xis)]).reshape(

@@ -21,8 +21,10 @@ laws are linear in it along that flow.  So a transport runs the phase flow
 first, with the trajectory integrator's own code and grid; its ray is
 ``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
 computed at the stages of its accepted steps, records (xi, g, dg, Z), in
-blocks of 64 steps; one stacked engine call per block forms the frame
-components F of dg and from F each law's matrix L at every stage, a few
+blocks of 64 steps; one stacked stage of the module per block
+(``CliffordModuleRep.stage_at``) forms the frame components F of dg and
+from F each law's matrix L at every stage, by contractions against the
+module's Clifford tensors, the ones its certificate checks; a few
 stacked products turn those into each step's increment operator D under
 the flow's own tableau, and a polarization advances as w + D w, one small
 product per step.  The sections equal those of a joint ray-and-polarization
@@ -54,20 +56,17 @@ from .geometry import (
     _frame_from,
     _metric_jet,
 )
-from .symbols import FirstOrderSystem, SymbolPackage, _StageEngine, \
-    _dirac_backed, dirac_system
+from .symbols import FirstOrderSystem, _dirac_backed, dirac_system
 
 __all__ = [
     "PolarizationState",
     "HamiltonianOrbit",
     "TransportReport",
     "ChartMap",
-    "denker_generator",
     "transport_denker",
     "transport_spin",
     "compare_transports",
     "covariance_check",
-    "identity_map",
     "minkowski_boost_map",
     "schwarzschild_isotropic_map",
 ]
@@ -126,21 +125,11 @@ class TransportReport:
         }
 
 
-def denker_generator(pkg: SymbolPackage) -> np.ndarray:
-    """M = (1/2) bracket + i sigma_tilde sigma^s at one phase point.
-
-    Along a bicharacteristic the parallel equation reads dw/dt = -M(t) w;
-    the Hamiltonian-derivative part of the connection is the parameter
-    derivative in the fixed trivialization.
-    """
-    return 0.5 * pkg.bracket + 1j * (pkg.sigma_tilde @ pkg.p_sub)
-
-
 class _Recursion:
     """Polarizations along a phase flow, one block of its accepted steps
     at a time (``_flow``'s ``on_block``).
 
-    One stacked engine call evaluates the block's stage records, giving
+    One stacked stage of the module evaluates the block's records, giving
     each law's matrix L at every stage: the generator M - kappa Id of the
     symbol-level law when ``sign`` is set, then omega(x; xdot) of the
     spinor law when ``spin``.  Both laws are linear, dw/dt = -L w, so a
@@ -159,15 +148,15 @@ class _Recursion:
     every sample.
     """
 
-    def __init__(self, eng: _StageEngine, V0, sign: Optional[float],
+    def __init__(self, rep: CliffordModuleRep, V0, sign: Optional[float],
                  spin: bool, rows):
-        self.eng, self.sign, self.spin = eng, sign, spin
+        self.rep, self.sign, self.spin = rep, sign, spin
         self.a, self.b = rows[:-1], rows[-1]
         self.V, self.last = V0, None  # last: L at the latest sample
         self.Vs, self.xis, self.Es, self.L0s = [], [], [], []
 
     def __call__(self, hs, records):
-        st = self.eng.at(*map(np.array, zip(*records)))
+        st = self.rep.stage_at(*map(np.array, zip(*records)))
         laws = ([st.generator(self.sign)] if self.sign is not None else []) \
             + ([st.omega_dot] if self.spin else [])
         L = np.stack(laws, axis=1)
@@ -197,7 +186,7 @@ class _Recursion:
         self.V = V
 
 
-def _transport_run(eng: _StageEngine, state: PolarizationState,
+def _transport_run(rep: CliffordModuleRep, state: PolarizationState,
                    sign: Optional[float], spin: bool, t_end: float,
                    null_tol: float, kernel_tol: float = None, **flow):
     """Carry ``state.w`` along the q-flow from the null seed ``state.phase``
@@ -213,22 +202,22 @@ def _transport_run(eng: _StageEngine, state: PolarizationState,
     polarization of law j at sample i.
     """
     p0 = state.phase
-    _check_seed(eng.m, p0, t_end, null_tol, require_null=True)
+    _check_seed(rep.metric, p0, t_end, null_tol, require_null=True)
     w0 = state.w
-    if w0.shape != (eng.N,):
+    if w0.shape != (rep.N,):
         raise ConfigError(f"initial polarization has shape {w0.shape}, "
-                          f"expected ({eng.N},)")
+                          f"expected ({rep.N},)")
     nw = _initial_norm(w0)
     if sign is not None:
-        E = _frame_from(eng.m, _metric_jet(eng.m, p0.x)[0])[0]
-        _initial_kernel_check(eng.sigma1(p0.xi, E), w0, nw, kernel_tol)
+        E = _frame_from(rep.metric, _metric_jet(rep.metric, p0.x)[0])[0]
+        _initial_kernel_check(rep.sigma1(p0.xi, E), w0, nw, kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
-    rec = _Recursion(eng, np.array([w0] * n_laws)[:, :, None], sign, spin,
+    rec = _Recursion(rep, np.array([w0] * n_laws)[:, :, None], sign, spin,
                      rows)
-    traj = _flow(eng.m, p0, t_end, on_block=rec, **flow)
+    traj = _flow(rep.metric, p0, t_end, on_block=rec, **flow)
     V = np.array(rec.Vs)[..., 0]
-    s1 = eng.sigma1(np.concatenate(rec.xis), np.concatenate(rec.Es))
+    s1 = rep.sigma1(np.concatenate(rec.xis), np.concatenate(rec.Es))
     r = np.linalg.norm(s1 @ V[:, 0, :, None], axis=(1, 2))
     nv = np.linalg.norm(V[:, 0], axis=1)
     resid = np.divide(r, nv, out=np.full_like(r, np.inf), where=nv > 0.0)
@@ -273,13 +262,14 @@ def transport_denker(sys: FirstOrderSystem, state: PolarizationState,
                      flip_subprincipal: bool = False) -> HamiltonianOrbit:
     """Integrate the null ray from ``state.phase`` and dw/dt = -(M(t) -
     kappa(t) Id) w from ``state.w`` jointly; the orbit holds the ray.
-    ``sys`` must be its module's own Dirac system: the engine reads ``rep``."""
+    ``sys`` must be its module's own Dirac system: the law reads its
+    module."""
     if not _dirac_backed(sys.rep, sys):
         raise ConfigError("transport_denker needs a system built by "
                           "dirac_system")
     sign = -1.0 if flip_subprincipal else 1.0
     traj, _, (sections,), resid, L = _transport_run(
-        _StageEngine(sys.rep), state, sign, False, t_end,
+        sys.rep, state, sign, False, t_end,
         null_tol, kernel_tol, integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="denker",
@@ -295,7 +285,7 @@ def transport_spin(rep: CliffordModuleRep, state: PolarizationState,
     """Integrate the null ray from ``state.phase`` and ds/dt = -omega(x;
     xdot) s from ``state.w`` jointly; the orbit holds the ray."""
     traj, V, (sections,), resid, _ = _transport_run(
-        _StageEngine(rep), state, None, True, t_end, 1e-10,
+        rep, state, None, True, t_end, 1e-10,
         integrator=integrator, step=step, tol=tol)
     return HamiltonianOrbit(
         trajectory=traj, sections=sections, method="spin_pullback",
@@ -317,14 +307,14 @@ def compare_transports(rep: CliffordModuleRep, sys: FirstOrderSystem,
     Both polarizations start from w0 and ride the one phase flow, whose
     grid, chart truncation and phase samples are those of
     ``integrate_bicharacteristic`` bit for bit, so the comparison carries
-    no discretization asymmetry.  The engine reads every matrix off
-    ``rep``, so ``sys`` must be ``rep``'s own Dirac system.
+    no discretization asymmetry.  Every matrix is read off ``rep``, so
+    ``sys`` must be ``rep``'s own Dirac system.
     """
     if not _dirac_backed(rep, sys):
         raise ConfigError("compare_transports needs sys = dirac_system(rep)")
     sign = -1.0 if flip_subprincipal else 1.0
     traj, V, (wd, ws), resid, L = _transport_run(
-        _StageEngine(rep), state, sign, True, t_end, null_tol,
+        rep, state, sign, True, t_end, null_tol,
         kernel_tol, integrator=integrator, step=step, tol=tol)
     gaps = np.linalg.norm(V[:, 0] - V[:, 1], axis=1) / float(
         np.linalg.norm(state.w))
@@ -424,15 +414,6 @@ def _spinor_rep_of(L, rep: CliffordModuleRep) -> np.ndarray:
     T = T * np.take_along_axis(c, k[..., None], -1)[..., None]
     near = np.max(np.abs(L - np.eye(d)), axis=(-2, -1)) < 1e-12
     return np.where(near[..., None, None], eye, T)
-
-
-def identity_map(m: MetricField) -> ChartMap:
-    eye = np.eye(m.dim)
-    return ChartMap(
-        name="identity", metric_a=m, metric_b=m,
-        forward=lambda x: np.array(x, dtype=float),
-        jacobian=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + eye.shape),
-    )
 
 
 def minkowski_boost_map(v: float, axis: int = 1) -> ChartMap:

@@ -4,8 +4,8 @@ import pytest
 import diracsym as ds
 from diracsym.errors import OutsideChart
 from diracsym.geometry import _constant_metric, _frame_from, _metric_jet
-from diracsym.symbols import _StageEngine, dirac_system, kernel_basis
-from diracsym.transport import PolarizationState
+from diracsym.symbols import dirac_system, kernel_basis
+from diracsym.transport import ChartMap, PolarizationState
 
 
 @pytest.fixture(scope="session")
@@ -94,16 +94,20 @@ def connection_from(rep, g, dg, E, dE, Einv):
     jet, at one point or along leading stack axes of every jet array.
 
     omega_mu^a_b = [E^-1 (d_mu E + Gamma_mu E)]^a_b, lowered with the frame
-    signs and contracted against -1/4 gamma^a gamma^b.
+    signs and contracted against -1/4 gamma^a gamma^b, formed here from
+    ``rep.gammas`` and ``rep.eta`` rather than read off the module's
+    Clifford tensors.
     """
     d, N = g.shape[-1], rep.N
     T = dg.swapaxes(-3, -2) + np.moveaxis(dg, -3, -1) - dg
     Gam = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(g), T)
     w = Einv[..., None, :, :] @ (dE + Gam.swapaxes(-3, -2)
                                  @ E[..., None, :, :])
-    w_low = np.diagonal(rep.eta)[:, None] * w
+    eta = np.diagonal(rep.eta)
+    up = eta[:, None, None] * np.stack(rep.gammas)
+    w_low = eta[:, None] * w
     omega = -0.25 * (w_low.reshape(w.shape[:-2] + (d * d,))
-                     @ rep._pair_products.reshape(d * d, N * N))
+                     @ (up[:, None] @ up).reshape(d * d, N * N))
     return Gam, omega.reshape(w.shape[:-2] + (N, N))
 
 
@@ -161,7 +165,23 @@ def null_state(m, rep, x, seed):
     """Random future null covector at x plus the first kernel vector."""
     rng = np.random.default_rng(seed)
     xi = ds.random_null_covector(m, x, rng)
-    eng = _StageEngine(rep)
-    vecs, dim = kernel_basis(eng(x, xi).sigma1)
+    vecs, dim = kernel_basis(rep.stage(x, xi).sigma1)
     assert dim >= 1
     return PolarizationState(ds.PhasePoint(np.asarray(x, float), xi), vecs[0])
+
+
+def denker_generator(pkg):
+    """M = (1/2) bracket + i sigma_tilde sigma^s of a symbol package: the
+    symbol-level generator at one phase point, from the package's public
+    matrices."""
+    return 0.5 * pkg.bracket + 1j * (pkg.sigma_tilde @ pkg.p_sub)
+
+
+def identity_map(m):
+    """The identity chart map of m."""
+    eye = np.eye(m.dim)
+    return ChartMap(
+        name="identity", metric_a=m, metric_b=m,
+        forward=lambda x: np.array(x, dtype=float),
+        jacobian=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + eye.shape),
+    )

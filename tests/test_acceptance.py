@@ -220,9 +220,7 @@ def test_7_kernel_preservation(rep_schw, sys_schw, sys_mink4, schw):
 def test_8_chart_covariance(rep_mink4, rep_schw, mink4, schw):
     xi = ds.null_project_covector(mink4, np.zeros(4),
                                   np.array([1.0, 0.6, 0.8, 0.0]))
-    from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(np.zeros(4),
-                                                          xi).sigma1)
+    vecs, _ = kernel_basis(rep_mink4.stage(np.zeros(4), xi).sigma1)
     bstate = PolarizationState(PhasePoint(np.zeros(4), xi), vecs[0])
     boost = covariance_check(minkowski_boost_map(0.5), bstate, 2.0,
                              step=1e-3)

@@ -411,6 +411,52 @@ def test_seed_past_the_chart_exits_2(tmp_path, capsys, seed, command):
     assert str(e.value) == "initial point violates the domain guard"
 
 
+# Omega = 1 + 0.1 sqrt(x): its chart is the half x >= 0 of its box, and
+# dOmega is infinite at the default seed x = 0
+_SQRT = "conformal_flat{1 + 0.1*sqrt(x)}"
+
+
+@pytest.mark.parametrize("command", ["certify", "trace", "compare",
+                                     "symbols"])
+def test_jet_that_is_not_finite_stays_one_line(tmp_path, command):
+    """numpy's floating-point warnings stay off stderr, which holds at
+    most one line, and symbols fails on its non-finite matrices instead of
+    passing; the rays leave the chart at once."""
+    path = write_cfg(tmp_path, "sqrt.json", {
+        "metric": _SQRT, "t_end": 0.2, "sample": {"points": 3,
+                                                  "vectors": 3}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsym.cli", command, "--config", path,
+         "--no-meta"], capture_output=True, text=True, env=env, timeout=120)
+    assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+    assert proc.returncode == (0 if command == "certify" else 1)
+    if command == "symbols":
+        assert json.loads(proc.stdout)["pass"] is False
+    if command == "compare":
+        assert json.loads(proc.stdout)["failed"] == ["left_chart"]
+
+
+def test_certify_redraws_points_past_the_chart(tmp_path, capsys):
+    """Half the sqrt metric's sample box lies past its chart: certify
+    redraws those points and passes at its default 20 x 10 sample."""
+    path = write_cfg(tmp_path, "sqrt.json", {"metric": _SQRT})
+    rc, out, err = run(capsys, ["certify", "--config", path, "--no-meta"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+def test_sample_box_past_the_chart_exits_2(tmp_path, capsys):
+    """Omega = 1 + sqrt(-x^2) is finite at x = 0 alone: the seed passes,
+    but no draw from the box lands in the chart."""
+    metric = "conformal_flat{1 + sqrt(-x*x)}"
+    path = write_cfg(tmp_path, "bad.json", {"metric": metric})
+    rc, out, err = run(capsys, ["certify", "--config", path, "--no-meta"])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: ConfigError: metric {metric}: 16 draws from "
+                   f"its sample box all lie outside its chart\n")
+
+
 @pytest.mark.parametrize("metric", [
     "conformal_flat{1+}", "conformal_flat{().__class__.__name__ and 1}",
     "conformal_flat{1" + "0" * 400 + "}"])

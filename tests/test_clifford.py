@@ -6,6 +6,7 @@ jets, so agreement is a genuine dual-route check.
 """
 import dataclasses
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -62,21 +63,20 @@ def test_gamma_matrices_are_fresh_and_writable():
         a[0, 0] = 7.0
     again, eta2, G2 = gamma_matrices(4)
     assert again[0][0, 0] == 1.0 and eta2[0, 0] == -1.0 and G2[0, 0] == 1.0
-    assert rep.gammas[0][0, 0] == 1.0 and rep.gammas_up[0][0, 0] == -1.0
+    assert rep.gammas[0][0, 0] == 1.0 and rep.tensors["gamma"][0, 0] == -1.0
 
 
 def _tables(rep):
-    return [rep._pair_products, *rep.gammas_up,
-            *rep._stage_tensors.values()]
+    return [rep.eta, *rep.tensors.values()]
 
 
 def test_modules_share_read_only_tables_of_one_gamma_set():
-    """Two modules of one gamma set share one set of Clifford tables, and a
-    write into any of them raises; a look-alike set (gamma_1 and gamma_2
-    swapped, still a Clifford set) gets tables of its own, derived from its
-    own gammas by the same path.  A module built from the unswapped set
-    alone (N, eta and Q derived) certifies bit for bit as the canonical
-    build, with Q = Gamma."""
+    """Two modules of one gamma set share one set of Clifford tables (eta
+    and four tensors), and a write into any of them raises; a look-alike
+    set (gamma_1 and gamma_2 swapped, still a Clifford set) gets tables of
+    its own, which hold the products of its own gammas.  A module built
+    from the unswapped set alone (N, eta and Q derived) certifies bit for
+    bit as the canonical build, with Q = Gamma."""
     a = ds.build_canonical_module(ds.minkowski(4))
     b = ds.build_canonical_module(ds.schwarzschild(1.0))
     assert all(np.shares_memory(s, t)
@@ -85,7 +85,7 @@ def test_modules_share_read_only_tables_of_one_gamma_set():
         with pytest.raises(ValueError):
             T[(0,) * T.ndim] = 1.0
     with pytest.raises(TypeError):
-        a._stage_tensors["gamma"] = a._stage_tensors["spin"]
+        a.tensors["gamma"] = a.tensors["spin"]
 
     gammas, eta, G = gamma_matrices(4)
     gammas[1], gammas[2] = gammas[2], gammas[1]
@@ -93,13 +93,14 @@ def test_modules_share_read_only_tables_of_one_gamma_set():
     assert not any(np.shares_memory(s, t)
                    for s, t in zip(_tables(a), _tables(c)))
     up = np.stack([np.diagonal(eta)[k] * gammas[k] for k in range(4)])
-    assert np.array_equal(np.stack(c.gammas_up), up)
-    assert np.array_equal(c._pair_products, up[:, None] @ up)
-    assert np.array_equal(c._stage_tensors["gamma"].view(complex),
+    P = up[:, None] @ up
+    assert np.array_equal(c.tensors["gamma"].view(complex),
                           up.reshape(4, 16))
-    assert np.array_equal(c._stage_tensors["spin"].view(complex),
-                          -0.25 * (up[:, None] @ up).reshape(16, 16))
-    assert not np.array_equal(c._pair_products, a._pair_products)
+    assert np.array_equal(c.tensors["spin"].view(complex),
+                          -0.25 * P.reshape(16, 16))
+    assert np.array_equal(c.tensors["commutator"].view(complex),
+                          (P - P.transpose(1, 0, 2, 3)).reshape(16, 16))
+    assert not np.array_equal(c.tensors["spin"], a.tensors["spin"])
 
     gammas, _, G = gamma_matrices(4)
     bare = ds.CliffordModuleRep(gammas, G, a.metric)
@@ -318,21 +319,24 @@ def test_c8_fails_for_an_indefinite_gram_pairing(mink4):
 
 def test_certificate_reads_the_transport_connection(monkeypatch):
     """C2 and C3 certify the connection the transports run: the certifier
-    and the stage engine read one ``_frame_connection``, and a term D
-    symmetric in (a, b) added to its omega fails both on schwarzschild1.0.
+    and the module's stage data read one ``_frame_connection``, and a term
+    D symmetric in (a, b) added to its omega fails both on schwarzschild1.0
+    and moves the stage's omega by D.
     Such a term moves the spinor connection by a multiple of the identity,
     which C2 sees and C3's commutator cannot, so the patch also takes D
     off X, as omega = Koszul(F) - X demands, and C3 reads that through the
     frame derivative E^-1 d_c E = -eta X_c."""
-    from diracsym import geometry, symbols
+    from diracsym import geometry
 
     frame_connection = geometry._frame_connection
     assert ds.clifford._frame_connection is frame_connection
-    assert symbols._frame_connection is frame_connection
     rep = ds.build_canonical_module(ds.catalog_metric("schwarzschild1.0"))
     sample = SampleSpec(points=5, vectors=3, seed=0)
     clean = certify_axioms(rep, sample).axioms
     assert clean["C2"].passed and clean["C3"].passed
+    xi = ds.random_null_covector(rep.metric, SCHW_X0,
+                                 np.random.default_rng(0))
+    omega = rep.stage(SCHW_X0, xi).omega
 
     def skewed(m, g, dg):
         E, Einv, F, X, omega = frame_connection(m, g, dg)
@@ -343,19 +347,50 @@ def test_certificate_reads_the_transport_connection(monkeypatch):
     got = certify_axioms(rep, sample).axioms
     assert not got["C2"].passed and not got["C3"].passed
     assert got["C2"].max_residual > 1e-4 and got["C3"].max_residual > 1e-4
+    assert np.array_equal(rep.stage(SCHW_X0, xi).omega,
+                          omega + 1e-3 * np.eye(4))
+
+
+@pytest.mark.parametrize("tensor, factor, axiom", [
+    ("spin", 1.01, "C3"), ("spin", -1.0, "C3"), ("gamma", 1.01, "C1")],
+    ids=["spin_scaled", "spin_flipped", "gamma_scaled"])
+def test_certificate_contracts_the_tensors_the_transports_run(tensor, factor,
+                                                              axiom):
+    """The certificate reads Gamma(Z) and the spin connection off the
+    module's Clifford tensors, the ones the transports' stage data
+    contract: scaling the spin tensor, or flipping its sign, moves the
+    stage's omega(x; xdot) by that factor and fails C3; scaling the gamma
+    tensor moves sigma_1 and fails C1."""
+    rep = ds.build_canonical_module(ds.catalog_metric("schwarzschild1.0"))
+    sample = SampleSpec(points=20, vectors=10, seed=0)
+    assert certify_axioms(rep, sample).passed
+    xi = ds.random_null_covector(rep.metric, SCHW_X0,
+                                 np.random.default_rng(0))
+    read = "omega_dot" if tensor == "spin" else "sigma1"
+    clean = getattr(rep.stage(SCHW_X0, xi), read)
+    rep.tensors = MappingProxyType(
+        {**rep.tensors, tensor: factor * rep.tensors[tensor]})
+    moved = getattr(rep.stage(SCHW_X0, xi), read)
+    assert np.max(np.abs(moved - factor * clean)) <= 1e-14 * np.max(
+        np.abs(clean))
+    got = certify_axioms(rep, sample)
+    assert not got.passed
+    assert got.axioms[axiom].max_residual > 1e-6, got.axioms[axiom]
 
 
 # --------------------------------------------------------------------------
 # the stacked certifier against a point-by-point reference
 
 
-def _reference_certify_axioms(rep, sample):
+def _reference_certify_axioms(rep, sample, spin_scale=1.0):
     """The per-point, per-vector loop ``certify_axioms`` used to run: the
     same draws in the same order, one residual matrix at a time, with the
     frame partials and the spin connection of the test oracle
     (``conftest.frame_jet`` and ``connection_from``: Christoffel symbols,
-    not the library's Koszul formula).  Returns every axiom's max residual
-    and C8's smallest eigenvalue."""
+    not the library's Koszul formula), scaled by ``spin_scale``, and with
+    Gamma(Z) summed over ``rep.gammas``: this side reads none of the
+    module's Clifford tensors.  Returns every axiom's max residual and C8's
+    smallest eigenvalue."""
     def maxabs(A):
         return float(np.max(np.abs(A)))
 
@@ -368,8 +403,12 @@ def _reference_certify_axioms(rep, sample):
                   for j, b in enumerate(rep.gammas))
     c8_min = np.inf
 
+    def gamma_of_frame(comps):
+        return np.tensordot(comps, rep.gammas, axes=(-1, 0))
+
     def Q(x, V):
-        return rep.q_eval(x, V) if rep.q_eval else rep.gamma_of(x, V)
+        return rep.q_eval(x, V) if rep.q_eval else gamma_of_frame(
+            ds.orthonormal_frame(m, x).E_inv @ V)
 
     for _ in range(sample.points):
         x = ds.random_chart_point(m, rng)
@@ -377,9 +416,10 @@ def _reference_certify_axioms(rep, sample):
         E, dE, Einv = frame_jet(m, g, dg)
         dEinv = -(Einv @ dE @ Einv)
         Gam, om = connection_from(rep, g, dg, E, dE, Einv)
+        om = spin_scale * om
 
         def gamma_vec(V):
-            return rep.gamma_of_frame(Einv @ V)
+            return gamma_of_frame(Einv @ V)
 
         for mu in range(d):
             r["C2"] = max(r["C2"], maxabs(G @ om[mu] + om[mu].conj().T @ G))
@@ -394,7 +434,7 @@ def _reference_certify_axioms(rep, sample):
             A = rng.uniform(-1.0, 1.0, size=(d, d))
             GY0 = gamma_vec(Y0)
             for mu in range(d):
-                dgam = rep.gamma_of_frame(dEinv[mu] @ Y0 + Einv @ A[:, mu])
+                dgam = gamma_of_frame(dEinv[mu] @ Y0 + Einv @ A[:, mu])
                 nab = A[:, mu] + Gam[:, mu, :] @ Y0
                 res = dgam + om[mu] @ GY0 - GY0 @ om[mu] - gamma_vec(nab)
                 r["C3"] = max(r["C3"], maxabs(res))
@@ -430,12 +470,14 @@ def _reference_certify_axioms(rep, sample):
 
 
 def _miswired_schwarzschild_module():
-    """The Schwarzschild module with its connection scaled by 1.01 and
-    Q(N) = Gamma(N) + 0.01 g(N, N) Id: C3, C7.1, C7' and C8 move off
-    roundoff by amounts that vary from point to point."""
+    """The Schwarzschild module with its spin tensor, and so its
+    connection, scaled by 1.01 and Q(N) = Gamma(N) + 0.01 g(N, N) Id: C3,
+    C7.1, C7' and C8 move off roundoff by amounts that vary from point to
+    point."""
     m = ds.schwarzschild(1.0)
     rep = ds.build_canonical_module(m)
-    rep._pair_products = 1.01 * rep._pair_products
+    rep.tensors = MappingProxyType(
+        {**rep.tensors, "spin": 1.01 * rep.tensors["spin"]})
 
     def q_eval(x, N):
         g = ds.eval_metric(m, x)[0]
@@ -459,6 +501,9 @@ EQUIVALENCE_MODULES = {
     "rotating_minkowski": lambda: ds.build_canonical_module(rotating_chart()),
     "miswired_schwarzschild": _miswired_schwarzschild_module,
 }
+# the connection scale the reference loop applies to its own spin
+# connection, as the miswired module's spin tensor does to the library's
+_SPIN_SCALE = {"miswired_schwarzschild": 1.01}
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -470,7 +515,8 @@ def test_stacked_certificate_matches_point_loop(fixture, seed):
     rep = EQUIVALENCE_MODULES[fixture]()
     sample = SampleSpec(points=4, vectors=10, seed=seed)
     got = certify_axioms(rep, sample).axioms
-    want, c8_min = _reference_certify_axioms(rep, sample)
+    want, c8_min = _reference_certify_axioms(
+        rep, sample, _SPIN_SCALE.get(fixture, 1.0))
     for key in AXIOM_KEYS[:-1]:
         assert abs(got[key].max_residual - want[key]) <= 1e-13, key
     assert abs(got["C8"].extra["min_eigenvalue"] - c8_min) <= 1e-13
@@ -490,7 +536,8 @@ def test_blocked_certificate_matches_point_loop(monkeypatch, fixture,
     rep = EQUIVALENCE_MODULES[fixture]()
     sample = SampleSpec(points=5, vectors=10, seed=3)
     got = certify_axioms(rep, sample).axioms
-    want, c8_min = _reference_certify_axioms(rep, sample)
+    want, c8_min = _reference_certify_axioms(
+        rep, sample, _SPIN_SCALE.get(fixture, 1.0))
     for key in AXIOM_KEYS[:-1]:
         assert abs(got[key].max_residual - want[key]) <= 1e-13, key
     assert abs(got["C8"].extra["min_eigenvalue"] - c8_min) <= 1e-13

@@ -1065,6 +1065,28 @@ def test_random_chart_point_deterministic(schw):
     assert in_chart(schw, a)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_random_chart_point_redraws_past_the_chart(schw):
+    """A draw past the chart is redrawn: Omega = 1 + 0.1 sqrt(x) is NaN on
+    the half x < 0 of its box, and every point returned lies in the chart.
+    A draw in the chart is the plain box draw, so catalog streams keep
+    their points; a box that misses its chart but at one point is a
+    ConfigError naming the metric after 16 draws."""
+    m = ds.catalog_metric("conformal_flat{1 + 0.1*sqrt(x)}")
+    rng = np.random.default_rng(0)
+    xs = np.array([ds.random_chart_point(m, rng) for _ in range(50)])
+    assert np.all(xs[:, 1] >= 0.0)
+    assert all(in_chart(m, x) for x in xs)
+    box, rng = schw.sample_box, np.random.default_rng(3)
+    assert np.array_equal(
+        ds.random_chart_point(schw, np.random.default_rng(3)),
+        box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(4))
+    bad = ds.catalog_metric("conformal_flat{1 + sqrt(-x*x)}")
+    assert in_chart(bad, np.zeros(4))
+    with pytest.raises(ConfigError, match=r"sqrt\(-x\*x\)\}: 16 draws"):
+        ds.random_chart_point(bad, np.random.default_rng(0))
+
+
 # --------------------------------------------------------------------------
 # catalog
 

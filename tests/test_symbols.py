@@ -12,7 +12,6 @@ from diracsym.errors import NotOnCharacteristicSet, NotTimelike
 from diracsym.geometry import PhasePoint
 from diracsym.symbols import (
     FirstOrderSystem,
-    _StageEngine,
     certify_principal_type,
     certify_principal_types,
     dirac_system,
@@ -85,12 +84,12 @@ def test_coeff_A_is_the_engine_frame_from_the_metric_value(metric):
     engine's A, which takes it from the full metric jet."""
     m = rotating_chart() if metric == "rotating" else ds.catalog_metric(metric)
     rep = ds.build_canonical_module(m)
-    sysd, eng = dirac_system(rep), _StageEngine(rep)
+    sysd = dirac_system(rep)
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = ds.random_chart_point(m, rng)
         A = np.array(sysd.coeff_A(x))
-        assert np.array_equal(A, eng(x, rng.normal(size=4)).A)
+        assert np.array_equal(A, rep.stage(x, rng.normal(size=4)).A)
 
 
 def test_coeff_A_reads_the_metric_value_once_and_no_jet():
@@ -478,7 +477,7 @@ def _reference_principal_type(rep, p, sys, rank_tol=1e-8, seed=0):
     rho = np.concatenate([-np.einsum("kab,a,b->k", dg, Z, Z), 2.0 * Z])
     rho /= np.linalg.norm(rho)
     if getattr(sys, "_dirac_of", None) is rep:
-        sd = _StageEngine(rep)(p.x, p.xi)
+        sd = rep.stage(p.x, p.xi)
         dsdx, dsdxi = sd.ds1x, sd.A
     else:
         dsdx = []

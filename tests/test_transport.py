@@ -20,15 +20,14 @@ from diracsym.transport import (
     PolarizationState,
     compare_transports,
     covariance_check,
-    denker_generator,
-    identity_map,
     minkowski_boost_map,
     schwarzschild_isotropic_map,
     transport_denker,
     transport_spin,
 )
 
-from conftest import (SCHW_X0, connection_at, linear_chart, look_alike_dirac,
+from conftest import (SCHW_X0, connection_at, denker_generator,
+                      identity_map, linear_chart, look_alike_dirac,
                       null_state, rotating_chart)
 
 I2 = np.eye(2)
@@ -116,7 +115,6 @@ def test_stage_engine_against_independent_code(fixture, flip):
     zeroth-order part is -i A^m omega_m from that same oracle."""
     from diracsym.clifford import spin_connection_matrix
     from diracsym.geometry import _phase_core
-    from diracsym.symbols import _StageEngine
 
     m = STAGE_FIXTURES[fixture]()
     rep = ds.build_canonical_module(m)
@@ -128,7 +126,6 @@ def test_stage_engine_against_independent_code(fixture, flip):
 
     generic = FirstOrderSystem(N=4, coeff_A=sysd.coeff_A, coeff_B=coeff_B,
                                rep=rep, name="generic_fd")
-    eng = _StageEngine(rep)
     sign = -1.0 if flip else 1.0
     rng = np.random.default_rng(41)
     points = []
@@ -136,7 +133,7 @@ def test_stage_engine_against_independent_code(fixture, flip):
         x = ds.random_chart_point(m, rng)
         xi = ds.random_null_covector(m, x, rng)
         points.append((x, xi))
-        st = eng(x, xi)
+        st = rep.stage(x, xi)
         dx = ds.hamiltonian_field(m, PhasePoint(x, xi))[0]
         want = np.tensordot(dx, connection_at(rep, x), axes=1)
         assert np.max(np.abs(st.omega_dot - want)) < 1e-12
@@ -151,10 +148,10 @@ def test_stage_engine_against_independent_code(fixture, flip):
 
     # one stacked call over the flow's values at all points equals the
     # point calls
-    stacked = eng.at(*map(np.array, zip(*(
+    stacked = rep.stage_at(*map(np.array, zip(*(
         (xi, *_phase_core(m, x, xi)[:3]) for x, xi in points))))
     for i, (x, xi) in enumerate(points):
-        st = eng(x, xi)
+        st = rep.stage(x, xi)
         for name in ("sigma1", "A", "ds1x", "bracket", "B", "kappa",
                      "omega_dot"):
             a, b = getattr(stacked, name)[i], getattr(st, name)
@@ -171,7 +168,7 @@ def _one_contraction_generator(st, rep, sign):
     [gamma^a, gamma^b], -gamma^a times each p_sub row and -Id, built as
     the module once built it."""
     N = rep.N
-    up = np.stack(rep.gammas_up)
+    up = np.diagonal(rep.eta)[:, None, None] * np.stack(rep.gammas)
     P = up[:, None] @ up
     commutator = P - P.transpose(1, 0, 2, 3)
     psub = np.concatenate((
@@ -198,20 +195,18 @@ def test_generator_matches_one_contraction_form(fixture):
     equals the one-contraction form to 1e-14 relative, for both signs, at
     point calls and in one stacked call."""
     from diracsym.geometry import _phase_core
-    from diracsym.symbols import _StageEngine
 
     m = STAGE_FIXTURES[fixture]()
     rep = ds.build_canonical_module(m)
-    eng = _StageEngine(rep)
     rng = np.random.default_rng(43)
     points = []
     for _ in range(4):
         x = ds.random_chart_point(m, rng)
         points.append((x, ds.random_null_covector(m, x, rng)))
-    stacked = eng.at(*map(np.array, zip(*(
+    stacked = rep.stage_at(*map(np.array, zip(*(
         (xi, *_phase_core(m, x, xi)[:3]) for x, xi in points))))
     for sign in (1.0, -1.0):
-        calls = [eng(x, xi) for x, xi in points] + [stacked]
+        calls = [rep.stage(x, xi) for x, xi in points] + [stacked]
         for st in calls:
             got, want = st.generator(sign), _one_contraction_generator(
                 st, rep, sign)
@@ -227,14 +222,13 @@ def test_generator_scratch_stays_small(schw, rep_schw):
     import tracemalloc
 
     from diracsym.geometry import _flow
-    from diracsym.symbols import _StageEngine
 
     state = null_state(schw, rep_schw, SCHW_X0, 0)
     records = []
     _flow(schw, state.phase, 0.032, "rk4_fixed", 1e-3, 1e-10,
           on_block=lambda hs, block: records.extend(block))
     assert len(records) == 129
-    st = _StageEngine(rep_schw).at(*map(np.array, zip(*records)))
+    st = rep_schw.stage_at(*map(np.array, zip(*records)))
     st.generator(1.0)
     tracemalloc.start()
     try:
@@ -248,14 +242,13 @@ def test_generator_scratch_stays_small(schw, rep_schw):
 
 
 def test_engine_scratch_stays_small(schw, rep_schw):
-    """_StageEngine.at on one 64-step RK4 block of schwarzschild1.0 (257
-    stage records) peaks below 720 KiB of Python allocations, its output
-    included; built from the frame partials dE, E^-1 dE and the three-term
-    Christoffel tensor it took 837 KiB."""
+    """CliffordModuleRep.stage_at on one 64-step RK4 block of
+    schwarzschild1.0 (257 stage records) peaks below 720 KiB of Python
+    allocations, its output included; built from the frame partials dE,
+    E^-1 dE and the three-term Christoffel tensor it took 837 KiB."""
     import tracemalloc
 
     from diracsym.geometry import _flow
-    from diracsym.symbols import _StageEngine
 
     state = null_state(schw, rep_schw, SCHW_X0, 0)
     records = []
@@ -263,12 +256,11 @@ def test_engine_scratch_stays_small(schw, rep_schw):
           on_block=lambda hs, block: records.extend(block))
     assert len(records) == 257
     args = list(map(np.array, zip(*records)))
-    eng = _StageEngine(rep_schw)
-    eng.at(*args)
+    rep_schw.stage_at(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        st = eng.at(*args)
+        st = rep_schw.stage_at(*args)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -366,14 +358,13 @@ def test_seed_check_reads_the_frame_alone(rep_schw, sys_schw, schw,
     """The seed's kernel check takes sigma_1 from the frame of the metric
     value: with the engine's one-point call refused, the three transports
     still run, and an off-kernel seed is still refused."""
-    from diracsym.symbols import _StageEngine
 
     state = null_state(schw, rep_schw, SCHW_X0, 0)
 
     def refuse(self, x, xi):
         raise AssertionError("one-point engine call")
 
-    monkeypatch.setattr(_StageEngine, "__call__", refuse)
+    monkeypatch.setattr(ds.CliffordModuleRep, "stage", refuse)
     rpt = compare_transports(rep_schw, sys_schw, state, 0.1, step=1e-2)
     assert rpt.trajectory.n == 11 and rpt.max_gap < 1e-6
     assert len(transport_denker(sys_schw, state, 0.1, step=1e-2).sections) \
@@ -428,8 +419,7 @@ def test_spinor_law_refuses_zero_or_non_finite_polarization(rep_schw, schw,
 def test_denker_kernel_invariance_radial_ray(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, 1.25, 0.0, 0.0]))
-    from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_schw)(SCHW_X0, xi).sigma1)
+    vecs, _ = kernel_basis(rep_schw.stage(SCHW_X0, xi).sigma1)
     orbit = transport_denker(
         sys_schw, PolarizationState(PhasePoint(SCHW_X0, xi), vecs[0]), 5.0,
         step=1e-3)
@@ -554,8 +544,7 @@ def test_compare_scaling_covariance(rep_schw, sys_schw, schw):
 def test_compare_left_chart_flagged(rep_schw, sys_schw, schw):
     xi = ds.null_project_covector(schw, SCHW_X0,
                                   np.array([1.0, -1.25, 0.0, 0.0]))
-    from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_schw)(SCHW_X0, xi).sigma1)
+    vecs, _ = kernel_basis(rep_schw.stage(SCHW_X0, xi).sigma1)
     state = PolarizationState(PhasePoint(SCHW_X0, xi), vecs[0])
     rpt = compare_transports(rep_schw, sys_schw, state, 50.0, step=1e-2)
     assert rpt.left_chart
@@ -587,16 +576,14 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
     and both polarizations stepped as one state, with a per-point engine
     call at every stage, on the accepted steps of the flow."""
     from diracsym.geometry import _DP_A, _RK4_A, _flow, _phase_core, _rk_step
-    from diracsym.symbols import _StageEngine
 
     hs = []
     _flow(m, state.phase, t_end, on_block=lambda h, _: hs.extend(h), **flow)
-    eng = _StageEngine(rep)
     d, N = m.dim, rep.N
 
     def f(y):
         x, xi = y[:d].real, y[d:2 * d].real
-        st = eng(x, xi)
+        st = rep.stage(x, xi)
         L = np.array([st.generator(sign), st.omega_dot])
         rates = -(L @ y[2 * d:].reshape(2, N, 1))
         return np.concatenate((*_phase_core(m, x, xi)[3:], rates.ravel()))
@@ -656,7 +643,6 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
     import dataclasses
 
     from diracsym.geometry import _BLOCK_STEPS, _flow
-    from diracsym.symbols import _StageEngine
 
     m, rep, sysd, state, t_end, flow = _reference_run(case)
     stages = 4 if flow["integrator"] == "rk4_fixed" else 6
@@ -672,14 +658,14 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
         assert len(calls) > 1 + stages * len(hs)
 
     stacked = []  # points per stacked engine call
-    at = _StageEngine.at
+    at = ds.CliffordModuleRep.stage_at
 
     def counting_at(self, xi, *rest):
         if np.ndim(xi) == 2:
             stacked.append(len(xi))
         return at(self, xi, *rest)
 
-    monkeypatch.setattr(_StageEngine, "at", counting_at)
+    monkeypatch.setattr(ds.CliffordModuleRep, "stage_at", counting_at)
     for flip in (False, True):
         stacked.clear()
         rpt = compare_transports(rep, sysd, state, t_end,
@@ -760,9 +746,7 @@ def test_covariance_identity_map(rep_schw, schw):
 def test_covariance_minkowski_boost(rep_mink4, mink4):
     xi = ds.null_project_covector(mink4, np.zeros(4),
                                   np.array([1.0, 0.6, 0.8, 0.0]))
-    from diracsym.symbols import _StageEngine
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(np.zeros(4),
-                                                          xi).sigma1)
+    vecs, _ = kernel_basis(rep_mink4.stage(np.zeros(4), xi).sigma1)
     state = PolarizationState(PhasePoint(np.zeros(4), xi), vecs[0])
     out = covariance_check(minkowski_boost_map(0.5), state, 2.0, step=1e-3)
     assert out["max_w_discrepancy"] < 1e-8
@@ -813,11 +797,10 @@ def test_covariance_rotating_chart_and_frozen_transfer_control(
     passes with the true transfer and fails when the transfer is frozen at
     the seed point, which only a comparison at every sample can see."""
     import diracsym.transport as tr
-    from diracsym.symbols import _StageEngine
 
     x0 = np.array([0.0, 0.5, 0.0, 0.0])
     xi = ds.null_project_covector(mink4, x0, np.array([1.0, 0.6, 0.8, 0.0]))
-    vecs, _ = kernel_basis(_StageEngine(rep_mink4)(x0, xi).sigma1)
+    vecs, _ = kernel_basis(rep_mink4.stage(x0, xi).sigma1)
     state = PolarizationState(PhasePoint(x0, xi), vecs[0])
     cm = _rotating_map(0.3)
     out = covariance_check(cm, state, 1.0, step=1e-3)
@@ -857,6 +840,11 @@ def _boost(d, k, phi):
     return L
 
 
+def _upper_gammas(rep):
+    """gamma^a = eta_aa gamma_a from the module's gammas."""
+    return [e * a for e, a in zip(np.diagonal(rep.eta), rep.gammas)]
+
+
 def test_spinor_rep_closed_forms():
     """T = exp of half the generator: cosh(phi/2) + sinh(phi/2) g^0 g^k for
     a boost of rapidity phi along k, cos(th/2) + sin(th/2) g^1 g^2 for a
@@ -865,7 +853,7 @@ def test_spinor_rep_closed_forms():
 
     for d in (4, 2):
         rep = ds.build_canonical_module(ds.minkowski(d))
-        g = rep.gammas_up
+        g = _upper_gammas(rep)
         for k in range(1, d):
             for phi in (0.7, -1.9):
                 T = np.cosh(phi / 2) * np.eye(rep.N) \
@@ -874,7 +862,7 @@ def test_spinor_rep_closed_forms():
                                     - T))
                 assert err < 1e-14, (d, k, phi, err)
     rep = ds.build_canonical_module(ds.minkowski(4))
-    g = rep.gammas_up
+    g = _upper_gammas(rep)
     for th in (1.1, -2.5):
         L = np.eye(4)
         L[1, 1] = L[2, 2] = np.cos(th)

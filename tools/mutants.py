@@ -114,10 +114,10 @@ MUTANTS = [
     ("recursion_carry_frozen", "src/diracsym/transport.py",
      "self.last = L[-1:].copy()",
      "self.last = L[-1:].copy() if first else self.last"),
-    ("generator_product_order", "src/diracsym/symbols.py",
-     'out -= self.eng.contract(c, "gamma") @ self.p_sub',
-     'out -= self.p_sub @ self.eng.contract(c, "gamma")'),
-    ("generator_kappa_dropped", "src/diracsym/symbols.py",
+    ("generator_product_order", "src/diracsym/clifford.py",
+     'out -= self.rep.contract(c, "gamma") @ self.p_sub',
+     'out -= self.p_sub @ self.rep.contract(c, "gamma")'),
+    ("generator_kappa_dropped", "src/diracsym/clifford.py",
      "out[..., i, i] -= self.kappa[..., None]",
      "out[..., i, i] -= 0.0 * self.kappa[..., None]"),
     ("compare_without_q_drift_gate", "src/diracsym/cli.py",
@@ -136,9 +136,9 @@ MUTANTS = [
      "omega -= F.swapaxes(-3, -2)",
      "omega += F.swapaxes(-3, -2)"),
     ("spin_connection_coordinates_untransposed", "src/diracsym/clifford.py",
-     "w = Einv.swapaxes(-1, -2) @ omega.reshape(",
-     "w = Einv @ omega.reshape("),
-    ("engine_kappa_plain_trace", "src/diracsym/symbols.py",
+     "rep.contract(Einv.swapaxes(-1, -2) @ _rows(omega)",
+     "rep.contract(Einv @ _rows(omega)"),
+    ("engine_kappa_plain_trace", "src/diracsym/clifford.py",
      "np.sum(Zf * (F[..., i, i] @ eta), axis=-1)",
      "np.sum(Zf * F[..., i, i].sum(-1), axis=-1)"),
     ("clifford_tables_keyed_by_dimension", "src/diracsym/clifford.py",
@@ -172,6 +172,16 @@ MUTANTS = [
     ("empty_out_accepted", "src/diracsym/cli.py",
      "if not args.out:\n                raise ConfigError(",
      "if False:\n                raise ConfigError("),
+    ("gamma_of_frame_reads_raw_gammas", "src/diracsym/clifford.py",
+     'return self.contract(np.asarray(comps, dtype=float)\n'
+     '                             * np.diagonal(self.eta), "gamma")',
+     "return np.tensordot(comps, self.gammas, axes=(-1, 0))"),
+    ("symbols_pass_ignores_nonfinite", "src/diracsym/cli.py",
+     "finite and pkg.factorization_residual",
+     "pkg.factorization_residual"),
+    ("chart_point_not_redrawn", "src/diracsym/geometry.py",
+     "if _chart_value(m, x) is not None:\n            return x",
+     "if True:\n            return x"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
