@@ -56,6 +56,8 @@ _SAMPLE_KEYS = {"points", "vectors", "seed"}
 _MAX_VECTORS = 10_000
 _MAX_SAMPLE = 10 ** 6
 
+_SEED_PAST_CHART = "chart_seed_point violates the domain guard"
+
 _DEFAULT_TOLS = {"axioms": 1e-6, "max_gap": 1e-6, "q_drift": 1e-6,
                  "kernel": 1e-8, "factorization": 1e-10, "null": 1e-10,
                  "rank": 1e-8}
@@ -143,8 +145,11 @@ class _Scenario:
         dim = self.metric.dim
         self.x0 = _vector(cfg["chart_seed_point"], "chart_seed_point", dim) \
             if "chart_seed_point" in cfg else default_x
-        if _chart_value(self.metric, self.x0) is None:
-            raise ConfigError("chart_seed_point violates the domain guard")
+        # a given seed must lie in the chart; the default one, the box's
+        # centre, only for the commands that start from it (not certify)
+        self.seed_in_chart = _chart_value(self.metric, self.x0) is not None
+        if not self.seed_in_chart and "chart_seed_point" in cfg:
+            raise ConfigError(_SEED_PAST_CHART)
 
         self.timelike_spec = cfg.get("timelike_field", "normalized_dt")
         if self.timelike_spec != "normalized_dt":
@@ -509,7 +514,10 @@ def _run_one(cmd, config_path, args) -> int:
                 else sc.out_format
             sc.out_path = str(Path(config_path).with_suffix(f".out.{ext}"))
         # full validation before any computation: resolving checks each
-        sc.timelike_field
+        if sc.seed_in_chart:
+            sc.timelike_field
+        elif cmd != "certify":
+            raise ConfigError(_SEED_PAST_CHART)
         if cmd in ("trace", "compare", "symbols"):
             sc.initial_covector
         return _COMMANDS[cmd](sc, args)

@@ -28,13 +28,13 @@ from .errors import (
 )
 from .geometry import (
     MetricField,
+    _chart_draw,
     _christoffel_from,
     _frame_connection,
     _metric_jet,
     _phase_core,
     eval_metric,
     orthonormal_frame,
-    random_chart_point,
 )
 
 __all__ = [
@@ -418,8 +418,7 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     Wp = np.zeros((n_pts, n_vec, d))
     found = np.zeros((n_pts, n_vec), dtype=bool)
     for i in range(n_pts):
-        xs[i] = random_chart_point(m, rng)
-        g[i], dg[i] = _metric_jet(m, xs[i])
+        xs[i], g[i], dg[i] = _chart_draw(m, rng)
         for j in range(n_vec):
             draws[i, j] = rng.uniform(-1.0, 1.0, size=n_draw)
             for _ in range(8):

@@ -4,10 +4,11 @@ Everything works on a single chart: a metric field is its jet, a callable
 returning the matrix ``g_ij(x)`` in signature (-, +, ..., +) and its partials
 dg (a closed form for every catalog metric, for ``conformal_flat`` by
 forward-mode differentiation of its expression), which raises OutsideChart
-past the chart.  Every read of the metric is one read of that jet.
+past the chart.  Every read of the metric is one read of that jet, or of
+the float phase kernel that a catalog metric computes from the same values.
 On top of that sit Christoffel symbols, the scalar Hamiltonian
 ``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
-integration, and orthonormal frames from the factorization
+integration in Python floats, and orthonormal frames from the factorization
 ``g = R^T eta R`` with ``R`` upper triangular, which is Gram-Schmidt in
 chart order, with their Levi-Civita frame connection.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -71,7 +74,14 @@ class MetricField:
     matrix g_ij and dg[k, i, j] = d_k g_ij (the catalog supplies closed
     forms).  Past the chart it raises OutsideChart itself: a catalog
     metric tests its chart on the values it computes.  Every read of the
-    metric, the flow's and the metric value's alike, is one jet.
+    metric outside the flow is one jet.
+
+    ``phase``, optional and for diagonal metrics only, is the flow's float
+    kernel: ``phase(x, xi) -> (rate, record)`` for float lists x and xi,
+    with rate the list (dx, dxi) that ``_phase_core`` gives at (x, xi) and
+    record the flat tuple (xi, diag g, dg[k, a, a] for k then a, Z) of its
+    values; it raises OutsideChart past the chart, as the jet does.  A
+    metric without one flows through ``_phase_core``.
     """
 
     dim: int
@@ -79,10 +89,13 @@ class MetricField:
     name: str = "custom"
     diagonal: bool = False
     sample_box: Optional[np.ndarray] = None
+    phase: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
+        if self.phase is not None and not self.diagonal:
+            raise ConfigError("a phase kernel needs a diagonal metric")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
 
@@ -211,9 +224,10 @@ def _phase_core(m: MetricField, x, xi):
     """Shared kernel of the q-flow right-hand side at a point x (an array).
 
     Returns (g, dg, Z, dx, dxi); every caller that must stay bitwise
-    consistent with trajectory integration goes through here.  It reads
-    the metric once, from its jet, which raises OutsideChart past the
-    chart.
+    consistent with trajectory integration goes through here, or through
+    the metric's phase kernel (``MetricField``), which computes the same
+    values in floats.  It reads the metric once, from its jet, which
+    raises OutsideChart past the chart.
     """
     g, dg = m.jet(x)
     Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
@@ -334,7 +348,8 @@ def orthonormal_frame(m: MetricField, x) -> FrameSample:
 
 
 # ---------------------------------------------------------------------------
-# steppers; a state is one array, a right-hand side f maps it to its rate
+# steppers; a state is one list of floats, a right-hand side f maps it to
+# its rate
 
 # Explicit Runge-Kutta tableaus: row i holds the coefficients of stage
 # i + 2 on the rates before it, the last row the solution weights; the rate
@@ -359,7 +374,7 @@ _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
 
 def _combine(y, h, row, ks):
     """y + sum((h * c) * k) over the pairs (c, k) of ``row`` and ``ks`` in
-    order; zero coefficients are skipped."""
+    order, on arrays; zero coefficients are skipped."""
     acc = None
     for c, k in zip(row, ks):
         if c != 0.0:
@@ -367,16 +382,27 @@ def _combine(y, h, row, ks):
     return y + acc
 
 
+def _combine_floats(y, h, row, ks):
+    """``_combine`` on lists of floats, with its terms in its order for
+    each component, so its bits are those of ``_combine`` on arrays."""
+    acc = None
+    for c, k in zip(row, ks):
+        if c != 0.0:
+            t = map(operator.mul, itertools.repeat(h * c), k)
+            acc = t if acc is None else map(operator.add, acc, t)
+    return list(map(operator.add, y, acc))
+
+
 def _rk_step(f, y, k1, h, rows):
-    """One step of the tableau ``rows`` from y, whose rate k1 = f(y) is
-    given.
+    """One step of the tableau ``rows`` from the float list y, whose rate
+    k1 = f(y) is given.
 
     Returns (y_new, ks): the stage rates, ending with f(y_new), which is
     the next step's k1.
     """
     ks = [k1]
     for row in rows:
-        y_new = _combine(y, h, row, ks)
+        y_new = _combine_floats(y, h, row, ks)
         ks.append(f(y_new))
     return y_new, ks
 
@@ -424,23 +450,44 @@ _BLOCK_STEPS = 64
 _ATTEMPTS_PER_T = 50_000
 
 
+def _phase_arrays(m: MetricField, x, xi):
+    """The flow's kernel for a metric without a ``phase``: ``_phase_core``
+    at the float lists x and xi, with the record (xi, g, dg, Z) of arrays."""
+    xi = np.array(xi)
+    g, dg, Z, dx, dxi = _phase_core(m, np.array(x), xi)
+    return dx.tolist() + dxi.tolist(), (xi, g, dg, Z)
+
+
+def _stack_diagonal(records, d: int):
+    """(xi, g, dg, Z) stacked from the flat records of a phase kernel
+    (``MetricField``); the off-diagonal entries of g and dg are 0."""
+    a = np.array(records, dtype=float)
+    n, i = len(a), np.arange(d)
+    g = np.zeros((n, d, d))
+    g[:, i, i] = a[:, d:2 * d]
+    dg = np.zeros((n, d, d, d))
+    dg[:, :, i, i] = a[:, 2 * d:-d].reshape(n, d, d)
+    return a[:, :d].copy(), g, dg, a[:, -d:].copy()
+
+
 def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
           step: float, tol: float, on_block: Optional[Callable] = None):
     """Integrate the q-flow from p0 over [0, t_end] on the phase point
-    packed as the array (x, xi).
+    packed as the float list (x, xi).
 
     RK4 takes the grid of ``step``; Dormand-Prince picks its grid by error
-    control at ``tol``.  A stage past the chart (OutsideChart) truncates
-    the run.
+    control at ``tol``, with its error norm on numpy.  A stage past the
+    chart (OutsideChart) truncates the run.  The rate is the metric's
+    ``phase`` kernel, or ``_phase_core`` for a metric without one.
 
-    Each rate evaluation leaves a record ``(xi, g, dg, Z)`` of what
-    ``_phase_core`` computed there (its dx is 2 Z).  The records of
-    accepted steps go, in evaluation order, to ``on_block(hs, records)``
-    once per ``_BLOCK_STEPS`` steps and at the end: the first block opens
-    with the seed's record, and a step of size hs[i] adds its stages after
-    the first, the last of them at the step's new sample; both lists are
-    cleared after the call.  Records of rejected steps and of a step cut
-    off at the chart's edge are dropped.
+    Each rate evaluation leaves a record of the values (xi, g, dg, Z) it
+    computed there (its dx is 2 Z).  The records of accepted steps go, in
+    evaluation order, to ``on_block(hs, (xi, g, dg, Z))``, stacked into
+    arrays along a first axis, once per ``_BLOCK_STEPS`` steps and at the
+    end: the first block opens with the seed's record, and a step of size
+    hs[i] adds its stages after the first, the last of them at the step's
+    new sample; ``hs`` is cleared after the call.  Records of rejected
+    steps and of a step cut off at the chart's edge are dropped.
     """
     if integrator == "rk4_fixed":
         knob, value = "step", step
@@ -458,16 +505,18 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     if not (grid if integrator == "rk4_fixed" else t_end > h_min):
         raise ConfigError(f"t_end {t_end} leaves no {integrator} step")
     d = m.dim
+    phase = m.phase or functools.partial(_phase_arrays, m)
     stage, block, hs = [], [], []
 
     def f(y):
-        g, dg, Z, dx, dxi = _phase_core(m, y[:d], y[d:])
-        stage.append((y[d:], g, dg, Z))
-        return np.concatenate((dx, dxi))
+        rate, record = phase(y[:d], y[d:])
+        stage.append(record)
+        return rate
 
     def flush():
         if on_block is not None:
-            on_block(hs, block)
+            on_block(hs, _stack_diagonal(block, d) if m.phase
+                     else tuple(map(np.array, zip(*block))))
         hs.clear()
         block.clear()
 
@@ -478,7 +527,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
         if len(hs) == _BLOCK_STEPS:
             flush()
 
-    y, t = np.concatenate((p0.x, p0.xi)), 0.0
+    y, t = p0.x.tolist() + p0.xi.tolist(), 0.0
     k = f(y)
     block.extend(stage)
     stage.clear()
@@ -510,8 +559,9 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
                         f"of {t_end}, h={h_try}")
                 attempts += 1
                 ynew, ks = _rk_step(f, y, k, h_try, _DP_A)
-                err = ynew - _combine(y, h_try, _DP_B4, ks)
-                sc = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
+                yn = np.array(ynew)
+                err = yn - np.array(_combine_floats(y, h_try, _DP_B4, ks))
+                sc = tol + tol * np.maximum(np.abs(np.array(y)), np.abs(yn))
                 enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
                 if enorm <= 1.0:
                     t += h_try
@@ -572,20 +622,29 @@ def integrate_bicharacteristic(
 _CHART_TRIES = 16   # draws of a random point inside the chart
 
 
-def random_chart_point(m: MetricField, rng: np.random.Generator) -> np.ndarray:
-    """A uniform draw from the metric's sample box that lies in its chart:
-    draws past the chart are redrawn, and a ConfigError names the metric
-    after ``_CHART_TRIES`` of them."""
+@np.errstate(all="ignore")
+def _chart_draw(m: MetricField, rng: np.random.Generator):
+    """(x, g, dg) for ``random_chart_point``'s draw x and the jet that
+    tested it.  Draws past the chart raise no numpy warning."""
     if m.sample_box is None:
         raise ConfigError(f"metric {m.name} has no sample box")
     lo = m.sample_box[:, 0]
     hi = m.sample_box[:, 1]
     for _ in range(_CHART_TRIES):
         x = lo + (hi - lo) * rng.random(m.dim)
-        if _chart_value(m, x) is not None:
-            return x
+        try:
+            return (x, *_metric_jet(m, x))
+        except OutsideChart:
+            pass
     raise ConfigError(f"metric {m.name}: {_CHART_TRIES} draws from its "
                       f"sample box all lie outside its chart")
+
+
+def random_chart_point(m: MetricField, rng: np.random.Generator) -> np.ndarray:
+    """A uniform draw from the metric's sample box that lies in its chart:
+    draws past the chart are redrawn, and a ConfigError names the metric
+    after ``_CHART_TRIES`` of them."""
+    return _chart_draw(m, rng)[0]
 
 
 def _null_projection(ginv, xi):
@@ -647,12 +706,21 @@ def random_null_covector(m: MetricField, x,
 
 
 def _constant_metric(g: np.ndarray, name: str, diagonal: bool) -> MetricField:
-    """The constant metric g, sampled from the box [-5, 5]^d; jet (g, 0)."""
+    """The constant metric g, sampled from the box [-5, 5]^d; jet (g, 0).
+    A diagonal one has a phase kernel: dxi is +0.0, as ``_phase_core``'s
+    dg.dot(Z).dot(Z) is for dg = 0 and any Z."""
     d = len(g)
     zeros = np.zeros((d, d, d))
+    gd, rest = g.diagonal().tolist(), (0.0,) * (d * d)
+
+    def phase(x, xi):
+        Z = [a / b for a, b in zip(xi, gd)]
+        return [2.0 * z for z in Z] + [0.0] * d, (*xi, *gd, *rest, *Z)
+
     return MetricField(
         dim=d, jet=lambda x: (g.copy(), zeros), name=name,
-        diagonal=diagonal, sample_box=np.array([[-5.0, 5.0]] * d))
+        diagonal=diagonal, sample_box=np.array([[-5.0, 5.0]] * d),
+        phase=phase if diagonal else None)
 
 
 def minkowski(dim: int = 4) -> MetricField:
@@ -707,27 +775,61 @@ def _radial_ok(r, s, r_min: float) -> bool:
     return r >= r_min and s >= _THETA_MARGIN
 
 
+def _radial_values(values, x, r_min: float, name: str):
+    """A Schwarzschild chart's ``values(r, sin theta, cos theta)`` at the
+    point x, the arguments of ``_radial_jet``, once x passes its chart
+    test; every read of the chart, jet or phase kernel, goes through
+    here."""
+    r, th = float(x[1]), float(x[2])
+    s = _sin(th)
+    if not _radial_ok(r, s, r_min):
+        raise _outside(x, name)
+    return values(r, s, math.cos(th))
+
+
+def _radial_metric(values, r_min: float, name: str, box) -> MetricField:
+    """The diagonal metric of ``_radial_values``, with its jet and its
+    phase kernel.
+
+    The kernel sums dxi_k = sum_a v_ka, v_ka = (d_k g_aa Z^a) Z^a, as
+    (v_k0 + v_k2) + (v_k1 + v_k3), the order in which OpenBLAS sums
+    ``_phase_core``'s ``dg.dot(Z).dot(Z)`` on x86-64, so a flow keeps the
+    bits of one through ``_phase_core`` there; a BLAS that sums in another
+    order moves dxi by an ulp or two.  0.0 + v_23 is that sum over a row
+    of dg with one entry, 0.0 over a row without one."""
+    def jet(x):
+        return _radial_jet(*_radial_values(values, x, r_min, name))
+
+    def phase(x, xi):
+        (g0, g1, g2, g3), (d0, d1, d2, d3), e = _radial_values(
+            values, x, r_min, name)
+        x0, x1, x2, x3 = xi
+        z0, z1, z2, z3 = x0 / g0, x1 / g1, x2 / g2, x3 / g3
+        return ([2.0 * z0, 2.0 * z1, 2.0 * z2, 2.0 * z3, 0.0,
+                 (d0 * z0 * z0 + d2 * z2 * z2) + (d1 * z1 * z1 + d3 * z3 * z3),
+                 0.0 + e * z3 * z3, 0.0],
+                (x0, x1, x2, x3, g0, g1, g2, g3, 0.0, 0.0, 0.0, 0.0,
+                 d0, d1, d2, d3, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0,
+                 z0, z1, z2, z3))
+
+    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
+                       sample_box=box, phase=phase)
+
+
 def schwarzschild(mass: float = 1.0) -> MetricField:
     M = _mass(mass)
-    r_min = 2.0 * M * (1.0 + _HORIZON_MARGIN)
-    name = f"schwarzschild{mass:g}"
 
-    def jet(x):
-        r, th = float(x[1]), float(x[2])
-        s = _sin(th)
-        if not _radial_ok(r, s, r_min):
-            raise _outside(x, name)
+    def values(r, s, c):
         f = 1.0 - 2.0 * M / r
         fp = 2.0 * M / (r * r)
-        c = math.cos(th)
-        return _radial_jet((-f, 1.0 / f, r * r, r * r * s * s),
-                           (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
-                           2.0 * r * r * s * c)
+        return ((-f, 1.0 / f, r * r, r * r * s * s),
+                (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
+                2.0 * r * r * s * c)
 
     box = np.array([[-5.0, 5.0], [3.0 * M, 50.0 * M],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
-    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
-                       sample_box=box)
+    return _radial_metric(values, 2.0 * M * (1.0 + _HORIZON_MARGIN),
+                          f"schwarzschild{mass:g}", box)
 
 
 def _iso_radius(r: float, M: float) -> float:
@@ -738,32 +840,24 @@ def schwarzschild_isotropic(mass: float = 1.0) -> MetricField:
     """Same exterior geometry as ``schwarzschild`` with the radial coordinate
     replaced by its isotropic counterpart."""
     M = _mass(mass)
-    rho_min = 0.5 * M * (1.0 + _HORIZON_MARGIN)
-    name = f"schwarzschild_isotropic{mass:g}"
 
-    def jet(x):
-        rho, th = float(x[1]), float(x[2])
-        s = _sin(th)
-        if not _radial_ok(rho, s, rho_min):
-            raise _outside(x, name)
+    def values(rho, s, c):
         u = 1.0 + M / (2.0 * rho)
         du = -M / (2.0 * rho * rho)
         A = (1.0 - M / (2.0 * rho)) / u
         dA = (M / (rho * rho)) / (u * u)
-        c = math.cos(th)
         u4 = u * u * u * u
         du4 = 4.0 * u ** 3 * du                      # d_rho u^4
         dr = du4 * rho * rho + 2.0 * u ** 4 * rho    # d_rho (u^4 rho^2)
-        return _radial_jet(
-            (-A * A, u4, u4 * rho * rho, u4 * rho * rho * s * s),
-            (-2.0 * A * dA, du4, dr, dr * s * s),
-            2.0 * u ** 4 * rho * rho * s * c)
+        return ((-A * A, u4, u4 * rho * rho, u4 * rho * rho * s * s),
+                (-2.0 * A * dA, du4, dr, dr * s * s),
+                2.0 * u ** 4 * rho * rho * s * c)
 
     box = np.array([[-5.0, 5.0],
                     [_iso_radius(3.0 * M, M), _iso_radius(50.0 * M, M)],
                     [0.3, math.pi - 0.3], [0.0, 2.0 * math.pi]])
-    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
-                       sample_box=box)
+    return _radial_metric(values, 0.5 * M * (1.0 + _HORIZON_MARGIN),
+                          f"schwarzschild_isotropic{mass:g}", box)
 
 
 def _abs(a):
@@ -848,8 +942,7 @@ class _KernelBuilder:
 
     def __init__(self, expr: str, names: dict):
         self.expr, self.names = expr, names
-        self.env = {"__builtins__": {}, "_array": np.array,
-                    "_point": _coords, "_div": _div, "_pow": _pow}
+        self.env = {"__builtins__": {}, "_div": _div, "_pow": _pow}
         self.env.update((f"_{k}", lambda a, f=f: float(f(a)))
                         for k, (f, _) in _EXPR_FUNCS.items())
         self.body = []
@@ -953,15 +1046,16 @@ class _ScalarOps(ast.NodeTransformer):
 
 @functools.lru_cache(maxsize=256)
 def _omega_kernels(expr: str, dim: int):
-    """The jet compiled from the expression ``expr`` in x0..x{dim-1}
-    (aliases t, x, y, z when dim == 4): jet(p) = (Omega(p), array
-    [d_k Omega(p)]), reading p as float64 values.
+    """The values of the expression ``expr`` in x0..x{dim-1} (aliases t,
+    x, y, z when dim == 4), compiled: values(p) = (Omega(p), (d_0 Omega(p),
+    ..., d_{dim-1} Omega(p))) for a list p of floats.
 
     Accepted: numeric constants (floats, so ``9**9**9`` overflows instead
     of growing an integer), the coordinates, ``pi``, ``+ - * / **``, unary
     ``+ -`` and one-argument calls of ``_EXPR_FUNCS``; any other node
     raises ConfigError.  It is compiled once per (expr, dim), with no
-    builtins.
+    builtins; the jet and the phase kernel of ``conformal_flat`` both run
+    it.
     """
     names = {f"x{i}": i for i in range(dim)}
     if dim == 4:
@@ -972,29 +1066,26 @@ def _omega_kernels(expr: str, dim: int):
     except (SyntaxError, ValueError, RecursionError) as e:
         raise ConfigError(f"conformal factor {expr!r} does not parse: {e}") \
             from None
-    grad = ast.Call(_ast("_array"), [ast.List(
-        [_ast(dw.get(k, 0.0)) for k in range(dim)], ast.Load(), **_AT)], [],
-        **_AT)
-    # def _jet(_p): _p = _point(_p); body; return (Omega, gradient)
-    read = ast.Assign([ast.Name("_p", ast.Store(), **_AT)],
-                      ast.Call(_ast("_point"), [_ast("_p")], [], **_AT), **_AT)
+    grad = ast.Tuple([_ast(dw.get(k, 0.0)) for k in range(dim)], ast.Load(),
+                     **_AT)
+    # def _values(_p): body; return (Omega, gradient)
     args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
                          kwonlyargs=[], kw_defaults=[], defaults=[])
     result = ast.Return(ast.Tuple([_ast(w), grad], ast.Load(), **_AT), **_AT)
-    module = ast.Module([ast.FunctionDef("_jet", args, [read, *b.body, result],
+    module = ast.Module([ast.FunctionDef("_values", args, [*b.body, result],
                                          decorator_list=[], **_AT)],
                         type_ignores=[])
     _ScalarOps().visit(module)
     exec(compile(module, "<conformal factor>", "exec"), b.env)
-    return b.env.pop("_jet")
+    return b.env.pop("_values")
 
 
-def _omega_ok(w) -> bool:
+def _omega_ok(w, dw) -> bool:
     """The chart test of a conformal factor: the metric Omega^2 eta must
-    be nondegenerate and finite, |Omega| > 1e-6 and Omega^2 < inf; NaN
-    fails both."""
+    be nondegenerate and finite, |Omega| > 1e-6 and Omega^2 < inf, and so
+    must its partials d_k Omega; NaN fails."""
     w = abs(w)
-    return w > 1e-6 and w * w < math.inf
+    return w > 1e-6 and w * w < math.inf and all(map(math.isfinite, dw))
 
 
 def conformal_flat(omega: str, dim: int = 4) -> MetricField:
@@ -1005,21 +1096,45 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
     ``jet`` is closed form: d_k Omega by forward-mode differentiation of
     the expression, which ``_omega_kernels`` compiles once per (omega, dim)
     along with Omega itself, and dg = 2 Omega dOmega eta.  It tests the
-    chart on its own Omega.
+    chart on its own Omega and dOmega.  In dimension 4 the metric also has
+    a phase kernel from the same values, which sums dxi_k = sum_a (d_k g_aa
+    Z^a) Z^a in the order of ``_radial_metric``'s.
     """
     expr = str(omega)
-    omega_jet = _omega_kernels(expr, dim)
+    values = _omega_kernels(expr, dim)
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
     name = "conformal_flat{" + expr + "}"
 
+    def read(p):
+        w, dw = values(p)
+        if not _omega_ok(w, dw):
+            raise _outside(p, name)
+        return w, dw
+
     def jet(x):
-        w, dw = omega_jet(x)
-        if not _omega_ok(w):
-            raise _outside(x, name)
-        return w * w * eta, np.multiply.outer(2.0 * w * dw, eta)
+        w, dw = read(_coords(x))
+        return w * w * eta, np.multiply.outer(2.0 * w * np.array(dw), eta)
+
+    def phase(x, xi):
+        w, dw = read(x)
+        x0, x1, x2, x3 = xi
+        ww = w * w
+        n = -ww
+        z0, z1, z2, z3 = x0 / n, x1 / ww, x2 / ww, x3 / ww
+        c = 2.0 * w
+        dxi, dgd = [], []
+        for v in dw:
+            p = c * v
+            q = -p
+            dxi.append((q * z0 * z0 + p * z2 * z2)
+                       + (p * z1 * z1 + p * z3 * z3))
+            dgd += (q, p, p, p)
+        return ([2.0 * z0, 2.0 * z1, 2.0 * z2, 2.0 * z3, *dxi],
+                (x0, x1, x2, x3, n, ww, ww, ww, *dgd, z0, z1, z2, z3))
 
     return MetricField(dim=dim, jet=jet, name=name, diagonal=True,
-                       sample_box=np.array([[-2.0, 2.0]] * dim))
+                       sample_box=np.array([[-2.0, 2.0]] * dim),
+                       phase=phase if dim == 4 else None)
 
 
 _CATALOG_PATTERNS = (

@@ -20,14 +20,14 @@ The Hamiltonian flow of q does not depend on the polarization, and both
 laws are linear in it along that flow.  So a transport runs the phase flow
 first, with the trajectory integrator's own code and grid; its ray is
 ``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
-computed at the stages of its accepted steps, records (xi, g, dg, Z), in
-blocks of 64 steps; one stacked stage of the module per block
-(``CliffordModuleRep.stage_at``) forms the frame components F of dg and
-from F each law's matrix L at every stage, by contractions against the
-module's Clifford tensors, the ones its certificate checks; a few
-stacked products turn those into each step's increment operator D under
-the flow's own tableau, and a polarization advances as w + D w, one small
-product per step.  The sections equal those of a joint ray-and-polarization
+computed at the stages of its accepted steps, records (xi, g, dg, Z)
+already stacked into arrays, in blocks of 64 steps; one stacked stage of
+the module per block (``CliffordModuleRep.stage_at``) forms the frame
+components F of dg and from F each law's matrix L at every stage, by
+contractions against the module's Clifford tensors, the ones its
+certificate checks; a few stacked products turn those into each step's
+increment operator D under the flow's own tableau, and a polarization
+advances as w + D w, one small product per step.  The sections equal those of a joint ray-and-polarization
 integration to roundoff, are bit for bit the same for any block size, and do
 not depend on whether the other law rides along.
 """
@@ -129,8 +129,9 @@ class _Recursion:
     """Polarizations along a phase flow, one block of its accepted steps
     at a time (``_flow``'s ``on_block``).
 
-    One stacked stage of the module evaluates the block's records, giving
-    each law's matrix L at every stage: the generator M - kappa Id of the
+    One stacked stage of the module evaluates the block's records, which
+    the flow hands on stacked as arrays (xi, g, dg, Z), giving each law's
+    matrix L at every stage: the generator M - kappa Id of the
     symbol-level law when ``sign`` is set, then omega(x; xdot) of the
     spinor law when ``spin``.  Both laws are linear, dw/dt = -L w, so a
     step of the flow's own tableau ``rows`` (a = rows[:-1], b = rows[-1])
@@ -155,8 +156,8 @@ class _Recursion:
         self.V, self.last = V0, None  # last: L at the latest sample
         self.Vs, self.xis, self.Es, self.L0s = [], [], [], []
 
-    def __call__(self, hs, records):
-        st = self.rep.stage_at(*map(np.array, zip(*records)))
+    def __call__(self, hs, stage):
+        st = self.rep.stage_at(*stage)
         laws = ([st.generator(self.sign)] if self.sign is not None else []) \
             + ([st.omega_dot] if self.spin else [])
         L = np.stack(laws, axis=1)
@@ -164,7 +165,7 @@ class _Recursion:
         first = self.last is None  # the first block opens with the seed
         # index arrays and the copied carry hold no view of a finished
         # block's arrays, which would stay alive to the end of the run
-        kept = np.arange(0 if first else s - 1, len(records), s)
+        kept = np.arange(0 if first else s - 1, len(st.xi), s)
         self.xis.append(st.xi[kept])
         self.Es.append(st.E[kept])
         self.L0s.append(L[kept, 0])

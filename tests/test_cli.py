@@ -419,9 +419,10 @@ _SQRT = "conformal_flat{1 + 0.1*sqrt(x)}"
 @pytest.mark.parametrize("command", ["certify", "trace", "compare",
                                      "symbols"])
 def test_jet_that_is_not_finite_stays_one_line(tmp_path, command):
-    """numpy's floating-point warnings stay off stderr, which holds at
-    most one line, and symbols fails on its non-finite matrices instead of
-    passing; the rays leave the chart at once."""
+    """numpy's floating-point warnings stay off stderr.  The default seed
+    x = 0, where dOmega is infinite, lies past the chart: the commands that
+    start from it refuse it with the one-line domain-guard error, and
+    certify, which starts from no seed, passes on the points it draws."""
     path = write_cfg(tmp_path, "sqrt.json", {
         "metric": _SQRT, "t_end": 0.2, "sample": {"points": 3,
                                                   "vectors": 3}})
@@ -429,12 +430,29 @@ def test_jet_that_is_not_finite_stays_one_line(tmp_path, command):
     proc = subprocess.run(
         [sys.executable, "-m", "diracsym.cli", command, "--config", path,
          "--no-meta"], capture_output=True, text=True, env=env, timeout=120)
-    assert len(proc.stderr.splitlines()) <= 1, proc.stderr
-    assert proc.returncode == (0 if command == "certify" else 1)
-    if command == "symbols":
-        assert json.loads(proc.stdout)["pass"] is False
-    if command == "compare":
-        assert json.loads(proc.stdout)["failed"] == ["left_chart"]
+    if command == "certify":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["pass"] is True
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: ConfigError: chart_seed_point "
+                               "violates the domain guard\n")
+
+
+def test_symbols_fails_where_the_metric_jet_overflows(tmp_path, capsys):
+    """Omega = 1e150 + 1e160 x at x = 0: Omega, Omega^2 and dOmega are
+    finite, so the seed lies in the chart, but dg = 2 Omega dOmega eta
+    overflows; symbols dumps the non-finite matrices and fails, with a
+    factorization residual of 0 and nothing on stderr."""
+    path = write_cfg(tmp_path, "big.json", {
+        "metric": "conformal_flat{1e150 + 1e160*x}",
+        "initial_covector": [1.0, 1.0, 0.0, 0.0]})
+    rc, out, err = run(capsys, ["symbols", "--config", path, "--no-meta"])
+    assert (rc, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["factorization_residual"] == 0.0
+    assert "Infinity" in out or "NaN" in out
 
 
 def test_certify_redraws_points_past_the_chart(tmp_path, capsys):

@@ -541,3 +541,28 @@ def test_blocked_certificate_matches_point_loop(monkeypatch, fixture,
     for key in AXIOM_KEYS[:-1]:
         assert abs(got[key].max_residual - want[key]) <= 1e-13, key
     assert abs(got["C8"].extra["min_eigenvalue"] - c8_min) <= 1e-13
+
+
+@pytest.mark.parametrize("name,draws", [
+    ("schwarzschild1.0", 10), ("conformal_flat{1 + 0.1*sqrt(x)}", 15)])
+def test_certificate_reads_each_drawn_point_once(name, draws):
+    """certify_axioms reads one jet per draw, the jet that tested it in
+    the chart (the sqrt metric's box draws 5 points past its chart, which
+    are redrawn), and one more per kept point for its frame in Q; the
+    draws are those of random_chart_point, so the stream is unchanged."""
+    from diracsym.geometry import _chart_draw
+
+    m = ds.catalog_metric(name)
+    calls = []
+    counted = dataclasses.replace(
+        m, jet=lambda x: calls.append(1) or m.jet(x))
+    rep = ds.build_canonical_module(counted)
+    sample = SampleSpec(points=10, vectors=3, seed=0)
+    assert certify_axioms(rep, sample).passed
+    assert len(calls) == draws + 10
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        x, g, dg = _chart_draw(m, rng_a)
+        assert np.array_equal(x, ds.random_chart_point(m, rng_b))
+        want = m.jet(x)
+        assert np.array_equal(g, want[0]) and np.array_equal(dg, want[1])

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,14 +425,12 @@ def test_conformal_jet_matches_complex_step(case):
 
 
 def test_conformal_kernels_see_only_their_bindings():
-    """The compiled jet runs without builtins and names nothing but the
-    point reader, the gradient's array constructor, the whitelisted
-    functions, the division and power helpers and the expression's float
-    constants."""
+    """The compiled values run without builtins and name nothing but the
+    whitelisted functions, the division and power helpers and the
+    expression's float constants."""
     expr = ("abs(sin(t)) + cos(x) + tan(y) + exp(z) + log(2 + t) + sqrt(2)"
             " + sinh(x) + cosh(y) + tanh(z) + arctan(t) - pi/x**2")
-    allowed = {"_point", "_array", "_div", "_pow"} | \
-        {f"_{f}" for f in _EXPR_FUNCS}
+    allowed = {"_div", "_pow"} | {f"_{f}" for f in _EXPR_FUNCS}
     fn = _omega_kernels(expr, 4)
     env = fn.__globals__
     assert env["__builtins__"] == {}
@@ -521,7 +520,7 @@ def test_conformal_kernels_keep_float64_scalar_semantics():
     exp(1000), log(-1), sqrt(-1), abs at +-0, infinities, NaN) and at
     random points; no kernel raises, none turns complex.  The jet is
     (Omega^2 eta, 2 Omega dOmega eta) where ``_omega_ok`` holds and raises
-    OutsideChart elsewhere."""
+    OutsideChart elsewhere; the compiled values read the point's floats."""
     exprs = [f"{f}(t)" for f in _EXPR_FUNCS] + [
         "t + x", "t - x", "t * x", "t / x", "t ** x", "-t", "+t",
         "2 ** t", "t ** 2", "1 / t", "pi * t", "sin(t * x) / (1 + x ** 2)",
@@ -533,15 +532,15 @@ def test_conformal_kernels_keep_float64_scalar_semantics():
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     with np.errstate(all="ignore"):
         for expr in exprs:
-            jet = _omega_kernels(expr, 4)
+            values = _omega_kernels(expr, 4)
             m = ds.conformal_flat(expr)
             for p in pts:
                 w, dw = _f64_jet(expr, p)
-                got_w, got_dw = jet(p)
-                assert type(got_w) is float and got_dw.dtype == np.float64
+                got_w, got_dw = values(p.tolist())
+                assert all(type(v) is float for v in (got_w, *got_dw))
                 assert np.array_equal(got_w, w, equal_nan=True), (expr, p)
                 assert np.array_equal(got_dw, dw, equal_nan=True), (expr, p)
-                if not _omega_ok(w):
+                if not _omega_ok(w, dw):
                     with pytest.raises(OutsideChart):
                         m.jet(p)
                     continue
@@ -615,6 +614,7 @@ def test_catalog_jet_matches_central_differences(name):
 
 @pytest.mark.parametrize("name", ["schwarzschild1.0", "conformal_flat"])
 def test_rk4_flow_takes_one_jet_per_stage(name):
+    """One read of the metric per stage: its phase kernel, and no jet."""
     import dataclasses
 
     from diracsym.geometry import _flow
@@ -622,13 +622,14 @@ def test_rk4_flow_takes_one_jet_per_stage(name):
     m = _JET_CATALOG[name]()
     jets = []
     counted = dataclasses.replace(
-        m, jet=lambda x: jets.append(1) or m.jet(x))
+        m, jet=lambda x: jets.append("jet") or m.jet(x),
+        phase=lambda x, xi: jets.append("phase") or m.phase(x, xi))
     x0 = SCHW_X0 if name.startswith("schwarzschild") \
         else np.array([0.1, -0.3, 0.5, 0.2])
     xi0 = ds.random_null_covector(m, x0, np.random.default_rng(2))
     traj = _flow(counted, PhasePoint(x0, xi0), 0.1, "rk4_fixed", 1e-2, 1e-10)
     assert traj.n - 1 == 10 and not traj.left_chart
-    assert len(jets) == 1 + 4 * 10
+    assert jets == ["phase"] * (1 + 4 * 10)
 
 
 def _counting(calls, key, f):
@@ -641,17 +642,18 @@ def _counting(calls, key, f):
 @pytest.fixture
 def counted(monkeypatch):
     """Counts of metric work in catalog metrics built inside the test:
-    "stage" (``_phase_core`` calls) and "jet" (a conformal jet kernel or a
-    Schwarzschild closed form).  A test may count its own jet under
-    "user_jet"."""
+    "stage" (``_phase_core`` calls) and "jet" (the values of a conformal
+    factor or of a Schwarzschild chart, which its jet and its phase kernel
+    read).  A test may count its own jet under "user_jet" and a phase
+    kernel's calls under "stage"."""
     from diracsym import geometry
 
     calls = collections.Counter()
     kernels = geometry._omega_kernels
     monkeypatch.setattr(geometry, "_omega_kernels",
                         lambda e, d: _counting(calls, "jet", kernels(e, d)))
-    monkeypatch.setattr(geometry, "_radial_jet",
-                        _counting(calls, "jet", geometry._radial_jet))
+    monkeypatch.setattr(geometry, "_radial_values",
+                        _counting(calls, "jet", geometry._radial_values))
     monkeypatch.setattr(geometry, "_phase_core",
                         _counting(calls, "stage", geometry._phase_core))
     return calls
@@ -661,11 +663,15 @@ def counted(monkeypatch):
     ("conformal_flat", "rk45_adaptive"), ("schwarzschild1.0", "rk4_fixed")])
 def test_flow_evaluates_a_catalog_metric_once_per_stage(name, integrator,
                                                         counted):
-    """One jet per stage evaluation: the catalog jet tests its own chart.
-    The seed check reads the metric once, as one jet."""
+    """One read of the metric per stage evaluation, by its phase kernel,
+    which tests its own chart.  The seed check reads the metric once, as
+    one jet."""
+    import dataclasses
+
     from diracsym.geometry import _check_seed
 
     m = _JET_CATALOG[name]()
+    m = dataclasses.replace(m, phase=_counting(counted, "stage", m.phase))
     x0 = SCHW_X0 if name.startswith("schwarzschild") \
         else np.array([0.1, -0.3, 0.5, 0.2])
     p0 = PhasePoint(x0, ds.random_null_covector(m, x0,
@@ -801,6 +807,67 @@ def test_flow_guards_a_user_jet_once_per_stage(case, counted):
     traj = _flow(m, p0, t_end, integrator, 1e-2, 1e-10)
     assert traj.left_chart and traj.n == _TRIPS[case][0]
     assert counted["user_jet"] == counted["stage"] > 4 * (traj.n - 1)
+
+
+# every catalog metric with a phase kernel: Minkowski, both Schwarzschild
+# charts at two masses and the dimension-4 conformal factors of the oracle
+# cases
+_KERNEL_METRICS = {
+    "minkowski2": lambda: ds.minkowski(2),
+    "minkowski4": lambda: ds.minkowski(4),
+    "schwarzschild1.0": lambda: ds.catalog_metric("schwarzschild1.0"),
+    "schwarzschild0.01": lambda: ds.catalog_metric("schwarzschild0.01"),
+    "schwarzschild_isotropic1.0":
+        lambda: ds.catalog_metric("schwarzschild_isotropic1.0"),
+    "schwarzschild_isotropic3": lambda: ds.schwarzschild_isotropic(3.0),
+    **{f"conformal_{case}": functools.partial(ds.conformal_flat, expr)
+       for case, (expr, dim) in _ORACLE_CASES.items() if dim == 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_METRICS))
+def test_phase_kernel_matches_phase_core(name):
+    """A catalog phase kernel gives ``_phase_core``'s values at 200 random
+    chart points and covectors, some with zero entries: Z, g, dg and dx
+    exactly, and dxi_k within 2 ulp of sum_a |v_ka|, v_ka = d_k g_aa Z^a
+    Z^a, since the kernel sums the v in a fixed order and a BLAS may sum
+    them in another.  Its stacked record is (xi, g, dg, Z)."""
+    from diracsym.geometry import _phase_core, _stack_diagonal
+
+    m = _KERNEL_METRICS[name]()
+    assert m.phase is not None
+    d = m.dim
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        x = ds.random_chart_point(m, rng)
+        xi = rng.normal(size=d)
+        xi[rng.random(d) < 0.1 * (i % 3)] = 0.0
+        rate, record = m.phase(x.tolist(), xi.tolist())
+        g, dg, Z, dx, dxi = _phase_core(m, x, xi)
+        assert all(type(v) is float for v in (*rate, *record))
+        for got, want in zip(_stack_diagonal([record], d), (xi, g, dg, Z)):
+            assert np.array_equal(got[0], want), (x, xi)
+        assert np.array_equal(rate[:d], dx)
+        v = np.einsum("kaa,a,a->ka", dg, Z, Z)
+        ulp = np.spacing(np.sum(np.abs(v), axis=1))
+        assert np.all(np.abs(np.array(rate[d:]) - dxi) <= 2.0 * ulp), (x, xi)
+
+
+def test_phase_kernel_tests_its_chart():
+    """A phase kernel refuses a point past the chart as its jet does, and
+    a metric with a kernel must be diagonal."""
+    m = ds.catalog_metric("conformal_flat{1 + 0.1*sqrt(x)}")
+    for x in ([0.0, 0.0, 0.3, 0.1], [0.0, -0.5, 0.3, 0.1]):
+        with np.errstate(all="ignore"):
+            with pytest.raises(OutsideChart):
+                m.jet(np.array(x))
+            with pytest.raises(OutsideChart):
+                m.phase(x, [1.0, 1.0, 0.0, 0.0])
+    schw = ds.catalog_metric("schwarzschild1.0")
+    with pytest.raises(OutsideChart):
+        schw.phase([0.0, 1.5, 1.2, 0.3], [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ConfigError, match="diagonal"):
+        MetricField(dim=4, jet=schw.jet, phase=schw.phase)
 
 
 # --------------------------------------------------------------------------
@@ -1065,25 +1132,30 @@ def test_random_chart_point_deterministic(schw):
     assert in_chart(schw, a)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_random_chart_point_redraws_past_the_chart(schw):
-    """A draw past the chart is redrawn: Omega = 1 + 0.1 sqrt(x) is NaN on
-    the half x < 0 of its box, and every point returned lies in the chart.
-    A draw in the chart is the plain box draw, so catalog streams keep
-    their points; a box that misses its chart but at one point is a
-    ConfigError naming the metric after 16 draws."""
+    """A draw past the chart is redrawn, with no numpy warning: Omega = 1
+    + 0.1 sqrt(x) is NaN on the half x < 0 of its box, and every point
+    returned lies in the chart.  A draw in the chart is the plain box draw,
+    so catalog streams keep their points; a box that misses its chart
+    (Omega = 1 + sqrt(-x^2) is finite at x = 0 alone, where dOmega is not)
+    is a ConfigError naming the metric after 16 draws."""
     m = ds.catalog_metric("conformal_flat{1 + 0.1*sqrt(x)}")
     rng = np.random.default_rng(0)
-    xs = np.array([ds.random_chart_point(m, rng) for _ in range(50)])
-    assert np.all(xs[:, 1] >= 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xs = np.array([ds.random_chart_point(m, rng) for _ in range(50)])
+    assert np.all(xs[:, 1] > 0.0)
     assert all(in_chart(m, x) for x in xs)
     box, rng = schw.sample_box, np.random.default_rng(3)
     assert np.array_equal(
         ds.random_chart_point(schw, np.random.default_rng(3)),
         box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(4))
     bad = ds.catalog_metric("conformal_flat{1 + sqrt(-x*x)}")
-    assert in_chart(bad, np.zeros(4))
-    with pytest.raises(ConfigError, match=r"sqrt\(-x\*x\)\}: 16 draws"):
+    with np.errstate(all="ignore"):
+        assert not in_chart(bad, np.zeros(4))
+    with pytest.raises(ConfigError, match=r"sqrt\(-x\*x\)\}: 16 draws"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         ds.random_chart_point(bad, np.random.default_rng(0))
 
 

@@ -224,11 +224,11 @@ def test_generator_scratch_stays_small(schw, rep_schw):
     from diracsym.geometry import _flow
 
     state = null_state(schw, rep_schw, SCHW_X0, 0)
-    records = []
+    blocks = []
     _flow(schw, state.phase, 0.032, "rk4_fixed", 1e-3, 1e-10,
-          on_block=lambda hs, block: records.extend(block))
-    assert len(records) == 129
-    st = rep_schw.stage_at(*map(np.array, zip(*records)))
+          on_block=lambda hs, block: blocks.append(block))
+    assert len(blocks) == 1 and len(blocks[0][0]) == 129
+    st = rep_schw.stage_at(*blocks[0])
     st.generator(1.0)
     tracemalloc.start()
     try:
@@ -251,11 +251,11 @@ def test_engine_scratch_stays_small(schw, rep_schw):
     from diracsym.geometry import _flow
 
     state = null_state(schw, rep_schw, SCHW_X0, 0)
-    records = []
+    blocks = []
     _flow(schw, state.phase, 0.064, "rk4_fixed", 1e-3, 1e-10,
-          on_block=lambda hs, block: records.extend(block))
-    assert len(records) == 257
-    args = list(map(np.array, zip(*records)))
+          on_block=lambda hs, block: blocks.append(block))
+    assert len(blocks) == 1 and len(blocks[0][0]) == 257
+    args = blocks[0]
     rep_schw.stage_at(*args)
     tracemalloc.start()
     try:
@@ -575,7 +575,7 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
     """The design before the split, kept as a reference: the phase point
     and both polarizations stepped as one state, with a per-point engine
     call at every stage, on the accepted steps of the flow."""
-    from diracsym.geometry import _DP_A, _RK4_A, _flow, _phase_core, _rk_step
+    from diracsym.geometry import _DP_A, _RK4_A, _combine, _flow, _phase_core
 
     hs = []
     _flow(m, state.phase, t_end, on_block=lambda h, _: hs.extend(h), **flow)
@@ -593,7 +593,11 @@ def _joint_reference(rep, m, state, t_end, sign, **flow):
     k = f(y)
     ys = [y]
     for h in hs:
-        y, ks = _rk_step(f, y, k, h, rows)
+        ks = [k]
+        for row in rows:
+            y_new = _combine(y, h, row, ks)
+            ks.append(f(y_new))
+        y = y_new
         k = ks[-1]
         ys.append(y)
     return np.array(ys)[:, 2 * d:].reshape(-1, 2, N)
@@ -647,11 +651,11 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
     m, rep, sysd, state, t_end, flow = _reference_run(case)
     stages = 4 if flow["integrator"] == "rk4_fixed" else 6
     if stages == 6:
-        # the ray has rejected steps: more metric jets than the seed plus
-        # six per accepted step
+        # the ray has rejected steps: more metric reads, each a call of
+        # the phase kernel, than the seed plus six per accepted step
         calls = []
         counted = dataclasses.replace(
-            m, jet=lambda x: calls.append(1) or m.jet(x))
+            m, phase=lambda x, xi: calls.append(1) or m.phase(x, xi))
         hs = []
         _flow(counted, state.phase, t_end,
               on_block=lambda h, _: hs.extend(h), **flow)
@@ -706,6 +710,51 @@ def test_sections_do_not_depend_on_block_size(case, monkeypatch):
         for orbit in ("orbit_denker", "orbit_spin"):
             assert np.array_equal(getattr(first, orbit).sections,
                                   getattr(rpt, orbit).sections), orbit
+
+
+def _kernel_case(case):
+    """(metric, module, Dirac system, state, t_end, flow) of a ray on a
+    metric with a phase kernel: the reference cases, and a conformal ray
+    that leaves the chart as Omega = exp(-t) falls."""
+    if case != "conformal_to_zero":
+        return _reference_run(case)
+    m = ds.conformal_flat("exp(-t)")
+    rep = ds.build_canonical_module(m)
+    sysd = dirac_system(rep)
+    p0 = PhasePoint(np.zeros(4), np.array([-1.0, 1.0, 0.0, 0.0]))
+    vecs, _ = kernel_basis(principal_symbol(sysd, p0))
+    return m, rep, sysd, PolarizationState(p0, vecs[0]), 20.0, \
+        {"integrator": "rk4_fixed", "step": 1e-2, "tol": 1e-10}
+
+
+@pytest.mark.parametrize("case", ["schwarzschild_rk4", "conformal_dopri",
+                                  "left_chart", "conformal_to_zero"])
+def test_kernel_flow_matches_the_fallback(case):
+    """A catalog metric's float phase kernel against the same metric
+    forced through ``_phase_core`` (no kernel): the same samples and chart
+    exit, and the ray and both laws' sections within 1e-14 relative, on
+    RK4, Dormand-Prince and rays that leave the chart."""
+    import dataclasses
+
+    m, rep, sysd, state, t_end, flow = _kernel_case(case)
+    assert m.phase is not None
+    plain = dataclasses.replace(rep, metric=dataclasses.replace(m, phase=None))
+    runs = []
+    for r in (rep, plain):
+        with np.errstate(all="ignore"):
+            runs.append(compare_transports(r, dirac_system(r), state, t_end,
+                                           **flow))
+    got, want = runs
+    assert got.trajectory.n == want.trajectory.n > 10
+    assert got.left_chart == want.left_chart == (
+        case in ("left_chart", "conformal_to_zero"))
+    for key in ("ts", "xs", "xis"):
+        a, b = getattr(got.trajectory, key), getattr(want.trajectory, key)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), key
+    for orbit in ("orbit_denker", "orbit_spin"):
+        a = np.array(getattr(got, orbit).sections)
+        b = np.array(getattr(want, orbit).sections)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), orbit
 
 
 def test_long_ray_gap_floor(rep_schw, sys_schw, schw):

@@ -76,11 +76,11 @@ MUTANTS = [
      "if not _dirac_backed(rep, sys):",
      "if sys.rep is None:"),
     ("conformal_jet_factor_1.9", "src/diracsym/geometry.py",
-     "np.multiply.outer(2.0 * w * dw, eta)",
-     "np.multiply.outer(1.9 * w * dw, eta)"),
+     "np.multiply.outer(2.0 * w * np.array(dw), eta)",
+     "np.multiply.outer(1.9 * w * np.array(dw), eta)"),
     ("conformal_jet_skips_chart_check", "src/diracsym/geometry.py",
-     "w, dw = omega_jet(x)\n        if not _omega_ok(w):",
-     "w, dw = omega_jet(x)\n        if not _omega_ok(1.0):"),
+     "if not _omega_ok(w, dw):",
+     "if not _omega_ok(1.0, dw):"),
     ("neighbour_keeps_draw_past_chart", "src/diracsym/symbols.py",
      "g = _chart_value(m, x2)\n            if g is not None:",
      "g = _chart_value(m, x2)\n            if True:"),
@@ -180,8 +180,20 @@ MUTANTS = [
      "finite and pkg.factorization_residual",
      "pkg.factorization_residual"),
     ("chart_point_not_redrawn", "src/diracsym/geometry.py",
-     "if _chart_value(m, x) is not None:\n            return x",
-     "if True:\n            return x"),
+     "except OutsideChart:\n            pass",
+     "except ValueError:\n            pass"),
+    ("radial_values_drop_dtheta_g33", "src/diracsym/geometry.py",
+     "2.0 * r * r * s * c)",
+     "0.0 * r * r * s * c)"),
+    ("radial_phase_drops_dtheta_g33", "src/diracsym/geometry.py",
+     "0.0 + e * z3 * z3, 0.0]",
+     "0.0, 0.0]"),
+    ("conformal_phase_skips_chart_check", "src/diracsym/geometry.py",
+     "w, dw = read(x)\n",
+     "w, dw = values(x)\n"),
+    ("radial_record_loses_last_z", "src/diracsym/geometry.py",
+     "0.0, 0.0, 0.0, 0.0,\n                 z0, z1, z2, z3))",
+     "0.0, 0.0, 0.0, 0.0,\n                 z0, z1, z2, 0.0))"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
