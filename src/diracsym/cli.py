@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,12 +25,13 @@ from .errors import DiracsymError, ConfigError, KernelViolation, \
     NotFutureDirected, NotOnCharacteristicSet, NotTimelike, ZeroCovector
 from .geometry import (
     PhasePoint,
+    _chart_draw,
     _chart_value,
     _check_seed,
+    _future_null,
     catalog_metric,
     eval_metric,
     orthonormal_frame,
-    random_chart_point,
     random_null_covector,
 )
 from .symbols import (
@@ -139,12 +141,10 @@ class _Scenario:
             if bad:
                 raise ConfigError(f"unknown keys under '{key}': {sorted(bad)}")
 
-        box = self.metric.sample_box
-        default_x = 0.5 * (box[:, 0] + box[:, 1]) if box is not None \
-            else np.zeros(self.metric.dim)
-        dim = self.metric.dim
+        # the default seed is the centre of the catalog metric's sample box
+        box, dim = self.metric.sample_box, self.metric.dim
         self.x0 = _vector(cfg["chart_seed_point"], "chart_seed_point", dim) \
-            if "chart_seed_point" in cfg else default_x
+            if "chart_seed_point" in cfg else 0.5 * (box[:, 0] + box[:, 1])
         # a given seed must lie in the chart; the default one, the box's
         # centre, only for the commands that start from it (not certify)
         self.seed_in_chart = _chart_value(self.metric, self.x0) is not None
@@ -236,12 +236,17 @@ class _Scenario:
             raise ZeroCovector("initial_covector is zero")
         return xi
 
-    def null_covector(self) -> np.ndarray:
-        """The initial covector, which must be null at the seed point."""
+    def ray(self):
+        """(module, Dirac system, seed state) of a ray scenario, once its
+        initial covector is null at the seed point."""
         xi = self.initial_covector
-        _check_seed(self.metric, PhasePoint(self.x0, xi), self.t_end,
-                    self.tols["null"], require_null=True)
-        return xi
+        p0 = PhasePoint(self.x0, xi)
+        _check_seed(self.metric, p0, self.t_end, self.tols["null"],
+                    require_null=True)
+        rep = build_canonical_module(self.metric)
+        sys_ = dirac_system(rep)
+        return rep, sys_, PolarizationState(
+            p0, self.initial_polarization(sys_, xi))
 
     def initial_polarization(self, sys, xi) -> np.ndarray:
         spec = self.polarization_spec
@@ -275,15 +280,6 @@ def _meta():
             "tool_version": __version__}
 
 
-def _emit_json(obj, path, no_meta):
-    if not no_meta:
-        obj = dict(obj)
-        obj["meta"] = _meta()
-    text = json.dumps(obj, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
-    _write_text(text, path)
-
-
 def _json_default(o):
     if isinstance(o, (np.floating, np.integer)):
         return o.item()
@@ -304,20 +300,20 @@ def _kv_rows(w, val, prefix=""):
         w.writerow([prefix, val])
 
 
-def _emit_kv_csv(obj, path):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["key", "value"])
-    _kv_rows(w, obj)
-    _write_text(buf.getvalue(), path)
-
-
 def _emit(payload, sc, no_meta):
-    """A report in the scenario's output format, at its output path."""
+    """A report in the scenario's output format, at its output path: JSON,
+    or ``key,value`` CSV rows (which carry no meta)."""
     if sc.out_format == "json":
-        _emit_json(payload, sc.out_path, no_meta)
+        obj = payload if no_meta else {**payload, "meta": _meta()}
+        text = json.dumps(obj, sort_keys=True, indent=2,
+                          default=_json_default) + "\n"
     else:
-        _emit_kv_csv(payload, sc.out_path)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["key", "value"])
+        _kv_rows(w, payload)
+        text = buf.getvalue()
+    _write_text(text, sc.out_path)
 
 
 # one encoder for every trace row (json.dumps builds one per call), with
@@ -337,26 +333,32 @@ def _emit_trace(traj, orbit, summary, path, fmt, no_meta):
             {"t": t, "x": x, "xi": xi, "q": q, "w_re": w_re, "w_im": w_im,
              "kernel_residual": res})
             for t, x, xi, q, w_re, w_im, res in rows]
-        tail = dict(summary)
-        if not no_meta:
-            tail["meta"] = _meta()
+        tail = summary if no_meta else {**summary, "meta": _meta()}
         lines.append(json.dumps({"summary": tail}, sort_keys=True,
                                 default=_json_default))
-        _write_text("\n".join(lines) + "\n", path)
+        text = "\n".join(lines) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         d, N = traj.xs.shape[1], W.shape[1]
-        head = (["t"] + [f"x{i}" for i in range(d)]
-                + [f"xi{i}" for i in range(d)] + ["q"]
-                + [f"w{i}_re" for i in range(N)]
-                + [f"w{i}_im" for i in range(N)] + ["kernel_residual"])
-        w.writerow(head)
+        w.writerow(["t"] + [f"x{i}" for i in range(d)]
+                   + [f"xi{i}" for i in range(d)] + ["q"]
+                   + [f"w{i}_re" for i in range(N)]
+                   + [f"w{i}_im" for i in range(N)] + ["kernel_residual"])
         w.writerows([t, *x, *xi, q, *w_re, *w_im, res]
                     for t, x, xi, q, w_re, w_im, res in rows)
         w.writerow([])
         _kv_rows(w, summary)
-        _write_text(buf.getvalue(), path)
+        text = buf.getvalue()
+    _write_text(text, path)
+
+
+def _check_target(path):
+    """Refuse a report path that is a directory, or whose parent is not
+    one, before its scenario runs."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: not a file in an existing "
+                          f"directory")
 
 
 def _write_text(text, path):
@@ -380,8 +382,8 @@ def cmd_certify(sc: _Scenario, args) -> int:
     rng = np.random.default_rng(sc.seed)
     points = []
     for _ in range(sc.sample.points):
-        x = random_chart_point(sc.metric, rng)
-        points.append(PhasePoint(x, random_null_covector(sc.metric, x, rng)))
+        x, g, _ = _chart_draw(sc.metric, rng)  # random_chart_point's draw
+        points.append(PhasePoint(x, _future_null(g, x, rng)))
     # a summary, not the certificates: memory stays flat in sample.points
     pt_pass, dims, cond = True, set(), 0.0
     for c in certify_principal_types(rep, points, null_tol=sc.tols["null"],
@@ -426,14 +428,10 @@ def _verdict(report: dict, sc: _Scenario, keys) -> int:
 
 
 def cmd_trace(sc: _Scenario, args) -> int:
-    rep = build_canonical_module(sc.metric)
-    sys_ = dirac_system(rep)
-    xi = sc.null_covector()
-    w0 = sc.initial_polarization(sys_, xi)
+    _, sys_, state = sc.ray()
     orbit = transport_denker(
-        sys_, PolarizationState(PhasePoint(sc.x0, xi), w0), sc.t_end,
-        step=sc.step, integrator=sc.integrator, tol=sc.tol,
-        kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
+        sys_, state, sc.t_end, step=sc.step, integrator=sc.integrator,
+        tol=sc.tol, kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
         flip_subprincipal=args.flip_subprincipal_sign)
     traj = orbit.trajectory
     summary = {
@@ -451,11 +449,7 @@ def cmd_trace(sc: _Scenario, args) -> int:
 
 
 def cmd_compare(sc: _Scenario, args) -> int:
-    rep = build_canonical_module(sc.metric)
-    sys_ = dirac_system(rep)
-    xi = sc.null_covector()
-    w0 = sc.initial_polarization(sys_, xi)
-    state = PolarizationState(PhasePoint(sc.x0, xi), w0)
+    rep, sys_, state = sc.ray()
     report = compare_transports(
         rep, sys_, state, sc.t_end, step=sc.step, integrator=sc.integrator,
         tol=sc.tol, kernel_tol=sc.tols["kernel"], null_tol=sc.tols["null"],
@@ -513,6 +507,8 @@ def _run_one(cmd, config_path, args) -> int:
             ext = "jsonl" if cmd == "trace" and sc.out_format == "json" \
                 else sc.out_format
             sc.out_path = str(Path(config_path).with_suffix(f".out.{ext}"))
+        if sc.out_path is not None:
+            _check_target(sc.out_path)
         # full validation before any computation: resolving checks each
         if sc.seed_in_chart:
             sc.timelike_field

@@ -288,7 +288,7 @@ class CliffordModuleRep:
         d_k E^k_b = -sum_e eta_e X_eeb and kappa = -Z^k tr(E^-1 d_k E) =
         (1/2) E^-1 Z . tr_eta F.
         """
-        E, Einv, F, X, omega = _frame_connection(self.metric, g, dg)
+        E, Einv, F, X, omega = _frame_connection(g, dg)
         eta, i = np.diagonal(self.eta), np.arange(self.dim)
         c = (xi[..., None, :] @ E)[..., 0, :]
         P = -((c * eta)[..., None, None, :] @ X)[..., 0, :]
@@ -310,8 +310,7 @@ def _spin_connection(rep: CliffordModuleRep, Einv, omega) -> np.ndarray:
 def spin_connection_matrix(rep: CliffordModuleRep, x, v) -> np.ndarray:
     """omega(x; v) = v^mu omega_mu for a coordinate direction v, from the
     connection the transports run (``_frame_connection``)."""
-    _, Einv, _, _, omega = _frame_connection(rep.metric,
-                                             *_metric_jet(rep.metric, x))
+    _, Einv, _, _, omega = _frame_connection(*_metric_jet(rep.metric, x))
     return np.tensordot(np.asarray(v, dtype=float),
                         _spin_connection(rep, Einv, omega), axes=1)
 
@@ -432,7 +431,7 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     u = draws[..., 3 * d + d * d:-d]
     W = draws[..., -d:]
 
-    E, Einv, _, X, omega = _frame_connection(m, g, dg)
+    E, Einv, _, X, omega = _frame_connection(g, dg)
     om = _spin_connection(rep, Einv, omega)
     Gam = _christoffel_from(g, dg)
     gp = g[:, None]                                    # (points, 1, d, d)

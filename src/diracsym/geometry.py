@@ -5,12 +5,13 @@ returning the matrix ``g_ij(x)`` in signature (-, +, ..., +) and its partials
 dg (a closed form for every catalog metric, for ``conformal_flat`` by
 forward-mode differentiation of its expression), which raises OutsideChart
 past the chart.  Every read of the metric is one read of that jet, or of
-the float phase kernel that a catalog metric computes from the same values.
-On top of that sit Christoffel symbols, the scalar Hamiltonian
-``q(x, xi) = g^{ij} xi_i xi_j``, its flow field, null bicharacteristic
-integration in Python floats, and orthonormal frames from the factorization
-``g = R^T eta R`` with ``R`` upper triangular, which is Gram-Schmidt in
-chart order, with their Levi-Civita frame connection.
+the float phase kernel that a catalog metric computes from the same values;
+whether g is diagonal is read off its values.  On top of that sit
+Christoffel symbols, the scalar Hamiltonian ``q(x, xi) = g^{ij} xi_i xi_j``,
+its flow field, null bicharacteristic integration in Python floats, and
+orthonormal frames from the factorization ``g = R^T eta R`` with ``R`` upper
+triangular, which is Gram-Schmidt in chart order, with their Levi-Civita
+frame connection.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,28 +75,27 @@ class MetricField:
     matrix g_ij and dg[k, i, j] = d_k g_ij (the catalog supplies closed
     forms).  Past the chart it raises OutsideChart itself: a catalog
     metric tests its chart on the values it computes.  Every read of the
-    metric outside the flow is one jet.
+    metric outside the flow is one jet; whether g is diagonal is read off
+    its values (``_is_diagonal``).
 
-    ``phase``, optional and for diagonal metrics only, is the flow's float
-    kernel: ``phase(x, xi) -> (rate, record)`` for float lists x and xi,
-    with rate the list (dx, dxi) that ``_phase_core`` gives at (x, xi) and
-    record the flat tuple (xi, diag g, dg[k, a, a] for k then a, Z) of its
-    values; it raises OutsideChart past the chart, as the jet does.  A
-    metric without one flows through ``_phase_core``.
+    ``_phase``, set by the catalog alone and reset by ``dataclasses.replace``
+    so that it never outlives its jet, is the float kernel of a diagonal
+    jet: ``_phase(x, xi) -> (rate, record)`` for float lists x and xi, with
+    rate the list (dx, dxi) of ``_phase_core`` at (x, xi) and record the flat
+    tuple (xi, diag g, dg[k, a, a] for k then a, Z); past the chart it
+    raises OutsideChart.  A metric without one flows through ``_phase_core``.
     """
 
     dim: int
     jet: Callable
     name: str = "custom"
-    diagonal: bool = False
     sample_box: Optional[np.ndarray] = None
-    phase: Optional[Callable] = None
+    _phase: Optional[Callable] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
             raise UnsupportedDimension(f"dim {self.dim} < 2")
-        if self.phase is not None and not self.diagonal:
-            raise ConfigError("a phase kernel needs a diagonal metric")
         if self.sample_box is not None:
             self.sample_box = np.asarray(self.sample_box, dtype=float)
 
@@ -204,6 +204,11 @@ def metric_derivative(m: MetricField, x) -> np.ndarray:
     return _metric_jet(m, x)[1]
 
 
+def _is_diagonal(g) -> bool:
+    """Whether every off-diagonal entry of g, a matrix or a stack, is 0."""
+    return np.count_nonzero(g) == np.count_nonzero(g.diagonal(0, -2, -1))
+
+
 def _christoffel_from(g, dg) -> np.ndarray:
     """Gamma[..., i, j, k] = Gamma^i_{jk} from a metric jet, at one point or
     along leading stack axes of ``g`` (..., d, d) and ``dg`` (..., d, d, d)."""
@@ -227,10 +232,10 @@ def _phase_core(m: MetricField, x, xi):
     consistent with trajectory integration goes through here, or through
     the metric's phase kernel (``MetricField``), which computes the same
     values in floats.  It reads the metric once, from its jet, which
-    raises OutsideChart past the chart.
+    raises OutsideChart past the chart.  Z is xi / diag g or g^-1 xi.
     """
     g, dg = m.jet(x)
-    Z = xi / g.diagonal() if m.diagonal else np.linalg.solve(g, xi)
+    Z = xi / g.diagonal() if _is_diagonal(g) else np.linalg.solve(g, xi)
     dx = 2.0 * Z
     dxi = dg.dot(Z).dot(Z)
     return g, dg, Z, dx, dxi
@@ -276,7 +281,7 @@ def _posdef(a) -> bool:
     return True
 
 
-def _frame_from(m: MetricField, g):
+def _frame_from(g):
     """(E, E_inv) from metric values, at one point or at a stack of points
     along leading axes of ``g`` (..., d, d).
 
@@ -284,11 +289,12 @@ def _frame_from(m: MetricField, g):
     a positive diagonal: r = sqrt(-g_00) and s = -g_0,1: / r in the first
     row, and below them the transposed Cholesky factor of g[1:, 1:] + s s^T.
     That is time-first Gram-Schmidt of the coordinate basis in chart order;
-    the squared diagonal of R holds its pivots.
+    the squared diagonal of R holds its pivots.  A stack that is diagonal
+    at every point (``_is_diagonal``) has R = diag(|g_aa|^1/2) read off.
     """
-    d = m.dim
+    d = g.shape[-1]
     eye, sig = _unit(d)
-    if m.diagonal:
+    if _is_diagonal(g):
         piv = sig * g.diagonal(axis1=-2, axis2=-1)  # |g_aa| if time-first
         low = piv.min(axis=-1)
         _require(~(low <= 0.0), low,
@@ -317,7 +323,7 @@ def _frame_from(m: MetricField, g):
     return np.linalg.inv(R), R
 
 
-def _frame_connection(m: MetricField, g, dg):
+def _frame_connection(g, dg):
     """(E, E^-1, F, X, omega) from a metric jet, at one point or at a stack
     of points along leading axes of ``g`` (..., d, d) and ``dg``
     (..., d, d, d); the frame is ``_frame_from``'s.
@@ -328,8 +334,8 @@ def _frame_connection(m: MetricField, g, dg):
     Koszul formula gives the Levi-Civita frame connection omega[c, a, b] =
     omega_c^{ab} = (1/2) (F_cab + F_bac - F_acb) - X_cab.
     """
-    E, Einv = _frame_from(m, g)
-    i, ET = np.arange(m.dim), E.swapaxes(-1, -2)
+    E, Einv = _frame_from(g)
+    i, ET = np.arange(g.shape[-1]), E.swapaxes(-1, -2)
     F = (ET @ dg.reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
     F = ET[..., None, :, :] @ F @ E[..., None, :, :]
     X = np.triu(F)
@@ -343,7 +349,7 @@ def _frame_connection(m: MetricField, g, dg):
 
 def orthonormal_frame(m: MetricField, x) -> FrameSample:
     """Orthonormal frame at x; deterministic, e_0 future-directed."""
-    E, Einv = _frame_from(m, _metric_jet(m, x)[0])
+    E, Einv = _frame_from(_metric_jet(m, x)[0])
     return FrameSample(E=E, E_inv=Einv)
 
 
@@ -451,7 +457,7 @@ _ATTEMPTS_PER_T = 50_000
 
 
 def _phase_arrays(m: MetricField, x, xi):
-    """The flow's kernel for a metric without a ``phase``: ``_phase_core``
+    """The flow's kernel for a metric without a ``_phase``: ``_phase_core``
     at the float lists x and xi, with the record (xi, g, dg, Z) of arrays."""
     xi = np.array(xi)
     g, dg, Z, dx, dxi = _phase_core(m, np.array(x), xi)
@@ -478,7 +484,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     RK4 takes the grid of ``step``; Dormand-Prince picks its grid by error
     control at ``tol``, with its error norm on numpy.  A stage past the
     chart (OutsideChart) truncates the run.  The rate is the metric's
-    ``phase`` kernel, or ``_phase_core`` for a metric without one.
+    ``_phase`` kernel, or ``_phase_core`` for a metric without one.
 
     Each rate evaluation leaves a record of the values (xi, g, dg, Z) it
     computed there (its dx is 2 Z).  The records of accepted steps go, in
@@ -504,8 +510,8 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     # and the RK4 grid's cap refuse a run before its first rate
     if not (grid if integrator == "rk4_fixed" else t_end > h_min):
         raise ConfigError(f"t_end {t_end} leaves no {integrator} step")
-    d = m.dim
-    phase = m.phase or functools.partial(_phase_arrays, m)
+    d, kernel = m.dim, m._phase
+    phase = kernel or functools.partial(_phase_arrays, m)
     stage, block, hs = [], [], []
 
     def f(y):
@@ -515,7 +521,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
 
     def flush():
         if on_block is not None:
-            on_block(hs, _stack_diagonal(block, d) if m.phase
+            on_block(hs, _stack_diagonal(block, d) if kernel
                      else tuple(map(np.array, zip(*block))))
         hs.clear()
         block.clear()
@@ -647,25 +653,30 @@ def random_chart_point(m: MetricField, rng: np.random.Generator) -> np.ndarray:
     return _chart_draw(m, rng)[0]
 
 
-def _null_projection(ginv, xi):
-    """(xi with xi_0 moved to a root of q = 0, whether that root is real)
-    for the inverse metric ginv, at one point or a stack of them.
-
-    q is exactly quadratic in xi_0, so the root is the quadratic formula's;
-    of the two, the one nearer the input xi_0 is kept (the first on a tie).
-    """
-    s = xi[..., 1:]
+def _null_roots(ginv, s):
+    """(disc, hi, lo): the discriminant and roots (-b +- sqrt(disc)) / 2a,
+    sqrt(0) where disc < 0, of q = a xi_0^2 + b xi_0 + c over the spatial
+    part s, for the inverse metric ginv at one point or a stack of them."""
     a = ginv[..., 0, 0]
     b = 2.0 * (ginv[..., :1, 1:] @ s[..., :, None])[..., 0, 0]
     c = (s[..., None, :] @ ginv[..., 1:, 1:] @ s[..., :, None])[..., 0, 0]
     disc = b * b - 4.0 * a * c
-    real = ~(disc < 0.0)
-    r = np.sqrt(np.where(real, disc, 0.0))
-    hi, lo = (-b + r) / (2.0 * a), (-b - r) / (2.0 * a)
+    r = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+    return disc, (-b + r) / (2.0 * a), (-b - r) / (2.0 * a)
+
+
+def _null_projection(ginv, xi):
+    """(xi with xi_0 moved to a root of q = 0, whether that root is real)
+    for the inverse metric ginv, at one point or a stack of them.
+
+    q is exactly quadratic in xi_0 (``_null_roots``); of its two roots,
+    the one nearer the input xi_0 is kept (the first on a tie).
+    """
+    disc, hi, lo = _null_roots(ginv, xi[..., 1:])
     out = np.array(xi, dtype=float)
     out[..., 0] = np.where(np.abs(hi - xi[..., 0]) <= np.abs(lo - xi[..., 0]),
                            hi, lo)
-    return out, real
+    return out, ~(disc < 0.0)
 
 
 def null_project_covector(m: MetricField, x, xi) -> np.ndarray:
@@ -682,19 +693,19 @@ def random_null_covector(m: MetricField, x,
                          rng: np.random.Generator) -> np.ndarray:
     """Uniform-sphere spatial part; xi_0 from the null quadratic, picking the
     root whose raised vector is future-directed (positive 0th component)."""
-    _, ginv = eval_metric(m, x)
-    d = m.dim
-    s = rng.normal(size=d - 1)
+    return _future_null(_metric_jet(m, x)[0], x, rng)
+
+
+def _future_null(g, x, rng: np.random.Generator) -> np.ndarray:
+    """``random_null_covector``'s draw at x, whose metric values are g."""
+    ginv = _checked_inverse(g, x)
+    s = rng.normal(size=len(g) - 1)
     s /= np.linalg.norm(s)
-    a = ginv[0, 0]
-    b = 2.0 * ginv[0, 1:] @ s
-    c = s @ ginv[1:, 1:] @ s
-    disc = b * b - 4.0 * a * c
+    disc, hi, lo = _null_roots(ginv, s)
     if disc <= 0.0:
         raise NotOnCharacteristicSet("chart has no null covector over this "
                                      "spatial direction")
-    r = math.sqrt(disc)
-    for root in ((-b + r) / (2.0 * a), (-b - r) / (2.0 * a)):
+    for root in (hi, lo):
         xi = np.concatenate(([root], s))
         if (ginv @ xi)[0] > 0.0:
             return xi
@@ -705,9 +716,9 @@ def random_null_covector(m: MetricField, x,
 # metric catalog
 
 
-def _constant_metric(g: np.ndarray, name: str, diagonal: bool) -> MetricField:
+def _constant_metric(g: np.ndarray, name: str) -> MetricField:
     """The constant metric g, sampled from the box [-5, 5]^d; jet (g, 0).
-    A diagonal one has a phase kernel: dxi is +0.0, as ``_phase_core``'s
+    A diagonal g has a phase kernel: dxi is +0.0, as ``_phase_core``'s
     dg.dot(Z).dot(Z) is for dg = 0 and any Z."""
     d = len(g)
     zeros = np.zeros((d, d, d))
@@ -717,10 +728,10 @@ def _constant_metric(g: np.ndarray, name: str, diagonal: bool) -> MetricField:
         Z = [a / b for a, b in zip(xi, gd)]
         return [2.0 * z for z in Z] + [0.0] * d, (*xi, *gd, *rest, *Z)
 
-    return MetricField(
-        dim=d, jet=lambda x: (g.copy(), zeros), name=name,
-        diagonal=diagonal, sample_box=np.array([[-5.0, 5.0]] * d),
-        phase=phase if diagonal else None)
+    m = MetricField(dim=d, jet=lambda x: (g.copy(), zeros), name=name,
+                    sample_box=np.array([[-5.0, 5.0]] * d))
+    m._phase = phase if _is_diagonal(g) else None
+    return m
 
 
 def minkowski(dim: int = 4) -> MetricField:
@@ -728,7 +739,7 @@ def minkowski(dim: int = 4) -> MetricField:
         raise UnsupportedDimension(
             f"minkowski has dimensions 2 and 4, not {dim}")
     return _constant_metric(np.diag([-1.0] + [1.0] * (dim - 1)),
-                            f"minkowski{dim}", diagonal=True)
+                            f"minkowski{dim}")
 
 
 # Masses the Schwarzschild charts accept.  Their sample boxes span radii
@@ -812,8 +823,9 @@ def _radial_metric(values, r_min: float, name: str, box) -> MetricField:
                  d0, d1, d2, d3, 0.0, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0,
                  z0, z1, z2, z3))
 
-    return MetricField(dim=4, jet=jet, name=name, diagonal=True,
-                       sample_box=box, phase=phase)
+    m = MetricField(dim=4, jet=jet, name=name, sample_box=box)
+    m._phase = phase
+    return m
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -1132,9 +1144,10 @@ def conformal_flat(omega: str, dim: int = 4) -> MetricField:
         return ([2.0 * z0, 2.0 * z1, 2.0 * z2, 2.0 * z3, *dxi],
                 (x0, x1, x2, x3, n, ww, ww, ww, *dgd, z0, z1, z2, z3))
 
-    return MetricField(dim=dim, jet=jet, name=name, diagonal=True,
-                       sample_box=np.array([[-2.0, 2.0]] * dim),
-                       phase=phase if dim == 4 else None)
+    m = MetricField(dim=dim, jet=jet, name=name,
+                    sample_box=np.array([[-2.0, 2.0]] * dim))
+    m._phase = phase if dim == 4 else None
+    return m
 
 
 _CATALOG_PATTERNS = (

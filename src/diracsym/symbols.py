@@ -78,7 +78,7 @@ def dirac_system(rep: CliffordModuleRep) -> FirstOrderSystem:
     m = rep.metric
 
     def coeff_A(x):
-        E, _ = _frame_from(m, _metric_jet(m, x)[0])
+        E, _ = _frame_from(_metric_jet(m, x)[0])
         return list(1j * rep.contract(E, "gamma"))
 
     def coeff_B(x):
@@ -344,14 +344,9 @@ def certify_principal_types(rep: CliffordModuleRep, points,
     1e-3 |xi|, whose xi_0 is moved onto the null cone; a neighbour without
     a real null root is skipped.
 
-    Points go through in blocks of ``_BLOCK_POINTS``, each yielded before
-    the next is formed, with one metric jet per point and one metric value
-    per neighbour.  The Dirac system's symbols come from frames, its
-    conormal derivative from one stacked stage, a foreign system's from
-    ``principal_symbol`` and central differences.  One stacked SVD gives
-    the neighbourhood ranks, one full stacked SVD each point's kernel and
-    cokernel; any orthonormal bases of them give the same condition
-    number.
+    Points go through in blocks of ``_BLOCK_POINTS`` (``_certify_block``),
+    each yielded before the next is formed, with one metric jet per point
+    and one metric value per neighbour.
     """
     if sys is None:
         sys = dirac_system(rep)
@@ -394,7 +389,7 @@ def _symbols(rep: CliffordModuleRep, sys: FirstOrderSystem, xs, xis, g):
     their frames for the module's own Dirac system, by
     ``principal_symbol`` point by point for a foreign one."""
     if _dirac_backed(rep, sys):
-        return rep.sigma1(xis, _frame_from(rep.metric, g)[0])
+        return rep.sigma1(xis, _frame_from(g)[0])
     return np.array([principal_symbol(sys, PhasePoint(x, xi))
                      for x, xi in zip(xs, xis)]).reshape(-1, sys.N, sys.N)
 
@@ -449,7 +444,9 @@ def _condition_numbers(U, Vh, ker_dim, dsig) -> np.ndarray:
 def _certify_block(rep: CliffordModuleRep, sys: FirstOrderSystem, points,
                    unit, null_tol: float, rank_tol: float) -> list:
     """Certificates of a block of points, from ``_phase_core``'s q-flow
-    values at each point: H_q = (dx, dxi), rho = (dq/dx, dq/dxi)."""
+    values at each point: H_q = (dx, dxi), rho = (dq/dx, dq/dxi).  One
+    stacked SVD gives each point's kernel and cokernel, whose orthonormal
+    bases, any of them, give one condition number."""
     m = rep.metric
     xs = np.array([p.x for p in points])
     xis = np.array([p.xi for p in points])

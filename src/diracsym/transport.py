@@ -18,18 +18,12 @@ transports (a pure scale factor on the polarization line).
 
 The Hamiltonian flow of q does not depend on the polarization, and both
 laws are linear in it along that flow.  So a transport runs the phase flow
-first, with the trajectory integrator's own code and grid; its ray is
-``integrate_bicharacteristic``'s, bit for bit.  The flow hands on what it
-computed at the stages of its accepted steps, records (xi, g, dg, Z)
-already stacked into arrays, in blocks of 64 steps; one stacked stage of
-the module per block (``CliffordModuleRep.stage_at``) forms the frame
-components F of dg and from F each law's matrix L at every stage, by
-contractions against the module's Clifford tensors, the ones its
-certificate checks; a few stacked products turn those into each step's
-increment operator D under the flow's own tableau, and a polarization
-advances as w + D w, one small product per step.  The sections equal those of a joint ray-and-polarization
-integration to roundoff, are bit for bit the same for any block size, and do
-not depend on whether the other law rides along.
+first, with the trajectory integrator's own code and grid (its ray is
+``integrate_bicharacteristic``'s, bit for bit), and ``_Recursion`` steps
+the polarizations from the flow's stage records, a block of steps at a
+time.  The sections equal those of a joint ray-and-polarization
+integration to roundoff, are bit for bit the same for any block size, and
+do not depend on whether the other law rides along.
 """
 from __future__ import annotations
 
@@ -210,7 +204,7 @@ def _transport_run(rep: CliffordModuleRep, state: PolarizationState,
                           f"expected ({rep.N},)")
     nw = _initial_norm(w0)
     if sign is not None:
-        E = _frame_from(rep.metric, _metric_jet(rep.metric, p0.x)[0])[0]
+        E = _frame_from(_metric_jet(rep.metric, p0.x)[0])[0]
         _initial_kernel_check(rep.sigma1(p0.xi, E), w0, nw, kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
@@ -367,7 +361,7 @@ def _push_forward(cm: ChartMap, rep: CliffordModuleRep, xs, xis, ws):
     transpose of its jacobian J, polarizations by the spinor of the frame
     change L = E_B^-1 J E_A.  J must be regular and L Lorentz."""
     def frames(m, pts):
-        return _frame_from(m, np.array([_metric_jet(m, p)[0] for p in pts]))
+        return _frame_from(np.array([_metric_jet(m, p)[0] for p in pts]))
 
     J = np.asarray(cm.jacobian(xs), dtype=float)
     bad = np.abs(np.linalg.det(J)) < 1e-12

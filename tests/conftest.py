@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import diracsym as ds
 from diracsym.errors import OutsideChart
-from diracsym.geometry import _constant_metric, _frame_from, _metric_jet
+from diracsym.geometry import (_constant_metric, _frame_from, _is_diagonal,
+                               _metric_jet)
 from diracsym.symbols import dirac_system, kernel_basis
 from diracsym.transport import ChartMap, PolarizationState
 
@@ -66,19 +69,20 @@ def in_chart(m, x) -> bool:
 # formula with geometry._frame_connection
 
 
-def frame_jet(m, g, dg):
+def frame_jet(g, dg):
     """(E, dE, E_inv) with dE[..., k] = d_k E, at one point or along
     leading stack axes of ``g`` (..., d, d) and ``dg`` (..., d, d, d).
 
     Differentiating g = R^T eta R, E^T dg_k E = X + X^T with X = eta dR_k E
     upper triangular, so X is the strict upper triangle plus half the
-    diagonal of E^T dg_k E, and dE_k = -E dR_k E = -E eta X.  A diagonal
-    metric has E = diag(|g_aa|^-1/2), whose partials are read off directly.
+    diagonal of E^T dg_k E, and dE_k = -E dR_k E = -E eta X.  Where g and
+    its partials are diagonal, E = diag(|g_aa|^-1/2), whose partials are
+    read off directly.
     """
     d = g.shape[-1]
     eye, sig = np.eye(d), np.array([-1.0] + [1.0] * (d - 1))
-    E, Einv = _frame_from(m, g)
-    if m.diagonal:
+    E, Einv = _frame_from(g)
+    if _is_diagonal(g) and _is_diagonal(dg):
         piv = sig * g.diagonal(axis1=-2, axis2=-1)
         dpiv = sig * dg.diagonal(axis1=-2, axis2=-1)  # (..., k, a)
         dediag = -0.5 * piv[..., None, :] ** -1.5 * dpiv
@@ -114,7 +118,7 @@ def connection_from(rep, g, dg, E, dE, Einv):
 def connection_at(rep, x):
     """The oracle's spinor connection matrices omega_mu at x."""
     g, dg = _metric_jet(rep.metric, x)
-    return connection_from(rep, g, dg, *frame_jet(rep.metric, g, dg))[1]
+    return connection_from(rep, g, dg, *frame_jet(g, dg))[1]
 
 
 def rotating_chart(omega=0.3):
@@ -148,8 +152,15 @@ def linear_chart(L):
     for a generic L."""
     Linv = np.linalg.inv(L)
     eta = np.diag([-1.0] + [1.0] * (len(L) - 1))
-    return _constant_metric(Linv.T @ eta @ Linv, "minkowski_linear",
-                            diagonal=False)
+    return _constant_metric(Linv.T @ eta @ Linv, "minkowski_linear")
+
+
+def with_kernel(m, kernel):
+    """A copy of the metric m whose float phase kernel is ``kernel``, such
+    as a wrapper that counts the calls of m's own."""
+    out = dataclasses.replace(m)
+    out._phase = kernel
+    return out
 
 
 def look_alike_dirac(sysd):

@@ -672,6 +672,63 @@ def test_bad_output_path_exits_2(tmp_path, capsys, cmd, fmt, path, out):
         assert not Path(target).exists()
 
 
+@pytest.mark.parametrize("via", ["out", "outputs_path"])
+@pytest.mark.parametrize("where", ["missing_parent", "file_parent",
+                                   "directory"])
+def test_unwritable_report_path_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, via, where):
+    """A report path whose parent is not an existing directory, or that is
+    a directory itself, is refused as the scenario is read: exit 2 with
+    one ``cannot write`` line, and the comparison never runs.  (A path in
+    a directory that refuses writes still fails only at the write.)"""
+    def never(*args, **kwargs):
+        raise AssertionError("compare_transports ran")
+
+    monkeypatch.setattr(cli, "compare_transports", never)
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    target = str(tmp_path / {"missing_parent": "missing_dir/x.json",
+                             "file_parent": "a_file/x.json",
+                             "directory": "a_dir"}[where])
+    argv = ["compare", "--no-meta"]
+    outputs = {}
+    if via == "out":
+        argv += ["--out", target]
+    else:
+        outputs["path"] = target
+    cfg = write_cfg(tmp_path, "a.json", mink_cmp_cfg(outputs=outputs))
+    rc, stdout, err = run(capsys, argv + ["--config", cfg])
+    assert rc == 2 and stdout == ""
+    assert err.startswith(f"error: ConfigError: cannot write {target}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert Path(target).is_dir() == (where == "directory")
+
+
+def test_certify_reads_each_principal_type_point_once(tmp_path, capsys,
+                                                     monkeypatch):
+    """A certify scenario of 4 points and 10 vectors on schwarzschild1.0
+    reads 51 metric jets: 3 for the seed checks, 2 per axiom point (the
+    draw's jet, its frame in Q), and per principal-type point the draw's
+    jet, which also gives the null covector, its q-flow values and one
+    value per neighbour."""
+    import dataclasses
+
+    calls = []
+
+    def counted(name):
+        m = ds.catalog_metric(name)
+        return dataclasses.replace(
+            m, jet=lambda x: calls.append(1) or m.jet(x))
+
+    monkeypatch.setattr(cli, "catalog_metric", counted)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "metric": "schwarzschild1.0",
+        "sample": {"points": 4, "vectors": 10, "seed": 3}})
+    rc, out, _ = run(capsys, ["certify", "--config", cfg, "--no-meta"])
+    assert rc == 0 and json.loads(out)["principal_type"]["points"] == 4
+    assert len(calls) == 3 + 2 * 4 + 4 * (2 + 8)
+
+
 def test_batch_runs_on_past_a_bad_output_path(tmp_path, capsys):
     """Directory mode exits 2 for a report it cannot write and for a
     refused outputs.path, and still runs the scenarios after them."""

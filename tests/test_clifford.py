@@ -338,9 +338,9 @@ def test_certificate_reads_the_transport_connection(monkeypatch):
                                  np.random.default_rng(0))
     omega = rep.stage(SCHW_X0, xi).omega
 
-    def skewed(m, g, dg):
-        E, Einv, F, X, omega = frame_connection(m, g, dg)
-        D = 1e-3 * np.eye(m.dim)
+    def skewed(g, dg):
+        E, Einv, F, X, omega = frame_connection(g, dg)
+        D = 1e-3 * np.eye(g.shape[-1])
         return E, Einv, F, X - D, omega + D
 
     monkeypatch.setattr(ds.clifford, "_frame_connection", skewed)
@@ -413,7 +413,7 @@ def _reference_certify_axioms(rep, sample, spin_scale=1.0):
     for _ in range(sample.points):
         x = ds.random_chart_point(m, rng)
         g, dg = _metric_jet(m, x)
-        E, dE, Einv = frame_jet(m, g, dg)
+        E, dE, Einv = frame_jet(g, dg)
         dEinv = -(Einv @ dE @ Einv)
         Gam, om = connection_from(rep, g, dg, E, dE, Einv)
         om = spin_scale * om

@@ -40,7 +40,8 @@ from diracsym.geometry import (
     metric_derivative,
 )
 
-from conftest import SCHW_X0, in_chart, linear_chart, rotating_chart
+from conftest import (SCHW_X0, in_chart, linear_chart, rotating_chart,
+                      with_kernel)
 
 
 # --------------------------------------------------------------------------
@@ -189,8 +190,7 @@ def test_ray_of_a_wrong_jet_is_no_geodesic(schw):
         g, dg = schw.jet(x)
         return g, 1.01 * dg
 
-    off = MetricField(dim=4, jet=jet, diagonal=True,
-                      name="schwarzschild_jet_off")
+    off = MetricField(dim=4, jet=jet, name="schwarzschild_jet_off")
     traj = _ray(off, SCHW_X0, 7)
     xs = _geodesic_positions("schwarzschild1.0", traj)
     assert np.max(np.abs(xs - traj.xs)) > 1e-6
@@ -289,17 +289,39 @@ def test_frame_degenerate_on_wrong_time_sign():
             ds.orthonormal_frame(flipped, np.zeros(4))
     # a stack with one bad point, on the diagonal and the general branch:
     # the error names that point
-    for diagonal in (True, False):
-        m = MetricField(dim=4, jet=None, name="stack", diagonal=diagonal)
+    for off in (0.0, 1e-3):
         for diag in bad:
             g = np.array([np.diag([-1.0, 1.0, 1.0, 1.0])] * 5)
             g[3] = np.diag(diag)
-            if not diagonal:
-                g[:, 0, 3] = g[:, 3, 0] = 1e-3
+            g[:, 0, 3] = g[:, 3, 0] = off
             with pytest.raises(FrameDegenerate, match="at stacked point 3"):
-                _frame_from(m, g)
+                _frame_from(g)
         g = np.array([np.diag([-1.0, 1.0, 1.0, 1.0])] * 5)
-        assert _frame_from(m, g)[0].shape == (5, 4, 4)
+        assert _frame_from(g)[0].shape == (5, 4, 4)
+
+
+def test_diagonality_is_read_off_all_of_g():
+    """A metric whose only off-diagonal entry is spatial (g_12 != 0) gets
+    the chart-order Cholesky frame, E^T g E = eta, and its q-flow solves
+    g Z = xi.  A stack that mixes diagonal and non-diagonal points, with
+    a diagonal one first, gets an orthonormal frame at every point."""
+    from diracsym.geometry import _frame_from, _phase_core
+
+    diag = np.diag([-1.0, 1.0, 2.0, 1.5])
+    g = diag.copy()
+    g[1, 2] = g[2, 1] = 0.4
+    m = MetricField(dim=4, jet=lambda x: (g.copy(), np.zeros((4,) * 3)))
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    E = ds.orthonormal_frame(m, np.zeros(4)).E
+    assert np.max(np.abs(E.T @ g @ E - eta)) < 1e-12
+    assert E[1, 2] != 0.0 and np.array_equal(E, np.triu(E))
+    xi = np.array([1.0, 0.3, -0.7, 0.2])
+    assert np.array_equal(_phase_core(m, np.zeros(4), xi)[2],
+                          np.linalg.solve(g, xi))
+    for stack in (np.array([diag, g]), np.array([diag, diag, g, diag])):
+        E = _frame_from(stack)[0]
+        residual = E.swapaxes(-1, -2) @ stack @ E - eta
+        assert np.max(np.abs(residual)) < 1e-12
 
 
 def test_degenerate_metric_rejected():
@@ -621,9 +643,9 @@ def test_rk4_flow_takes_one_jet_per_stage(name):
 
     m = _JET_CATALOG[name]()
     jets = []
-    counted = dataclasses.replace(
-        m, jet=lambda x: jets.append("jet") or m.jet(x),
-        phase=lambda x, xi: jets.append("phase") or m.phase(x, xi))
+    counted = with_kernel(
+        dataclasses.replace(m, jet=lambda x: jets.append("jet") or m.jet(x)),
+        lambda x, xi: jets.append("phase") or m._phase(x, xi))
     x0 = SCHW_X0 if name.startswith("schwarzschild") \
         else np.array([0.1, -0.3, 0.5, 0.2])
     xi0 = ds.random_null_covector(m, x0, np.random.default_rng(2))
@@ -666,12 +688,10 @@ def test_flow_evaluates_a_catalog_metric_once_per_stage(name, integrator,
     """One read of the metric per stage evaluation, by its phase kernel,
     which tests its own chart.  The seed check reads the metric once, as
     one jet."""
-    import dataclasses
-
     from diracsym.geometry import _check_seed
 
     m = _JET_CATALOG[name]()
-    m = dataclasses.replace(m, phase=_counting(counted, "stage", m.phase))
+    m = with_kernel(m, _counting(counted, "stage", m._phase))
     x0 = SCHW_X0 if name.startswith("schwarzschild") \
         else np.array([0.1, -0.3, 0.5, 0.2])
     p0 = PhasePoint(x0, ds.random_null_covector(m, x0,
@@ -787,7 +807,7 @@ def _user_schwarzschild(M):
             (-fp, -fp / (f * f), 2.0 * r, 2.0 * r * s * s),
             2.0 * r * r * s * c)
 
-    return MetricField(dim=4, jet=jet, diagonal=True)
+    return MetricField(dim=4, jet=jet)
 
 
 @pytest.mark.parametrize("case", ["schwarzschild_inward", "rotating_chart"])
@@ -835,14 +855,14 @@ def test_phase_kernel_matches_phase_core(name):
     from diracsym.geometry import _phase_core, _stack_diagonal
 
     m = _KERNEL_METRICS[name]()
-    assert m.phase is not None
+    assert m._phase is not None
     d = m.dim
     rng = np.random.default_rng(29)
     for i in range(200):
         x = ds.random_chart_point(m, rng)
         xi = rng.normal(size=d)
         xi[rng.random(d) < 0.1 * (i % 3)] = 0.0
-        rate, record = m.phase(x.tolist(), xi.tolist())
+        rate, record = m._phase(x.tolist(), xi.tolist())
         g, dg, Z, dx, dxi = _phase_core(m, x, xi)
         assert all(type(v) is float for v in (*rate, *record))
         for got, want in zip(_stack_diagonal([record], d), (xi, g, dg, Z)):
@@ -854,20 +874,17 @@ def test_phase_kernel_matches_phase_core(name):
 
 
 def test_phase_kernel_tests_its_chart():
-    """A phase kernel refuses a point past the chart as its jet does, and
-    a metric with a kernel must be diagonal."""
+    """A phase kernel refuses a point past the chart as its jet does."""
     m = ds.catalog_metric("conformal_flat{1 + 0.1*sqrt(x)}")
     for x in ([0.0, 0.0, 0.3, 0.1], [0.0, -0.5, 0.3, 0.1]):
         with np.errstate(all="ignore"):
             with pytest.raises(OutsideChart):
                 m.jet(np.array(x))
             with pytest.raises(OutsideChart):
-                m.phase(x, [1.0, 1.0, 0.0, 0.0])
+                m._phase(x, [1.0, 1.0, 0.0, 0.0])
     schw = ds.catalog_metric("schwarzschild1.0")
     with pytest.raises(OutsideChart):
-        schw.phase([0.0, 1.5, 1.2, 0.3], [1.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ConfigError, match="diagonal"):
-        MetricField(dim=4, jet=schw.jet, phase=schw.phase)
+        schw._phase([0.0, 1.5, 1.2, 0.3], [1.0, 1.0, 0.0, 0.0])
 
 
 # --------------------------------------------------------------------------
@@ -954,7 +971,7 @@ def test_adaptive_nan_error_norm_underflows():
             return np.diag([-1.0 if x[0] < 0.1 else np.nan, 1.0, 1.0, 1.0])
 
         m = ds.MetricField(dim=4, jet=lambda x: (ev(x), np.zeros((4, 4, 4))),
-                           name="nan_past", diagonal=True)
+                           name="nan_past")
         p = ds.PhasePoint(np.zeros(4), np.array([-1.0, 1.0, 0.0, 0.0]))
         try:
             ds.integrate_bicharacteristic(m, p, 1.0,

@@ -28,7 +28,7 @@ from diracsym.transport import (
 
 from conftest import (SCHW_X0, connection_at, denker_generator,
                       identity_map, linear_chart, look_alike_dirac,
-                      null_state, rotating_chart)
+                      null_state, rotating_chart, with_kernel)
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -275,14 +275,14 @@ def _check_frame_derivative(m):
     from diracsym.geometry import _frame_connection, _frame_from, _metric_jet
 
     def frame(x):
-        return _frame_from(m, _metric_jet(m, x)[0])[0]
+        return _frame_from(_metric_jet(m, x)[0])[0]
 
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = ds.random_chart_point(m, rng)
         g, dg = _metric_jet(m, x)
-        E, Einv, _, X, _ = _frame_connection(m, g, dg)
+        E, Einv, _, X, _ = _frame_connection(g, dg)
         # upper triangular with a positive diagonal: chart-order
         # Gram-Schmidt, the only such frame
         assert np.array_equal(E, np.triu(E)) and np.all(np.diag(E) > 0)
@@ -644,8 +644,6 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
     recursion give the sections of the joint integration to 1e-12
     relative, sample by sample, for both laws and both signs; the stacked
     engine calls see exactly the stages of accepted steps."""
-    import dataclasses
-
     from diracsym.geometry import _BLOCK_STEPS, _flow
 
     m, rep, sysd, state, t_end, flow = _reference_run(case)
@@ -654,8 +652,8 @@ def test_split_transport_matches_joint_reference(case, monkeypatch):
         # the ray has rejected steps: more metric reads, each a call of
         # the phase kernel, than the seed plus six per accepted step
         calls = []
-        counted = dataclasses.replace(
-            m, phase=lambda x, xi: calls.append(1) or m.phase(x, xi))
+        counted = with_kernel(
+            m, lambda x, xi: calls.append(1) or m._phase(x, xi))
         hs = []
         _flow(counted, state.phase, t_end,
               on_block=lambda h, _: hs.extend(h), **flow)
@@ -737,8 +735,9 @@ def test_kernel_flow_matches_the_fallback(case):
     import dataclasses
 
     m, rep, sysd, state, t_end, flow = _kernel_case(case)
-    assert m.phase is not None
-    plain = dataclasses.replace(rep, metric=dataclasses.replace(m, phase=None))
+    assert m._phase is not None
+    # replace drops the kernel
+    plain = dataclasses.replace(rep, metric=dataclasses.replace(m))
     runs = []
     for r in (rep, plain):
         with np.errstate(all="ignore"):
@@ -755,6 +754,56 @@ def test_kernel_flow_matches_the_fallback(case):
         a = np.array(getattr(got, orbit).sections)
         b = np.array(getattr(want, orbit).sections)
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), orbit
+
+
+@pytest.mark.parametrize("case", ["schwarzschild_rk4", "conformal_dopri"])
+def test_a_metric_built_from_a_catalog_jet_is_that_metric(case):
+    """MetricField(4, jet, sample_box=...) from a catalog metric's jet
+    alone, with no float kernel and no word on its diagonality, transports
+    and certifies bit for bit as the catalog metric: the ray and both
+    laws' sections on both signs, and every axiom residual."""
+    m, rep, sysd, state, t_end, flow = _reference_run(case)
+    bare = ds.MetricField(4, m.jet, sample_box=m.sample_box)
+    rep_bare = ds.build_canonical_module(bare)
+    sample = ds.SampleSpec(points=5, vectors=3, seed=0)
+    got, want = (ds.certify_axioms(r, sample).to_dict()
+                 for r in (rep_bare, rep))
+    assert (got.pop("fixture"), want.pop("fixture")) == ("custom", m.name)
+    assert got == want
+    for flip in (False, True):
+        a, b = (compare_transports(r, dirac_system(r), state, t_end,
+                                   flip_subprincipal=flip, **flow)
+                for r in (rep_bare, rep))
+        assert a.trajectory.n == b.trajectory.n > 10
+        for key in ("ts", "xs", "xis", "qs"):
+            assert getattr(a.trajectory, key).tobytes() == \
+                getattr(b.trajectory, key).tobytes(), key
+        for orbit in ("orbit_denker", "orbit_spin"):
+            assert np.array(getattr(a, orbit).sections).tobytes() == \
+                np.array(getattr(b, orbit).sections).tobytes(), orbit
+    assert bare._phase is None  # it flowed through _phase_core
+
+
+def test_replacing_the_jet_drops_the_kernel():
+    """``dataclasses.replace(schwarzschild(1.0), jet=schwarzschild(1.5).jet)``
+    is the M = 1.5 metric: it flows the M = 1.5 ray, within 1e-14 of the
+    catalog metric's, and its ray's own q vanishes at the seed."""
+    import dataclasses
+
+    m15 = ds.schwarzschild(1.5)
+    swapped = dataclasses.replace(ds.schwarzschild(1.0), jet=m15.jet)
+    xi0 = ds.random_null_covector(m15, SCHW_X0, np.random.default_rng(0))
+    p0 = PhasePoint(SCHW_X0, xi0)
+    got, want = (ds.integrate_bicharacteristic(m, p0, 1.0, step=1e-2,
+                                               require_null=True)
+                 for m in (swapped, m15))
+    assert got.n == want.n == 101
+    for key in ("ts", "xs", "xis"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), key
+    scale = 1.0 + float(xi0 @ xi0)
+    assert np.max(np.abs(got.qs - want.qs)) <= 1e-14 * scale
+    assert abs(got.qs[0]) < 1e-10 * scale
 
 
 def test_long_ray_gap_floor(rep_schw, sys_schw, schw):

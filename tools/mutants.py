@@ -194,6 +194,13 @@ MUTANTS = [
     ("radial_record_loses_last_z", "src/diracsym/geometry.py",
      "0.0, 0.0, 0.0, 0.0,\n                 z0, z1, z2, z3))",
      "0.0, 0.0, 0.0, 0.0,\n                 z0, z1, z2, 0.0))"),
+    ("diagonality_reads_first_row", "src/diracsym/geometry.py",
+     "return np.count_nonzero(g) == np.count_nonzero(g.diagonal(0, -2, -1))",
+     "return np.count_nonzero(g[..., 0, :]) == "
+     "np.count_nonzero(g[..., 0, 0])"),
+    ("kernel_kept_by_replace", "src/diracsym/geometry.py",
+     "field(default=None, init=False, repr=False,",
+     "field(default=None, repr=False,"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
