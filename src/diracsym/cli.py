@@ -28,11 +28,10 @@ from .geometry import (
     _chart_draw,
     _chart_value,
     _check_seed,
+    _checked_inverse,
+    _frame_from,
     _future_null,
     catalog_metric,
-    eval_metric,
-    orthonormal_frame,
-    random_null_covector,
 )
 from .symbols import (
     certify_principal_types,
@@ -146,9 +145,10 @@ class _Scenario:
         self.x0 = _vector(cfg["chart_seed_point"], "chart_seed_point", dim) \
             if "chart_seed_point" in cfg else 0.5 * (box[:, 0] + box[:, 1])
         # a given seed must lie in the chart; the default one, the box's
-        # centre, only for the commands that start from it (not certify)
-        self.seed_in_chart = _chart_value(self.metric, self.x0) is not None
-        if not self.seed_in_chart and "chart_seed_point" in cfg:
+        # centre, only for the commands that start from it (not certify).
+        # g0 is the metric at the seed, None past the chart
+        self.g0 = _chart_value(self.metric, self.x0)
+        if self.g0 is None and "chart_seed_point" in cfg:
             raise ConfigError(_SEED_PAST_CHART)
 
         self.timelike_spec = cfg.get("timelike_field", "normalized_dt")
@@ -202,21 +202,19 @@ class _Scenario:
 
     @functools.cached_property
     def timelike_field(self):
-        """The timelike field N, once the metric at the seed point passes
-        ``eval_metric`` and N is timelike and future-directed there.  The
-        default N is the seed frame's e_0, and one frame serves both."""
-        m, x0 = self.metric, self.x0
-        N = resolve_timelike_field(m, self.timelike_spec)
-        frame = orthonormal_frame(m, x0) \
-            if isinstance(self.timelike_spec, str) else None
-        vec = N(x0) if frame is None else frame.E[:, 0]
-        g, _ = eval_metric(m, x0)
+        """The timelike field N, once the seed's g0 has an inverse and N is
+        timelike and future-directed there.  The default N is the seed
+        frame's e_0, and one frame of g0 serves both."""
+        x0, g = self.x0, self.g0
+        N = resolve_timelike_field(self.metric, self.timelike_spec)
+        frame = _frame_from(g) if isinstance(self.timelike_spec, str) \
+            else None
+        vec = N(x0) if frame is None else frame[0][:, 0]
+        _checked_inverse(g, x0)
         if float(vec @ g @ vec) >= 0.0:
             raise NotTimelike("configured timelike_field is not timelike at "
                               "the seed point")
-        if frame is None:
-            frame = orthonormal_frame(m, x0)
-        if (frame.E_inv @ vec)[0] <= 0.0:
+        if ((frame or _frame_from(g))[1] @ vec)[0] <= 0.0:
             raise NotFutureDirected("configured timelike_field is not "
                                     "future-directed at the seed point")
         return N
@@ -230,7 +228,7 @@ class _Scenario:
                 raise ConfigError(f"bad initial_covector spec {spec!r}")
             seed = _index(arg, "initial_covector random_null seed")
             rng = np.random.default_rng(seed + self.seed)
-            return random_null_covector(self.metric, self.x0, rng)
+            return _future_null(self.g0, self.x0, rng)
         xi = _vector(spec, "initial_covector", self.metric.dim)
         if not np.any(xi):
             raise ZeroCovector("initial_covector is zero")
@@ -510,7 +508,7 @@ def _run_one(cmd, config_path, args) -> int:
         if sc.out_path is not None:
             _check_target(sc.out_path)
         # full validation before any computation: resolving checks each
-        if sc.seed_in_chart:
+        if sc.g0 is not None:
             sc.timelike_field
         elif cmd != "certify":
             raise ConfigError(_SEED_PAST_CHART)

@@ -31,6 +31,7 @@ from .geometry import (
     _chart_draw,
     _christoffel_from,
     _frame_connection,
+    _frame_from,
     _metric_jet,
     _phase_core,
     eval_metric,
@@ -205,9 +206,9 @@ class CliffordModuleRep:
 
     ``gammas`` act in frame indices; coordinate vectors are converted with
     the coframe before acting.  N (the gammas' size) and eta = diag(-1, 1,
-    ..., 1) are derived from the gammas.  ``q_eval(x, N)`` gives the
-    Q-section along leading axes of stacked directions N (d,) or (n, d);
-    a module without one has Q(N) = Gamma(N).  ``stage`` and ``stage_at``
+    ..., 1) are derived from the gammas.  ``q_eval(c)`` gives the
+    Q-section at frame components c along leading axes, as Gamma acts; a
+    module without one has Q = Gamma.  ``stage`` and ``stage_at``
     give everything the transports need at a phase point or a stack of
     them, by contractions against its Clifford tensors (``contract``).
     """
@@ -264,9 +265,9 @@ class CliffordModuleRep:
         s = orthonormal_frame(self.metric, x)
         return self.gamma_of_frame(np.asarray(Z, dtype=float) @ s.E_inv.T)
 
-    def q_of(self, x, N) -> np.ndarray:
-        """Q(N) from ``q_eval``, or Gamma(N) when the module has none."""
-        return (self.q_eval or self.gamma_of)(x, N)
+    def q_of(self, c) -> np.ndarray:
+        """Q at frame components c (leading axes); Gamma without q_eval."""
+        return (self.q_eval or self.gamma_of_frame)(c)
 
     def sigma1(self, xi, E) -> np.ndarray:
         """i Gamma(E^T xi); batched over leading axes of xi and E."""
@@ -323,16 +324,16 @@ def build_canonical_module(m: MetricField) -> CliffordModuleRep:
 
 
 def q_operator(rep: CliffordModuleRep, x, N) -> np.ndarray:
-    """Q_N = Q(N) for a future-directed timelike N (checked)."""
+    """Q_N at the frame components of a future-directed timelike N."""
     N = np.asarray(N, dtype=float)
     g, _ = eval_metric(rep.metric, x)
     nn = float(N @ g @ N)
     if nn >= 0.0:
         raise NotTimelike(f"g(N, N) = {nn} >= 0")
-    s = orthonormal_frame(rep.metric, x)
-    if (s.E_inv @ N)[0] <= 0.0:
+    c = _frame_from(g)[1] @ N
+    if c[0] <= 0.0:
         raise NotFutureDirected("N has non-positive frame time component")
-    return rep.q_of(x, N)
+    return rep.q_of(c)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +403,12 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     """Draw n_pts points with n_vec vectors each, in ``certify_axioms``'s
     order, and return every axiom's max residual over them (C1 on the
     sampled vectors) and C8's smallest eigenvalue."""
-    m = rep.metric
     d = rep.dim
     G = rep.gram
     Id = np.eye(rep.N)
     r = {}
     # draws: Z, Y, Y0 (3d), A (d x d), N's frame direction (d - 1), W (d)
     n_draw = 3 * d + d * d + (d - 1) + d
-    xs = np.empty((n_pts, d))
     g = np.empty((n_pts, d, d))
     dg = np.empty((n_pts, d, d, d))
     draws = np.empty((n_pts, n_vec, n_draw))
@@ -417,7 +416,7 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     Wp = np.zeros((n_pts, n_vec, d))
     found = np.zeros((n_pts, n_vec), dtype=bool)
     for i in range(n_pts):
-        xs[i], g[i], dg[i] = _chart_draw(m, rng)
+        _, g[i], dg[i] = _chart_draw(rep.metric, rng)
         for j in range(n_vec):
             draws[i, j] = rng.uniform(-1.0, 1.0, size=n_draw)
             for _ in range(8):
@@ -468,14 +467,12 @@ def _block_residuals(rep: CliffordModuleRep, rng, n_pts: int, n_vec: int):
     GZ, GY, GY0, GZp, GN, GZo = (gm[:, :, k] for k in range(6))
     Gnab, dgam = gm[:, :, 6:6 + d], gm[:, :, 6 + d:]
 
-    # Q from the module: N per vector, Y' where found, E_0 per point
-    QN = np.empty((n_pts, n_vec, rep.N, rep.N), dtype=complex)
-    QY = np.zeros_like(QN)
-    Q0 = np.empty((n_pts, rep.N, rep.N), dtype=complex)
-    for i in range(n_pts):
-        dirs = np.concatenate((Nv[i], Yp[i, found[i]], E[i, None, :, 0]))
-        Q = rep.q_of(xs[i], dirs)
-        QN[i], QY[i, found[i]], Q0[i] = Q[:n_vec], Q[n_vec:-1], Q[-1]
+    # Q in one call on frame components: N and Y' (where found) per
+    # vector, E_0 per point
+    dirs = np.concatenate((Nv, Yp, E[:, None, :, 0]), axis=1)
+    Q = rep.q_of((Einv[:, None] @ dirs[..., None])[..., 0])
+    QN, Q0 = Q[:, :n_vec], Q[:, -1]
+    QY = np.where(found[..., None, None], Q[:, n_vec:-1], 0.0)
 
     def herm(M):
         return M.conj().swapaxes(-1, -2)

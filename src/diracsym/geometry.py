@@ -220,9 +220,12 @@ def _christoffel_from(g, dg) -> np.ndarray:
 
 
 def hamiltonian_q(m: MetricField, x, xi) -> float:
-    xi = np.asarray(xi, dtype=float)
-    g = _metric_jet(m, x)[0]
-    return float(xi @ np.linalg.solve(g, xi))
+    return _q_at(_metric_jet(m, x)[0], xi)
+
+
+def _q_at(g, xi) -> float:
+    """q = g^-1(xi, xi) for the metric values g."""
+    return float(np.asarray(xi, dtype=float) @ np.linalg.solve(g, xi))
 
 
 def _phase_core(m: MetricField, x, xi):
@@ -433,16 +436,18 @@ def _steps_for(t_end: float, step: float):
 
 def _check_seed(m: MetricField, p0: PhasePoint, t_end: float,
                 null_tol: float, require_null: bool):
-    """Reject a run before it starts: t_end, chart, null seed."""
+    """Check t_end, chart and null seed before a run; returns g at the seed."""
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError(f"t_end must be finite and positive, got {t_end}")
     try:
-        q0 = hamiltonian_q(m, p0.x, p0.xi)
+        g = _metric_jet(m, p0.x)[0]
     except OutsideChart:
         raise OutsideChart("initial point violates the domain guard") from None
+    q0 = _q_at(g, p0.xi)
     # a NaN q, from a covector that is not finite, fails too
     if require_null and not abs(q0) < null_tol * (1.0 + float(p0.xi @ p0.xi)):
         raise NotOnCharacteristicSet(f"|q(p0)| = {abs(q0)}")
+    return g
 
 
 # Accepted steps per block of stage records handed on by ``_flow``; bounds

@@ -197,15 +197,15 @@ def _transport_run(rep: CliffordModuleRep, state: PolarizationState,
     polarization of law j at sample i.
     """
     p0 = state.phase
-    _check_seed(rep.metric, p0, t_end, null_tol, require_null=True)
+    g0 = _check_seed(rep.metric, p0, t_end, null_tol, require_null=True)
     w0 = state.w
     if w0.shape != (rep.N,):
         raise ConfigError(f"initial polarization has shape {w0.shape}, "
                           f"expected ({rep.N},)")
     nw = _initial_norm(w0)
     if sign is not None:
-        E = _frame_from(_metric_jet(rep.metric, p0.x)[0])[0]
-        _initial_kernel_check(rep.sigma1(p0.xi, E), w0, nw, kernel_tol)
+        _initial_kernel_check(rep.sigma1(p0.xi, _frame_from(g0)[0]), w0, nw,
+                              kernel_tol)
     n_laws = (sign is not None) + spin
     rows = _RK4_A if flow["integrator"] == "rk4_fixed" else _DP_A
     rec = _Recursion(rep, np.array([w0] * n_laws)[:, :, None], sign, spin,

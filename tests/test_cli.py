@@ -707,10 +707,10 @@ def test_unwritable_report_path_is_refused_before_the_run(
 def test_certify_reads_each_principal_type_point_once(tmp_path, capsys,
                                                      monkeypatch):
     """A certify scenario of 4 points and 10 vectors on schwarzschild1.0
-    reads 51 metric jets: 3 for the seed checks, 2 per axiom point (the
-    draw's jet, its frame in Q), and per principal-type point the draw's
-    jet, which also gives the null covector, its q-flow values and one
-    value per neighbour."""
+    reads 45 metric jets: 1 for the seed, whose g also checks the timelike
+    field, 1 per axiom point (the draw's jet, whose frame also gives Q),
+    and per principal-type point the draw's jet, which also gives the null
+    covector, its q-flow values and one value per neighbour."""
     import dataclasses
 
     calls = []
@@ -726,7 +726,36 @@ def test_certify_reads_each_principal_type_point_once(tmp_path, capsys,
         "sample": {"points": 4, "vectors": 10, "seed": 3}})
     rc, out, _ = run(capsys, ["certify", "--config", cfg, "--no-meta"])
     assert rc == 0 and json.loads(out)["principal_type"]["points"] == 4
-    assert len(calls) == 3 + 2 * 4 + 4 * (2 + 8)
+    assert len(calls) == 1 + 4 + 4 * (2 + 8)
+
+
+def test_a_compare_scenario_reads_its_seed_jet_four_times(tmp_path, capsys,
+                                                          monkeypatch):
+    """A compare scenario on schwarzschild1.0 reads the metric's jet at its
+    seed 4 times: the scenario's chart test, whose g also gives the
+    timelike field's check and the null covector, the command's seed
+    check, sigma_1 for the kernel_basis polarization, and the transport's
+    seed check, whose g also frames its kernel check; the flow reads only
+    the float kernel."""
+    import dataclasses
+
+    seeds = []
+
+    def counted(name):
+        m = ds.catalog_metric(name)
+        out = dataclasses.replace(
+            m, jet=lambda x: seeds.append(np.array_equal(x, SCHW_X0))
+            or m.jet(x))
+        out._phase = m._phase
+        return out
+
+    monkeypatch.setattr(cli, "catalog_metric", counted)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "metric": "schwarzschild1.0", "chart_seed_point": SCHW_X0,
+        "t_end": 0.1, "integrator": {"step": 1e-2}})
+    rc, out, _ = run(capsys, ["compare", "--config", cfg, "--no-meta"])
+    assert rc == 0 and json.loads(out)["pass"] is True
+    assert seeds == [True] * 4
 
 
 def test_batch_runs_on_past_a_bad_output_path(tmp_path, capsys):

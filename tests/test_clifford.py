@@ -296,8 +296,10 @@ def test_build_canonical_module_wiring(rep_schw, schw):
 
 
 def test_default_q_follows_a_replaced_metric(rep_schw):
-    """Q = Gamma is read at call time: a copy with another metric takes
-    Gamma of its own frame, not of the module it was copied from."""
+    """Q acts on frame components, and q_operator takes N's components in
+    the frame of the module's metric: a copy with another metric gives
+    Q_N in its own frame, not in that of the module it was copied
+    from."""
     flat = dataclasses.replace(rep_schw, metric=ds.minkowski(4))
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(q_operator(flat, SCHW_X0, e0), flat.gammas[0])
@@ -406,9 +408,9 @@ def _reference_certify_axioms(rep, sample, spin_scale=1.0):
     def gamma_of_frame(comps):
         return np.tensordot(comps, rep.gammas, axes=(-1, 0))
 
-    def Q(x, V):
-        return rep.q_eval(x, V) if rep.q_eval else gamma_of_frame(
-            ds.orthonormal_frame(m, x).E_inv @ V)
+    def Q(Einv, V):
+        """Q at the oracle frame's components of the coordinate vector V."""
+        return (rep.q_eval or gamma_of_frame)(Einv @ V)
 
     for _ in range(sample.points):
         x = ds.random_chart_point(m, rng)
@@ -444,7 +446,7 @@ def _reference_certify_axioms(rep, sample, spin_scale=1.0):
                 u *= 0.85 / nrm
             Nv = E @ np.concatenate(([1.0], u))
             Nv = Nv / np.sqrt(-float(Nv @ g @ Nv))
-            QN = Q(x, Nv)
+            QN = Q(Einv, Nv)
             r["C6"] = max(r["C6"], maxabs(G @ QN - QN.conj().T @ G))
             W = rng.uniform(-1.0, 1.0, size=d)
             Zp = W - (float(W @ g @ Nv) / float(Nv @ g @ Nv)) * Nv
@@ -460,9 +462,9 @@ def _reference_certify_axioms(rep, sample, spin_scale=1.0):
                 continue
             W2 = rng.uniform(-1.0, 1.0, size=d)
             GZo = gamma_vec(W2 - (float(W2 @ g @ Yv) / yy) * Yv)
-            QY = Q(x, Yv)
+            QY = Q(Einv, Yv)
             r["C7p"] = max(r["C7p"], maxabs(QY @ GZo + GZo @ QY))
-        H = G @ Q(x, E[:, 0])
+        H = G @ Q(Einv, E[:, 0])
         H = 0.5 * (H + H.conj().T)
         c8_min = min(c8_min, float(np.min(np.linalg.eigvalsh(H))))
     r["C5"] = r["C3"]
@@ -471,18 +473,16 @@ def _reference_certify_axioms(rep, sample, spin_scale=1.0):
 
 def _miswired_schwarzschild_module():
     """The Schwarzschild module with its spin tensor, and so its
-    connection, scaled by 1.01 and Q(N) = Gamma(N) + 0.01 g(N, N) Id: C3,
-    C7.1, C7' and C8 move off roundoff by amounts that vary from point to
-    point."""
-    m = ds.schwarzschild(1.0)
-    rep = ds.build_canonical_module(m)
+    connection, scaled by 1.01 and Q(c) = Gamma(c) + 0.01 eta(c, c) Id at
+    frame components c: C3, C7.1, C7' and C8 move off roundoff by amounts
+    that vary from point to point."""
+    rep = ds.build_canonical_module(ds.schwarzschild(1.0))
     rep.tensors = MappingProxyType(
         {**rep.tensors, "spin": 1.01 * rep.tensors["spin"]})
 
-    def q_eval(x, N):
-        g = ds.eval_metric(m, x)[0]
-        nn = np.asarray(np.einsum("...i,ij,...j->...", N, g, N))
-        return rep.gamma_of(x, N) + 0.01 * nn[..., None, None] * np.eye(4)
+    def q_eval(c):
+        cc = np.sum(c * c * np.diagonal(rep.eta), axis=-1)
+        return rep.gamma_of_frame(c) + 0.01 * cc[..., None, None] * np.eye(4)
 
     rep.q_eval = q_eval
     return rep
@@ -504,6 +504,48 @@ EQUIVALENCE_MODULES = {
 # the connection scale the reference loop applies to its own spin
 # connection, as the miswired module's spin tensor does to the library's
 _SPIN_SCALE = {"miswired_schwarzschild": 1.01}
+
+
+def _q_shifted(rep):
+    """Q = Gamma + 0.01 i Id: G Q is not self-adjoint."""
+    return lambda c: rep.gamma_of_frame(c) + 0.01j * np.eye(rep.N)
+
+
+def _q_tilted(rep):
+    """Q = Gamma + 0.01 Gamma(e_1): Q_N does not commute with Gamma(N)."""
+    e1 = rep.gamma_of_frame(np.eye(rep.dim)[1])
+    return lambda c: rep.gamma_of_frame(c) + 0.01 * e1
+
+
+def _q_scaled(rep):
+    """Q = 1.01 Gamma, which C6-C8 cannot tell from Gamma."""
+    return lambda c: 1.01 * rep.gamma_of_frame(c)
+
+
+@pytest.mark.parametrize("q", [None, _q_shifted, _q_tilted, _q_scaled],
+                         ids=["gamma", "shifted", "tilted", "scaled"])
+@pytest.mark.parametrize("fixture", ["minkowski4", "schwarzschild1.0",
+                                     "conformal_flat"])
+def test_c6_and_c7_2_fail_for_a_wrong_q(fixture, q):
+    """C6 (G Q_N self-adjoint) and C7.2 (Q_N commutes with Gamma(N)) can
+    fail, on frame-component Q's at 20 points x 10 vectors, seed 3:
+    Q = Gamma + 0.01 i Id fails C6 by 2.0e-2 with C7.2 at most 4.4e-16,
+    and Q = Gamma + 0.01 Gamma(e_1) fails C7.2 by 3.8e-2 with C6 at 0.0,
+    on each fixture.  The module's own Q = Gamma reads 0.0 on both.  For a
+    multiple of Gamma, C6-C8 reduce to C1 and C4 identities, so 1.01 Gamma
+    passes them all (at most 1.1e-15 on C7.2)."""
+    rep = EQUIVALENCE_MODULES[fixture]()
+    rep.q_eval = q and q(rep)
+    ax = certify_axioms(rep, SampleSpec(points=20, vectors=10, seed=3)).axioms
+    c6, c72 = ax["C6"].max_residual, ax["C7.2"].max_residual
+    if q is _q_shifted:
+        assert c6 > 1e-2 and not ax["C6"].passed and c72 <= 1e-15
+    elif q is _q_tilted:
+        assert c72 > 1e-2 and not ax["C7.2"].passed and c6 == 0.0
+    elif q is _q_scaled:
+        assert all(ax[k].passed for k in ("C6", "C7.1", "C7.2", "C7p", "C8"))
+    else:
+        assert c6 == 0.0 and c72 == 0.0
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -548,8 +590,9 @@ def test_blocked_certificate_matches_point_loop(monkeypatch, fixture,
 def test_certificate_reads_each_drawn_point_once(name, draws):
     """certify_axioms reads one jet per draw, the jet that tested it in
     the chart (the sqrt metric's box draws 5 points past its chart, which
-    are redrawn), and one more per kept point for its frame in Q; the
-    draws are those of random_chart_point, so the stream is unchanged."""
+    are redrawn), and no more: Q takes its frame components from the
+    block's frames; the draws are those of random_chart_point, so the
+    stream is unchanged."""
     from diracsym.geometry import _chart_draw
 
     m = ds.catalog_metric(name)
@@ -559,7 +602,7 @@ def test_certificate_reads_each_drawn_point_once(name, draws):
     rep = ds.build_canonical_module(counted)
     sample = SampleSpec(points=10, vectors=3, seed=0)
     assert certify_axioms(rep, sample).passed
-    assert len(calls) == draws + 10
+    assert len(calls) == draws
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(5):
         x, g, dg = _chart_draw(m, rng_a)

@@ -7,11 +7,16 @@ On g = Omega^2 eta, with the frame e_a = Omega^-1 d_a, a kernel spinor
 
 by the conformal covariance of the Dirac operator (Hitchin, "Harmonic
 spinors", Adv. Math. 14, 1974).  The closed form does not depend on how the
-metric jet is differentiated: Omega along the ray is read from ``eval``
-(Omega = sqrt(g_11)), never from ``jet``.  An error common to both laws,
-which their gap cannot see, misses it.  Each check has two controls: the
-flipped subprincipal sign misses the closed form by more than 1e-2, and
-Omega varies by more than 5% along the ray.
+metric jet is differentiated: Omega along the ray is read from the metric's
+values (Omega = sqrt(g_11)), never from its partials.  An error common to
+both laws, which their gap cannot see, misses it.  Each check has two
+controls: the flipped subprincipal sign misses the closed form by more
+than 1e-2, and Omega varies by more than 5% along the ray.
+
+On a radial ray of Schwarzschild the t-r block is conformally flat with
+Omega = sqrt(f), f = 1 - 2M/r, and the section is (f(r(t)) / f(r0))^(-1/4)
+w0, with f read off the ray's r, the same controls, and wrong exponents
+as a third.
 """
 import functools
 
@@ -83,3 +88,48 @@ def test_conformal_transport_closed_form_dim2(direction):
         assert spread > 1.05
     flipped, _ = _closed_form_errors("dim2", x0, xi0, 3.0, 1e-2, flip=True)
     assert flipped[0] > 1e-2
+
+
+def _radial_errors(direction, step, flip=False, exponent=-0.25):
+    """(error of each law, max/min of f along the ray) on the radial ray
+    of schwarzschild1.0 from r0 = 6 on the equator, xi0 = (-f(r0), +-1, 0,
+    0), to t = 1.5: the largest |w(t) - (f(r(t)) / f(r0))^exponent w0| /
+    |w0| over the samples, with f = 1 - 2M/r read off r along the ray and
+    w0 = K0 + (0.3 - 0.7i) K1."""
+    m = ds.schwarzschild(1.0)
+    rep = ds.build_canonical_module(m)
+    sysd = ds.dirac_system(rep)
+    p = ds.PhasePoint(np.array([0.0, 6.0, np.pi / 2, 0.0]),
+                      np.array([-(1.0 - 2.0 / 6.0), direction, 0.0, 0.0]))
+    K, rank = kernel_basis(principal_symbol(sysd, p))
+    assert rank == 2
+    w0 = K[0] + (0.3 - 0.7j) * K[1]
+    rpt = compare_transports(rep, sysd, PolarizationState(p, w0), 1.5,
+                             step=step, flip_subprincipal=flip)
+    assert rpt.trajectory.n > 1 and not rpt.left_chart
+    f = 1.0 - 2.0 / rpt.trajectory.xs[:, 1]
+    want = (f / f[0])[:, None] ** exponent * w0
+    errs = [float(np.max(np.linalg.norm(np.asarray(o.sections) - want,
+                                        axis=1))) / np.linalg.norm(w0)
+            for o in (rpt.orbit_denker, rpt.orbit_spin)]
+    return errs, f.max() / f.min()
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_radial_schwarzschild_transport_matches_closed_form(direction):
+    """The t-r block of Schwarzschild is conformally flat with Omega =
+    sqrt(f), so on a radial ray w(t) = (f(r(t)) / f(r0))^(-1/4) w0.
+    Measured outward (r 6 -> 8) and inward (r 6 -> 4): 3.9e-13 and 8.6e-12
+    at h = 1e-2, 2.5e-14 and 5.3e-13 at h = 5e-3; the bound is
+    3e-11 (h / 1e-2)^4.  The flipped sign misses by 0.76 and 0.60, the
+    exponents -1/2, +1/4 and +1/2 by 0.028 to 0.21, and f varies by 12%
+    and 33%."""
+    for step in (1e-2, 5e-3):
+        errs, spread = _radial_errors(direction, step)
+        assert max(errs) < 3e-11 * (step / 1e-2) ** 4, (step, errs)
+        assert spread > 1.05
+    flipped, _ = _radial_errors(direction, 1e-2, flip=True)
+    assert flipped[0] > 1e-2
+    for exponent in (-0.5, 0.25, 0.5):
+        errs, _ = _radial_errors(direction, 1e-2, exponent=exponent)
+        assert min(errs) > 1e-2, exponent

@@ -337,8 +337,9 @@ def test_symbol_package_look_alike_gets_its_own_bracket(rep_schw, schw,
 def test_symbol_package_reads_one_metric_jet(schw):
     """The Dirac system's package takes its jets, bracket and p_sub from
     one engine evaluation, one metric jet; the public evaluators of
-    sigma_1, sigma_tilde, its timelike field and q read the metric 8 times
-    more, each read one jet."""
+    sigma_1, sigma_tilde, its timelike field and q read the metric 6 times
+    more, each read one jet: Q_N takes N's components in the frame of
+    its own future-direction check."""
     import dataclasses
 
     calls = []
@@ -349,7 +350,7 @@ def test_symbol_package_reads_one_metric_jet(schw):
     p = PhasePoint(SCHW_X0, ds.random_null_covector(schw, SCHW_X0, rng))
     calls.clear()
     symbol_package(rep, p)
-    assert len(calls) == 9
+    assert len(calls) == 7
 
 
 # --------------------------------------------------------------------------

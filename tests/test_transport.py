@@ -376,6 +376,29 @@ def test_seed_check_reads_the_frame_alone(rep_schw, sys_schw, schw,
         compare_transports(rep_schw, sys_schw, off, 0.1, step=1e-2)
 
 
+@pytest.mark.parametrize("law", ["compare", "denker", "spin"])
+def test_transport_reads_the_seed_jet_once(rep_schw, schw, law):
+    """Before its flow a transport reads its catalog metric's jet once, at
+    the seed: the seed check's g also frames the kernel check, and the
+    flow then reads only the float kernel."""
+    import dataclasses
+
+    reads = []
+    m = with_kernel(
+        dataclasses.replace(schw, jet=lambda x: reads.append("jet")
+                            or schw.jet(x)),
+        lambda x, xi: reads.append("phase") or schw._phase(x, xi))
+    rep = ds.build_canonical_module(m)
+    state = null_state(schw, rep_schw, SCHW_X0, 0)
+    run = {"compare": lambda: compare_transports(
+               rep, dirac_system(rep), state, 0.1, step=1e-2),
+           "denker": lambda: transport_denker(
+               dirac_system(rep), state, 0.1, step=1e-2),
+           "spin": lambda: transport_spin(rep, state, 0.1, step=1e-2)}[law]
+    run()
+    assert reads == ["jet"] + ["phase"] * (1 + 4 * 10)
+
+
 def test_non_finite_seed_is_refused(rep_schw, sys_schw, schw):
     """A covector with a NaN entry is not null and a NaN or infinite
     polarization is not in the kernel: each transport refuses the seed

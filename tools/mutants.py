@@ -54,6 +54,15 @@ MUTANTS = [
     ("c7p_skipped", "src/diracsym/clifford.py",
      'r["C7p"] = _maxabs(QY @ GZo + GZo @ QY)',
      'r["C7p"] = 0.0'),
+    ("c6_zeroed", "src/diracsym/clifford.py",
+     'r["C6"] = _maxabs(G @ QN - herm(QN) @ G)',
+     'r["C6"] = 0.0'),
+    ("c7_2_zeroed", "src/diracsym/clifford.py",
+     'r["C7.2"] = _maxabs(QN @ GN - GN @ QN)',
+     'r["C7.2"] = 0.0'),
+    ("q_on_coordinate_components", "src/diracsym/clifford.py",
+     "Q = rep.q_of((Einv[:, None] @ dirs[..., None])[..., 0])",
+     "Q = rep.q_of(dirs)"),
     ("neighbourhood_first_only", "src/diracsym/symbols.py",
      "ranks = _rank(np.linalg.svd(s2, compute_uv=False), rank_tol)",
      "ranks = _rank(np.linalg.svd(s2[:1], compute_uv=False), rank_tol)"),
@@ -146,8 +155,8 @@ MUTANTS = [
      "_clifford_tables(gam.shape, _clifford_tables.__dict__.setdefault(\n"
      "                gam.shape, gam.tobytes()))"),
     ("default_q_of_minus_n", "src/diracsym/clifford.py",
-     "(self.q_eval or self.gamma_of)(x, N)",
-     "(self.q_eval or (lambda x, N: self.gamma_of(x, -N)))(x, N)"),
+     "(self.q_eval or self.gamma_of_frame)(c)",
+     "(self.q_eval or (lambda c: self.gamma_of_frame(-c)))(c)"),
     ("trace_row_w_parts_swapped", "src/diracsym/cli.py",
      '"w_re": w_re, "w_im": w_im,',
      '"w_re": w_im, "w_im": w_re,'),
