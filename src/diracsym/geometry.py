@@ -8,18 +8,17 @@ past the chart.  Every read of the metric is one read of that jet, or of
 the float phase kernel that a catalog metric computes from the same values;
 whether g is diagonal is read off its values.  On top of that sit
 Christoffel symbols, the scalar Hamiltonian ``q(x, xi) = g^{ij} xi_i xi_j``,
-its flow field, null bicharacteristic integration in Python floats, and
-orthonormal frames from the factorization ``g = R^T eta R`` with ``R`` upper
-triangular, which is Gram-Schmidt in chart order, with their Levi-Civita
-frame connection.
+its flow field, null bicharacteristic integration in Python floats, by
+straight-line steppers compiled once per Runge-Kutta tableau and state
+length, and orthonormal frames from the factorization ``g = R^T eta R``
+with ``R`` upper triangular, which is Gram-Schmidt in chart order, with
+their Levi-Civita frame connection.
 """
 from __future__ import annotations
 
 import ast
 import functools
-import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -357,8 +356,63 @@ def orthonormal_frame(m: MetricField, x) -> FrameSample:
 
 
 # ---------------------------------------------------------------------------
-# steppers; a state is one list of floats, a right-hand side f maps it to
-# its rate
+# generated code: functions built as ``ast`` nodes from constants and
+# generated names alone, so no outside text reaches ``compile``
+
+# compile wants a position on every statement and expression; all of the
+# generated code sits at line 1
+_AT = {"lineno": 1, "col_offset": 0}
+
+
+def _ast(term):
+    """An expression tree for a term: a tree as it is, a variable name, or
+    a float literal."""
+    if isinstance(term, ast.AST):
+        return term
+    if isinstance(term, str):
+        return ast.Name(term, ast.Load(), **_AT)
+    return ast.Constant(term, **_AT)
+
+
+def _bin(a, op, b):
+    return ast.BinOp(_ast(a), op(), _ast(b), **_AT)
+
+
+def _chain(terms):
+    """The terms added left to right."""
+    return functools.reduce(lambda a, b: _bin(a, ast.Add, b), terms)
+
+
+def _call(f: str, *args):
+    return ast.Call(_ast(f), list(map(_ast, args)), [], **_AT)
+
+
+def _list(items):
+    return ast.List(list(map(_ast, items)), ast.Load(), **_AT)
+
+
+def _assign(names, value):
+    """``names = value``; a list of names unpacks a sequence."""
+    target = (ast.Name(names, ast.Store(), **_AT) if isinstance(names, str)
+              else ast.Tuple([ast.Name(n, ast.Store(), **_AT) for n in names],
+                             ast.Store(), **_AT))
+    return ast.Assign([target], _ast(value), **_AT)
+
+
+def _function(args, body, env: dict, filename: str):
+    """``def _f(*args): body`` compiled with the globals ``env``, which
+    hold no builtins."""
+    fn = ast.FunctionDef("_f", ast.arguments(
+        posonlyargs=[], args=[ast.arg(a, **_AT) for a in args],
+        kwonlyargs=[], kw_defaults=[], defaults=[]), body,
+        decorator_list=[], **_AT)
+    exec(compile(ast.Module([fn], type_ignores=[]), filename, "exec"), env)
+    return env.pop("_f")
+
+
+# ---------------------------------------------------------------------------
+# steppers; a state is one list of floats (x, xi), and its rate the list a
+# phase kernel returns at it
 
 # Explicit Runge-Kutta tableaus: row i holds the coefficients of stage
 # i + 2 on the rates before it, the last row the solution weights; the rate
@@ -391,29 +445,87 @@ def _combine(y, h, row, ks):
     return y + acc
 
 
-def _combine_floats(y, h, row, ks):
-    """``_combine`` on lists of floats, with its terms in its order for
-    each component, so its bits are those of ``_combine`` on arrays."""
-    acc = None
-    for c, k in zip(row, ks):
-        if c != 0.0:
-            t = map(operator.mul, itertools.repeat(h * c), k)
-            acc = t if acc is None else map(operator.add, acc, t)
-    return list(map(operator.add, y, acc))
+def _pairwise(terms):
+    """The sum of ``terms`` in the order numpy's add.reduce takes on a
+    contiguous float64 array (pairwise summation): left to right below 8
+    terms; up to 128, eight running sums of every eighth term, added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
+    left to right; beyond, the two halves, split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        return _chain(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _bin(_pairwise(terms[:half]), ast.Add,
+                    _pairwise(terms[half:]))
+    full = n - n % 8
+    r = [_chain(terms[j:full:8]) for j in range(8)]
+    r = [_bin(r[j], ast.Add, r[j + 1]) for j in range(0, 8, 2)]
+    return _chain([_bin(_bin(r[0], ast.Add, r[1]), ast.Add,
+                        _bin(r[2], ast.Add, r[3])), *terms[full:]])
 
 
-def _rk_step(f, y, k1, h, rows):
-    """One step of the tableau ``rows`` from the float list y, whose rate
-    k1 = f(y) is given.
+@functools.lru_cache(maxsize=32)
+def _stepper(rows, n: int, b4=None):
+    """One step of the tableau ``rows`` on a state of n floats, compiled to
+    straight-line code once per (rows, n, b4) on first use.
 
-    Returns (y_new, ks): the stage rates, ending with f(y_new), which is
-    the next step's k1.
+    ``step(y, k1, h, phase, keep)`` unpacks y and its rate k1 into locals,
+    forms each stage point component as ``y_i + (((h*c1)*k1_i +
+    (h*c2)*k2_i) + ...)``, ``_combine``'s terms in its order with zero
+    coefficients skipped, so its bits are those of ``_combine`` on arrays,
+    and calls ``phase(x, xi)`` on the point's halves, handing each record
+    to ``keep``.  It returns (y_new, k_new), the rate at y_new being the
+    next step's k1.  With the embedded weights ``b4`` it takes ``tol``
+    after h and also returns the sum of the squares of the scaled errors
+    ``e_i = (y_new_i - y4_i) / (tol + tol * max(|y_i|, |y_new_i|))``, y4
+    the embedded solution, in numpy's summation order (``_pairwise``), so
+    it is the bits of the sum of the same errors on arrays; a NaN entry
+    gives a NaN sum.  The code is ``ast`` nodes of tableau constants and
+    generated names alone.
     """
-    ks = [k1]
-    for row in rows:
-        y_new = _combine_floats(y, h, row, ks)
-        ks.append(f(y_new))
-    return y_new, ks
+    d, body = n // 2, []
+    ys, ks = [f"_y{i}" for i in range(n)], [[f"_k0_{i}" for i in range(n)]]
+    body += [_assign(ys, "_yv"), _assign(ks[0], "_kv")]
+
+    def point(row):
+        """The components of y + sum((h * c) * k) over the row."""
+        hs = []
+        for j, c in enumerate(row):
+            if c != 0.0:
+                hs.append((f"_h{len(body)}", ks[j]))
+                body.append(_assign(hs[-1][0], _bin("_h", ast.Mult, c)))
+        return [_bin(y, ast.Add, _chain(
+            [_bin(hc, ast.Mult, k[i]) for hc, k in hs]))
+            for i, y in enumerate(ys)]
+
+    for s, row in enumerate(rows, 1):
+        comps = point(row)
+        if s == len(rows):
+            new = [f"_n{i}" for i in range(n)]
+            body += map(_assign, new, comps)
+            comps = new
+        body += [_assign(["_r", "_rec"], _call(
+                     "_phase", _list(comps[:d]), _list(comps[d:]))),
+                 ast.Expr(_call("_keep", "_rec"), **_AT)]
+        ks.append([f"_k{s}_{i}" for i in range(n)])
+        if s < len(rows) or b4 is not None:
+            body.append(_assign(ks[-1], "_r"))
+    out, args = [_list(new), _ast("_r")], ["_yv", "_kv", "_h"]
+    if b4 is not None:
+        args.append("_tol")
+        errs = []
+        for i, (y4, y, yn) in enumerate(zip(point(b4), ys, new)):
+            scale = _bin("_tol", ast.Add, _bin("_tol", ast.Mult, _call(
+                "_max", _call("_fabs", y), _call("_fabs", yn))))
+            body.append(_assign(f"_e{i}", _bin(_bin(yn, ast.Sub, y4),
+                                               ast.Div, scale)))
+            errs.append(_bin(f"_e{i}", ast.Mult, f"_e{i}"))
+        out.append(_pairwise(errs))
+    body.append(ast.Return(ast.Tuple(out, ast.Load(), **_AT), **_AT))
+    return _function(args + ["_phase", "_keep"], body,
+                     {"__builtins__": {}, "_max": max, "_fabs": abs},
+                     "<stepper>")
 
 
 # Steps one run may take, RK4 grid steps or Dormand-Prince attempts: 20x
@@ -487,9 +599,12 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     packed as the float list (x, xi).
 
     RK4 takes the grid of ``step``; Dormand-Prince picks its grid by error
-    control at ``tol``, with its error norm on numpy.  A stage past the
-    chart (OutsideChart) truncates the run.  The rate is the metric's
-    ``_phase`` kernel, or ``_phase_core`` for a metric without one.
+    control at ``tol``.  Each steps by the generated stepper of its
+    tableau (``_stepper``, built on a flow's first use of a tableau's
+    current values and state length, then cached), which also forms the
+    Dormand-Prince error sum in floats.  A stage past the chart
+    (OutsideChart) truncates the run.  The rate is the metric's ``_phase``
+    kernel, or ``_phase_core`` for a metric without one.
 
     Each rate evaluation leaves a record of the values (xi, g, dg, Z) it
     computed there (its dx is 2 Z).  The records of accepted steps go, in
@@ -518,11 +633,7 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
     d, kernel = m.dim, m._phase
     phase = kernel or functools.partial(_phase_arrays, m)
     stage, block, hs = [], [], []
-
-    def f(y):
-        rate, record = phase(y[:d], y[d:])
-        stage.append(record)
-        return rate
+    keep = stage.append
 
     def flush():
         if on_block is not None:
@@ -539,20 +650,20 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
             flush()
 
     y, t = p0.x.tolist() + p0.xi.tolist(), 0.0
-    k = f(y)
-    block.extend(stage)
-    stage.clear()
+    k, record = phase(y[:d], y[d:])
+    block.append(record)
     samples = [(t, y, k)]
     left = False
     try:
         if integrator == "rk4_fixed":
+            step = _stepper(_RK4_A, 2 * d)
             for h in grid:
-                y, ks = _rk_step(f, y, k, h, _RK4_A)
-                k = ks[-1]
+                y, k = step(y, k, h, phase, keep)
                 t += h
                 samples.append((t, y, k))
                 accept(h)
         else:
+            step = _stepper(_DP_A, 2 * d, _DP_B4)
             h = min(t_end, max(tol ** 0.2, 1e-6))
             max_attempts = min(int(_ATTEMPTS_PER_T * max(1.0, t_end)),
                                _MAX_STEPS)
@@ -569,14 +680,11 @@ def _flow(m: MetricField, p0: PhasePoint, t_end: float, integrator: str,
                         f"{attempts - accepted} rejected) reach only t={t} "
                         f"of {t_end}, h={h_try}")
                 attempts += 1
-                ynew, ks = _rk_step(f, y, k, h_try, _DP_A)
-                yn = np.array(ynew)
-                err = yn - np.array(_combine_floats(y, h_try, _DP_B4, ks))
-                sc = tol + tol * np.maximum(np.abs(np.array(y)), np.abs(yn))
-                enorm = math.sqrt(float(np.sum((err / sc) ** 2)) / err.size)
+                ynew, knew, sq = step(y, k, h_try, tol, phase, keep)
+                enorm = math.sqrt(sq / len(y))
                 if enorm <= 1.0:
                     t += h_try
-                    y, k = ynew, ks[-1]
+                    y, k = ynew, knew
                     samples.append((t, y, k))
                     accept(h_try)
                 else:
@@ -920,26 +1028,11 @@ _EXPR_BINOPS = {
     ast.Pow: ("b * a ** (b - 1.0)", "v * log(a)"),
 }
 
-# compile wants a position on every statement and expression; all of the
-# generated code sits at line 1
-_AT = {"lineno": 1, "col_offset": 0}
-
-
-def _ast(term):
-    """An expression tree for a term: a tree as it is, a variable name, or
-    a float literal."""
-    if isinstance(term, ast.AST):
-        return term
-    if isinstance(term, str):
-        return ast.Name(term, ast.Load(), **_AT)
-    return ast.Constant(term, **_AT)
-
-
 def _times(p, d):
     """The term p * d, either factor of which may be the literal 1.0."""
     if p == 1.0 or d == 1.0:
         return d if p == 1.0 else p
-    return ast.BinOp(_ast(p), ast.Mult(), _ast(d), **_AT)
+    return _bin(p, ast.Mult, d)
 
 
 class _KernelBuilder:
@@ -966,8 +1059,7 @@ class _KernelBuilder:
 
     def assign(self, expr) -> str:
         name = f"_v{len(self.body)}"
-        self.body.append(ast.Assign([ast.Name(name, ast.Store(), **_AT)],
-                                    expr, **_AT))
+        self.body.append(_assign(name, expr))
         return name
 
     def constant(self, value) -> str:
@@ -999,8 +1091,7 @@ class _KernelBuilder:
         for p, d in zip(partials, derivs):
             for k, dk in d.items():
                 t = _times(p, dk)
-                out[k] = t if k not in out else \
-                    ast.BinOp(_ast(out[k]), ast.Add(), _ast(t), **_AT)
+                out[k] = t if k not in out else _bin(out[k], ast.Add, t)
         return {k: self.assign(t) if isinstance(t, ast.AST) else t
                 for k, t in out.items()}
 
@@ -1027,10 +1118,8 @@ class _KernelBuilder:
             return self.constant(math.pi), {}
         if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
             ops = self.node(node.left), self.node(node.right)
-            return self.apply(
-                ast.BinOp(_ast(ops[0][0]), type(node.op)(), _ast(ops[1][0]),
-                          **_AT),
-                _EXPR_BINOPS[type(node.op)], ops)
+            return self.apply(_bin(ops[0][0], type(node.op), ops[1][0]),
+                              _EXPR_BINOPS[type(node.op)], ops)
         if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
             return self.node(node.operand)
         if isinstance(node, ast.UnaryOp) and type(node.op) is ast.USub:
@@ -1041,9 +1130,8 @@ class _KernelBuilder:
                 and node.func.id in _EXPR_FUNCS and len(node.args) == 1
                 and not node.keywords):
             op = self.node(node.args[0])
-            return self.apply(
-                ast.Call(_ast(f"_{node.func.id}"), [_ast(op[0])], [], **_AT),
-                (_EXPR_FUNCS[node.func.id][1],), (op,))
+            return self.apply(_call(f"_{node.func.id}", op[0]),
+                              (_EXPR_FUNCS[node.func.id][1],), (op,))
         what = (f"name {node.id!r}" if isinstance(node, ast.Name)
                 else type(node).__name__)
         raise ConfigError(f"conformal factor {self.expr!r}: {what} is not "
@@ -1058,7 +1146,7 @@ class _ScalarOps(ast.NodeTransformer):
         helper = {ast.Div: "_div", ast.Pow: "_pow"}.get(type(node.op))
         if helper is None:
             return node
-        return ast.Call(_ast(helper), [node.left, node.right], [], **_AT)
+        return _call(helper, node.left, node.right)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1085,16 +1173,10 @@ def _omega_kernels(expr: str, dim: int):
             from None
     grad = ast.Tuple([_ast(dw.get(k, 0.0)) for k in range(dim)], ast.Load(),
                      **_AT)
-    # def _values(_p): body; return (Omega, gradient)
-    args = ast.arguments(posonlyargs=[], args=[ast.arg("_p", **_AT)],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    # _f(_p): body; return (Omega, gradient)
     result = ast.Return(ast.Tuple([_ast(w), grad], ast.Load(), **_AT), **_AT)
-    module = ast.Module([ast.FunctionDef("_values", args, [*b.body, result],
-                                         decorator_list=[], **_AT)],
-                        type_ignores=[])
-    _ScalarOps().visit(module)
-    exec(compile(module, "<conformal factor>", "exec"), b.env)
-    return b.env.pop("_values")
+    return _function(["_p"], [_ScalarOps().visit(n) for n in
+                              (*b.body, result)], b.env, "<conformal factor>")
 
 
 def _omega_ok(w, dw) -> bool:

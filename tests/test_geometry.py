@@ -1057,6 +1057,117 @@ def test_adaptive_run_is_capped_at_max_steps(monkeypatch):
     assert 10 < tr.n - 1 < 1000 and tr.ts[-1] == pytest.approx(8.0)
 
 
+def _special_floats(rng, size, odds):
+    """Floats of every kind the steppers meet or must survive, drawn with
+    the odds of: ordinary values over ten decades, +-0.0, subnormals,
+    magnitudes near 1e+-300, +-inf and NaN."""
+    pick = rng.choice(6, size=size, p=odds)
+    sign = rng.choice([-1.0, 1.0], size=size)
+    return np.select(
+        [pick == 0, pick == 1, pick == 2, pick == 3, pick == 4],
+        [sign * 10.0 ** rng.uniform(-5.0, 5.0, size), sign * 0.0,
+         sign * rng.uniform(1.0, 2.0 ** 40, size) * 5e-324,
+         sign * 10.0 ** rng.choice([-300.0, -299.0, 299.0, 300.0], size)
+         * rng.uniform(0.5, 1.0, size), sign * np.inf], np.nan)
+
+
+def _drawn_step(rng, n, stages):
+    """(y, ks, h): a state, ``stages`` rates and a positive step, some of
+    them extreme; one draw in four may hold inf and NaN."""
+    odds = [0.62, 0.1, 0.08, 0.2, 0.0, 0.0] if rng.random() < 0.75 else \
+        [0.6, 0.1, 0.08, 0.14, 0.04, 0.04]
+    y, ks = _special_floats(rng, n, odds), \
+        _special_floats(rng, (stages, n), odds)
+    h = 10.0 ** rng.uniform(-6.0, 0.0) if rng.random() < 0.8 else \
+        float(rng.choice([5e-324, 1e-300, 1e300]))
+    return y, ks, h
+
+
+def _run_stepper(step, y, ks, h, *tol):
+    """One call of a generated stepper whose phase hands out the drawn
+    rates in turn; returns (the points it was called at, its result)."""
+    points, rates = [], iter(ks[1:].tolist())
+
+    def phase(x, xi):
+        points.append(np.array(x + xi))
+        return next(rates), None
+    return points, step(y.tolist(), ks[0].tolist(), h, *tol, phase,
+                        lambda record: None)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("integrator", ["rk4_fixed", "rk45_adaptive"])
+def test_generated_steppers_match_combine_bit_for_bit(integrator, n):
+    """Every stage point, y_new and the embedded solution of a generated
+    stepper are ``_combine``'s on arrays, bits and all, and the
+    Dormand-Prince error sum is the numpy formula's, on 1,000 draws with
+    signed zeros, subnormals, 1e+-300, inf and NaN; a NaN gives a NaN."""
+    from diracsym import geometry
+    rows = geometry._RK4_A if integrator == "rk4_fixed" else geometry._DP_A
+    b4 = None if integrator == "rk4_fixed" else geometry._DP_B4
+    step = geometry._stepper(rows, n, b4)
+    # the embedded weights as the last row of a tableau: its solution is
+    # the embedded one, built by the same code
+    embedded = geometry._stepper(rows + (b4,), n) if b4 else None
+    rng = np.random.default_rng(11 + n)
+    nan_sums = 0
+    for _ in range(1000):
+        y, ks, h = _drawn_step(rng, n, len(rows) + 1)
+        tol = 10.0 ** rng.uniform(-14.0, -2.0)
+        points, out = _run_stepper(step, y, ks, h, *([tol] if b4 else []))
+        assert len(points) == len(rows)
+        with np.errstate(all="ignore"):
+            for s, row in enumerate(rows, 1):
+                want = geometry._combine(y, h, row, list(ks[:s]))
+                assert points[s - 1].tobytes() == want.tobytes(), (s, y, ks)
+            assert np.array(out[0]).tobytes() == want.tobytes()
+            assert np.array(out[1]).tobytes() == ks[-1].tobytes()
+            if b4 is None:
+                continue
+            y4 = geometry._combine(y, h, b4, list(ks))
+            _, (y4_generated, _) = _run_stepper(
+                embedded, y, np.vstack((ks, ks[-1:])), h)
+            assert np.array(y4_generated).tobytes() == y4.tobytes()
+            yn = np.array(out[0])
+            sc = tol + tol * np.maximum(np.abs(y), np.abs(yn))
+            old = float(np.sum(((yn - y4) / sc) ** 2))
+        if math.isnan(old):
+            nan_sums += 1
+            assert math.isnan(out[2])
+        else:
+            assert np.float64(out[2]).tobytes() == np.float64(old).tobytes()
+    if b4:
+        assert 100 < nan_sums < 900
+
+
+def test_each_stepper_is_built_once(monkeypatch):
+    """50 flows of each integrator in dimensions 2 and 4 build one stepper
+    per (tableau, state length); a patched copy of the embedded weights
+    gets its own.  A build per flow would cost a ray some 30%."""
+    from diracsym import geometry
+    built = []
+
+    def counting(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+    geometry._stepper.cache_clear()
+    monkeypatch.setattr(geometry, "compile", counting, raising=False)
+    for m in ds.minkowski(2), ds.minkowski(4):
+        p = PhasePoint(np.zeros(m.dim), np.array([-1.0, 1.0] + [0.0] *
+                                                 (m.dim - 2)))
+        for _ in range(50):
+            for integrator in "rk4_fixed", "rk45_adaptive":
+                ds.integrate_bicharacteristic(m, p, 0.05, step=1e-2,
+                                              integrator=integrator)
+    assert built == ["<stepper>"] * 4
+    assert geometry._stepper.cache_info().currsize == 4
+    monkeypatch.setattr(geometry, "_DP_B4",
+                        (5179.0 / 57000.0,) + geometry._DP_B4[1:])
+    ds.integrate_bicharacteristic(ds.minkowski(4), p, 1e-3, tol=1e-3,
+                                  integrator="rk45_adaptive")
+    assert built == ["<stepper>"] * 5
+
+
 def test_integrator_inputs_must_be_finite_and_positive(mink4):
     # a zero, negative or non-finite step or t_end used to divide by zero,
     # pass with one sample or raise ValueError; a zero or non-finite

@@ -4,9 +4,9 @@ The mutation sweep's mutants still apply: each one's old text occurs
 exactly once in its file, so a refactor that moves the text shows here and
 not only when ``tools/mutants.py`` next runs, and each mutated file still
 compiles.  The sweep leaves this file out of its runs, since every mutant
-removes its own old text.  The pairing script's summary step is checked on
-synthetic run output, and its byte-compiling step with ``subprocess.run``
-replaced."""
+removes its own old text; its name filter is checked with the runs
+replaced.  The pairing script's summary step is checked on synthetic run
+output, and its byte-compiling step with ``subprocess.run`` replaced."""
 import importlib.util
 import json
 from pathlib import Path
@@ -32,6 +32,24 @@ def test_mutant_compiles(mutant):
     _, rel, old, new = mutant
     path = TOOLS.parent / rel
     compile(path.read_text().replace(old, new), str(path), "exec")
+
+
+def test_mutant_names_select_the_sweep(monkeypatch, capsys):
+    """Named mutants run alone, in the order named; an unknown name exits
+    2 and lists the valid ones, before anything runs."""
+    ran = []
+    monkeypatch.setattr(mutants, "run", lambda m: ran.append(m[0])
+                        or ("killed", 0.0, ""))
+    names = [mutants.MUTANTS[3][0], mutants.MUTANTS[0][0]]
+    assert mutants.main(names + names[:1]) == 0
+    assert ran == names
+    assert mutants.main([names[0], "no_such_mutant"]) == 2
+    err = capsys.readouterr().err
+    assert "no_such_mutant" in err
+    assert all(m[0] in err for m in mutants.MUTANTS)
+    assert ran == names
+    monkeypatch.setattr(mutants, "run", lambda m: ("survived", 0.0, ""))
+    assert mutants.main(names[:1]) == 1
 
 
 _spec = importlib.util.spec_from_file_location("bench_pairs",

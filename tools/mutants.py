@@ -7,12 +7,13 @@ failure) with a per-mutant timeout.  A failing suite kills the mutant; a
 passing one lets it survive; a run cut off by the timeout is reported on
 its own line.  The working tree is never touched.
 
-    python tools/mutants.py
+    python tools/mutants.py                 # every mutant
+    python tools/mutants.py NAME [NAME ...]  # only the named ones
 
-Not part of Tier-1: a sweep runs the suite once per mutant, a few minutes
-in all, each cut off after ``TIMEOUT`` seconds.  Exit code 0 when no
-mutant survives, 1 otherwise, 2 when a mutant's text no longer matches its
-file exactly once.
+Not part of Tier-1: a sweep runs the suite once per mutant, some ten
+minutes in all, each cut off after ``TIMEOUT`` seconds.  Exit code 0 when
+no mutant survives, 1 otherwise, 2 when a name is unknown (the valid names
+are listed) or a mutant's text no longer matches its file exactly once.
 """
 from __future__ import annotations
 
@@ -72,6 +73,16 @@ MUTANTS = [
     ("enorm_scaled_1e-3", "src/diracsym/geometry.py",
      "enorm = math.sqrt(",
      "enorm = 1e-3 * math.sqrt("),
+    ("stepper_stage_terms_swapped", "src/diracsym/geometry.py",
+     "[_bin(hc, ast.Mult, k[i]) for hc, k in hs]",
+     "[_bin(hc, ast.Mult, k[i])\n"
+     "             for hc, k in hs[:1] + hs[2:0:-1] + hs[3:]]"),
+    ("stepper_stage_reads_previous_rate", "src/diracsym/geometry.py",
+     "comps = point(row)",
+     "comps = point(row[1:] + (0.0,) if s == 3 else row)"),
+    ("error_sum_of_8_left_to_right", "src/diracsym/geometry.py",
+     "if n < 8:\n        return _chain(terms)",
+     "if n < 9:\n        return _chain(terms)"),
     ("generator_norm_integral_truncated", "src/diracsym/transport.py",
      "np.sum(0.5 * hs * (norms[:-1] + norms[1:]))",
      "np.sum(0.5 * hs[:10] * (norms[:10] + norms[1:11]))"),
@@ -249,13 +260,22 @@ def run(mutant):
         return verdict, time.perf_counter() - t0, lines[-1] if lines else ""
 
 
-def main() -> int:
-    stale = [msg for msg in map(_check, MUTANTS) if msg]
+def main(names=None) -> int:
+    """Run the named mutants, in the order named, or all of them."""
+    by_name = {m[0]: m for m in MUTANTS}
+    unknown = [n for n in names or () if n not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}\nvalid names: "
+              f"{', '.join(by_name)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[n] for n in dict.fromkeys(names)] if names \
+        else MUTANTS
+    stale = [msg for msg in map(_check, chosen) if msg]
     if stale:
         print("\n".join(stale), file=sys.stderr)
         return 2
     results = {"killed": [], "survived": [], "timed out": []}
-    for m in MUTANTS:
+    for m in chosen:
         verdict, secs, last = run(m)
         results[verdict].append(m[0])
         print(f"{m[0]}: {verdict} in {secs:.0f} s  {last}", flush=True)
@@ -265,4 +285,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
